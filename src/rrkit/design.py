@@ -16,6 +16,7 @@ from .model import (
     PrivacyPolicy,
     SupportSpec,
     ValidationError,
+    _as_finite_float,
     validate_policy,
 )
 
@@ -30,9 +31,10 @@ def _check_m(m: int) -> int:
 
 
 def _check_xi(xi: float) -> float:
-    if not isinstance(xi, (int, float)) or not 0.0 < xi < 1.0:
+    xi = _as_finite_float(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
+    if not 0.0 < xi < 1.0:
         raise ValidationError("XI_OUT_OF_RANGE", f"xi must lie in (0,1), got {xi!r}")
-    return float(xi)
+    return xi
 
 
 def p0_all_stigmatizing(m: int, xi: float) -> float:
@@ -41,7 +43,7 @@ def p0_all_stigmatizing(m: int, xi: float) -> float:
     Inverts the worst-case gap: p0 = 1 / (1 + (m/xi) * ((1-xi)/2)^2).
     """
     _check_m(m)
-    _check_xi(xi)
+    xi = _check_xi(xi)
     return 1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2)
 
 
@@ -50,8 +52,9 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     the prior non-stigmatizing mass is at least c. Needs xi < c: randomization
     can only dilute the prior mass, never amplify it."""
     _check_m(m)
-    _check_xi(xi)
-    if not isinstance(c, (int, float)) or not 0.0 < c < 1.0:
+    xi = _check_xi(xi)
+    c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
+    if not 0.0 < c < 1.0:
         raise ValidationError("C_OUT_OF_RANGE", f"c must lie in (0,1), got {c!r}")
     if xi >= c:
         raise ValidationError(

@@ -116,15 +116,17 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
     proportions for the unknown response probabilities.
 
     Evaluates (1/(n p^2)) * { sum_i x_i^2 w_i (1 - w_i)
-                              - sum_{i != j} x_i x_j w_i w_j }.
-    No bias correction is attempted.
+                              - sum_{i != j} x_i x_j w_i w_j },
+    which is (1/(n p^2)) * sum_i w_i (x_i - xbar_w)^2 with xbar_w = sum_i x_i w_i.
+    It is computed in that centred form, centring twice so the second pass
+    removes the rounding of xbar_w; the raw moments would cancel to nothing
+    once the support sits far from 0. No bias correction is attempted.
     """
     _require_same_m(device.m, support.m)
-    x = support.values_array
     w = sample.proportions
-    diag = float((x * x) @ (w * (1.0 - w)))
-    cross = float((x @ w) ** 2 - (x * x) @ (w * w))
-    return (diag - cross) / (sample.n * device.p * device.p)
+    d = support.values_array - support.values_array @ w
+    d -= d @ w
+    return float((d * d) @ w) / (sample.n * device.p * device.p)
 
 
 def _require_n(n: int) -> None:

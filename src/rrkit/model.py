@@ -139,6 +139,53 @@ class PopulationModel:
         return float(((support.values_array - mu) ** 2) @ self.pi_array)
 
 
+def validate_population_rows(pis) -> np.ndarray:
+    """A batch of populations, one per row of a (K, m) array, checked by the
+    rules of :class:`PopulationModel` and renormalized the same way.
+
+    Every row must be finite and non-negative, with at least two entries
+    summing to 1 within ``PI_SUM_BAND``; the first row that breaks a rule is
+    named in the ``BAD_PI`` error. Returns a new float array.
+    """
+    try:
+        rows = np.asarray(pis, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("BAD_PI", "population rows are not a numeric array") from None
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValidationError(
+            "BAD_PI", f"population rows need shape (K, m) with m >= 2, got {rows.shape}"
+        )
+    if not np.isfinite(rows).all():
+        row = int(np.argmax(~np.isfinite(rows).all(axis=1)))
+        raise ValidationError("BAD_PI", f"row {row} has a non-finite proportion")
+    if (rows < 0.0).any():
+        row = int(np.argmax((rows < 0.0).any(axis=1)))
+        raise ValidationError("BAD_PI", f"row {row} has a negative proportion")
+    totals = _row_sums(rows)
+    bad = np.abs(totals - 1.0) > PI_SUM_BAND
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValidationError(
+            "BAD_PI",
+            f"row {row} sums to {float(totals[row])!r}, expected 1 within {PI_SUM_BAND}",
+        )
+    return rows / totals[:, None]
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Row sums carrying each addition's rounding error (Neumaier), so they
+    match the correctly rounded ``math.fsum`` that PopulationModel divides by."""
+    total = rows[:, 0].copy()
+    error = np.zeros_like(total)
+    for column in rows.T[1:]:
+        summed = total + column
+        error += np.where(
+            np.abs(total) >= np.abs(column), (total - summed) + column, (column - summed) + total
+        )
+        total = summed
+    return total + error
+
+
 @dataclass(frozen=True)
 class Device:
     """The randomization device, reduced to its single tunable: the probability p

@@ -13,16 +13,29 @@ privacy modules; it shares only the plain data types.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Device, PopulationModel, ValidationError, _require_same_m
+from .model import (
+    Device,
+    PopulationModel,
+    ValidationError,
+    _as_finite_float,
+    _require_same_m,
+)
 
 # enumeration work grows like (n+1)^(m-1); refuse anything bigger than this
 MAX_ENUMERATION_POINTS = 100_000
+# a simplex grid of step 1/k holds comb(k+m-1, m-1) points; refuse more than this
+MAX_GRID_POINTS = 10_000_000
+# grid points per objective call are capped so an (rows, m, m) float64 array
+# stays within this many bytes; below glibc's 128 KiB mmap threshold, such
+# temporaries reuse heap memory instead of faulting in fresh pages each call
+GRID_BLOCK_BYTES = 1 << 17
 
 
 def bayes_posterior_oracle(device: Device, population: PopulationModel) -> np.ndarray:
@@ -58,9 +71,14 @@ def multinomial_variance_oracle(
     """Exact sampling variance of the mean estimator, from multinomial moments.
 
     The estimator is a linear statistic of the response counts, so its variance
-    follows from the count covariances alone:
+    follows from the count covariances alone. It is evaluated in the pairwise
+    form
 
-        Var = (sum x_i^2 lam_i - (sum x_i lam_i)^2) / (n p^2).
+        Var = sum_{i,j} lam_i lam_j (x_i - x_j)^2 / (2 n p^2),
+
+    equal to (sum x_i^2 lam_i - (sum x_i lam_i)^2) / (n p^2) but built from
+    differences of support values only, so shifting the support cannot
+    cancel it away.
 
     For small problems the result is additionally cross-checked against a full
     enumeration of count vectors.
@@ -72,14 +90,18 @@ def multinomial_variance_oracle(
     _require_same_m(device.m, population.m)
     p = device.p
     lam = response_distribution_oracle(device, population)
-    variance = float((x * x @ lam - (x @ lam) ** 2) / (n * p * p))
+    spread = (x[:, None] - x[None, :]) ** 2
+    variance = float(lam @ spread @ lam / (2.0 * n * p * p))
 
     if n <= 4 and device.m <= 3:
         q = device.forced_share
+        # the variance ignores a shift of the support; centring keeps the
+        # enumerated estimates small, so they cancel nothing either
+        xc = x - x.mean()
 
         def mu_hat(counts: tuple[int, ...]) -> float:
             w = np.asarray(counts, dtype=float) / n
-            return float(x @ ((w - q) / p))
+            return float(xc @ ((w - q) / p))
 
         _, enum_var = enumeration_moments(n, lam, mu_hat)
         if abs(enum_var - variance) > 1e-12 + 1e-9 * abs(variance):
@@ -149,20 +171,75 @@ class GridSearchResult:
     points_evaluated: int
 
 
-def simplex_grid_points(m: int, step: float) -> Iterator[np.ndarray]:
-    """Lattice points on the probability simplex with spacing ``step``.
+def grid_divisions(m: int, step: float) -> int:
+    """Parts k = 1/step into which the simplex grid cuts the unit mass.
 
-    ``step`` must divide 1 into a whole number of parts (0.05 -> 20 parts).
+    Refuses, before any lattice is built, a ``step`` that does not divide 1
+    into a whole number of parts (0.05 -> 20 parts) and a lattice of more than
+    ``MAX_GRID_POINTS`` points on the m-value simplex (comb(k+m-1, m-1)).
     """
-    k = round(1.0 / step)
+    step = _as_finite_float(step, "BAD_GRID", "grid step")
+    parts = 1.0 / step if step > 0.0 else 0.0
+    k = round(parts) if math.isfinite(parts) else 0
     if k < 1 or abs(k * step - 1.0) > 1e-9:
         raise ValidationError("BAD_GRID", f"step {step!r} must evenly divide 1")
-    for counts in enumerate_count_vectors(k, m):
-        yield np.asarray(counts, dtype=float) / k
+    points = math.comb(k + m - 1, m - 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            "BAD_GRID",
+            f"step {step!r} puts {points} points on the {m}-value simplex, "
+            f"more than the {MAX_GRID_POINTS} allowed",
+        )
+    return k
+
+
+def _count_vectors(k: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """The count vectors of ``enumerate_count_vectors(k, m)`` whose
+    first entry lies in [lo, hi], as rows of an int array, in the same order."""
+    counts = np.arange(lo, hi + 1)[:, None]
+    left = k - counts[:, 0]
+    for _ in range(m - 2):
+        reps = left + 1
+        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack((np.repeat(counts, reps, axis=0), nxt))
+        left = np.repeat(left, reps) - nxt
+    return np.column_stack((counts, left))
+
+
+def _count_blocks(k: int, m: int, rows: int) -> Iterator[np.ndarray]:
+    """``enumerate_count_vectors(k, m)`` in order, as int arrays of at most
+    ``rows`` rows: runs of first entries whose vectors fit together, and a
+    first entry whose vectors alone do not fit is split on the next entry."""
+    first = 0
+    while first <= k:
+        largest = math.comb(k - first + m - 2, m - 2)  # vectors starting with `first`
+        if largest > rows:
+            for block in _count_blocks(k - first, m - 1, rows):
+                yield np.column_stack((np.full(len(block), first), block))
+            first += 1
+            continue
+        last = min(k, first + rows // largest - 1)
+        yield _count_vectors(k, m, first, last)
+        first = last + 1
+
+
+def _block_rows(m: int) -> int:
+    return max(1, GRID_BLOCK_BYTES // (8 * m * m))
+
+
+def simplex_grid_points(m: int, step: float) -> np.ndarray:
+    """Lattice points on the probability simplex with spacing ``step``, as the
+    rows of a (K, m) array in the order of ``enumerate_count_vectors``.
+
+    ``step`` must divide 1 into a whole number of parts (0.05 -> 20 parts),
+    and the lattice may hold at most ``MAX_GRID_POINTS`` points.
+    """
+    k = grid_divisions(m, step)
+    return np.concatenate(list(_count_blocks(k, m, _block_rows(m)))) / k
 
 
 def simplex_grid_search(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], Sequence[float]],
     m: int,
     step: float,
     minimize: bool = False,
@@ -172,28 +249,47 @@ def simplex_grid_search(
 ) -> GridSearchResult:
     """Brute-force extremum of ``objective`` over the simplex grid.
 
+    ``objective`` takes a read-only (B, m) array of points and returns their B
+    values. The lattice goes to it in blocks, built one at a time, of at most
+    ``GRID_BLOCK_BYTES / (8 m^2)`` points, so that per-point m-by-m matrices
+    stay within 128 KiB at any step. The first point attaining the best value
+    wins.
+
     When ``mass_indices``/``mass_floor`` are given, grid points whose mass on
     those coordinates falls below the floor are skipped (the floor itself
-    passes, within 1e-12). ``extra_points`` are evaluated as supplied, letting
-    callers inject suspected extremal populations that the lattice misses.
+    passes, within 1e-12). ``extra_points`` are evaluated as supplied, after
+    the lattice, letting callers inject suspected extremal populations that
+    the lattice misses.
     """
+    k = grid_divisions(m, step)
+    blocks: Iterable[np.ndarray] = (
+        counts / k for counts in _count_blocks(k, m, _block_rows(m))
+    )
+    extras = np.asarray(list(extra_points), dtype=float)
+    if len(extras):
+        blocks = itertools.chain(blocks, [extras])
+
     sign = -1.0 if minimize else 1.0
     best: float | None = None
     best_point: np.ndarray | None = None
     evaluated = 0
     idx = None if mass_indices is None else list(mass_indices)
-
-    candidates: Iterator[np.ndarray] = simplex_grid_points(m, step)
-    extras = (np.asarray(pt, dtype=float) for pt in extra_points)
-    for point in (*candidates, *extras):
+    for points in blocks:
         if idx is not None and mass_floor is not None:
-            if point[idx].sum() < mass_floor - 1e-12:
+            points = points[~(points[:, idx].sum(axis=1) < mass_floor - 1e-12)]
+            if not len(points):
                 continue
-        value = objective(point)
-        evaluated += 1
-        if best is None or sign * value > sign * best:
-            best = value
-            best_point = point
+        points.flags.writeable = False
+        values = np.asarray(objective(points), dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(
+                f"objective returned shape {values.shape} for {len(points)} points"
+            )
+        evaluated += len(points)
+        i = int(np.argmax(sign * values))
+        if best is None or sign * values[i] > sign * best:
+            best = float(values[i])
+            best_point = points[i].copy()
     if best is None or best_point is None:
         raise ValidationError("BAD_GRID", "no grid point satisfied the mass constraint")
     return GridSearchResult(value=best, witness=best_point, points_evaluated=evaluated)

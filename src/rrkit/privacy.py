@@ -29,7 +29,9 @@ from .model import (
     PopulationModel,
     PrivacyPolicy,
     ValidationError,
+    _as_finite_float,
     _require_same_m,
+    validate_population_rows,
 )
 
 # relative slack when collecting tied argmax/argmin indices
@@ -62,58 +64,130 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
     possible and each column is a proper distribution.
     """
     _require_same_m(device.m, population.m)
-    p, q = device.p, device.forced_share
-    pi = population.pi_array
-    numer = q * pi[:, None] + np.diag(p * pi)
-    lam = p * pi + q
-    return numer / lam[None, :]
+    return _posteriors(device, population.pi_array[:, None])[:, :, 0]
+
+
+def alpha_values(device: Device, pis) -> np.ndarray:
+    """alpha for each population of a (K, m) batch, as a (K,) array.
+
+    Rows are validated and renormalized like :class:`PopulationModel`, and
+    each value equals ``alpha_measure(device, PopulationModel(pi=row)).alpha``.
+    """
+    columns = _population_columns(device, pis)
+    alpha, _ = _alpha_core(device, columns, _posteriors(device, columns))
+    return alpha
+
+
+def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.ndarray:
+    """beta for each population of a (K, m) batch, as a (K,) array; the batch
+    form of :func:`beta_measure`."""
+    indices = _nonstigmatizing_indices(device, nonstigmatizing)
+    columns = _population_columns(device, pis)
+    beta, _ = _beta_core(_posteriors(device, columns), indices)
+    return beta
 
 
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
-    posterior = revealing_probabilities(device, population)
-    gaps = np.abs(posterior - population.pi_array[:, None])
-    alpha = float(gaps.max())
-
-    # the maximum gap is always attained on the diagonal; cross-check the
-    # full-matrix max against that reduced form before reporting
-    pi = population.pi_array
-    reduced = float(np.max(pi * (1.0 - pi) / (pi + device.forced_share / device.p)))
-    if abs(alpha - reduced) > 1e-12 + 1e-9 * alpha:
-        raise RuntimeError(
-            f"alpha self-check failed: matrix max {alpha!r} vs diagonal form {reduced!r}"
-        )
-
-    threshold = alpha - TIE_RTOL * alpha
-    argmax = tuple(
-        (int(i), int(j)) for i, j in np.argwhere(gaps >= threshold)
-    )
-    gaps = gaps.copy()
-    gaps.flags.writeable = False
-    return AlphaResult(alpha=alpha, argmax=argmax, gaps=gaps)
+    _require_same_m(device.m, population.m)
+    columns = population.pi_array[:, None]
+    return _alpha_result(device, columns, _posteriors(device, columns))
 
 
 def beta_measure(
     device: Device, population: PopulationModel, nonstigmatizing: tuple[int, ...]
 ) -> BetaResult:
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
-    indices = tuple(sorted(set(int(i) for i in nonstigmatizing)))
+    indices = _nonstigmatizing_indices(device, nonstigmatizing)
+    _require_same_m(device.m, population.m)
+    return _beta_result(_posteriors(device, population.pi_array[:, None]), indices)
+
+
+# --- the batch core ------------------------------------------------------------
+# K populations are held one per column of an (m, K) array, and their posterior
+# matrices stacked along the last axis of an (m, m, K) array, so every numpy
+# loop below runs along the batch rather than along the short m axis.
+
+
+def _population_columns(device: Device, pis) -> np.ndarray:
+    rows = validate_population_rows(pis)
+    _require_same_m(device.m, rows.shape[1])
+    return np.ascontiguousarray(rows.T)
+
+
+def _posteriors(device: Device, columns: np.ndarray) -> np.ndarray:
+    """Posterior matrices (m, m, K) of the populations in the columns of ``columns``."""
+    p, q = device.p, device.forced_share
+    m, k = columns.shape
+    posterior = np.empty((m, m, k))
+    posterior[...] = (q * columns)[:, None, :]
+    posterior.reshape(m * m, k)[:: m + 1] += p * columns  # the diagonals
+    posterior /= (p * columns + q)[None, :, :]
+    return posterior
+
+
+def _alpha_core(
+    device: Device, columns: np.ndarray, posteriors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha (K,) and the gap matrices (m, m, K) of a batch."""
+    gaps = posteriors - columns[:, None, :]
+    np.abs(gaps, out=gaps)
+    alpha = gaps.max(axis=(0, 1))
+
+    # the maximum gap is always attained on the diagonal; cross-check the
+    # full-matrix max against that reduced form before reporting
+    reduced = np.max(
+        columns * (1.0 - columns) / (columns + device.forced_share / device.p), axis=0
+    )
+    broken = np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise RuntimeError(
+            f"alpha self-check failed: matrix max {float(alpha[k])!r} "
+            f"vs diagonal form {float(reduced[k])!r}"
+        )
+    return alpha, gaps
+
+
+def _beta_core(posteriors: np.ndarray, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """beta (K,) and the non-stigmatizing posterior mass per response (m, K) of a batch."""
+    mass = posteriors[indices].sum(axis=0)
+    return mass.min(axis=0), mass
+
+
+def _alpha_result(device: Device, columns: np.ndarray, posteriors: np.ndarray) -> AlphaResult:
+    """The AlphaResult of a batch holding one population."""
+    alpha, gaps = _alpha_core(device, columns, posteriors)
+    alpha, gaps = float(alpha[0]), gaps[:, :, 0]
+    gaps.flags.writeable = False
+    threshold = alpha - TIE_RTOL * alpha
+    argmax = tuple((int(i), int(j)) for i, j in np.argwhere(gaps >= threshold))
+    return AlphaResult(alpha=alpha, argmax=argmax, gaps=gaps)
+
+
+def _beta_result(posteriors: np.ndarray, indices: list[int]) -> BetaResult:
+    """The BetaResult of a batch holding one population."""
+    beta, mass = _beta_core(posteriors, indices)
+    beta, mass = float(beta[0]), mass[:, 0]
+    mass.flags.writeable = False
+    threshold = beta + TIE_RTOL * max(beta, 1.0)
+    argmin = tuple(int(j) for j in np.flatnonzero(mass <= threshold))
+    return BetaResult(beta=beta, argmin=argmin, mass_by_response=mass)
+
+
+def _nonstigmatizing_indices(device: Device, nonstigmatizing: tuple[int, ...]) -> list[int]:
+    indices = sorted(set(int(i) for i in nonstigmatizing))
     if not indices:
         raise ValidationError("BAD_NONSTIG_SET", "non-stigmatizing index set is empty")
     if any(i < 0 or i >= device.m for i in indices):
-        raise ValidationError("BAD_NONSTIG_SET", f"indices {indices} out of range for m={device.m}")
+        raise ValidationError(
+            "BAD_NONSTIG_SET", f"indices {tuple(indices)} out of range for m={device.m}"
+        )
     if len(indices) >= device.m:
         raise ValidationError(
             "BAD_NONSTIG_SET", "every value is non-stigmatizing; beta is undefined"
         )
-    posterior = revealing_probabilities(device, population)
-    mass = posterior[list(indices), :].sum(axis=0)
-    beta = float(mass.min())
-    threshold = beta + TIE_RTOL * max(beta, 1.0)
-    argmin = tuple(int(j) for j in np.flatnonzero(mass <= threshold))
-    mass = mass.copy()
-    mass.flags.writeable = False
-    return BetaResult(beta=beta, argmin=argmin, mass_by_response=mass)
+    return indices
 
 
 def guaranteed_alpha_bound(device: Device) -> float:
@@ -129,7 +203,8 @@ def guaranteed_alpha_bound(device: Device) -> float:
 def guaranteed_beta_bound(device: Device, c: float) -> float:
     """Largest threshold xi* such that beta >= xi* for every population whose
     non-stigmatizing mass is at least c."""
-    if not (isinstance(c, (int, float)) and 0.0 < c < 1.0):
+    c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
+    if not 0.0 < c < 1.0:
         raise ValidationError("C_OUT_OF_RANGE", f"c must lie in (0,1), got {c!r}")
     return c / (1.0 + device.m * device.p * (1.0 - c) / (1.0 - device.p))
 
@@ -176,8 +251,9 @@ def privacy_report(
     bound is reported as None.
     """
     posterior = revealing_probabilities(device, population)
+    columns, posteriors = population.pi_array[:, None], posterior[:, :, None]
     if mode is PolicyMode.ALL_STIGMATIZING:
-        result = alpha_measure(device, population)
+        result = _alpha_result(device, columns, posteriors)
         return PrivacyReport(
             mode=mode,
             p=device.p,
@@ -188,7 +264,7 @@ def privacy_report(
         )
     if nonstigmatizing is None:
         raise ValidationError("BAD_NONSTIG_SET", "subset mode needs the non-stigmatizing indices")
-    result = beta_measure(device, population, nonstigmatizing)
+    result = _beta_result(posteriors, _nonstigmatizing_indices(device, nonstigmatizing))
     bound = None if c is None else guaranteed_beta_bound(device, c)
     return PrivacyReport(
         mode=mode,

@@ -28,6 +28,8 @@ EXACT_TOL = 1e-12
 TIGHTNESS_TOL = 1e-9
 # a device slightly looser than designed must break the guarantee by more than this
 BREAK_MARGIN = 1e-8
+# support size of the two tightness checks that search the simplex grid
+GRID_M = 3
 
 
 @dataclass(frozen=True)
@@ -147,18 +149,18 @@ def _check_avg_proportion_variance() -> CheckResult:
 
 
 def _check_alpha_guarantee_tight(grid_step: float) -> CheckResult:
-    m, xi = 3, 0.1
+    m, xi = GRID_M, 0.1
     p0 = design.p0_all_stigmatizing(m, xi)
     device = Device(p=p0, m=m)
-
-    def objective(point: np.ndarray) -> float:
-        return privacy.alpha_measure(device, PopulationModel(pi=tuple(point))).alpha
-
     witness = oracle.adversarial_alpha_population(m, xi)
     search = oracle.simplex_grid_search(
-        objective, m, grid_step, minimize=False, extra_points=[witness.pi]
+        lambda pts: privacy.alpha_values(device, pts),
+        m,
+        grid_step,
+        minimize=False,
+        extra_points=[witness.pi],
     )
-    at_witness = objective(witness.pi_array)
+    at_witness = privacy.alpha_measure(device, witness).alpha
     loose = Device(p=p0 + 1e-6, m=m)
     broken = privacy.alpha_measure(loose, witness).alpha
 
@@ -177,17 +179,13 @@ def _check_alpha_guarantee_tight(grid_step: float) -> CheckResult:
 
 
 def _check_beta_guarantee_tight(grid_step: float) -> CheckResult:
-    m, xi, c = 3, 0.10, 0.15
+    m, xi, c = GRID_M, 0.10, 0.15
     nonstig = (0,)
     p0 = design.p0_nonstigmatizing(m, xi, c)
     device = Device(p=p0, m=m)
-
-    def objective(point: np.ndarray) -> float:
-        return privacy.beta_measure(device, PopulationModel(pi=tuple(point)), nonstig).beta
-
     witness = oracle.adversarial_beta_population(m, c)
     search = oracle.simplex_grid_search(
-        objective,
+        lambda pts: privacy.beta_values(device, pts, nonstig),
         m,
         grid_step,
         minimize=True,
@@ -195,7 +193,7 @@ def _check_beta_guarantee_tight(grid_step: float) -> CheckResult:
         mass_floor=c,
         extra_points=[witness.pi],
     )
-    at_witness = objective(witness.pi_array)
+    at_witness = privacy.beta_measure(device, witness, nonstig).beta
     loose = Device(p=p0 + 1e-6, m=m)
     broken = privacy.beta_measure(loose, witness, nonstig).beta
 
@@ -240,7 +238,8 @@ def run_verification(grid_step: float = 0.05) -> VerificationReport:
 
     A check that raises is recorded as failed rather than aborting the suite —
     a corrupted build may blow up anywhere, and the report should still come
-    back. Input errors (bad grid step) are the caller's problem and propagate.
+    back. Input errors (a grid step that does not divide 1, or a lattice over
+    ``oracle.MAX_GRID_POINTS``) are the caller's problem and propagate.
     """
     suite = (
         ("posterior_matches_oracle", _check_posterior_matches_oracle),
@@ -252,8 +251,8 @@ def run_verification(grid_step: float = 0.05) -> VerificationReport:
         ("beta_guarantee_tight", lambda: _check_beta_guarantee_tight(grid_step)),
         ("estimator_unbiased", _check_estimator_unbiased),
     )
-    # surface a bad grid step immediately, before any check can mask it
-    next(oracle.simplex_grid_points(2, grid_step))
+    # surface a bad or too fine grid step immediately, before any check runs
+    oracle.grid_divisions(GRID_M, grid_step)
     checks = []
     for name, fn in suite:
         try:

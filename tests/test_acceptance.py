@@ -263,7 +263,11 @@ def test_criterion_08_guarantee_tightness(verdict):
 
     witness_a = oracle.adversarial_alpha_population(m, xi)
     search_a = oracle.simplex_grid_search(
-        alpha_of, m, 0.01, minimize=False, extra_points=[witness_a.pi]
+        lambda pts: [alpha_of(pt) for pt in pts],
+        m,
+        0.01,
+        minimize=False,
+        extra_points=[witness_a.pi],
     )
     loose_a = privacy.alpha_measure(Device(p=p0_a + 1e-6, m=m), witness_a).alpha
 
@@ -276,7 +280,7 @@ def test_criterion_08_guarantee_tightness(verdict):
 
     witness_b = oracle.adversarial_beta_population(m, c)
     search_b = oracle.simplex_grid_search(
-        beta_of,
+        lambda pts: [beta_of(pt) for pt in pts],
         m,
         0.01,
         minimize=True,

@@ -401,6 +401,15 @@ def test_verify_bad_grid_step(capsys):
     assert stderr_code(err) == "BAD_GRID"
 
 
+@pytest.mark.parametrize("step", ["0.0001", "0"])
+def test_verify_too_fine_or_zero_grid_step(capsys, step):
+    # 0.0001 would put ~5e7 points on the simplex, over oracle.MAX_GRID_POINTS
+    code, out, err = run(capsys, "verify", "--grid-step", step)
+    assert code == 2
+    assert out == ""
+    assert stderr_code(err) == "BAD_GRID"
+
+
 def test_verify_detects_corrupted_build(capsys, monkeypatch):
     # sign-flipped final variance term: the harness must exit 1, not 0
     def corrupted(device, support, population, n):

@@ -1,5 +1,6 @@
 """Device design: inverting the privacy bounds for the efficiency-optimal p."""
 
+import numpy as np
 import pytest
 
 from rrkit import Device, PolicyMode, PrivacyPolicy, SupportSpec, ValidationError
@@ -169,3 +170,22 @@ def test_design_device_checks_mode_against_support():
     with pytest.raises(ValidationError) as e:
         design_device(policy, support)
     assert e.value.code == "MODE_MISMATCH"
+
+
+def test_design_accepts_numpy_real_scalars():
+    # the same types PrivacyPolicy accepts: routed through the model's number check
+    xi32, c32 = np.float32(0.1), np.float32(0.15)
+    assert p0_all_stigmatizing(3, xi32) == p0_all_stigmatizing(3, float(xi32))
+    assert p0_nonstigmatizing(3, xi32, c32) == p0_nonstigmatizing(3, float(xi32), float(c32))
+    assert isinstance(p0_nonstigmatizing(3, xi32, c32), float)
+    assert p0_all_stigmatizing(3, np.float64(0.1)) == p0_all_stigmatizing(3, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.float32(1.5), np.float32(np.nan), "x", None])
+def test_design_rejects_bad_numpy_or_non_numeric_xi_and_c(bad):
+    with pytest.raises(ValidationError) as e:
+        p0_all_stigmatizing(3, bad)
+    assert e.value.code == "XI_OUT_OF_RANGE"
+    with pytest.raises(ValidationError) as e:
+        p0_nonstigmatizing(3, 0.1, bad)
+    assert e.value.code == "C_OUT_OF_RANGE"

@@ -230,7 +230,43 @@ def test_plugin_variance_by_hand(device_half2, support2):
     ) == pytest.approx(0.01, abs=1e-15)
 
 
+def test_plugin_variance_survives_a_support_far_from_zero():
+    # the raw-moment form Sum x^2 w - (x.w)^2 returned 0.0 here
+    d = Device(p=0.5, m=3)
+    sample = ResponseSample(counts=(333, 333, 334))
+    base = variance_mean_plugin(sample, d, SupportSpec(values=(0.0, 1.0, 2.0), stigma=(True,) * 3))
+    assert base == pytest.approx(0.002667996, rel=1e-12)
+    s = 1e8
+    far = SupportSpec(values=(s, s + 1.0, s + 2.0), stigma=(True,) * 3)
+    assert variance_mean_plugin(sample, d, far) == pytest.approx(base, rel=1e-12)
+
+
 # --- properties ----------------------------------------------------------------
+
+
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=6).filter(
+        lambda c: sum(c) > 0
+    ),
+    p=st.floats(min_value=0.01, max_value=0.99),
+    shift=st.integers(min_value=-(10**9), max_value=10**9),
+    scale=st.sampled_from([-3.0, 0.001, 0.5, 2.0, 1e6]),
+)
+def test_plugin_variance_shift_invariant_and_scales_by_square(counts, p, shift, scale):
+    m = len(counts)
+    d = Device(p=p, m=m)
+    sample = ResponseSample(counts=tuple(counts))
+    values = tuple(float(v) for v in range(m))
+
+    def var(vals):
+        return variance_mean_plugin(sample, d, SupportSpec(values=vals, stigma=(True,) * m))
+
+    base = var(values)
+    # integer supports stay exact under the shift, so only the variance's own
+    # rounding separates the two
+    assert var(tuple(v + shift for v in values)) == pytest.approx(base, rel=1e-12, abs=1e-15)
+    assert var(tuple(v * scale for v in values)) == pytest.approx(base * scale**2, rel=1e-12)
+
 
 
 @given(

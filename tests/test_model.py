@@ -19,6 +19,7 @@ from rrkit import (
     parse_survey_document,
     validate_policy,
 )
+from rrkit.model import validate_population_rows
 
 
 def err_code(excinfo):
@@ -113,6 +114,59 @@ def test_population_normalization_lands_on_simplex(raw):
     pop = PopulationModel(pi=tuple(v / total for v in raw))
     assert math.isclose(math.fsum(pop.pi), 1.0, abs_tol=1e-12)
     assert all(v >= 0 for v in pop.pi)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_population_rows_follow_the_population_model(drawn):
+    # rows drawn with True are scaled onto the simplex, the rest kept as drawn;
+    # PopulationModel decides which rows are valid and what they become
+    rows = [
+        [v / math.fsum(r) for v in r] if scale and math.fsum(r) > 0 else r for r, scale in drawn
+    ]
+    models = []
+    for r in rows:
+        try:
+            models.append(PopulationModel(pi=tuple(r)).pi)
+        except ValidationError as exc:
+            assert exc.code == "BAD_PI"
+            models.append(None)
+    if None in models:
+        with pytest.raises(ValidationError) as e:
+            validate_population_rows(rows)
+        assert err_code(e) == "BAD_PI"
+    else:
+        assert validate_population_rows(rows).tolist() == [list(pi) for pi in models]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.5, 0.5], [0.3, 0.6]],
+        [[0.5, 0.5], [-0.1, 1.1]],
+        [[0.5, np.inf]],
+        [[1.0]],
+        [0.5, 0.5],
+        [["a", "b"]],
+    ],
+)
+def test_population_rows_reject_what_the_model_rejects(rows):
+    with pytest.raises(ValidationError) as e:
+        validate_population_rows(rows)
+    assert err_code(e) == "BAD_PI"
+
+
+def test_population_rows_renormalize_within_the_band():
+    rows = validate_population_rows([[0.3, 0.7 + 5e-10], [0.0, 1.0]])
+    assert rows.tolist() == [list(PopulationModel(pi=(0.3, 0.7 + 5e-10)).pi), [0.0, 1.0]]
 
 
 # --- Device ----------------------------------------------------------------

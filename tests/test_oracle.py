@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import rrkit.oracle as oracle
 from rrkit import Device, PopulationModel, ValidationError
 from rrkit.oracle import (
+    MAX_GRID_POINTS,
     adversarial_alpha_population,
     adversarial_beta_population,
     bayes_posterior_oracle,
@@ -19,6 +21,7 @@ from rrkit.oracle import (
     enumeration_distribution,
     enumeration_expectation,
     enumeration_moments,
+    grid_divisions,
     multinomial_variance_oracle,
     response_distribution_oracle,
     simplex_grid_points,
@@ -101,7 +104,89 @@ def test_variance_oracle_rejects_bad_n():
     assert e.value.code == "BAD_N"
 
 
+def test_variance_oracle_is_shift_invariant():
+    # a support far from 0 must not cancel the variance away, on the moment
+    # form (n=100) and on the enumeration self-check path (n=3)
+    device, pop = Device(p=0.5, m=3), PopulationModel(pi=(0.2, 0.3, 0.5))
+    for n in (3, 100):
+        base = multinomial_variance_oracle(device, (0.0, 1.0, 2.0), pop, n)
+        for s in (1e6, 1e8, 1e9):
+            shifted = multinomial_variance_oracle(device, (s, s + 1.0, s + 2.0), pop, n)
+            assert shifted == pytest.approx(base, rel=1e-12)
+
+
 # --- simplex grid -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 20])
+def test_grid_points_follow_the_count_vector_order(m, k):
+    lattice = simplex_grid_points(m, 1.0 / k)
+    expected = [np.asarray(c, dtype=float) / k for c in enumerate_count_vectors(k, m)]
+    assert lattice.shape == (len(expected), m)
+    for row, ref in zip(lattice, expected):
+        assert np.array_equal(row, ref)
+
+
+def test_grid_blocks_keep_order_and_first_best(monkeypatch):
+    # tiny blocks split the lattice many times, down to single rows; the
+    # result, ties included, must match the one-block search
+    def objective(pts):
+        return np.round(pts @ np.array([1.0, 3.0, 3.0, 0.5]), 6)
+
+    whole = simplex_grid_search(objective, 4, 0.05)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return objective(pts)
+
+    monkeypatch.setattr(oracle, "GRID_BLOCK_BYTES", 8 * 16 * 7)
+    split = simplex_grid_search(counted, 4, 0.05)
+    assert max(calls) <= 7 and len(calls) > 10
+    assert split.points_evaluated == whole.points_evaluated == sum(calls)
+    assert split.value == whole.value
+    np.testing.assert_array_equal(split.witness, whole.witness)
+    # (0, 0, 1, 0) ties with (0, 1, 0, 0) and comes first in count-vector order
+    np.testing.assert_array_equal(whole.witness, [0.0, 0.0, 1.0, 0.0])
+
+
+def test_grid_search_hands_read_only_blocks_to_the_objective():
+    def objective(pts):
+        with pytest.raises(ValueError):
+            pts[0, 0] = 5.0
+        return pts[:, 0]
+
+    assert simplex_grid_search(objective, 3, 0.5).value == 1.0
+
+
+def test_grid_search_rejects_a_misshapen_objective():
+    with pytest.raises(ValueError):
+        simplex_grid_search(lambda pts: pts.sum(), 3, 0.5)
+
+
+def test_grid_point_cap_refuses_before_building(monkeypatch):
+    # 1e-4 puts comb(10002, 2) ~ 5e7 points on the 3-simplex
+    def no_lattice(*args):
+        raise AssertionError("lattice built for a refused step")
+
+    monkeypatch.setattr(oracle, "_count_blocks", no_lattice)
+    for call in (
+        lambda: simplex_grid_points(3, 1e-4),
+        lambda: simplex_grid_search(lambda pts: pts[:, 0], 3, 1e-4),
+    ):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == "BAD_GRID"
+        assert str(MAX_GRID_POINTS) in str(e.value)
+    assert grid_divisions(2, 1e-6) == 1_000_000  # 1e6 + 1 points stay under the cap
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, 1.5, float("nan"), float("inf"), 5e-324, "x"])
+def test_unusable_grid_steps_are_bad_grid(step):
+    with pytest.raises(ValidationError) as e:
+        grid_divisions(3, step)
+    assert e.value.code == "BAD_GRID"
 
 
 def test_grid_points_cover_the_simplex():
@@ -120,20 +205,23 @@ def test_grid_step_must_divide_one():
 
 def test_grid_search_finds_linear_extremes():
     weights = np.array([1.0, 5.0, 2.0])
-    best = simplex_grid_search(lambda pt: float(weights @ pt), 3, 0.1)
+    best = simplex_grid_search(lambda pts: [float(weights @ pt) for pt in pts], 3, 0.1)
     assert best.value == pytest.approx(5.0)
     np.testing.assert_allclose(best.witness, [0, 1, 0], atol=1e-12)
-    worst = simplex_grid_search(lambda pt: float(weights @ pt), 3, 0.1, minimize=True)
+    worst = simplex_grid_search(
+        lambda pts: [float(weights @ pt) for pt in pts], 3, 0.1, minimize=True
+    )
     assert worst.value == pytest.approx(1.0)
 
 
 def test_grid_search_mass_constraint_filters_points():
     res = simplex_grid_search(
-        lambda pt: float(pt[1]), 3, 0.1, minimize=False, mass_indices=(0,), mass_floor=0.5
+        lambda pts: [float(pt[1]) for pt in pts], 3, 0.1, minimize=False, mass_indices=(0,),
+        mass_floor=0.5,
     )
     # pi_0 >= 0.5 caps pi_1 at 0.5
     assert res.value == pytest.approx(0.5)
-    full = simplex_grid_search(lambda pt: float(pt[1]), 3, 0.1)
+    full = simplex_grid_search(lambda pts: [float(pt[1]) for pt in pts], 3, 0.1)
     assert res.points_evaluated < full.points_evaluated
 
 
@@ -141,7 +229,7 @@ def test_grid_search_uses_extra_points():
     # the lattice misses the off-grid optimum; the injected point must win
     target = np.array([0.123, 0.877])
     res = simplex_grid_search(
-        lambda pt: -abs(float(pt[0]) - 0.123), 2, 0.5, extra_points=[target]
+        lambda pts: [-abs(float(pt[0]) - 0.123) for pt in pts], 2, 0.5, extra_points=[target]
     )
     assert res.value == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(res.witness, target)
@@ -150,7 +238,7 @@ def test_grid_search_uses_extra_points():
 def test_grid_search_unsatisfiable_constraint():
     with pytest.raises(ValidationError) as e:
         simplex_grid_search(
-            lambda pt: 0.0, 2, 0.5, mass_indices=(0,), mass_floor=2.0
+            lambda pts: [0.0 for pt in pts], 2, 0.5, mass_indices=(0,), mass_floor=2.0
         )
     assert e.value.code == "BAD_GRID"
 

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rrkit.privacy as privacy
 from rrkit import Device, PolicyMode, PopulationModel, PrivacyPolicy, ValidationError
 from rrkit.design import p0_all_stigmatizing, p0_nonstigmatizing
 from rrkit.oracle import (
     adversarial_alpha_population,
     adversarial_beta_population,
+    simplex_grid_points,
     simplex_grid_search,
 )
 from rrkit.privacy import (
     alpha_measure,
+    alpha_values,
     beta_measure,
+    beta_values,
     guaranteed_alpha_bound,
     guaranteed_beta_bound,
     privacy_report,
@@ -158,7 +162,9 @@ class TestGuaranteedBounds:
             def worst(point):
                 return alpha_measure(device, PopulationModel(pi=tuple(point))).alpha
 
-            found = simplex_grid_search(worst, 3, 0.01, minimize=False)
+            found = simplex_grid_search(
+                lambda pts: [worst(pt) for pt in pts], 3, 0.01, minimize=False
+            )
             assert found.value <= bound + 1e-9
 
     def test_beta_never_falls_below_bound_on_constrained_grid(self):
@@ -171,7 +177,12 @@ class TestGuaranteedBounds:
                 return beta_measure(device, PopulationModel(pi=tuple(point)), (0,)).beta
 
             found = simplex_grid_search(
-                worst, 3, 0.01, minimize=True, mass_indices=(0,), mass_floor=c
+                lambda pts: [worst(pt) for pt in pts],
+                3,
+                0.01,
+                minimize=True,
+                mass_indices=(0,),
+                mass_floor=c,
             )
             assert found.value >= bound - 1e-9
 
@@ -242,3 +253,79 @@ class TestReports:
         with pytest.raises(ValidationError) as e:
             privacy_report(Device(p=0.2, m=3), pop3, mode=PolicyMode.NONSTIGMATIZING_SUBSET)
         assert e.value.code == "BAD_NONSTIG_SET"
+
+
+# --- batch forms ----------------------------------------------------------------
+
+
+class TestBatchForms:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+    def test_batch_values_match_the_per_point_measures(self, m, p):
+        device = Device(p=p, m=m)
+        lattice = simplex_grid_points(m, 0.05)
+        pops = [PopulationModel(pi=tuple(pt)) for pt in lattice]
+        alphas = alpha_values(device, lattice)
+        assert alphas.shape == (len(lattice),)
+        np.testing.assert_allclose(
+            alphas, [alpha_measure(device, pop).alpha for pop in pops], rtol=0, atol=1e-15
+        )
+        for nonstig in [(0,), (m - 1,), tuple(range(m - 1))]:
+            betas = beta_values(device, lattice, nonstig)
+            np.testing.assert_allclose(
+                betas, [beta_measure(device, pop, nonstig).beta for pop in pops], rtol=0, atol=1e-15
+            )
+
+    def test_batch_rows_are_validated_like_populations(self):
+        device = Device(p=0.5, m=3)
+        for rows in ([[0.5, 0.6, -0.1]], [[0.5, 0.4, 0.2]], [[np.nan, 0.5, 0.5]]):
+            with pytest.raises(ValidationError) as e:
+                alpha_values(device, rows)
+            assert e.value.code == "BAD_PI"
+        with pytest.raises(ValidationError) as e:
+            beta_values(device, [[0.5, 0.5]], (0,))
+        assert e.value.code == "DIMENSION_MISMATCH"
+        with pytest.raises(ValidationError) as e:
+            beta_values(device, [[0.2, 0.3, 0.5]], (0, 1, 2))
+        assert e.value.code == "BAD_NONSTIG_SET"
+
+    def test_single_results_stay_read_only(self):
+        device, pop = Device(p=0.3, m=3), PopulationModel(pi=(0.2, 0.3, 0.5))
+        for arr in (alpha_measure(device, pop).gaps, beta_measure(device, pop, (0,)).mass_by_response):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [
+            (PolicyMode.ALL_STIGMATIZING, {}),
+            (PolicyMode.NONSTIGMATIZING_SUBSET, {"nonstigmatizing": (0,), "c": 0.15}),
+        ],
+    )
+    def test_privacy_report_computes_the_posterior_once(self, monkeypatch, mode, extra):
+        original = privacy.revealing_probabilities
+        calls = []
+
+        def counted(device, population):
+            calls.append(1)
+            return original(device, population)
+
+        monkeypatch.setattr(privacy, "revealing_probabilities", counted)
+        device, pop = Device(p=0.3, m=3), PopulationModel(pi=(0.2, 0.3, 0.5))
+        report = privacy_report(device, pop, mode=mode, **extra)
+        assert len(calls) == 1
+        if mode is PolicyMode.ALL_STIGMATIZING:
+            result = alpha_measure(device, pop)
+            assert (report.alpha, report.alpha_argmax) == (result.alpha, result.argmax)
+        else:
+            result = beta_measure(device, pop, (0,))
+            assert (report.beta, report.beta_argmin) == (result.beta, result.argmin)
+
+
+def test_beta_bound_accepts_numpy_scalars():
+    device = Device(p=0.3, m=3)
+    for c in (np.float32(0.15), np.float64(0.15)):
+        assert guaranteed_beta_bound(device, c) == guaranteed_beta_bound(device, float(c))
+    with pytest.raises(ValidationError) as e:
+        guaranteed_beta_bound(device, np.float32(1.5))
+    assert e.value.code == "C_OUT_OF_RANGE"

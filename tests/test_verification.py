@@ -87,6 +87,32 @@ def test_corrupted_posterior_fails_verification(monkeypatch):
     assert "posterior_matches_oracle" in failed
 
 
+def test_inflated_alpha_values_fail_the_alpha_tightness_check(monkeypatch):
+    """The grid search resolves privacy.alpha_values at call time, so a batch
+    alpha pushed 1e-6 above the truth breaks the bound it searches for."""
+    original = privacy.alpha_values
+    monkeypatch.setattr(privacy, "alpha_values", lambda device, pts: original(device, pts) + 1e-6)
+    report = run_verification(grid_step=0.2)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"alpha_guarantee_tight"}
+
+
+def test_deflated_beta_values_fail_the_beta_tightness_check(monkeypatch):
+    original = privacy.beta_values
+    monkeypatch.setattr(
+        privacy, "beta_values", lambda device, pts, nonstig: original(device, pts, nonstig) - 1e-6
+    )
+    report = run_verification(grid_step=0.2)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"beta_guarantee_tight"}
+
+
+def test_fine_grid_keeps_the_point_counts():
+    details = {c.name: c.detail for c in run_verification(grid_step=0.01).checks}
+    assert "(5152 points)" in details["alpha_guarantee_tight"]
+    assert "(3742 points)" in details["beta_guarantee_tight"]
+
+
 def test_coarser_grid_still_passes():
     assert run_verification(grid_step=0.25).passed
 
@@ -96,4 +122,17 @@ def test_bad_grid_step_rejected():
 
     with pytest.raises(ValidationError) as e:
         run_verification(grid_step=0.07)
+    assert e.value.code == "BAD_GRID"
+
+
+@pytest.mark.parametrize("step", [1e-4, 0.0])
+def test_too_fine_or_zero_grid_step_rejected_before_any_check(monkeypatch, step):
+    from rrkit import ValidationError
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(privacy, "revealing_probabilities", no_check)
+    with pytest.raises(ValidationError) as e:
+        run_verification(grid_step=step)
     assert e.value.code == "BAD_GRID"
