@@ -1,10 +1,14 @@
 """Command-line front door: design, table, simulate, estimate, privacy, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input validation, 3 I/O.
-Validation and I/O failures print a single JSON object
-``{"code": ..., "message": ...}`` on stderr. All commands are deterministic
-given their inputs and ``--seed``; ``RRKIT_THREADS`` changes speed, never
-output.
+Exit codes: 0 success, 1 verification failure, 2 input validation (including
+``RESOURCE_LIMIT``, a simulate run refused before it allocates), 3 I/O,
+4 internal error. Failures print a single JSON object
+``{"code": ..., "message": ...}`` on stderr; an internal error (``INTERNAL_ERROR``)
+adds the traceback. All commands are deterministic given their inputs and
+``--seed``. ``simulate`` runs serially below ``simulation.POOL_MIN_N``
+respondents per replicate and with one thread per CPU at or above it;
+``RRKIT_THREADS`` (1 to ``simulation.MAX_THREADS``) overrides that and changes
+speed, never output.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import design as design_mod
 from . import estimation, privacy, simulation, verification
@@ -30,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,6 +258,17 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"code": "IO_ERROR", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_IO
+    except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported in the contract's form
+        json.dump(
+            {
+                "code": "INTERNAL_ERROR",
+                "message": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+            },
+            sys.stderr,
+        )
+        sys.stderr.write("\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

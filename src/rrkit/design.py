@@ -17,17 +17,12 @@ from .model import (
     SupportSpec,
     ValidationError,
     _as_finite_float,
+    _as_support_size,
     validate_policy,
 )
 
 DEFAULT_TABLE_MS = (3, 4, 5)
 DEFAULT_TABLE_XIS = (0.1, 0.2, 0.3, 0.4)
-
-
-def _check_m(m: int) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValidationError("BAD_SUPPORT", f"m must be an integer >= 2, got {m!r}")
-    return m
 
 
 def _check_xi(xi: float) -> float:
@@ -42,7 +37,7 @@ def p0_all_stigmatizing(m: int, xi: float) -> float:
 
     Inverts the worst-case gap: p0 = 1 / (1 + (m/xi) * ((1-xi)/2)^2).
     """
-    _check_m(m)
+    m = _as_support_size(m, "m")
     xi = _check_xi(xi)
     return 1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2)
 
@@ -51,7 +46,7 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     """Largest p guaranteeing posterior non-stigmatizing mass at least xi, when
     the prior non-stigmatizing mass is at least c. Needs xi < c: randomization
     can only dilute the prior mass, never amplify it."""
-    _check_m(m)
+    m = _as_support_size(m, "m")
     xi = _check_xi(xi)
     c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
     if not 0.0 < c < 1.0:

@@ -90,5 +90,6 @@ def draw_responses(
         raise ValidationError("BAD_INDEX", "true index out of range")
     u = rng.random(true_indices.shape[0])
     forced = ((u - device.p) / (1.0 - device.p) * device.m).astype(np.int64)
-    np.clip(forced, 0, device.m - 1, out=forced)
+    # only draws u >= p keep their forced index, and those are never negative
+    np.minimum(forced, device.m - 1, out=forced)
     return np.where(u < device.p, true_indices, forced)

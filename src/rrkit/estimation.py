@@ -46,9 +46,14 @@ def estimate_proportions(
 
 
 def estimate_mean(sample: ResponseSample, device: Device, support: SupportSpec) -> float:
-    """Unbiased estimate of the population mean: sum_i x_i * pi_hat_raw_i."""
+    """Unbiased estimate of the population mean: sum_i x_i * pi_hat_raw_i.
+
+    Computes the raw proportions exactly as :func:`estimate_proportions` does,
+    without the truncated vector it would discard.
+    """
     _require_same_m(device.m, support.m)
-    raw, _ = estimate_proportions(sample, device)
+    _require_same_m(device.m, sample.m)
+    raw = (sample.proportions - device.forced_share) / device.p
     return float(support.values_array @ raw)
 
 

@@ -9,6 +9,7 @@ failures raise :class:`ValidationError` carrying a stable machine-readable
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +44,13 @@ def _as_finite_float(value, code: str, what: str) -> float:
     if not math.isfinite(out):
         raise ValidationError(code, f"{what} must be finite, got {out!r}")
     return out
+
+
+def _as_support_size(value, what: str) -> int:
+    """A support size m: an int or numpy integer >= 2 (never a bool), as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 2:
+        raise ValidationError("BAD_SUPPORT", f"{what} must be an integer >= 2, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,13 @@ class PopulationModel:
     def pi_array(self) -> np.ndarray:
         return np.asarray(self.pi, dtype=float)
 
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative proportions, computed once per model; read-only."""
+        cdf = np.cumsum(self.pi_array)
+        cdf.flags.writeable = False
+        return cdf
+
     def mean(self, support: SupportSpec) -> float:
         """Population mean of the sensitive variable under these proportions."""
         _require_same_m(support.m, self.m)
@@ -200,8 +215,7 @@ class Device:
             raise ValidationError(
                 "BAD_DEVICE_P", f"device parameter must satisfy 0 < p < 1, got {p!r}"
             )
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise ValidationError("BAD_SUPPORT", f"device support size must be an int >= 2, got {self.m!r}")
+        object.__setattr__(self, "m", _as_support_size(self.m, "device support size"))
         object.__setattr__(self, "p", p)
 
     @classmethod

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import rrkit.cli as cli
 import rrkit.estimation as estimation
+import rrkit.simulation as simulation
 from rrkit.cli import main
 
 CANONICAL_CSV = (
@@ -302,6 +304,23 @@ def test_simulate_unwritable_out_is_io_error(capsys, survey_m2, tmp_path):
     assert stderr_code(err) == "IO_ERROR"
 
 
+@pytest.mark.parametrize(
+    "n, replicates", [("10000000000000", "1"), ("10", "10000000000000")]
+)
+def test_simulate_over_memory_budget_is_refused_before_allocating(
+    capsys, survey_m2, monkeypatch, n, replicates
+):
+    # no worker pool may start: the refusal comes before any replicate runs
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", None)
+    code, out, err = run(
+        capsys, "simulate", "--survey", survey_m2, "--n", n, "--replicates", replicates,
+        "--p", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert stderr_code(err) == "RESOURCE_LIMIT"
+
+
 # --- estimate -----------------------------------------------------------------
 
 
@@ -429,6 +448,22 @@ def test_verify_detects_corrupted_build(capsys, monkeypatch):
 
 
 # --- argument handling ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError("boom")])
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_table", broken)
+    code, out, err = run(capsys, "table")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "INTERNAL_ERROR"
+    assert doc["message"] == f"{type(exc).__name__}: boom"
+    assert "in broken" in doc["traceback"]
+
 
 
 def test_no_subcommand_is_bad_args(capsys):

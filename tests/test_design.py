@@ -136,6 +136,21 @@ def test_design_rejects_bad_m():
     assert e.value.code == "BAD_SUPPORT"
 
 
+@pytest.mark.parametrize("m", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_design_accepts_numpy_integer_m(m):
+    assert p0_all_stigmatizing(m, 0.1) == p0_all_stigmatizing(3, 0.1)
+    assert p0_nonstigmatizing(m, 0.1, 0.15) == p0_nonstigmatizing(3, 0.1, 0.15)
+    assert type(p0_all_stigmatizing(m, 0.1)) is float
+
+
+@pytest.mark.parametrize("m", [True, 1, np.int64(1), 3.0, "3", None])
+def test_design_rejects_bool_small_or_non_integer_m(m):
+    for call in (lambda: p0_all_stigmatizing(m, 0.1), lambda: p0_nonstigmatizing(m, 0.1, 0.15)):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == "BAD_SUPPORT"
+
+
 # --- certificates ----------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rrkit import Device, PopulationModel, ResponseSample, SupportSpec
+from rrkit import Device, PopulationModel, ResponseSample, SupportSpec, ValidationError
 from rrkit.estimation import (
     RAW_OUT_OF_RANGE,
     estimate_mean,
@@ -48,6 +48,31 @@ def test_mean_plugin_at_expectation_recovers_truth(support3):
     d = Device(p=0.2, m=3)
     sample = ResponseSample(counts=(55, 49, 46))
     assert estimate_mean(sample, d, support3) == pytest.approx(0.7, abs=1e-12)
+
+
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=6).filter(
+        lambda c: sum(c) > 0
+    ),
+    p=st.floats(min_value=0.01, max_value=0.99),
+    shift=st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_mean_is_bitwise_the_report_mean(counts, p, shift):
+    # the lean mean path must not drift from the full report path
+    m = len(counts)
+    support = SupportSpec(values=tuple(shift + 0.7 * i for i in range(m)), stigma=(True,) * m)
+    sample = ResponseSample(counts=tuple(counts))
+    d = Device(p=p, m=m)
+    assert estimate_mean(sample, d, support) == estimate_report(sample, d, support).mu_hat
+
+
+def test_mean_checks_both_dimensions(device_half2, support2, support3):
+    with pytest.raises(ValidationError) as e:
+        estimate_mean(ResponseSample(counts=(40, 60)), device_half2, support3)
+    assert e.value.code == "DIMENSION_MISMATCH"
+    with pytest.raises(ValidationError) as e:
+        estimate_mean(ResponseSample(counts=(40, 30, 30)), device_half2, support2)
+    assert e.value.code == "DIMENSION_MISMATCH"
 
 
 def test_estimate_report_flags_out_of_range(device_half2, support2):

@@ -189,6 +189,27 @@ def test_device_for_support(support3):
     assert d.m == 3
 
 
+@pytest.mark.parametrize("m", [np.int64(3), np.int16(3)])
+def test_device_accepts_numpy_integer_m_and_stores_an_int(m):
+    d = Device(p=0.3, m=m)
+    assert d == Device(p=0.3, m=3)
+    assert type(d.m) is int
+
+
+@pytest.mark.parametrize("m", [True, False, 1, np.int64(1), 3.0, "3"])
+def test_device_rejects_bool_small_or_non_integer_m(m):
+    with pytest.raises(ValidationError) as e:
+        Device(p=0.3, m=m)
+    assert err_code(e) == "BAD_SUPPORT"
+
+
+def test_population_cdf_is_cumulative_and_read_only(pop3):
+    np.testing.assert_array_equal(pop3.cdf, np.cumsum(pop3.pi_array))
+    assert pop3.cdf is pop3.cdf
+    with pytest.raises(ValueError):
+        pop3.cdf[0] = 0.0
+
+
 # --- PrivacyPolicy ---------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,12 @@ from rrkit import (
     SimulationConfig,
     SupportSpec,
     ValidationError,
+    simulation,
 )
+from rrkit.estimation import estimate_mean
 from rrkit.simulation import (
+    MAX_THREADS,
+    POOL_MIN_N,
     replicate_stream,
     run_replicates,
     sample_true_indices,
@@ -110,6 +116,122 @@ def test_thread_count_honors_env(monkeypatch):
     monkeypatch.setenv("RRKIT_THREADS", "0")
     with pytest.raises(ValidationError):
         thread_count(10)
+
+
+def test_default_is_serial_below_pool_min_n_and_a_thread_per_cpu_at_it(monkeypatch):
+    monkeypatch.delenv("RRKIT_THREADS", raising=False)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    assert thread_count(100, POOL_MIN_N - 1) == 1
+    assert thread_count(100, 10) == 1
+    assert thread_count(100) == 1
+    assert thread_count(100, POOL_MIN_N) == 6
+    assert thread_count(4, POOL_MIN_N) == 4  # never more workers than replicates
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
+    assert thread_count(100, POOL_MIN_N) == 1
+
+
+def test_env_overrides_the_default_in_both_directions(monkeypatch):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("RRKIT_THREADS", "3")
+    assert thread_count(100, 10) == 3
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    assert thread_count(100, POOL_MIN_N) == 1
+
+
+def test_thread_count_ceiling(monkeypatch):
+    # only the count is computed here: no pool is built, so no thread starts
+    monkeypatch.setenv("RRKIT_THREADS", str(MAX_THREADS))
+    assert thread_count(10**6) == MAX_THREADS
+    for raw in (str(MAX_THREADS + 1), "100000", "-3"):
+        monkeypatch.setenv("RRKIT_THREADS", raw)
+        with pytest.raises(ValidationError) as e:
+            thread_count(10**6)
+        assert e.value.code == "BAD_ARGS"
+
+
+def _serial_reference(config):
+    """Replicates run one by one through the public stages, in index order."""
+    out = []
+    for i in range(config.replicates):
+        sample = simulate_survey(config, i)
+        out.append((i, estimate_mean(sample, config.device, config.support), sample.counts))
+    return out
+
+
+@pytest.mark.parametrize(
+    "replicates, threads", [(7, "3"), (10, "4"), (27, "2"), (50, "3"), (3, "4"), (1, "4")]
+)
+def test_blocks_keep_replicate_order_and_bytes(
+    support3, pop3, monkeypatch, replicates, threads
+):
+    # R not a multiple of the block count, and R below the requested workers
+    cfg = SimulationConfig(
+        support=support3, population=pop3, device=Device(p=0.3, m=3), n=15,
+        replicates=replicates, seed=21,
+    )
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    serial = run_replicates(cfg, keep_replicates=True)
+
+    calls = []
+    original = simulation.simulate_survey
+
+    def recording(config, i):
+        calls.append((threading.get_ident(), i))
+        return original(config, i)
+
+    monkeypatch.setattr(simulation, "simulate_survey", recording)
+    monkeypatch.setenv("RRKIT_THREADS", threads)
+    pooled = run_replicates(cfg, keep_replicates=True)
+
+    assert pooled == serial
+    assert [(r.replicate, r.mu_hat, r.counts) for r in pooled.records] == _serial_reference(cfg)
+    assert repr(pooled.to_json_dict()) == repr(serial.to_json_dict())
+    # every block is one contiguous run of indices, in order, on a single thread
+    count = min(replicates, int(threads) * simulation.BLOCKS_PER_WORKER)
+    blocks = [list(range(k * replicates // count, (k + 1) * replicates // count))
+              for k in range(count)]
+    by_thread = {}
+    for ident, i in calls:
+        by_thread.setdefault(ident, []).append(i)
+    assert sorted(i for _, i in calls) == list(range(replicates))
+    for block in blocks:
+        owner = by_thread[next(ident for ident, i in calls if i == block[0])]
+        start = owner.index(block[0])
+        assert owner[start:start + len(block)] == block
+
+
+def test_default_pool_at_pool_min_n_matches_serial(support3, pop3, monkeypatch):
+    cfg = SimulationConfig(
+        support=support3, population=pop3, device=Device(p=0.3, m=3), n=POOL_MIN_N,
+        replicates=3, seed=4,
+    )
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    serial = run_replicates(cfg, keep_replicates=True)
+    monkeypatch.delenv("RRKIT_THREADS")
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    assert thread_count(cfg.replicates, cfg.n) == 2
+    assert run_replicates(cfg, keep_replicates=True) == serial
+
+
+def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypatch):
+    cfg = SimulationConfig(
+        support=support3, population=pop3, device=Device(p=0.3, m=3), n=100,
+        replicates=4, seed=0,
+    )
+    planned = 100 * simulation.BYTES_PER_RESPONDENT + 4 * simulation.BYTES_PER_RESULT
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    monkeypatch.setattr(simulation, "MEMORY_BUDGET_BYTES", planned)
+    run_replicates(cfg)  # exactly at the budget
+    for threads, keep in (("2", False), ("1", True)):
+        monkeypatch.setenv("RRKIT_THREADS", threads)
+        with pytest.raises(ValidationError) as e:
+            run_replicates(cfg, keep_replicates=keep)
+        assert e.value.code == "RESOURCE_LIMIT"
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    monkeypatch.setattr(simulation, "MEMORY_BUDGET_BYTES", planned - 1)
+    with pytest.raises(ValidationError) as e:
+        run_replicates(cfg)
+    assert e.value.code == "RESOURCE_LIMIT"
 
 
 def test_results_do_not_depend_on_thread_count(config3, monkeypatch):
