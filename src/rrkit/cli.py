@@ -69,7 +69,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    # NaN and infinity are not JSON; reaching them here is a bug, not input
+    _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _resolve_device(args, survey: SurveyDefinition) -> Device:

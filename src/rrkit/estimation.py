@@ -13,6 +13,8 @@ price of a bias that is not analyzed here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (
@@ -22,6 +24,7 @@ from .model import (
     ResponseSample,
     SupportSpec,
     ValidationError,
+    _require_finite,
     _require_same_m,
 )
 
@@ -39,7 +42,8 @@ def estimate_proportions(
     """
     _require_same_m(device.m, sample.m)
     w = sample.proportions
-    raw = (w - device.forced_share) / device.p
+    with np.errstate(over="ignore"):  # p near 0: infinite entries, refused by estimate_report
+        raw = (w - device.forced_share) / device.p
     clamped = np.clip(raw, 0.0, 1.0)
     truncated = clamped / clamped.sum()
     return raw, truncated
@@ -61,7 +65,9 @@ def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec
     """Full estimation bundle for one observed sample."""
     _require_same_m(device.m, support.m)
     raw, truncated = estimate_proportions(sample, device)
-    mu_hat = float(support.values_array @ raw)
+    for value in raw:
+        _require_finite(float(value), "pi_hat_raw", device.p)
+    mu_hat = _require_finite(float(support.values_array @ raw), "mu_hat", device.p)
     flags: tuple[str, ...] = ()
     if (raw < 0.0).any() or (raw > 1.0).any():
         flags = (RAW_OUT_OF_RANGE,)
@@ -97,7 +103,12 @@ def variance_mean_theoretical(
     sigma2 = population.variance(support)
     xbar = support.unweighted_mean
     spread = float(np.mean((x - xbar) ** 2))
-    return (p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * (mu - xbar) ** 2) / (n * p * p)
+    return _quotient(
+        p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * (mu - xbar) ** 2,
+        n * p * p,
+        "var_mu_theoretical",
+        p,
+    )
 
 
 def total_variance_proportions_theoretical(
@@ -131,7 +142,15 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
     w = sample.proportions
     d = support.values_array - support.values_array @ w
     d -= d @ w
-    return float((d * d) @ w) / (sample.n * device.p * device.p)
+    return _quotient(
+        float((d * d) @ w), sample.n * device.p * device.p, "var_mu_plugin", device.p
+    )
+
+
+def _quotient(numerator: float, denominator: float, what: str, p: float) -> float:
+    """numerator / denominator, refused unless finite; the n * p * p
+    denominators of the variances underflow to 0 when p is near 0."""
+    return _require_finite(numerator / denominator if denominator else math.inf, what, p)
 
 
 def _require_n(n: int) -> None:

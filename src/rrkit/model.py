@@ -142,6 +142,15 @@ class PopulationModel:
         cdf.flags.writeable = False
         return cdf
 
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """True-value indices for uniforms ``u`` in [0, 1), element by element.
+
+        Index i takes the uniforms in [cdf[i-1], cdf[i]); the cap at m-1 catches
+        a uniform at or above a cumulative sum that rounded below 1.
+        """
+        indices = np.searchsorted(self.cdf, u, side="right")
+        return np.minimum(indices, self.m - 1, out=indices)
+
     def mean(self, support: SupportSpec) -> float:
         """Population mean of the sensitive variable under these proportions."""
         _require_same_m(support.m, self.m)
@@ -188,17 +197,33 @@ def validate_population_rows(pis) -> np.ndarray:
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Row sums carrying each addition's rounding error (Neumaier), so they
-    match the correctly rounded ``math.fsum`` that PopulationModel divides by."""
+    """Row sums equal to the correctly rounded ``math.fsum`` that
+    PopulationModel divides by.
+
+    Each addition's exact rounding error is carried along (Neumaier). Where
+    the carried errors also add up exactly, total + error is the exact sum
+    rounded once, as ``math.fsum`` rounds it; the rare rows where they do
+    not are summed by ``math.fsum`` itself.
+    """
     total = rows[:, 0].copy()
     error = np.zeros_like(total)
+    exact = np.ones(len(rows), dtype=bool)
     for column in rows.T[1:]:
         summed = total + column
-        error += np.where(
-            np.abs(total) >= np.abs(column), (total - summed) + column, (column - summed) + total
-        )
-        total = summed
-    return total + error
+        step = _two_sum_error(total, column, summed)
+        carried = error + step
+        exact &= _two_sum_error(error, step, carried) == 0.0
+        total, error = summed, carried
+    sums = total + error
+    for row in np.flatnonzero(~exact):
+        sums[row] = math.fsum(rows[row])
+    return sums
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, summed: np.ndarray) -> np.ndarray:
+    """The exact rounding error of ``summed = a + b`` (Knuth's TwoSum)."""
+    virtual = summed - a
+    return (a - (summed - virtual)) + (b - virtual)
 
 
 @dataclass(frozen=True)
@@ -217,10 +242,6 @@ class Device:
             )
         object.__setattr__(self, "m", _as_support_size(self.m, "device support size"))
         object.__setattr__(self, "p", p)
-
-    @classmethod
-    def for_support(cls, p: float, support: SupportSpec) -> "Device":
-        return cls(p=p, m=support.m)
 
     @property
     def forced_share(self) -> float:
@@ -449,3 +470,15 @@ def _require_same_m(expected: int, got: int) -> None:
         raise ValidationError(
             "DIMENSION_MISMATCH", f"dimension mismatch: expected m={expected}, got m={got}"
         )
+
+
+def _require_finite(value: float, what: str, p: float) -> float:
+    """A reported quantity, refused with ``NONFINITE_RESULT`` unless it is a
+    finite float; such values come from a device parameter p near 0."""
+    if not math.isfinite(value):
+        raise ValidationError(
+            "NONFINITE_RESULT",
+            f"{what} is {value!r} at p={p!r}, not a finite number; p is too close to 0 "
+            "for this survey",
+        )
+    return value

@@ -321,6 +321,51 @@ def test_simulate_over_memory_budget_is_refused_before_allocating(
     assert stderr_code(err) == "RESOURCE_LIMIT"
 
 
+@pytest.mark.parametrize("p", ["1e-320", "1e-300", "1e-160"])
+def test_p_whose_results_are_not_finite_is_refused(capsys, survey_m2, tmp_path, p):
+    # 1e-320: (w - q) / p overflows too; 1e-300: n*p*p underflows to 0;
+    # 1e-160: the variances overflow to infinity
+    code, out, err = run(
+        capsys, "simulate", "--survey", survey_m2, "--n", "10", "--replicates", "5", "--p", p
+    )
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == "NONFINITE_RESULT"
+    counts = write_json(tmp_path / "c.json", [4, 6])
+    code, out, err = run(capsys, "estimate", "--survey", survey_m2, "--counts", counts, "--p", p)
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == "NONFINITE_RESULT"
+
+
+def test_small_p_with_finite_results_prints_strict_json(capsys, survey_m2, tmp_path):
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+
+    code, out, _ = run(
+        capsys, "simulate", "--survey", survey_m2, "--n", "10", "--replicates", "5",
+        "--p", "1e-100",
+    )
+    assert code == 0
+    assert strict(out)["var_mu_theoretical"] > 1e190
+    counts = write_json(tmp_path / "c.json", [4, 6])
+    code, out, _ = run(capsys, "estimate", "--survey", survey_m2, "--counts", counts, "--p", "1e-100")
+    assert code == 0
+    assert strict(out)["var_mu_plugin"] > 1e190
+
+
+def test_kernel_self_check_failure_is_internal_error(capsys, survey_m2, monkeypatch):
+    original = simulation.replicate_states
+    monkeypatch.setattr(
+        simulation, "replicate_states", lambda seed, start, stop: original(seed, start + 1, stop + 1)
+    )
+    code, out, err = run(
+        capsys, "simulate", "--survey", survey_m2, "--n", "20", "--replicates", "4", "--p", "0.5"
+    )
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    doc = json.loads(err)
+    assert doc["code"] == "INTERNAL_ERROR"
+    assert doc["message"].startswith("RuntimeError: block kernel disagrees")
+
+
 # --- estimate -----------------------------------------------------------------
 
 
@@ -464,6 +509,16 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, exc):
     assert doc["message"] == f"{type(exc).__name__}: boom"
     assert "in broken" in doc["traceback"]
 
+
+def test_nan_in_output_is_an_internal_error_not_json(capsys, monkeypatch):
+    class NanTable:
+        def to_json_dict(self):
+            return {"p0": float("nan")}
+
+    monkeypatch.setattr(cli.design_mod, "p0_table", lambda ms, xis: NanTable())
+    code, out, err = run(capsys, "table", "--format", "json")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert json.loads(err)["message"].startswith("ValueError")
 
 
 def test_no_subcommand_is_bad_args(capsys):

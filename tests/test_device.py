@@ -1,8 +1,9 @@
-"""Response kernel and randomized draws.
+"""Response distribution and randomized draws.
 
 The draw contract matters as much as the distribution: exactly one uniform
 per respondent, truth card below p, forced index from the residual. A stub
-generator pins the card semantics; frequency checks pin the distribution.
+generator pins the card semantics; frequency checks pin the distribution
+against the kernel rows q + p*e_j, also rebuilt by the oracle's joint table.
 """
 
 import numpy as np
@@ -10,42 +11,44 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rrkit import Device, PopulationModel, SupportSpec, ValidationError
-from rrkit.device import (
-    draw_response,
-    draw_responses,
-    response_distribution,
-    response_kernel,
-)
+from rrkit import Device, PopulationModel, ValidationError
+from rrkit.device import draw_responses, response_distribution
+from rrkit.oracle import response_distribution_oracle
 
 
 class StubRng:
-    """Feeds a preset uniform sequence to the scalar draw path."""
+    """Feeds a preset uniform sequence to the draw path."""
 
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self, size=None):
-        if size is None:
-            return self._values.pop(0)
+    def random(self, size):
         out = self._values[:size]
         del self._values[:size]
         return np.asarray(out)
 
 
+def kernel_row(device, j):
+    """Prob(R = x_i | X = x_j) over i: q everywhere plus p on the diagonal."""
+    row = np.full(device.m, device.forced_share)
+    row[j] += device.p
+    return row
+
+
+def draw_one(device, true_index, u):
+    return int(draw_responses(device, np.array([true_index]), StubRng([u]))[0])
+
+
 def test_kernel_entries():
-    k = response_kernel(Device(p=0.4, m=3)).matrix
-    assert k.shape == (3, 3)
-    np.testing.assert_allclose(np.diag(k), 0.4 + 0.2)
-    off = k[~np.eye(3, dtype=bool)]
-    np.testing.assert_allclose(off, 0.2)
-    np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-15)
-
-
-def test_kernel_is_read_only():
-    k = response_kernel(Device(p=0.4, m=3))
-    with pytest.raises(ValueError):
-        k.matrix[0, 0] = 0.9
+    # the response law of a population sitting on x_j is kernel row j
+    d = Device(p=0.4, m=3)
+    for j in range(3):
+        point = PopulationModel(pi=tuple(float(i == j) for i in range(3)))
+        row = kernel_row(d, j)
+        np.testing.assert_allclose(row, [0.2 + 0.4 * (i == j) for i in range(3)])
+        np.testing.assert_allclose(response_distribution_oracle(d, point), row, atol=1e-15)
+        np.testing.assert_allclose(response_distribution(d, point), row, atol=1e-15)
+        assert abs(row.sum() - 1.0) <= 1e-15
 
 
 def test_response_distribution_m2(device_half2, pop2):
@@ -72,46 +75,53 @@ def test_distribution_matches_kernel_transpose(p, raw):
     pop = PopulationModel(pi=tuple(v / total for v in raw))
     d = Device(p=p, m=pop.m)
     lam = response_distribution(d, pop)
-    via_kernel = response_kernel(d).matrix.T @ pop.pi_array
+    via_kernel = sum(pi_j * kernel_row(d, j) for j, pi_j in enumerate(pop.pi))
     np.testing.assert_allclose(lam, via_kernel, atol=1e-12)
+    np.testing.assert_allclose(lam, response_distribution_oracle(d, pop), atol=1e-12)
     # forced-card floor and normalization
     assert (lam >= d.forced_share - 1e-15).all()
     assert abs(lam.sum() - 1.0) <= 1e-12
 
 
-def test_stub_truth_card(support3):
+def test_stub_truth_card():
     d = Device(p=0.5, m=3)
     # u < p: report the true value, whatever it is
-    assert draw_response(d, support3, 2, StubRng([0.0])) == 2
-    assert draw_response(d, support3, 1, StubRng([0.4999])) == 1
+    assert draw_one(d, 2, 0.0) == 2
+    assert draw_one(d, 1, 0.4999) == 1
 
 
-def test_stub_forced_cards_partition_the_residual(support3):
+def test_stub_forced_cards_partition_the_residual():
     d = Device(p=0.5, m=3)
     # residual (u - p)/(1 - p) in [0, 1/3) -> card 0, [1/3, 2/3) -> card 1, rest -> card 2;
     # probe the middle of each bucket to stay clear of float boundaries
-    assert draw_response(d, support3, 0, StubRng([0.5])) == 0
-    assert draw_response(d, support3, 0, StubRng([0.5 + 0.5 * (1 / 6)])) == 0
-    assert draw_response(d, support3, 0, StubRng([0.75])) == 1
-    assert draw_response(d, support3, 0, StubRng([0.5 + 0.5 * (5 / 6)])) == 2
-    assert draw_response(d, support3, 0, StubRng([0.999999999])) == 2
+    assert draw_one(d, 0, 0.5) == 0
+    assert draw_one(d, 0, 0.5 + 0.5 * (1 / 6)) == 0
+    assert draw_one(d, 0, 0.75) == 1
+    assert draw_one(d, 0, 0.5 + 0.5 * (5 / 6)) == 2
+    assert draw_one(d, 0, 0.999999999) == 2
+    # one stub uniform per respondent, consumed in respondent order
+    out = draw_responses(d, np.array([1, 1, 1]), StubRng([0.75, 0.2, 0.999999999]))
+    assert out.tolist() == [1, 1, 2]
 
 
-def test_draw_rejects_bad_index(support3):
+def test_draw_rejects_bad_index():
     d = Device(p=0.5, m=3)
-    with pytest.raises(ValidationError) as e:
-        draw_response(d, support3, 3, StubRng([0.1]))
-    assert e.value.code == "BAD_INDEX"
-    with pytest.raises(ValidationError):
-        draw_responses(d, np.array([0, 5]), StubRng([0.1, 0.1]))
+    for bad in ([3], [0, 5], [-1]):
+        with pytest.raises(ValidationError) as e:
+            draw_responses(d, np.array(bad), StubRng([0.1] * len(bad)))
+        assert e.value.code == "BAD_INDEX"
 
 
-def test_vector_draw_matches_scalar_loop(support3):
+def test_vector_draw_matches_scalar_loop():
     d = Device(p=0.35, m=3)
     true_indices = np.array([0, 1, 2, 2, 1, 0, 1, 2] * 50)
     vec = draw_responses(d, true_indices, np.random.default_rng(1234))
     rng = np.random.default_rng(1234)
-    loop = np.array([draw_response(d, support3, int(i), rng) for i in true_indices])
+    loop = []
+    for i in true_indices:
+        # the card semantics, one respondent and one uniform at a time
+        u = rng.random()
+        loop.append(int(i) if u < d.p else min(int((u - d.p) / (1.0 - d.p) * d.m), d.m - 1))
     np.testing.assert_array_equal(vec, loop)
 
 
@@ -123,7 +133,7 @@ def test_draw_frequencies_match_kernel_row():
     rng = np.random.default_rng(99)
     responses = draw_responses(d, np.ones(n, dtype=np.int64), rng)
     freq = np.bincount(responses, minlength=3) / n
-    expected = response_kernel(d).matrix[1]
+    expected = kernel_row(d, 1)
     se = np.sqrt(expected * (1 - expected) / n)
     assert (np.abs(freq - expected) <= 3 * se).all(), (freq, expected)
 

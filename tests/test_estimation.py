@@ -306,3 +306,26 @@ def test_raw_proportions_always_sum_to_one(counts, p):
     assert abs(raw.sum() - 1.0) <= 1e-12
     assert abs(truncated.sum() - 1.0) <= 1e-9
     assert (truncated >= 0).all() and (truncated <= 1).all()
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-160])
+def test_variances_refuse_a_p_that_leaves_no_finite_value(support2, pop2, p):
+    device = Device(p=p, m=2)
+    sample = ResponseSample(counts=(4, 6))
+    for compute in (
+        lambda: variance_mean_theoretical(device, support2, pop2, 10),
+        lambda: variance_mean_plugin(sample, device, support2),
+        lambda: estimate_report(sample, device, support2),
+    ):
+        with pytest.raises(ValidationError) as e:
+            compute()
+        assert e.value.code == "NONFINITE_RESULT"
+        assert f"p={p!r}" in str(e.value)
+
+
+def test_estimate_report_refuses_non_finite_raw_proportions(support2):
+    # (w - q) / p overflows before any variance is computed
+    with pytest.raises(ValidationError) as e:
+        estimate_report(ResponseSample(counts=(4, 6)), Device(p=1e-320, m=2), support2)
+    assert e.value.code == "NONFINITE_RESULT"
+    assert "pi_hat_raw" in str(e.value)

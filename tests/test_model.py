@@ -147,6 +147,21 @@ def test_population_rows_follow_the_population_model(drawn):
         assert validate_population_rows(rows).tolist() == [list(pi) for pi in models]
 
 
+def test_population_rows_divide_by_the_correctly_rounded_sum():
+    # a tiny third entry: the compensated sum's carried errors do not add up
+    # exactly, and rounding them put the row total one ulp above math.fsum
+    raw = [0.5, 0.6213941548063432, 3.852745846738543e-223]
+    row = [v / math.fsum(raw) for v in raw]
+    assert math.fsum(row) == 1.0 - 2.0**-53
+    assert validate_population_rows([row]).tolist() == [list(PopulationModel(pi=tuple(row)).pi)]
+    rng = np.random.default_rng(5)
+    rows = rng.random((20_000, 3))
+    rows[:, 2] *= 10.0 ** rng.integers(-300, 0, len(rows))
+    rows /= rows.sum(axis=1, keepdims=True)
+    expected = np.array([[v / math.fsum(r) for v in r] for r in rows.tolist()])
+    assert validate_population_rows(rows).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -182,11 +197,6 @@ def test_device_rejects_bad_p(p):
 def test_device_forced_share():
     d = Device(p=0.4, m=3)
     assert d.forced_share == pytest.approx(0.2)
-
-
-def test_device_for_support(support3):
-    d = Device.for_support(0.3, support3)
-    assert d.m == 3
 
 
 @pytest.mark.parametrize("m", [np.int64(3), np.int16(3)])

@@ -1,9 +1,14 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
+import os
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrkit import (
     Device,
@@ -17,6 +22,7 @@ from rrkit.estimation import estimate_mean
 from rrkit.simulation import (
     MAX_THREADS,
     POOL_MIN_N,
+    replicate_states,
     replicate_stream,
     run_replicates,
     sample_true_indices,
@@ -173,13 +179,13 @@ def test_blocks_keep_replicate_order_and_bytes(
     serial = run_replicates(cfg, keep_replicates=True)
 
     calls = []
-    original = simulation.simulate_survey
+    original = simulation.run_block
 
-    def recording(config, i):
-        calls.append((threading.get_ident(), i))
-        return original(config, i)
+    def recording(config, block, *args):
+        calls.extend((threading.get_ident(), i) for i in block)
+        return original(config, block, *args)
 
-    monkeypatch.setattr(simulation, "simulate_survey", recording)
+    monkeypatch.setattr(simulation, "run_block", recording)
     monkeypatch.setenv("RRKIT_THREADS", threads)
     pooled = run_replicates(cfg, keep_replicates=True)
 
@@ -218,7 +224,11 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
         support=support3, population=pop3, device=Device(p=0.3, m=3), n=100,
         replicates=4, seed=0,
     )
-    planned = 100 * simulation.BYTES_PER_RESPONDENT + 4 * simulation.BYTES_PER_RESULT
+    planned = (
+        simulation.block_rows(100) * 100 * simulation.BYTES_PER_RESPONDENT
+        + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
+        + 4 * simulation.BYTES_PER_RESULT
+    )
     monkeypatch.setenv("RRKIT_THREADS", "1")
     monkeypatch.setattr(simulation, "MEMORY_BUDGET_BYTES", planned)
     run_replicates(cfg)  # exactly at the budget
@@ -298,3 +308,93 @@ def test_stream_consumption_order_is_pinned(support3, pop3):
     responses = draw_responses(cfg.device, truth, rng)
     counts = tuple(int(c) for c in np.bincount(responses, minlength=3))
     assert sample.counts == counts
+
+
+# --- block kernel -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**130 + 7])
+def test_vectorised_seeding_matches_numpy(seed):
+    for i in (0, 1, 2**31, 2**32 - 1):
+        state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
+        assert replicate_states(seed, i, i + 1) == [(state["state"], state["inc"])]
+    # one pass over a range gives each replicate its own stream's state
+    states = replicate_states(seed, 5, 40)
+    assert len(states) == 35
+    for i in (5, 6, 39):
+        state = replicate_stream(seed, i).bit_generator.state["state"]
+        assert states[i - 5] == (state["state"], state["inc"])
+    assert replicate_states(seed, 7, 7) == []
+
+
+def test_seeding_refuses_spawn_indices_past_one_word():
+    with pytest.raises(ValueError):
+        replicate_states(0, 2**32 - 1, 2**32 + 1)
+
+
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.integers(2, 40))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=m, max_size=m))
+    if not any(weights):
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    total = sum(weights)
+    shift = draw(st.sampled_from([0.0, -7.5, 1e3, 1e6, -1e8]))
+    scale = draw(st.sampled_from([1.0, 0.25, 3.0]))
+    support = SupportSpec(values=tuple(shift + scale * k for k in range(m)), stigma=(True,) * m)
+    return SimulationConfig(
+        support=support,
+        population=PopulationModel(pi=tuple(w / total for w in weights)),
+        device=Device(p=draw(st.floats(1e-6, 1 - 1e-12)), m=m),
+        n=draw(st.integers(1, 3000)),
+        replicates=draw(st.integers(1, 9)),
+        seed=draw(st.sampled_from([0, 31, 2**64 + 3])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=kernel_cases(),
+    rows=st.integers(1, 4),
+    seed_chunk=st.integers(1, 5),
+    threads=st.sampled_from(["1", "3"]),
+)
+def test_kernel_matches_stage_functions(config, rows, seed_chunk, threads):
+    """Kernel estimates and counts equal the one-replicate-at-a-time stages bit
+    for bit, with blocks and seed chunks small enough to end ragged."""
+    block_bytes = rows * config.n * simulation.BYTES_PER_RESPONDENT
+    with mock.patch.object(simulation, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(simulation, "SEED_CHUNK", seed_chunk), \
+            mock.patch.dict(os.environ, {"RRKIT_THREADS": threads}):
+        summary = run_replicates(config, keep_replicates=True)
+    expected = _serial_reference(config)
+    assert [(r.replicate, r.counts) for r in summary.records] == [(i, c) for i, _, c in expected]
+    got = np.array([r.mu_hat for r in summary.records])
+    assert got.tobytes() == np.array([mu for _, mu, _ in expected]).tobytes()
+
+
+def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
+    original = simulation.replicate_states
+    monkeypatch.setattr(
+        simulation, "replicate_states", lambda seed, start, stop: original(seed + 1, start, stop)
+    )
+    with pytest.raises(RuntimeError, match="replicate 0"):
+        run_replicates(config3)
+
+
+@pytest.mark.parametrize("n, replicates", [(10, 3000), (500, 3000), (50_000, 20)])
+def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, replicates):
+    cfg = SimulationConfig(
+        support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
+        replicates=replicates, seed=2,
+    )
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    for keep in (False, True):
+        run_replicates(cfg, keep_replicates=keep)  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            run_replicates(cfg, keep_replicates=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation.planned_bytes(n, replicates, 1, keep)
