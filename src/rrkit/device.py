@@ -21,19 +21,43 @@ def response_distribution(device: Device, population: PopulationModel) -> np.nda
 
 
 def responses_from_uniforms(
-    device: Device, true_indices: np.ndarray, u: np.ndarray
+    device: Device,
+    true_indices: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    flags: np.ndarray | None = None,
+    probe: np.ndarray | None = None,
 ) -> np.ndarray:
     """Randomize true-value indices through the device, one uniform each.
 
     ``u`` has the shape of ``true_indices``. A uniform below p reports the
     true index; otherwise its residual (u - p) / (1 - p) picks the forced
     index among the m values.
+
+    ``true_indices`` and ``u`` are only read. ``out`` (int64), ``flags``
+    (bool) and ``probe`` (float64), of u's shape, are scratch a caller may
+    pass to spare the allocations; ``out`` is returned.
     """
-    forced = ((u - device.p) / (1.0 - device.p) * device.m).astype(np.int64)
-    # only draws u >= p keep their forced index, and those are never negative
-    np.minimum(forced, device.m - 1, out=forced)
-    np.copyto(forced, true_indices, where=u < device.p)
-    return forced
+    if out is None:
+        out = np.empty(u.shape, dtype=np.int64)
+    if flags is None:
+        flags = np.empty(u.shape, dtype=bool)
+    if probe is None:
+        probe = np.empty(u.shape)
+    score = np.subtract(u, device.p, out=probe)
+    score /= 1.0 - device.p
+    score *= device.m
+    # Only draws u >= p keep their forced index, and those score from 0 up;
+    # a truthful draw scores below 0, and near p = 1 below the int64 range,
+    # so the clip keeps the cast defined without changing a kept index.
+    np.clip(score, -1.0, device.m - 1, out=score)
+    np.copyto(out, score, casting="unsafe")
+    np.less(u, device.p, out=flags)
+    delta = np.subtract(true_indices, out, out=probe.view(np.int64))
+    delta *= flags
+    out += delta
+    return out
 
 
 def draw_responses(

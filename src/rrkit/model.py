@@ -142,14 +142,60 @@ class PopulationModel:
         cdf.flags.writeable = False
         return cdf
 
-    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _search_levels(self) -> tuple[np.ndarray, ...]:
+        """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
+        2**k >= m, split into the k levels of a binary search over it: the
+        level of step s holds the entries s-1, 3s-1, 5s-1, ... Read-only."""
+        k = (self.m - 1).bit_length()
+        table = np.full(2**k - 1, np.inf)
+        table[: self.m - 1] = self.cdf[:-1]
+        levels = tuple(table[2**j - 1::2 ** (j + 1)].copy() for j in reversed(range(k)))
+        for level in levels:
+            level.flags.writeable = False
+        return levels
+
+    def inverse_cdf(
+        self,
+        u: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        flags: np.ndarray | None = None,
+        probe: np.ndarray | None = None,
+    ) -> np.ndarray:
         """True-value indices for uniforms ``u`` in [0, 1), element by element.
 
-        Index i takes the uniforms in [cdf[i-1], cdf[i]); the cap at m-1 catches
-        a uniform at or above a cumulative sum that rounded below 1.
+        Index i takes the uniforms in [cdf[i-1], cdf[i]), and m-1 also takes a
+        uniform at or above a last cumulative sum that rounded below 1. As the
+        CDF is non-decreasing, that index, ``min(searchsorted(cdf, u, "right"),
+        m - 1)``, is the number of entries of ``cdf[:-1]`` at or below u. A
+        branchless binary search counts them over ``cdf[:-1]`` padded with +inf
+        to 2**k - 1 entries, k = ceil(log2 m), which no uniform reaches:
+        ``idx += step * (u >= table[idx + step - 1])`` for step = 2**(k-1) down
+        to 1, one compare pass per step. It keeps idx / step, doubled before
+        each step, so that each step reads one level of the table.
+
+        ``u`` is only read. ``out`` (int64), ``flags`` (bool) and ``probe``
+        (float64), of u's shape, are scratch a caller may pass to spare the
+        allocations; ``out`` is returned.
         """
-        indices = np.searchsorted(self.cdf, u, side="right")
-        return np.minimum(indices, self.m - 1, out=indices)
+        u = np.asarray(u)
+        levels = self._search_levels
+        if out is None:
+            out = np.empty(u.shape, dtype=np.int64)
+        if flags is None:
+            flags = np.empty(u.shape, dtype=bool)
+        if probe is None:
+            probe = np.empty(u.shape)
+        np.greater_equal(u, levels[0][0], out=flags)
+        np.copyto(out, flags)
+        for level in levels[1:]:
+            # indices stay in range; "clip" lets take write into probe unbuffered
+            np.take(level, out, out=probe, mode="clip")
+            np.greater_equal(u, probe, out=flags)
+            out += out
+            out += flags
+        return out
 
     def mean(self, support: SupportSpec) -> float:
         """Population mean of the sensitive variable under these proportions."""

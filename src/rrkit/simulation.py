@@ -16,8 +16,15 @@ row of a block. Rows per block are capped so that a block and its
 temporaries stay within ``BLOCK_BYTES`` (one row when a single replicate is
 larger). Truth, device, counts and the mean estimate are then computed for
 the whole block, through the same uniform-to-index helpers that
-:func:`sample_true_indices` and :func:`~rrkit.device.draw_responses` use.
-Once per run, replicate 0 is replayed through :func:`simulate_survey` and
+:func:`sample_true_indices` and :func:`~rrkit.device.draw_responses` use,
+writing into scratch allocated once per range next to the block. Counting
+takes comparisons and array arithmetic only, no searchsorted: the truth index
+is a branchless binary search over the cached CDF padded with +inf, which
+equals the capped searchsorted because the CDF is non-decreasing; the device
+evaluates the forced-card score in the same order, in place, and keeps the
+true index of truthful draws by integer arithmetic instead of a masked copy.
+Every index, and so every count, is the one those forms give. Once per run,
+replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
 a bit of its estimate raises ``RuntimeError``.
 
@@ -56,11 +63,12 @@ from .model import (
 
 THREADS_ENV_VAR = "RRKIT_THREADS"
 # Respondents per replicate from which a thread per CPU beats one thread. On
-# 2 vCPUs the block kernel's pool broke even between n = 500 and 1 000, and ran
-# 1.16-1.47x faster at n = 2 000 and 1.4x or more from 3 000 (CHANGES.md);
-# below that the Python work of setting each replicate's stream holds the
-# interpreter lock.
-POOL_MIN_N = 2000
+# 2 vCPUs the pool over the comparison-only counting broke even near
+# n = 10 000 (0.93-1.13x), and ran 1.24-1.28x faster at n = 16 000 and
+# 1.19-1.42x at 20 000 (CHANGES.md); below that the Python work of setting
+# each replicate's stream and issuing its array passes holds the interpreter
+# lock for too large a share of a replicate.
+POOL_MIN_N = 16_000
 # Highest RRKIT_THREADS accepted: each worker is an OS thread.
 MAX_THREADS = 256
 # Contiguous replicate blocks handed out per worker thread: more than one, so
@@ -72,13 +80,15 @@ BLOCKS_PER_WORKER = 4
 # least one, and at most SEED_CHUNK, the replicates seeded per pass.
 BLOCK_BYTES = 1 << 19
 SEED_CHUNK = 256
-# Largest memory a run may plan for. Per worker: a block of replicates, whose
-# uniforms, indices and temporaries peaked at 40 bytes per respondent under
-# tracemalloc (n = 500 and 50 000), planned as 48; and the seed table of a
-# chunk, which peaked at about 400 bytes per replicate while its 128-bit
-# integers are assembled, planned as 512. Each result keeps 16 bytes (its
-# estimate and the variance pass), or about 240 with its counts and record at
-# m = 3, planned as 512.
+# Largest memory a run may plan for. Per worker, a block of replicates: its
+# uniforms (16 bytes per respondent) and counting scratch (25) peaked under
+# tracemalloc at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
+# planned as 48; the rest is fixed, mostly numpy's ufunc buffers of up to
+# 64 KiB, which bring a block at n = 10 to 53, within its range's seed
+# allowance. Also per worker, the seed table of a chunk, which peaked at
+# about 400 bytes per replicate while its 128-bit integers are assembled,
+# planned as 512. Each result keeps 16 bytes (its estimate and the variance
+# pass), or about 240 with its counts and record at m = 3, planned as 512.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
 BYTES_PER_SEED = 512
@@ -310,6 +320,18 @@ def run_block(
     device, x = config.device, config.support.values_array
     rows = block_rows(n)
     uniforms = np.empty((rows, 2 * n))
+    # Scratch for counting, allocated once per range and overwritten by every
+    # batch. Arrays this large, freed and allocated again per replicate on the
+    # main thread (a serial run), can go back to the operating system in
+    # between and page-fault afresh when written: a serial n = 50 000 command
+    # with four fresh arrays per replicate took 84-332 minor faults, 7-11 with
+    # these.
+    scratch = (
+        np.empty((rows, n), dtype=np.int64),
+        np.empty((rows, n), dtype=np.int64),
+        np.empty((rows, n), dtype=bool),
+        np.empty((rows, n)),
+    )
     offsets = np.arange(0, rows * m, m)[:, None]
     generator = np.random.Generator(np.random.PCG64(0))
     bit_generator = generator.bit_generator
@@ -325,7 +347,7 @@ def run_block(
             for row, (pcg["state"], pcg["inc"]) in zip(u, batch):
                 bit_generator.state = state
                 generator.random(out=row)
-            block_counts = _count_rows(config, u, offsets[:k])
+            block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
             raw = (block_counts / n - device.forced_share) / device.p
             i = chunk + lo
             mu_hats[i:i + k] = [x @ row for row in raw]
@@ -335,12 +357,22 @@ def run_block(
                 _check_first_replicate(config, replayed, block_counts[0], mu_hats[0])
 
 
-def _count_rows(config: SimulationConfig, u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _count_rows(
+    config: SimulationConfig, u: np.ndarray, offsets: np.ndarray, scratch: list[np.ndarray]
+) -> np.ndarray:
     """Response counts, one row per replicate, from rows of n truth uniforms
-    followed by n device uniforms; ``offsets`` holds row * m for each row."""
+    followed by n device uniforms; ``offsets`` holds row * m for each row.
+
+    ``scratch`` holds the truth and response indices (int64), the compare
+    flags (bool) and a probe (float64), each of shape (rows, n), all
+    overwritten.
+    """
     n, m = config.n, config.support.m
-    truth = config.population.inverse_cdf(u[:, :n])
-    responses = responses_from_uniforms(config.device, truth, u[:, n:])
+    truth, responses, flags, probe = scratch
+    config.population.inverse_cdf(u[:, :n], out=truth, flags=flags, probe=probe)
+    responses_from_uniforms(
+        config.device, truth, u[:, n:], out=responses, flags=flags, probe=probe
+    )
     responses += offsets
     return np.bincount(responses.ravel(), minlength=len(u) * m).reshape(len(u), m)
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: outputs, exit codes, structured errors, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +287,27 @@ def test_simulate_designed_p_from_policy(capsys, survey_one_nonstig_m3):
     )
     assert code == 0
     assert json.loads(out)["p"] == pytest.approx(0.16393442622950816)
+
+
+def test_simulate_near_p_one_with_large_m_leaves_stderr_empty(tmp_path):
+    # truthful draws score below -2**63 before the cast to an index; the run
+    # must not print a cast warning in a fresh interpreter's default filters
+    m = 2000
+    survey = write_json(
+        tmp_path / "m2000.json",
+        {"values": list(range(m)), "stigmatizing": [True] * m, "pi": [1.0 / m] * m},
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("RRKIT_THREADS", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rrkit", "simulate", "--survey", survey, "--n", "50",
+         "--replicates", "3", "--p", "0.9999999999999999"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 50
 
 
 def test_simulate_unwritable_out_is_io_error(capsys, survey_m2, tmp_path):

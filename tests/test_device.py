@@ -6,13 +6,15 @@ generator pins the card semantics; frequency checks pin the distribution
 against the kernel rows q + p*e_j, also rebuilt by the oracle's joint table.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit import Device, PopulationModel, ValidationError
-from rrkit.device import draw_responses, response_distribution
+from rrkit.device import draw_responses, response_distribution, responses_from_uniforms
 from rrkit.oracle import response_distribution_oracle
 
 
@@ -123,6 +125,62 @@ def test_vector_draw_matches_scalar_loop():
         u = rng.random()
         loop.append(int(i) if u < d.p else min(int((u - d.p) / (1.0 - d.p) * d.m), d.m - 1))
     np.testing.assert_array_equal(vec, loop)
+
+
+def forced_card_reference(device, true_indices, u):
+    """The randomization as cast, cap and masked copy of the truthful draws."""
+    with np.errstate(invalid="ignore"):  # truthful scores near p = 1 leave the int64 range
+        forced = ((u - device.p) / (1.0 - device.p) * device.m).astype(np.int64)
+    np.minimum(forced, device.m - 1, out=forced)
+    np.copyto(forced, true_indices, where=u < device.p)
+    return forced
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.one_of(
+        st.floats(1e-12, 1.0 - 2.0**-53),
+        st.sampled_from([1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-52, 1.0 - 2.0**-53]),
+    ),
+    m=st.one_of(st.integers(2, 12), st.sampled_from([1000, 2000])),
+    seed=st.integers(0, 2**32 - 1),
+    two_d=st.booleans(),
+)
+def test_responses_from_uniforms_match_the_forced_card_reference(p, m, seed, two_d):
+    d = Device(p=p, m=m)
+    rng = np.random.default_rng(seed)
+    # u at p and both its neighbours, at each forced-card edge and its
+    # neighbours, at both ends of [0, 1), and at random
+    edges = p + (1.0 - p) * np.arange(m + 1) / m
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0), p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), rng.random(64),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    if two_d:
+        u = u[: len(u) // 2 * 2].reshape(2, -1)
+    truth = rng.integers(0, m, u.shape)
+    given_u, given_truth = u.copy(), truth.copy()
+    expected = forced_card_reference(d, truth, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = responses_from_uniforms(d, truth, u)
+        out = np.full(u.shape, -7, dtype=np.int64)
+        flags, probe = np.empty(u.shape, dtype=bool), np.empty(u.shape)
+        assert responses_from_uniforms(d, truth, u, out=out, flags=flags, probe=probe) is out
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(out, expected)
+    assert u.tobytes() == given_u.tobytes() and truth.tobytes() == given_truth.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_draws_near_p_one_with_large_m_raise_no_warning():
+    # truthful draws score below -2**63 here before the cast
+    d = Device(p=0.9999999999999999, m=2000)
+    truth = np.arange(2000)
+    responses = draw_responses(d, truth, np.random.default_rng(3))
+    np.testing.assert_array_equal(responses, truth)  # every uniform is below p
 
 
 def test_draw_frequencies_match_kernel_row():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit import (
@@ -218,6 +218,43 @@ def test_population_cdf_is_cumulative_and_read_only(pop3):
     assert pop3.cdf is pop3.cdf
     with pytest.raises(ValueError):
         pop3.cdf[0] = 0.0
+
+
+# support sizes on both sides of every power of two the binary search pads to
+EDGE_SIZES = sorted({2**j + d for j in range(1, 11) for d in (-1, 0, 1)} - {1, 1025})
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(2, 1024)),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+    two_d=st.booleans(),
+)
+def test_inverse_cdf_matches_capped_searchsorted(m, zero_share, seed, two_d):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(m) * (rng.random(m) >= zero_share)  # zeros repeat CDF entries
+    weights[rng.integers(m)] += 1.0
+    pop = PopulationModel(pi=tuple(weights / weights.sum()))
+    cdf = pop.cdf
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+        rng.random(101),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    if two_d:
+        u = u[: len(u) // 2 * 2].reshape(2, -1)
+    given_u = u.copy()
+    expected = np.minimum(np.searchsorted(cdf, u, side="right"), m - 1)
+    got = pop.inverse_cdf(u)
+    assert got.dtype == np.int64 and got.shape == u.shape
+    np.testing.assert_array_equal(got, expected)
+    # the same through caller-supplied scratch, which is all it writes
+    out = np.full(u.shape, -7, dtype=np.int64)
+    flags, probe = np.empty(u.shape, dtype=bool), np.empty(u.shape)
+    assert pop.inverse_cdf(u, out=out, flags=flags, probe=probe) is out
+    np.testing.assert_array_equal(out, expected)
+    assert u.tobytes() == given_u.tobytes()
 
 
 # --- PrivacyPolicy ---------------------------------------------------------

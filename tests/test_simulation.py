@@ -373,6 +373,49 @@ def test_kernel_matches_stage_functions(config, rows, seed_chunk, threads):
     assert got.tobytes() == np.array([mu for _, mu, _ in expected]).tobytes()
 
 
+def _assert_records_match_stage_functions(summary, config):
+    """Kept counts and every bit of each estimate equal the stage functions'."""
+    expected = _serial_reference(config)
+    assert [(r.replicate, r.counts) for r in summary.records] == [(i, c) for i, _, c in expected]
+    got = np.array([r.mu_hat for r in summary.records])
+    assert got.tobytes() == np.array([mu for _, mu, _ in expected]).tobytes()
+
+
+@pytest.mark.parametrize("rows, seed_chunk", [(1, 256), (3, 2)])
+def test_kernel_matches_stage_functions_at_large_m(rows, seed_chunk, monkeypatch):
+    m = 1000
+    weights = np.random.default_rng(8).random(m) * (np.arange(m) % 7 != 0)  # zeros repeat CDF entries
+    config = SimulationConfig(
+        support=SupportSpec(values=tuple(0.5 * k - 3.0 for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=tuple(weights / weights.sum())),
+        device=Device(p=0.35, m=m),
+        n=2500,
+        replicates=7,
+        seed=2**64 + 5,
+    )
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", rows * config.n * simulation.BYTES_PER_RESPONDENT)
+    monkeypatch.setattr(simulation, "SEED_CHUNK", seed_chunk)
+    monkeypatch.setenv("RRKIT_THREADS", "2")
+    _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_near_p_one_with_large_m_raises_no_warning(monkeypatch):
+    # truthful draws score below -2**63 here before the cast to an index
+    m = 2000
+    config = SimulationConfig(
+        support=SupportSpec(values=tuple(float(k) for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(1.0 / m,) * m),
+        device=Device(p=0.9999999999999999, m=m),
+        n=50,
+        replicates=3,
+        seed=31,
+    )
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RRKIT_THREADS", threads)
+        _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
 def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
     original = simulation.replicate_states
     monkeypatch.setattr(
