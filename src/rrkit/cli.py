@@ -9,6 +9,12 @@ adds the traceback. All commands are deterministic given their inputs and
 respondents per replicate and with one thread per CPU at or above it;
 ``RRKIT_THREADS`` (1 to ``simulation.MAX_THREADS``) overrides that and changes
 speed, never output.
+
+Each command imports only what it runs, since start-up is most of its time:
+``design`` and ``table`` need only ``design`` and ``model``, which never load
+numpy; the other handlers import their own module, so ``privacy`` and
+``estimate`` load neither ``simulation`` nor the oracles, ``verify`` does not
+load ``simulation``, and ``simulate`` does not load ``verification``.
 """
 
 from __future__ import annotations
@@ -16,10 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import design as design_mod
-from . import estimation, privacy, simulation, verification
 from .model import (
     Device,
     PolicyMode,
@@ -120,6 +124,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+
     survey = load_survey(args.survey)
     population = _require_population(survey)
     device = _resolve_device(args, survey)
@@ -154,6 +160,8 @@ def _load_counts(path: str) -> tuple[int, ...]:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimation
+
     survey = load_survey(args.survey)
     device = _resolve_device(args, survey)
     sample = ResponseSample(counts=_load_counts(args.counts))
@@ -163,6 +171,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_privacy(args) -> int:
+    from . import privacy
+
     survey = load_survey(args.survey)
     population = _require_population(survey)
     device = _resolve_device(args, survey)
@@ -183,6 +193,8 @@ def cmd_privacy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification
+
     report = verification.run_verification(grid_step=args.grid_step)
     if args.format == "json":
         _emit_json(report.to_json_dict(), args.out)
@@ -260,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("\n")
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported in the contract's form
+        import traceback
+
         json.dump(
             {
                 "code": "INTERNAL_ERROR",

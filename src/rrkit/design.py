@@ -17,7 +17,7 @@ from .model import (
     SupportSpec,
     ValidationError,
     _as_finite_float,
-    _as_support_size,
+    _as_int,
     validate_policy,
 )
 
@@ -37,7 +37,7 @@ def p0_all_stigmatizing(m: int, xi: float) -> float:
 
     Inverts the worst-case gap: p0 = 1 / (1 + (m/xi) * ((1-xi)/2)^2).
     """
-    m = _as_support_size(m, "m")
+    m = _as_int(m, "BAD_SUPPORT", "m", 2)
     xi = _check_xi(xi)
     return 1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2)
 
@@ -46,7 +46,7 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     """Largest p guaranteeing posterior non-stigmatizing mass at least xi, when
     the prior non-stigmatizing mass is at least c. Needs xi < c: randomization
     can only dilute the prior mass, never amplify it."""
-    m = _as_support_size(m, "m")
+    m = _as_int(m, "BAD_SUPPORT", "m", 2)
     xi = _check_xi(xi)
     c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
     if not 0.0 < c < 1.0:
@@ -141,7 +141,7 @@ def p0_table(
     xis: tuple[float, ...] = DEFAULT_TABLE_XIS,
 ) -> DesignTable:
     """All-stigmatizing p0 over a grid, rounded to 4 decimals for display."""
-    ms = tuple(int(m) for m in ms)
+    ms = tuple(_as_int(m, "BAD_SUPPORT", "m", 2) for m in ms)
     xis = tuple(float(x) for x in xis)
     if not ms or not xis:
         raise ValidationError("BAD_GRID", "table needs at least one m and one xi")

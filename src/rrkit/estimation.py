@@ -23,7 +23,7 @@ from .model import (
     PopulationModel,
     ResponseSample,
     SupportSpec,
-    ValidationError,
+    _as_int,
     _require_finite,
     _require_same_m,
 )
@@ -154,5 +154,4 @@ def _quotient(numerator: float, denominator: float, what: str, p: float) -> floa
 
 
 def _require_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError("BAD_N", f"sample size must be an integer >= 1, got {n!r}")
+    _as_int(n, "BAD_N", "sample size", 1)

@@ -4,6 +4,10 @@ Every type validates its invariants at construction and is immutable
 afterwards, so instances can be shared freely across threads. Validation
 failures raise :class:`ValidationError` carrying a stable machine-readable
 ``code`` that the CLI maps onto structured error output.
+
+numpy is imported inside the methods that build arrays, so that building and
+validating these types, which is all ``design`` and ``table`` need, never
+loads it.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ import enum
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 # Input probability vectors must sum to 1 within this band; anything further
 # off is rejected as bad data rather than silently rescaled.
@@ -46,10 +49,16 @@ def _as_finite_float(value, code: str, what: str) -> float:
     return out
 
 
-def _as_support_size(value, what: str) -> int:
-    """A support size m: an int or numpy integer >= 2 (never a bool), as a Python int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 2:
-        raise ValidationError("BAD_SUPPORT", f"{what} must be an integer >= 2, got {value!r}")
+def _as_int(value, code: str, what: str, minimum: int) -> int:
+    """An integer at or above ``minimum`` as a Python int. Any ``numbers.Integral``
+    is accepted, numpy's integers included; a bool, a float such as 3.0 and a
+    string are not."""
+    # a plain int skips the ABC check, which costs ~0.5 us per value
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+    if not integral or value < minimum:
+        raise ValidationError(code, f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -95,11 +104,15 @@ class SupportSpec:
 
     @property
     def values_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.values, dtype=float)
 
     @property
     def unweighted_mean(self) -> float:
         """Plain average of the support values (independent of the population)."""
+        import numpy as np
+
         return float(np.mean(self.values_array))
 
 
@@ -133,11 +146,15 @@ class PopulationModel:
 
     @property
     def pi_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.pi, dtype=float)
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative proportions, computed once per model; read-only."""
+        import numpy as np
+
         cdf = np.cumsum(self.pi_array)
         cdf.flags.writeable = False
         return cdf
@@ -147,6 +164,8 @@ class PopulationModel:
         """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
         2**k >= m, split into the k levels of a binary search over it: the
         level of step s holds the entries s-1, 3s-1, 5s-1, ... Read-only."""
+        import numpy as np
+
         k = (self.m - 1).bit_length()
         table = np.full(2**k - 1, np.inf)
         table[: self.m - 1] = self.cdf[:-1]
@@ -179,6 +198,8 @@ class PopulationModel:
         (float64), of u's shape, are scratch a caller may pass to spare the
         allocations; ``out`` is returned.
         """
+        import numpy as np
+
         u = np.asarray(u)
         levels = self._search_levels
         if out is None:
@@ -217,6 +238,8 @@ def validate_population_rows(pis) -> np.ndarray:
     summing to 1 within ``PI_SUM_BAND``; the first row that breaks a rule is
     named in the ``BAD_PI`` error. Returns a new float array.
     """
+    import numpy as np
+
     try:
         rows = np.asarray(pis, dtype=float)
     except (TypeError, ValueError):
@@ -251,6 +274,8 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     rounded once, as ``math.fsum`` rounds it; the rare rows where they do
     not are summed by ``math.fsum`` itself.
     """
+    import numpy as np
+
     total = rows[:, 0].copy()
     error = np.zeros_like(total)
     exact = np.ones(len(rows), dtype=bool)
@@ -286,7 +311,7 @@ class Device:
             raise ValidationError(
                 "BAD_DEVICE_P", f"device parameter must satisfy 0 < p < 1, got {p!r}"
             )
-        object.__setattr__(self, "m", _as_support_size(self.m, "device support size"))
+        object.__setattr__(self, "m", _as_int(self.m, "BAD_SUPPORT", "device support size", 2))
         object.__setattr__(self, "p", p)
 
     @property
@@ -331,13 +356,10 @@ class PrivacyPolicy:
 
         if not self.nonstigmatizing:
             raise ValidationError("BAD_NONSTIG_SET", "subset mode needs a non-empty index set")
-        indices = []
-        for idx in self.nonstigmatizing:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise ValidationError(
-                    "BAD_NONSTIG_SET", f"indices must be non-negative ints, got {idx!r}"
-                )
-            indices.append(idx)
+        indices = [
+            _as_int(idx, "BAD_NONSTIG_SET", "non-stigmatizing index", 0)
+            for idx in self.nonstigmatizing
+        ]
         if len(set(indices)) != len(indices):
             raise ValidationError("BAD_NONSTIG_SET", f"duplicate indices in {indices}")
         object.__setattr__(self, "nonstigmatizing", tuple(sorted(indices)))
@@ -386,13 +408,7 @@ class ResponseSample:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = []
-        for c in self.counts:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                raise ValidationError("BAD_COUNTS", f"counts must be integers, got {c!r}")
-            if c < 0:
-                raise ValidationError("BAD_COUNTS", f"negative count {c!r}")
-            counts.append(int(c))
+        counts = [_as_int(c, "BAD_COUNTS", "count", 0) for c in self.counts]
         if len(counts) < 2:
             raise ValidationError("BAD_COUNTS", "need counts for at least two response values")
         if sum(counts) < 1:
@@ -410,6 +426,8 @@ class ResponseSample:
     @property
     def proportions(self) -> np.ndarray:
         """Sample proportions w_i = counts_i / n."""
+        import numpy as np
+
         return np.asarray(self.counts, dtype=float) / self.n
 
 

@@ -30,6 +30,7 @@ from .model import (
     PrivacyPolicy,
     ValidationError,
     _as_finite_float,
+    _as_int,
     _require_same_m,
     validate_population_rows,
 )
@@ -176,10 +177,12 @@ def _beta_result(posteriors: np.ndarray, indices: list[int]) -> BetaResult:
 
 
 def _nonstigmatizing_indices(device: Device, nonstigmatizing: tuple[int, ...]) -> list[int]:
-    indices = sorted(set(int(i) for i in nonstigmatizing))
+    indices = sorted(
+        {_as_int(i, "BAD_NONSTIG_SET", "non-stigmatizing index", 0) for i in nonstigmatizing}
+    )
     if not indices:
         raise ValidationError("BAD_NONSTIG_SET", "non-stigmatizing index set is empty")
-    if any(i < 0 or i >= device.m for i in indices):
+    if any(i >= device.m for i in indices):
         raise ValidationError(
             "BAD_NONSTIG_SET", f"indices {tuple(indices)} out of range for m={device.m}"
         )

@@ -57,6 +57,7 @@ from .model import (
     ResponseSample,
     SupportSpec,
     ValidationError,
+    _as_int,
     _require_finite,
     _require_same_m,
 )
@@ -85,15 +86,23 @@ SEED_CHUNK = 256
 # tracemalloc at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
 # planned as 48; the rest is fixed, mostly numpy's ufunc buffers of up to
 # 64 KiB, which bring a block at n = 10 to 53, within its range's seed
-# allowance. Also per worker, the seed table of a chunk, which peaked at
-# about 400 bytes per replicate while its 128-bit integers are assembled,
-# planned as 512. Each result keeps 16 bytes (its estimate and the variance
-# pass), or about 240 with its counts and record at m = 3, planned as 512.
+# allowance. Each block also holds m cells per replicate: its counts and the
+# estimate's raw proportions, with their temporaries, and, when records are
+# kept, the counts as lists; they peaked at 22-32 bytes per cell, with
+# records or without (m = 300-3 000, n = 10, 500 and 50 000), planned as 48.
+# Also per worker, the seed table of a chunk, which peaked at about 400 bytes
+# per replicate while its 128-bit integers are assembled, planned as 512.
+# Each result keeps 16 bytes (its estimate and the variance pass), or, with
+# its record, about 240 at m = 3, planned as 512, plus its counts tuple: 8
+# bytes per count up to 256 (Python's shared small ints) and 40 above it,
+# where every count is an int object of its own, planned as 48.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
+BYTES_PER_BLOCK_COUNT = 48
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
 BYTES_PER_KEPT_RESULT = 512
+BYTES_PER_KEPT_COUNT = 48
 
 # numpy's SeedSequence: a pool of four uint32 words, hashed and mixed with
 # these constants (numpy/random/bit_generator.pyx), and PCG64's 128-bit LCG
@@ -137,21 +146,31 @@ def block_rows(n: int) -> int:
     return max(1, min(SEED_CHUNK, BLOCK_BYTES // (n * BYTES_PER_RESPONDENT)))
 
 
-def planned_bytes(n: int, replicates: int, workers: int, keep_replicates: bool) -> int:
-    """Memory a run plans for: each worker's block and seed table, plus every
-    replicate's result."""
-    per_result = BYTES_PER_KEPT_RESULT if keep_replicates else BYTES_PER_RESULT
-    per_worker = block_rows(n) * n * BYTES_PER_RESPONDENT + SEED_CHUNK * BYTES_PER_SEED
+def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
+    """Memory a run of n respondents over m values plans for: each worker's
+    block and seed table, plus every replicate's result."""
+    if keep_replicates:
+        per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
+    else:
+        per_result = BYTES_PER_RESULT
+    # the uniforms and scratch take every row of a block; the m-cell arrays
+    # only the rows of replicates a batch holds
+    per_worker = (
+        block_rows(n) * n * BYTES_PER_RESPONDENT
+        + min(block_rows(n), replicates) * m * BYTES_PER_BLOCK_COUNT
+        + SEED_CHUNK * BYTES_PER_SEED
+    )
     return workers * per_worker + replicates * per_result
 
 
-def _check_memory(n: int, replicates: int, workers: int, keep_replicates: bool) -> None:
+def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
     """Refuse a run whose planned memory exceeds ``MEMORY_BUDGET_BYTES``."""
-    planned = planned_bytes(n, replicates, workers, keep_replicates)
+    planned = planned_bytes(n, m, replicates, workers, keep_replicates)
     if planned > MEMORY_BUDGET_BYTES:
         raise ValidationError(
             "RESOURCE_LIMIT",
-            f"n={n} respondents on {workers} worker(s) and {replicates} replicates plan "
+            f"n={n} respondents over m={m} values on {workers} worker(s) and "
+            f"{replicates} replicates plan "
             f"{planned} bytes, over the {MEMORY_BUDGET_BYTES}-byte budget; "
             f"lower --n, --replicates or {THREADS_ENV_VAR}",
         )
@@ -171,18 +190,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _require_same_m(self.support.m, self.population.m)
         _require_same_m(self.support.m, self.device.m)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError("BAD_N", f"sample size must be a positive integer, got {self.n!r}")
-        if (
-            not isinstance(self.replicates, int)
-            or isinstance(self.replicates, bool)
-            or self.replicates < 1
-        ):
-            raise ValidationError(
-                "BAD_REPLICATES", f"replicates must be a positive integer, got {self.replicates!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValidationError("BAD_SEED", f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "n", _as_int(self.n, "BAD_N", "sample size", 1))
+        object.__setattr__(
+            self, "replicates", _as_int(self.replicates, "BAD_REPLICATES", "replicates", 1)
+        )
+        object.__setattr__(self, "seed", _as_int(self.seed, "BAD_SEED", "seed", 0))
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -432,7 +444,7 @@ def run_replicates(config: SimulationConfig, keep_replicates: bool = False) -> S
     """Run every replicate, estimate the mean from each, and reduce in index order."""
     R = config.replicates
     workers = thread_count(R, config.n)
-    _check_memory(config.n, R, workers, keep_replicates)
+    _check_memory(config.n, config.support.m, R, workers, keep_replicates)
     var_theoretical = estimation.variance_mean_theoretical(
         config.device, config.support, config.population, config.n
     )

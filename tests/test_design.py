@@ -64,6 +64,20 @@ def test_empty_grid_rejected():
     assert e.value.code == "BAD_GRID"
 
 
+@pytest.mark.parametrize("m", [3.7, 3.0, "4", True, 1, np.int64(1), None])
+def test_table_rejects_the_m_that_p0_rejects(m):
+    # the table once truncated 3.7 to m = 3 and parsed "4"
+    with pytest.raises(ValidationError) as e:
+        p0_table((3, m), (0.1,))
+    assert e.value.code == "BAD_SUPPORT"
+
+
+def test_table_accepts_numpy_integer_m_and_stores_ints():
+    table = p0_table((np.int64(3), np.uint8(4)), (0.1, 0.2))
+    assert table == p0_table((3, 4), (0.1, 0.2))
+    assert [type(m) for m in table.ms] == [int, int]
+
+
 # --- round trips through the guaranteed bounds -------------------------------
 
 

@@ -341,6 +341,56 @@ def test_sample_accepts_numpy_integers():
     assert s.counts == (3, 4)
 
 
+# --- one integer rule: m, counts and indices ----------------------------------
+
+INTEGER_FIELDS = {
+    "m": (lambda v: Device(p=0.3, m=v).m, "BAD_SUPPORT"),
+    "count": (lambda v: ResponseSample(counts=(v, 4)).counts[0], "BAD_COUNTS"),
+    "index": (
+        lambda v: PrivacyPolicy(
+            mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=0.3, nonstigmatizing=(v,)
+        ).nonstigmatizing[0],
+        "BAD_NONSTIG_SET",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3), np.uint64(3)])
+def test_integer_fields_accept_numpy_integers_as_python_ints(field, value):
+    build, _ = INTEGER_FIELDS[field]
+    got = build(value)
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+def test_integer_fields_refuse_bools_floats_and_strings(field, value):
+    build, code = INTEGER_FIELDS[field]
+    with pytest.raises(ValidationError) as e:
+        build(value)
+    assert err_code(e) == code
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", 1), ("m", np.int64(1)), ("count", -1), ("count", np.int8(-1)),
+                     ("index", -1), ("index", np.int64(-1))]
+)
+def test_integer_fields_refuse_values_below_their_floor(field, value):
+    build, code = INTEGER_FIELDS[field]
+    with pytest.raises(ValidationError) as e:
+        build(value)
+    assert err_code(e) == code
+
+
+def test_policy_with_numpy_index_matches_its_survey():
+    support = SupportSpec(values=(0, 1, 2), stigma=(False, True, True))
+    policy = PrivacyPolicy(
+        mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=0.3, nonstigmatizing=(np.int64(0),)
+    )
+    assert validate_policy(policy, support) is policy
+
+
 # --- EstimateReport --------------------------------------------------------
 
 

@@ -112,6 +112,16 @@ class TestBeta:
         with pytest.raises(ValidationError):
             beta_measure(d, pop3, (4,))
 
+    def test_indices_follow_the_integer_rule(self, pop3):
+        d = Device(p=0.5, m=3)
+        got, expected = beta_measure(d, pop3, (np.int64(0),)), beta_measure(d, pop3, (0,))
+        assert (got.beta, got.argmin) == (expected.beta, expected.argmin)
+        # int() once turned 0.5 and False into index 0 and "1" into index 1
+        for index in (0.5, False, "1", -1, np.int64(-1)):
+            with pytest.raises(ValidationError) as e:
+                beta_measure(d, pop3, (index,))
+            assert e.value.code == "BAD_NONSTIG_SET"
+
     def test_multi_index_mass(self):
         # two non-stigmatizing values: beta bounds their combined posterior mass
         d = Device(p=0.3, m=4)

@@ -226,6 +226,7 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
     )
     planned = (
         simulation.block_rows(100) * 100 * simulation.BYTES_PER_RESPONDENT
+        + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
     )
@@ -290,6 +291,22 @@ def test_config_validation(support3, pop3):
             seed=0,
         )
     assert e.value.code == "DIMENSION_MISMATCH"
+
+
+def test_config_takes_numpy_integers_as_python_ints(support3, pop3):
+    dev = Device(p=0.5, m=3)
+    cfg = SimulationConfig(
+        support=support3, population=pop3, device=dev, n=np.int64(5), replicates=np.uint16(4),
+        seed=np.uint64(2**64 - 1),
+    )
+    assert (cfg.n, cfg.replicates, cfg.seed) == (5, 4, 2**64 - 1)
+    assert {type(cfg.n), type(cfg.replicates), type(cfg.seed)} == {int}
+    for field, code in (("n", "BAD_N"), ("replicates", "BAD_REPLICATES"), ("seed", "BAD_SEED")):
+        for value in (True, 5.0, "5"):
+            kwargs = {"n": 5, "replicates": 5, "seed": 0, field: value}
+            with pytest.raises(ValidationError) as e:
+                SimulationConfig(support=support3, population=pop3, device=dev, **kwargs)
+            assert e.value.code == code
 
 
 def test_stream_consumption_order_is_pinned(support3, pop3):
@@ -425,19 +442,49 @@ def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
         run_replicates(config3)
 
 
+def _assert_plan_covers_traced_peak(cfg, monkeypatch):
+    """Run cfg serially with and without records under tracemalloc; each
+    peak must stay within the memory plan. Returns the summary with records."""
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    for keep in (False, True):
+        run_replicates(cfg, keep_replicates=keep)  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            summary = run_replicates(cfg, keep_replicates=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation.planned_bytes(cfg.n, cfg.support.m, cfg.replicates, 1, keep)
+    return summary
+
+
 @pytest.mark.parametrize("n, replicates", [(10, 3000), (500, 3000), (50_000, 20)])
 def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, replicates):
     cfg = SimulationConfig(
         support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
         replicates=replicates, seed=2,
     )
-    monkeypatch.setenv("RRKIT_THREADS", "1")
-    for keep in (False, True):
-        run_replicates(cfg, keep_replicates=keep)  # caches filled outside the trace
-        tracemalloc.start()
-        try:
-            run_replicates(cfg, keep_replicates=keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= simulation.planned_bytes(n, replicates, 1, keep)
+    _assert_plan_covers_traced_peak(cfg, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "m, n, replicates",
+    [
+        (1000, 500, 3000),  # kept counts tuples of m entries, all small ints
+        (1000, 10, 768),  # three full blocks of 256 replicates by m cells
+        (1000, 10, 10),  # one block, of which 10 rows hold replicates
+        (100, 50_000, 100),  # counts near 500: an int object per kept count
+    ],
+)
+def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replicates):
+    cfg = SimulationConfig(
+        support=SupportSpec(values=tuple(float(k) for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(1.0 / m,) * m),
+        device=Device(p=0.3, m=m),
+        n=n,
+        replicates=replicates,
+        seed=2,
+    )
+    summary = _assert_plan_covers_traced_peak(cfg, monkeypatch)
+    if n == 50_000:
+        assert min(min(r.counts) for r in summary.records) > 256
