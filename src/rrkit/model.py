@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 # Input probability vectors must sum to 1 within this band; anything further
@@ -40,10 +41,19 @@ class PolicyMode(enum.Enum):
 
 
 def _as_finite_float(value, code: str, what: str) -> float:
+    """A finite real number as a Python float. Any ``numbers.Real`` is
+    accepted, numpy's floats and integers included; a bool and a string are
+    not."""
+    # a plain float or int skips the ABC check, as in _as_int
+    real = type(value) in (float, int) or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    )
+    if not real:
+        raise ValidationError(code, f"{what} is not a number: {value!r}")
     try:
         out = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(code, f"{what} is not a number: {value!r}") from None
+    except OverflowError:
+        out = math.inf
     if not math.isfinite(out):
         raise ValidationError(code, f"{what} must be finite, got {out!r}")
     return out
@@ -62,6 +72,18 @@ def _as_int(value, code: str, what: str, minimum: int) -> int:
     return int(value)
 
 
+def _as_stigma_flag(value) -> bool:
+    """A bool, or numpy's bool as a bool; no other type is a stigma flag."""
+    if type(value) is bool:
+        return value
+    # numpy is imported only by the commands that need it; a value cannot be
+    # numpy's bool unless it has been
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.bool_):
+        return bool(value)
+    raise ValidationError("BAD_SUPPORT", f"stigma flag must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SupportSpec:
     """The known values x_1..x_m of the sensitive variable, with a stigma flag per value."""
@@ -73,7 +95,7 @@ class SupportSpec:
         values = tuple(
             _as_finite_float(v, "BAD_SUPPORT", "support value") for v in self.values
         )
-        stigma = tuple(bool(s) for s in self.stigma)
+        stigma = tuple(_as_stigma_flag(s) for s in self.stigma)
         if len(values) < 2:
             raise ValidationError("BAD_SUPPORT", "support needs at least two values")
         if len(stigma) != len(values):

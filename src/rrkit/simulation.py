@@ -9,12 +9,22 @@ reduced in replicate order, so the summary is byte-identical no matter how
 many worker threads ran.
 
 The block kernel: :func:`run_block` seeds the streams of up to
-``SEED_CHUNK`` replicates in one vectorised pass (:func:`replicate_states`
-re-derives SeedSequence's mixing and PCG64's seeding), then sets each
-replicate's state on one reused generator and draws its 2n uniforms into a
-row of a block. Rows per block are capped so that a block and its
-temporaries stay within ``BLOCK_BYTES`` (one row when a single replicate is
-larger). Truth, device, counts and the mean estimate are then computed for
+``SEED_CHUNK`` replicates in one vectorised pass (:func:`replicate_words`
+re-derives SeedSequence's mixing), then draws each replicate's 2n uniforms
+into a row of a block. Up to ``JUMP_MAX_N`` respondents it computes the
+uniforms of a whole block at once, with no generator: PCG64 is a 128-bit LCG
+with multiplier M, so the state behind output j is
+M^(j+1) w + C_(j+2) inc mod 2**128, C_t = sum of M^u for u < t (Brown,
+"Random Number Generation with Arbitrary Strides", 1994), from the seed
+words w and inc. Those states are one exact float64 matmul of the seeds'
+16-bit limbs by a table built once per n, followed by a carry chain, the
+XSL-RR output step and ``Generator.random``'s ``>> 11`` and 2**-53. Above
+``JUMP_MAX_N``, where the matmul grows past the cost of a generator, it
+re-derives PCG64's seeding (:func:`replicate_states`) and sets each
+replicate's state on one reused generator before drawing its row. Rows per
+block are capped so that a block, its temporaries and its count cells stay
+within ``BLOCK_BYTES`` (one row when a single replicate is larger). Truth,
+device, counts and the mean estimate are then computed for
 the whole block, through the same uniform-to-index helpers that
 :func:`sample_true_indices` and :func:`~rrkit.device.draw_responses` use,
 writing into scratch allocated once per range next to the block. Counting
@@ -76,28 +86,44 @@ MAX_THREADS = 256
 # that a worker slowed by another process on its CPU leaves its later blocks
 # to the others.
 BLOCKS_PER_WORKER = 4
-# Replicates per block of the kernel: as many as keep a block's uniforms and
-# temporaries (planned at BYTES_PER_RESPONDENT each) within BLOCK_BYTES, at
-# least one, and at most SEED_CHUNK, the replicates seeded per pass.
+# Replicates per block of the kernel: as many as keep a block's rows
+# (block_row_bytes: uniforms, temporaries and count cells) within
+# BLOCK_BYTES, at least one, and at most SEED_CHUNK, the replicates seeded
+# per pass.
 BLOCK_BYTES = 1 << 19
 SEED_CHUNK = 256
+# Respondents per replicate up to which run_block computes each block's
+# uniforms from the seeds by jumping ahead (_jump_uniforms) rather than by
+# setting a generator's state per replicate. The jump's cost grows with n,
+# the setter's barely does; serial kernels on 2 vCPUs at m = 4 took 0.90 vs
+# 2.46 us per replicate at n = 10, 3.03 vs 3.17 at n = 70 and 3.40 vs 3.26
+# at n = 80 (scripts/stream_crossover.py).
+JUMP_MAX_N = 70
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25) peaked under
 # tracemalloc at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
 # planned as 48; the rest is fixed, mostly numpy's ufunc buffers of up to
 # 64 KiB, which bring a block at n = 10 to 53, within its range's seed
-# allowance. Each block also holds m cells per replicate: its counts and the
-# estimate's raw proportions, with their temporaries, and, when records are
-# kept, the counts as lists; they peaked at 22-32 bytes per cell, with
-# records or without (m = 300-3 000, n = 10, 500 and 50 000), planned as 48.
+# allowance. On the jump path a block also holds, per respondent, its limb
+# sums (64 bytes) and three uint64 word arrays (48), planned as 112, and the
+# run holds one state table of 1 KiB per respondent; a cold run's peak (the
+# table built inside the trace) stayed within 0.89 of the plan at n = 1-70,
+# m = 3 and 40, R = 1-1 000. Each block also holds m cells per replicate: its
+# counts and the estimate's raw proportions, with their temporaries, and,
+# when records are kept, the counts as lists; they peaked at 22-32 bytes per
+# cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000),
+# planned as 48.
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
-# per replicate while its 128-bit integers are assembled, planned as 512.
+# per replicate while its 128-bit integers are assembled, planned as 512
+# (the jump path builds no such integers; its seed words and limbs take 160).
 # Each result keeps 16 bytes (its estimate and the variance pass), or, with
 # its record, about 240 at m = 3, planned as 512, plus its counts tuple: 8
 # bytes per count up to 256 (Python's shared small ints) and 40 above it,
 # where every count is an int object of its own, planned as 48.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
+BYTES_PER_JUMP_RESPONDENT = 112
+BYTES_PER_JUMP_TABLE_RESPONDENT = 16 * 8 * 8
 BYTES_PER_BLOCK_COUNT = 48
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
@@ -141,9 +167,16 @@ def thread_count(replicates: int, n: int = 0) -> int:
     return max(1, min(workers, replicates))
 
 
-def block_rows(n: int) -> int:
-    """Replicates of n respondents per block of the kernel."""
-    return max(1, min(SEED_CHUNK, BLOCK_BYTES // (n * BYTES_PER_RESPONDENT)))
+def block_row_bytes(n: int, m: int) -> int:
+    """Planned bytes of one replicate's row of a block: its n respondents'
+    uniforms and scratch, and its m count cells."""
+    per_respondent = BYTES_PER_RESPONDENT + (BYTES_PER_JUMP_RESPONDENT if n <= JUMP_MAX_N else 0)
+    return n * per_respondent + m * BYTES_PER_BLOCK_COUNT
+
+
+def block_rows(n: int, m: int) -> int:
+    """Replicates of n respondents over m values per block of the kernel."""
+    return max(1, min(SEED_CHUNK, BLOCK_BYTES // block_row_bytes(n, m)))
 
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
@@ -153,14 +186,17 @@ def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
         per_result = BYTES_PER_RESULT
+    rows = block_rows(n, m)
     # the uniforms and scratch take every row of a block; the m-cell arrays
     # only the rows of replicates a batch holds
     per_worker = (
-        block_rows(n) * n * BYTES_PER_RESPONDENT
-        + min(block_rows(n), replicates) * m * BYTES_PER_BLOCK_COUNT
+        block_row_bytes(n, 0) * rows
+        + min(rows, replicates) * m * BYTES_PER_BLOCK_COUNT
         + SEED_CHUNK * BYTES_PER_SEED
     )
-    return workers * per_worker + replicates * per_result
+    # the jump path's state table is one for all workers
+    table = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
+    return workers * per_worker + table + replicates * per_result
 
 
 def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
@@ -279,16 +315,14 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(scaled[:, None]), _hash_constants(const, _MULT_A, _POOL_SIZE)
 
 
-def replicate_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of replicates ``start`` to ``stop - 1``, each
-    equal to ``replicate_stream(seed, i).bit_generator.state``.
+def replicate_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The ``generate_state(4, uint64)`` output of replicates ``start`` to
+    ``stop - 1``, as a (8, stop - start) uint32 array: words (s1, s0, i1, i0),
+    each split into its low and high 32 bits, one column per replicate.
 
-    The spawn word i is mixed into each pool word, and
-    ``generate_state(4, uint64)`` run, as uint32 array arithmetic over the
-    whole range at once. PCG64 then seeds from the four words (s1, s0, i1,
-    i0): inc = (i1:i0) << 1 | 1, and two LCG steps from state 0 with the seed
-    added between them give state = ((s1:s0) + inc) * multiplier + inc,
-    mod 2**128. Spawn indices must fit one uint32 word.
+    The spawn word i is mixed into each pool word, and the state generated,
+    as uint32 array arithmetic over the whole range at once. Both paths of
+    :func:`run_block` seed from here. Spawn indices must fit one uint32 word.
     """
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replicates {start} to {stop} do not fit one uint32 spawn word")
@@ -300,13 +334,131 @@ def replicate_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     pool ^= pool >> 16
     state = (pool[_STATE_WORDS] ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
     state ^= state >> 16
-    halves = state.astype(np.uint64)
+    return state
+
+
+def replicate_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of replicates ``start`` to ``stop - 1``, each
+    equal to ``replicate_stream(seed, i).bit_generator.state``.
+
+    PCG64 seeds from the four words (s1, s0, i1, i0) of
+    :func:`replicate_words`: inc = (i1:i0) << 1 | 1, and two LCG steps from
+    state 0 with the seed added between them give
+    state = ((s1:s0) + inc) * multiplier + inc, mod 2**128.
+    """
+    halves = replicate_words(seed, start, stop).astype(np.uint64)
     s1, s0, i1, i0 = (halves[0::2] | halves[1::2] << 32).tolist()
     states = []
     for hi, lo, inc_hi, inc_lo in zip(s1, s0, i1, i0):
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
         states.append((((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
     return states
+
+
+def _setter_uniforms(
+    states: list[tuple[int, int]], generator: np.random.Generator, out: np.ndarray
+) -> None:
+    """Fill row r of ``out`` (k, 2n) with the first 2n uniforms of the stream
+    whose PCG64 ``(state, inc)`` is ``states[r]``, by setting ``generator``'s
+    state to each in turn."""
+    bit_generator = generator.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    # each replicate's (state, inc) goes into the dict the setter reads
+    for row, (pcg["state"], pcg["inc"]) in zip(out, states):
+        bit_generator.state = state
+        generator.random(out=row)
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_table(n: int) -> np.ndarray:
+    """The (16, 8n) float64 table that takes a replicate's 16-bit seed limbs
+    to its first 2n PCG64 states.
+
+    With w = s1:s0 and inc as in :func:`replicate_states`, the state that
+    gives output j (j = 1..2n) is M^(j+1) w + C_(j+2) inc mod 2**128, where
+    M is the multiplier and C_t = sum of M^u for u < t; j = 0 is the seeded
+    state. Row p multiplies 16-bit limb p of w (rows 8 + p: of inc).
+    Column 4(j - 1) + L holds, for 32-bit limb L of state j, the 16-bit limb
+    2L - p of the coefficient plus 2**16 times limb 2L + 1 - p, so that the
+    limbs @ table product gives T_2L + 2**16 T_(2L+1), where T_t sums the
+    limb products of weight 2**(16t). Every entry is below 2**32, and every
+    sum of the 16 products below 2**52: the float64 product is exact in any
+    summation order.
+    """
+    a, c = _PCG64_MULT, 1 + _PCG64_MULT
+    coeffs = []
+    for _ in range(2 * n):
+        a = a * _PCG64_MULT & _MASK128
+        c = c + a & _MASK128
+        coeffs += (a, c)
+    # each coefficient's 16-bit limbs, least significant first, after 8 zeros
+    limbs = np.zeros((4 * n, 16))
+    raw = b"".join(coeff.to_bytes(16, "little") for coeff in coeffs)
+    limbs[:, 8:] = np.frombuffer(raw, dtype="<u2").reshape(-1, 8)
+    q = 2 * np.arange(4) - np.arange(8)[:, None] + 8  # coefficient limb 2L - p, padded
+    table = limbs[:, q] + 65536.0 * limbs[:, q + 1]  # (coefficient, p, L)
+    table = table.reshape(2 * n, 2, 8, 4).transpose(1, 2, 0, 3).reshape(16, 8 * n)
+    return _read_only(np.ascontiguousarray(table))
+
+
+def _jump_scratch(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Scratch for :func:`_jump_uniforms` over up to ``rows`` replicates of n
+    respondents: seed words, their limbs, the limb sums and three word arrays."""
+    return (
+        np.empty((rows, 8), dtype="<u4"),
+        np.empty((rows, 16)),
+        np.empty((rows, 8 * n)),
+        *(np.empty((rows, 2 * n), dtype=np.uint64) for _ in range(3)),
+    )
+
+
+def _jump_uniforms(
+    words: np.ndarray, table: np.ndarray, out: np.ndarray, scratch: tuple[np.ndarray, ...]
+) -> None:
+    """Fill row r of ``out`` (k, 2n) with the first 2n ``Generator.random``
+    uniforms of the stream seeded by column r of ``words`` (8, k), from
+    :func:`replicate_words`, without a generator: every state comes from the
+    seed through ``table`` (:func:`_jump_table`), one float64 matmul.
+    """
+    k = len(out)
+    seeds, limbs, sums, lo, hi, tmp = (a[:k] for a in scratch)
+    # w's 32-bit words, least significant first, then those of inc = 2i + 1
+    seeds[:, :4] = words[[2, 3, 0, 1]].T
+    i = words[[6, 7, 4, 5]].T
+    inc = seeds[:, 4:]
+    np.left_shift(i, 1, out=inc)
+    inc[:, 1:] |= i[:, :3] >> 31
+    inc[:, 0] |= 1
+    limbs[...] = seeds.view("<u2")
+    np.matmul(limbs, table, out=sums)
+    # each sum is an integer below 2**52: adding 2**52 puts it in the mantissa
+    sums += 2.0**52
+    v = sums.view(np.uint64)
+    v &= (1 << 52) - 1
+    v = v.reshape(k, -1, 4)
+    # the state's low 64 bits are v0 + v1 * 2**32 and its high 64 bits
+    # v2 + v3 * 2**32, plus the carry out of the low half, mod 2**64
+    np.right_shift(v[..., 0], 32, out=lo)
+    lo += v[..., 1]
+    np.right_shift(lo, 32, out=hi)
+    hi += v[..., 2]
+    np.left_shift(v[..., 3], 32, out=tmp)
+    hi += tmp
+    lo <<= 32
+    np.bitwise_and(v[..., 0], _MASK32, out=tmp)
+    lo |= tmp
+    # XSL-RR: hi ^ lo rotated right by the top six bits of hi
+    lo ^= hi
+    hi >>= 58
+    np.right_shift(lo, hi, out=tmp)
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    lo <<= hi
+    lo |= tmp
+    # Generator.random: the top 53 bits, times 2**-53
+    lo >>= 11
+    np.multiply(lo, 2.0**-53, out=out)
 
 
 def run_block(
@@ -319,18 +471,23 @@ def run_block(
     counts into ``counts[i]`` when a list is given.
 
     Each replicate's 2n uniforms are drawn from its own v1 stream into a row
-    of a block, and the block is counted and estimated at once, row r's
-    estimate being ``x @ ((counts[r] / n - q) / p)`` as in
+    of a block, by :func:`_jump_uniforms` up to ``JUMP_MAX_N`` respondents
+    and through a generator set to each replicate's state above it. The block
+    is counted and estimated at once, row r's estimate being
+    ``x @ ((counts[r] / n - q) / p)`` as in
     :func:`~rrkit.estimation.estimate_mean`. The range that holds replicate 0
     first replays it through :func:`simulate_survey` and
     :func:`~rrkit.estimation.estimate_mean`; the kernel must then reproduce
     its counts and every bit of its estimate, or ``RuntimeError`` is raised.
     """
-    # replayed before the block is allocated, so that the two never coexist
-    replayed = simulate_survey(config, 0) if block.start == 0 else None
     n, m = config.n, config.support.m
+    jump = n <= JUMP_MAX_N
+    # replayed, and the jump table built, before the block is allocated, so
+    # that their temporaries and the block never coexist
+    replayed = simulate_survey(config, 0) if block.start == 0 else None
+    table = _jump_table(n) if jump else None
     device, x = config.device, config.support.values_array
-    rows = block_rows(n)
+    rows = block_rows(n, m)
     uniforms = np.empty((rows, 2 * n))
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
@@ -345,24 +502,28 @@ def run_block(
         np.empty((rows, n)),
     )
     offsets = np.arange(0, rows * m, m)[:, None]
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    if jump:
+        jump_scratch = _jump_scratch(rows, n)
+    else:
+        generator = np.random.Generator(np.random.PCG64(0))
     for chunk in range(block.start, block.stop, SEED_CHUNK):
-        seeds = replicate_states(config.seed, chunk, min(chunk + SEED_CHUNK, block.stop))
-        for lo in range(0, len(seeds), rows):
-            batch = seeds[lo:lo + rows]
-            k = len(batch)
+        stop = min(chunk + SEED_CHUNK, block.stop)
+        if jump:
+            words = replicate_words(config.seed, chunk, stop)
+        else:
+            states = replicate_states(config.seed, chunk, stop)
+        for lo in range(0, stop - chunk, rows):
+            k = min(rows, stop - chunk - lo)
             u = uniforms[:k]
-            # each replicate's (state, inc) goes into the dict the setter reads
-            for row, (pcg["state"], pcg["inc"]) in zip(u, batch):
-                bit_generator.state = state
-                generator.random(out=row)
+            if jump:
+                _jump_uniforms(words[:, lo:lo + k], table, u, jump_scratch)
+            else:
+                _setter_uniforms(states[lo:lo + k], generator, u)
             block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
             raw = (block_counts / n - device.forced_share) / device.p
             i = chunk + lo
-            mu_hats[i:i + k] = [x @ row for row in raw]
+            # the same 1-D dot as x @ row, without matmul's dispatch per row
+            mu_hats[i:i + k] = list(map(x.dot, raw))
             if counts is not None:
                 counts[i:i + k] = map(tuple, block_counts.tolist())
             if i == 0:

@@ -72,6 +72,18 @@ def test_design_worked_example_2(capsys, survey_one_nonstig_m3):
     assert doc["t"] == 1
 
 
+def test_design_refuses_a_survey_of_strings(capsys, tmp_path):
+    # read as numbers and truthy flags, this document designed p0 = 0.1413
+    survey = write_json(tmp_path / "strings.json", {
+        "values": ["0", "1", "2"],
+        "stigmatizing": ["false", "true", "true"],
+        "privacy": {"mode": "all_stigmatizing", "xi": "0.1"},
+    })
+    code, out, err = run(capsys, "design", "--survey", survey)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert stderr_code(err) == "BAD_SUPPORT"
+
+
 def test_design_from_bare_flags(capsys):
     code, out, _ = run(capsys, "design", "--m", "2", "--xi", "0.2")
     assert code == 0
@@ -378,9 +390,9 @@ def test_small_p_with_finite_results_prints_strict_json(capsys, survey_m2, tmp_p
 
 
 def test_kernel_self_check_failure_is_internal_error(capsys, survey_m2, monkeypatch):
-    original = simulation.replicate_states
+    original = simulation.replicate_words
     monkeypatch.setattr(
-        simulation, "replicate_states", lambda seed, start, stop: original(seed, start + 1, stop + 1)
+        simulation, "replicate_words", lambda seed, start, stop: original(seed, start + 1, stop + 1)
     )
     code, out, err = run(
         capsys, "simulate", "--survey", survey_m2, "--n", "20", "--replicates", "4", "--p", "0.5"

@@ -391,6 +391,88 @@ def test_policy_with_numpy_index_matches_its_survey():
     assert validate_policy(policy, support) is policy
 
 
+# --- one number rule: values, probabilities, p, xi and c --------------------
+
+FLOAT_FIELDS = {
+    "value": (lambda v: SupportSpec(values=(v, 2.0), stigma=(True, True)).values[0], "BAD_SUPPORT"),
+    "pi": (lambda v: PopulationModel(pi=(v, 0.75)).pi[0], "BAD_PI"),
+    "p": (lambda v: Device(p=v, m=2).p, "BAD_DEVICE_P"),
+    "xi": (lambda v: PrivacyPolicy(mode=PolicyMode.ALL_STIGMATIZING, xi=v).xi, "XI_OUT_OF_RANGE"),
+    "c": (
+        lambda v: PrivacyPolicy(
+            mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=v, nonstigmatizing=(0,)
+        ).c,
+        "C_OUT_OF_RANGE",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("value", [np.float64(0.25), np.float32(0.25), np.float16(0.25)])
+def test_number_fields_accept_numpy_floats_as_python_floats(field, value):
+    build, _ = FLOAT_FIELDS[field]
+    got = build(value)
+    assert got == 0.25 and type(got) is float
+
+
+def test_support_values_accept_numpy_integers():
+    support = SupportSpec(values=(np.int64(0), np.uint8(1)), stigma=(True, True))
+    assert support.values == (0.0, 1.0)
+    assert {type(v) for v in support.values} == {float}
+
+
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("value", [True, np.bool_(True), "0.25", b"0.25", None, 0.25j, [0.25]])
+def test_number_fields_refuse_bools_strings_and_other_types(field, value):
+    build, code = FLOAT_FIELDS[field]
+    with pytest.raises(ValidationError) as e:
+        build(value)
+    assert err_code(e) == code
+
+
+def test_number_fields_refuse_an_int_too_large_for_a_float():
+    with pytest.raises(ValidationError) as e:
+        SupportSpec(values=(10**400, 1), stigma=(True, True))
+    assert err_code(e) == "BAD_SUPPORT"
+
+
+def test_stigma_flags_accept_numpy_bools_as_bools():
+    support = SupportSpec(values=(0, 1, 2), stigma=(np.bool_(False), True, np.True_))
+    assert support.stigma == (False, True, True)
+    assert {type(s) for s in support.stigma} == {bool}
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, np.int64(1), 1.0, None])
+def test_stigma_flags_refuse_anything_but_bools(flag):
+    with pytest.raises(ValidationError) as e:
+        SupportSpec(values=(0, 1), stigma=(True, flag))
+    assert err_code(e) == "BAD_SUPPORT"
+
+
+@pytest.mark.parametrize(
+    "key, value, code",
+    [
+        ("values", ["0", "1", "2"], "BAD_SUPPORT"),
+        ("values", [False, True, 2], "BAD_SUPPORT"),
+        ("stigmatizing", ["false", "true", "true"], "BAD_SUPPORT"),
+        ("xi", "0.1", "XI_OUT_OF_RANGE"),
+    ],
+)
+def test_parse_survey_refuses_strings_and_bools_for_numbers_and_flags(key, value, code):
+    doc = {
+        "values": [0, 1, 2],
+        "stigmatizing": [True, True, True],
+        "privacy": {"mode": "all_stigmatizing", "xi": 0.1},
+    }
+    if key == "xi":
+        doc["privacy"]["xi"] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ValidationError) as e:
+        parse_survey_document(doc)
+    assert err_code(e) == code
+
+
 # --- EstimateReport --------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
+import dataclasses
 import os
 import threading
 import tracemalloc
@@ -20,9 +21,11 @@ from rrkit import (
 )
 from rrkit.estimation import estimate_mean
 from rrkit.simulation import (
+    JUMP_MAX_N,
     MAX_THREADS,
     POOL_MIN_N,
     replicate_states,
+    replicate_words,
     replicate_stream,
     run_replicates,
     sample_true_indices,
@@ -225,7 +228,7 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
         replicates=4, seed=0,
     )
     planned = (
-        simulation.block_rows(100) * 100 * simulation.BYTES_PER_RESPONDENT
+        simulation.block_rows(100, 3) * 100 * simulation.BYTES_PER_RESPONDENT
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
@@ -350,6 +353,50 @@ def test_seeding_refuses_spawn_indices_past_one_word():
 
 
 @st.composite
+def jump_cases(draw):
+    """A seed, a ragged range of replicates (near 2**32 or not) read as a
+    column slice of a longer seeding pass, scratch rows to spare, and n on
+    both sides of JUMP_MAX_N."""
+    seed = draw(st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32 + 1]),
+        st.integers(2**64, 2**127 - 1),
+        st.integers(2**127, 2**130),
+    ))
+    k = draw(st.integers(1, 9))
+    lead = draw(st.integers(0, 3))
+    start = draw(st.one_of(st.integers(lead, 100), st.integers(2**32 - 40, 2**32 - k)))
+    n = draw(st.integers(1, 2 * JUMP_MAX_N))
+    return seed, start, k, lead, n, k + draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=jump_cases())
+def test_jump_uniforms_match_generator_random(case):
+    seed, start, k, lead, n, rows = case
+    words = replicate_words(seed, start - lead, start + k)[:, lead:]
+    out = np.empty((k, 2 * n))
+    simulation._jump_uniforms(
+        words, simulation._jump_table(n), out, simulation._jump_scratch(rows, n)
+    )
+    for r in range(k):
+        assert out[r].tobytes() == replicate_stream(seed, start + r).random(2 * n).tobytes()
+
+
+def test_each_path_draws_its_side_of_jump_max_n(support3, pop3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drawn on the wrong path")
+
+    for n, other in ((JUMP_MAX_N, "_setter_uniforms"), (JUMP_MAX_N + 1, "_jump_uniforms")):
+        cfg = SimulationConfig(
+            support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
+            replicates=5, seed=3,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, other, refuse)
+            run_replicates(cfg)
+
+
+@st.composite
 def kernel_cases(draw):
     m = draw(st.integers(2, 40))
     weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=m, max_size=m))
@@ -379,7 +426,7 @@ def kernel_cases(draw):
 def test_kernel_matches_stage_functions(config, rows, seed_chunk, threads):
     """Kernel estimates and counts equal the one-replicate-at-a-time stages bit
     for bit, with blocks and seed chunks small enough to end ragged."""
-    block_bytes = rows * config.n * simulation.BYTES_PER_RESPONDENT
+    block_bytes = rows * simulation.block_row_bytes(config.n, config.support.m)
     with mock.patch.object(simulation, "BLOCK_BYTES", block_bytes), \
             mock.patch.object(simulation, "SEED_CHUNK", seed_chunk), \
             mock.patch.dict(os.environ, {"RRKIT_THREADS": threads}):
@@ -410,9 +457,28 @@ def test_kernel_matches_stage_functions_at_large_m(rows, seed_chunk, monkeypatch
         replicates=7,
         seed=2**64 + 5,
     )
-    monkeypatch.setattr(simulation, "BLOCK_BYTES", rows * config.n * simulation.BYTES_PER_RESPONDENT)
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", rows * simulation.block_row_bytes(config.n, m))
     monkeypatch.setattr(simulation, "SEED_CHUNK", seed_chunk)
     monkeypatch.setenv("RRKIT_THREADS", "2")
+    _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, JUMP_MAX_N, JUMP_MAX_N + 1])
+@pytest.mark.parametrize("rows, seed_chunk, threads", [(256, 256, "1"), (3, 5, "1"), (2, 3, "3")])
+def test_kernel_matches_stage_functions_at_small_n(n, rows, seed_chunk, threads, monkeypatch):
+    # the hypothesis cases draw n from 1-3000 and so rarely reach the jump path
+    m = 6
+    config = SimulationConfig(
+        support=SupportSpec(values=tuple(1e6 + 0.25 * k for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(0.3, 0.0, 0.1, 0.25, 0.0, 0.35)),
+        device=Device(p=0.35, m=m),
+        n=n,
+        replicates=19,
+        seed=2**64 + 3,
+    )
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", rows * simulation.block_row_bytes(n, m))
+    monkeypatch.setattr(simulation, "SEED_CHUNK", seed_chunk)
+    monkeypatch.setenv("RRKIT_THREADS", threads)
     _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
 
 
@@ -434,12 +500,39 @@ def test_run_near_p_one_with_large_m_raises_no_warning(monkeypatch):
 
 
 def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
-    original = simulation.replicate_states
+    original = simulation.replicate_words
     monkeypatch.setattr(
-        simulation, "replicate_states", lambda seed, start, stop: original(seed + 1, start, stop)
+        simulation, "replicate_words", lambda seed, start, stop: original(seed + 1, start, stop)
     )
-    with pytest.raises(RuntimeError, match="replicate 0"):
-        run_replicates(config3)
+    # the setter path (n = 200) and the jump path both seed through replicate_words
+    for n in (config3.n, JUMP_MAX_N):
+        with pytest.raises(RuntimeError, match="replicate 0"):
+            run_replicates(dataclasses.replace(config3, n=n))
+
+
+def test_block_rows_fit_block_bytes_with_the_count_cells():
+    assert simulation.block_rows(10, 4) == simulation.SEED_CHUNK  # mc_small_n's rows
+    for n, m in ((10, 1000), (10, 350_000), (JUMP_MAX_N, 3), (JUMP_MAX_N + 1, 3), (500, 3000)):
+        rows = simulation.block_rows(n, m)
+        assert rows == 1 or rows * simulation.block_row_bytes(n, m) <= simulation.BLOCK_BYTES
+        assert (rows + 1) * simulation.block_row_bytes(n, m) > simulation.BLOCK_BYTES or (
+            rows == simulation.SEED_CHUNK
+        )
+
+
+def test_memory_plan_at_m_350_000_holds_one_row_of_counts():
+    # 256 rows of 350 000 count cells planned 4.30 GB before m capped the rows
+    assert simulation.block_rows(10, 350_000) == 1
+    planned = simulation.planned_bytes(10, 350_000, 256, 1, False)
+    assert planned == (
+        10 * (simulation.BYTES_PER_RESPONDENT + simulation.BYTES_PER_JUMP_RESPONDENT)
+        + 350_000 * simulation.BYTES_PER_BLOCK_COUNT
+        + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
+        + 10 * simulation.BYTES_PER_JUMP_TABLE_RESPONDENT
+        + 256 * simulation.BYTES_PER_RESULT
+    )
+    assert planned < 20 * 2**20
+    simulation._check_memory(10, 350_000, 256, 1, False)
 
 
 def _assert_plan_covers_traced_peak(cfg, monkeypatch):
