@@ -341,6 +341,40 @@ class Device:
         """Probability (1-p)/m of each individual forced-report card."""
         return (1.0 - self.p) / self.m
 
+    @functools.cached_property
+    def forced_cuts(self) -> tuple[float, ...]:
+        """Cut points t_1 .. t_(m-1) of the forced-card score; computed once.
+
+        A uniform u at or above p forces index ``floor(((u - p) / (1 - p)) * m)``
+        (capped at m - 1), the score evaluated in float64 in that order, as
+        :func:`~rrkit.device.responses_from_uniforms` does. Each step is a
+        correctly rounded operation by a positive constant, so the score is
+        non-decreasing in u, and the forced index is at least k exactly when
+        u >= t_k, the smallest double whose score reaches k. t_k is found by
+        bisection over the bit patterns of the doubles from p, which scores 0,
+        to 1.0, which scores m. A cut of 1.0 is one no uniform in [0, 1) reaches.
+        """
+        import struct
+
+        def bits(x: float) -> int:
+            return struct.unpack("<q", struct.pack("<d", x))[0]
+
+        def double(b: int) -> float:
+            return struct.unpack("<d", struct.pack("<q", b))[0]
+
+        p, m = self.p, self.m
+        cuts = []
+        for k in range(1, m):
+            below, at = bits(p), bits(1.0)  # score(below) < k <= score(at)
+            while at - below > 1:
+                mid = (below + at) // 2
+                if (double(mid) - p) / (1.0 - p) * m >= k:
+                    at = mid
+                else:
+                    below = mid
+            cuts.append(double(at))
+        return tuple(cuts)
+
 
 @dataclass(frozen=True)
 class PrivacyPolicy:

@@ -33,8 +33,26 @@ is a branchless binary search over the cached CDF padded with +inf, which
 equals the capped searchsorted because the CDF is non-decreasing; the device
 evaluates the forced-card score in the same order, in place, and keeps the
 true index of truthful draws by integer arithmetic instead of a masked copy.
-Every index, and so every count, is the one those forms give. Once per run,
-replicate 0 is replayed through :func:`simulate_survey` and
+Every index, and so every count, is the one those forms give.
+
+Counting by cuts: a block of one replicate (from about n = 5 460, see
+:func:`block_rows`) over at most ``CUTS_MAX_M`` values builds no index
+array. The estimators read only counts, and "response index >= k" is a
+comparison of uniforms with fixed cut points. A truthful draw (device uniform
+below p) reports its true index, which is >= k exactly when its truth
+uniform is >= ``cdf[k-1]``, the branchless search's rule. The forced-card
+score ((u - p) / (1 - p)) * m is a chain of correctly rounded operations by
+positive constants, so it is non-decreasing in u, and a forced index is >= k
+exactly when the device uniform is >= t_k, the smallest double whose score
+reaches k (:attr:`~rrkit.model.Device.forced_cuts`, found once by bisection
+over the bit patterns of doubles); t_k > p, so only forced draws pass it. The
+responses >= k thus number the truthful draws past ``cdf[k-1]`` plus the
+device uniforms past t_k, two ``count_nonzero`` over flag rows, and each
+count is the difference of two such numbers: exactly the bincount's counts.
+Its cost grows as O(m n), so larger m, and multi-row blocks, where one
+bincount over all rows beats a count per row, keep the index arrays.
+
+Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
 a bit of its estimate raises ``RuntimeError``.
 
@@ -73,12 +91,15 @@ from .model import (
 )
 
 THREADS_ENV_VAR = "RRKIT_THREADS"
-# Respondents per replicate from which a thread per CPU beats one thread. On
-# 2 vCPUs the pool over the comparison-only counting broke even near
-# n = 10 000 (0.93-1.13x), and ran 1.24-1.28x faster at n = 16 000 and
-# 1.19-1.42x at 20 000 (CHANGES.md); below that the Python work of setting
-# each replicate's stream and issuing its array passes holds the interpreter
-# lock for too large a share of a replicate.
+# Respondents per replicate from which a thread per CPU beats one thread.
+# With one-row blocks counted by cuts, in-process simulate commands on
+# 2 vCPUs (m = 3, R = 200, medians of 15) took, serial vs two threads:
+# n = 8 000 9.4-9.7 vs 10.2-10.3 ms, n = 16 000 15.7-16.3 vs 10.0-10.6 ms,
+# n = 50 000 42.7-44.1 vs 23.9-25.8 ms. The pool won from about 11 000 when
+# both CPUs were free, but at 16 000 it also lost, 16.5-17.0 ms, in sets
+# where the two threads took no more CPU time than wall time; below that the
+# Python work of setting each replicate's stream and issuing its array passes
+# holds the interpreter lock for too large a share of a replicate.
 POOL_MIN_N = 16_000
 # Highest RRKIT_THREADS accepted: each worker is an OS thread.
 MAX_THREADS = 256
@@ -99,12 +120,22 @@ SEED_CHUNK = 256
 # 2.46 us per replicate at n = 10, 3.03 vs 3.17 at n = 70 and 3.40 vs 3.26
 # at n = 80 (scripts/stream_crossover.py).
 JUMP_MAX_N = 70
+# Largest m at which a block of one replicate is counted by comparisons
+# against cut points (_count_by_cuts) rather than through index arrays and a
+# bincount (_count_rows). The cuts take 2m - 1 compare passes over n, the
+# index arrays a number that grows with log m. One row on 2 vCPUs, us per
+# replicate, cuts vs bincount: n = 5 500 m = 3 11.5 vs 40.8, m = 16 54.0 vs
+# 57.2, m = 24 80.7 vs 66.2; n = 50 000 m = 3 54 vs 291, m = 16 245 vs 396,
+# m = 24 363 vs 455, m = 32 479 vs 458 (scripts/count_crossover.py). Blocks
+# hold one row from about n = 5 460, so 16 is the largest m at which the cuts
+# win at every n.
+CUTS_MAX_M = 16
 # Largest memory a run may plan for. Per worker, a block of replicates: its
-# uniforms (16 bytes per respondent) and counting scratch (25) peaked under
-# tracemalloc at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
-# planned as 48; the rest is fixed, mostly numpy's ufunc buffers of up to
-# 64 KiB, which bring a block at n = 10 to 53, within its range's seed
-# allowance. On the jump path a block also holds, per respondent, its limb
+# uniforms (16 bytes per respondent) and counting scratch (25; 2 when
+# counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
+# n = 500 and 42.4 at n = 50 000, planned as 48; the rest is fixed, mostly
+# numpy's ufunc buffers of up to 64 KiB, which bring a block at n = 10 to 53,
+# within its range's seed allowance. On the jump path a block also holds, per respondent, its limb
 # sums (64 bytes) and three uint64 word arrays (48), planned as 112, and the
 # run holds one state table of 1 KiB per respondent; a cold run's peak (the
 # table built inside the trace) stayed within 0.89 of the plan at n = 1-70,
@@ -473,7 +504,9 @@ def run_block(
     Each replicate's 2n uniforms are drawn from its own v1 stream into a row
     of a block, by :func:`_jump_uniforms` up to ``JUMP_MAX_N`` respondents
     and through a generator set to each replicate's state above it. The block
-    is counted and estimated at once, row r's estimate being
+    is counted, by :func:`_count_by_cuts` when it holds one replicate over at
+    most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise, and
+    estimated at once, row r's estimate being
     ``x @ ((counts[r] / n - q) / p)`` as in
     :func:`~rrkit.estimation.estimate_mean`. The range that holds replicate 0
     first replays it through :func:`simulate_survey` and
@@ -482,26 +515,30 @@ def run_block(
     """
     n, m = config.n, config.support.m
     jump = n <= JUMP_MAX_N
+    rows = block_rows(n, m)
+    cuts = rows == 1 and m <= CUTS_MAX_M
     # replayed, and the jump table built, before the block is allocated, so
     # that their temporaries and the block never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
     table = _jump_table(n) if jump else None
     device, x = config.device, config.support.values_array
-    rows = block_rows(n, m)
     uniforms = np.empty((rows, 2 * n))
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
     # main thread (a serial run), can go back to the operating system in
     # between and page-fault afresh when written: a serial n = 50 000 command
     # with four fresh arrays per replicate took 84-332 minor faults, 7-11 with
-    # these.
-    scratch = (
-        np.empty((rows, n), dtype=np.int64),
-        np.empty((rows, n), dtype=np.int64),
-        np.empty((rows, n), dtype=bool),
-        np.empty((rows, n)),
-    )
-    offsets = np.arange(0, rows * m, m)[:, None]
+    # these. Counting by cuts needs only two flag rows.
+    if cuts:
+        scratch = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    else:
+        scratch = (
+            np.empty((rows, n), dtype=np.int64),
+            np.empty((rows, n), dtype=np.int64),
+            np.empty((rows, n), dtype=bool),
+            np.empty((rows, n)),
+        )
+        offsets = np.arange(0, rows * m, m)[:, None]
     if jump:
         jump_scratch = _jump_scratch(rows, n)
     else:
@@ -519,7 +556,10 @@ def run_block(
                 _jump_uniforms(words[:, lo:lo + k], table, u, jump_scratch)
             else:
                 _setter_uniforms(states[lo:lo + k], generator, u)
-            block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
+            if cuts:
+                block_counts = _count_by_cuts(config, u[0], scratch)
+            else:
+                block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
             raw = (block_counts / n - device.forced_share) / device.p
             i = chunk + lo
             # the same 1-D dot as x @ row, without matmul's dispatch per row
@@ -548,6 +588,36 @@ def _count_rows(
     )
     responses += offsets
     return np.bincount(responses.ravel(), minlength=len(u) * m).reshape(len(u), m)
+
+
+def _count_by_cuts(
+    config: SimulationConfig, u: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Response counts of one replicate, as a (1, m) row, from its n truth
+    uniforms followed by its n device uniforms, with no index array.
+
+    A truthful draw (device uniform below p) reports its true index, which is
+    at least k exactly when its truth uniform is at or above ``cdf[k-1]``,
+    the rule of :meth:`~rrkit.model.PopulationModel.inverse_cdf`; a forced
+    draw's index is at least k exactly when its device uniform is at or above
+    t_k (:attr:`~rrkit.model.Device.forced_cuts`), and t_k > p. So the
+    responses at or above k number the truthful draws past ``cdf[k-1]`` plus
+    the device uniforms past t_k, and each count is the difference of two
+    such numbers. ``scratch`` holds two bool rows of n, both overwritten.
+    """
+    n, p = config.n, config.device.p
+    truth, draws = u[:n], u[n:]
+    truthful, flags = scratch
+    np.less(draws, p, out=truthful)
+    at_least = [n]
+    for level, cut in zip(config.population.cdf[:-1].tolist(), config.device.forced_cuts):
+        np.greater_equal(truth, level, out=flags)
+        flags &= truthful
+        above = np.count_nonzero(flags)
+        np.greater_equal(draws, cut, out=flags)
+        at_least.append(above + np.count_nonzero(flags))
+    at_least.append(0)
+    return -np.diff(at_least)[None, :]
 
 
 def _check_first_replicate(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rrkit import Device, PopulationModel, ValidationError
 from rrkit.device import draw_responses, response_distribution, responses_from_uniforms
 from rrkit.oracle import response_distribution_oracle
+from rrkit.simulation import CUTS_MAX_M
 
 
 class StubRng:
@@ -200,3 +201,25 @@ def test_empty_vector_draw_is_fine():
     d = Device(p=0.5, m=2)
     out = draw_responses(d, np.array([], dtype=np.int64), np.random.default_rng(0))
     assert out.shape == (0,)
+
+
+# p anywhere in (0, 1), with extra weight within 1e-12 of either end
+probabilities = st.one_of(
+    st.floats(0.0, 1e-12, exclude_min=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=probabilities, m=st.integers(2, CUTS_MAX_M))
+def test_forced_cuts_are_the_first_uniforms_of_each_forced_index(p, m):
+    """At t_k the device forces an index of at least k; one ulp below, less."""
+    d = Device(p=p, m=m)
+    cuts = np.array(d.forced_cuts)
+    assert len(cuts) == m - 1
+    assert (cuts > p).all() and (np.diff(cuts) >= 0).all()
+    truth = np.zeros(m - 1, dtype=np.int64)  # a truthful draw reports 0 < k
+    k = np.arange(1, m)
+    assert (responses_from_uniforms(d, truth, cuts) >= k).all()
+    assert (responses_from_uniforms(d, truth, np.nextafter(cuts, 0.0)) < k).all()

@@ -19,7 +19,10 @@ from rrkit import (
     ValidationError,
     simulation,
 )
+from rrkit.design import design_device
+from rrkit.device import responses_from_uniforms
 from rrkit.estimation import estimate_mean
+from rrkit.model import load_survey
 from rrkit.simulation import (
     JUMP_MAX_N,
     MAX_THREADS,
@@ -480,6 +483,149 @@ def test_kernel_matches_stage_functions_at_small_n(n, rows, seed_chunk, threads,
     monkeypatch.setattr(simulation, "SEED_CHUNK", seed_chunk)
     monkeypatch.setenv("RRKIT_THREADS", threads)
     _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+def _first_one_row_n(m):
+    """The fewest respondents at which a block over m values holds one replicate."""
+    n = JUMP_MAX_N + 1
+    while simulation.block_rows(n, m) > 1:
+        n += 1
+    return n
+
+
+def _boundary_pairs(config):
+    """(truth, device) uniform pairs on every edge that counting decides: each
+    of the CDF's first m - 1 entries and the double below it, drawn truthfully;
+    each forced cut and the double below it; p and the double below it."""
+    p = config.device.p
+
+    def below(x):
+        return float(np.nextafter(x, 0.0))
+
+    pairs = [(edge, draw) for level in config.population.cdf[:-1].tolist()
+             for edge in (level, below(level)) for draw in (below(p), 0.0)]
+    pairs += [(0.5, draw) for cut in config.device.forced_cuts for draw in (cut, below(cut))]
+    pairs += [(0.0, p), (0.0, below(p))]
+    return np.array([pair for pair in pairs if max(pair) < 1.0])  # uniforms lie in [0, 1)
+
+
+def _splice_boundaries(patch, config):
+    """Start the truth and device halves of every replicate's uniforms with
+    config's boundary pairs, alike for the setter path of the kernel and for
+    the stage functions (and so for the replay of replicate 0)."""
+    pairs = _boundary_pairs(config)
+    n, size = config.n, len(pairs)
+
+    def splice(row):
+        row[:size], row[n:n + size] = pairs.T
+
+    fill, stream = simulation._setter_uniforms, simulation.replicate_stream
+
+    def spliced_fill(states, generator, out):
+        fill(states, generator, out)
+        for row in out:
+            splice(row)
+
+    class SplicedStream:
+        def __init__(self, seed, replicate):
+            self.row = stream(seed, replicate).random(2 * n)
+            splice(self.row)
+
+        def random(self, size):
+            head, self.row = self.row[:size], self.row[size:]
+            return head
+
+    patch.setattr(simulation, "_setter_uniforms", spliced_fill)
+    patch.setattr(simulation, "replicate_stream", SplicedStream)
+
+
+def _one_row_config(m, p, pi):
+    return SimulationConfig(
+        support=SupportSpec(values=tuple(2.5 * k - 1e6 for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=pi),
+        device=Device(p=p, m=m),
+        n=_first_one_row_n(m),
+        replicates=5,
+        seed=2**127 + 5,
+    )
+
+
+def _zeros_every_third(m):
+    weights = np.arange(1.0, m + 1) * (np.arange(m) % 3 != 1)  # zeros repeat CDF entries
+    return tuple(weights / weights.sum())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "case",
+    ["survey_all_stig_m4", "survey_one_nonstig_m3"]
+    + [pytest.param((m, p), id=f"m{m}-p{p!r}")
+       for m in (simulation.CUTS_MAX_M, simulation.CUTS_MAX_M + 1)
+       for p in (1e-13, 0.35, 1 - 1e-13)],
+)
+def test_kernel_matches_stage_functions_at_one_row_n(case, threads, monkeypatch, request):
+    """At the first n of one-row blocks, counting by cuts (m up to
+    CUTS_MAX_M) and by bincount (above it) both equal the stage functions,
+    on streams that hit every cut, CDF entry and p, and the double below each."""
+    if isinstance(case, str):
+        survey = load_survey(request.getfixturevalue(case))
+        device, _ = design_device(survey.policy, survey.support)
+        config = dataclasses.replace(
+            _one_row_config(survey.support.m, device.p, survey.population.pi),
+            support=survey.support,
+        )
+    else:
+        m, p = case
+        config = _one_row_config(m, p, _zeros_every_third(m))
+    monkeypatch.setenv("RRKIT_THREADS", threads)
+    _splice_boundaries(monkeypatch, config)
+    _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+def test_each_counter_counts_its_side_of_one_row_and_cuts_max_m(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted on the wrong path")
+
+    top = simulation.CUTS_MAX_M
+    for m, n, other in (
+        (top, _first_one_row_n(top), "_count_rows"),
+        (top, _first_one_row_n(top) - 1, "_count_by_cuts"),  # two rows per block
+        (top + 1, _first_one_row_n(top + 1), "_count_by_cuts"),
+    ):
+        config = dataclasses.replace(_one_row_config(m, 0.3, _zeros_every_third(m)), n=n)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, other, refuse)
+            _splice_boundaries(patch, config)
+            _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, simulation.CUTS_MAX_M),
+    p=st.one_of(
+        st.floats(0.0, 1e-12, exclude_min=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+    ),
+    zeros=st.sets(st.integers(0, simulation.CUTS_MAX_M - 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
+    """_count_by_cuts gives the bincount of the stage functions' responses, on
+    random uniforms and on every boundary pair."""
+    weights = [0.0 if k in zeros else 1.0 + k for k in range(m)]
+    if not any(weights):
+        weights[-1] = 1.0
+    config = _one_row_config(m, p, tuple(w / sum(weights) for w in weights))
+    config = dataclasses.replace(config, n=200)
+    u = np.random.default_rng(seed).random(2 * config.n)
+    pairs = _boundary_pairs(config)
+    u[:len(pairs)], u[config.n:config.n + len(pairs)] = pairs.T
+    truth = config.population.inverse_cdf(u[:config.n])
+    expected = np.bincount(responses_from_uniforms(config.device, truth, u[config.n:]), minlength=m)
+    scratch = (np.empty(config.n, dtype=bool), np.empty(config.n, dtype=bool))
+    got = simulation._count_by_cuts(config, u, scratch)
+    assert got.tolist() == [expected.tolist()]
 
 
 @pytest.mark.filterwarnings("error")
