@@ -1,6 +1,8 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
+import collections
 import dataclasses
+import math
 import os
 import threading
 import tracemalloc
@@ -17,6 +19,7 @@ from rrkit import (
     SimulationConfig,
     SupportSpec,
     ValidationError,
+    oracle,
     simulation,
 )
 from rrkit.design import design_device
@@ -233,6 +236,7 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
     planned = (
         simulation.block_rows(100, 3) * 100 * simulation.BYTES_PER_RESPONDENT
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
+        + 101**2 * simulation.BYTES_PER_MEMO_CODE
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
     )
@@ -628,6 +632,182 @@ def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
     assert got.tolist() == [expected.tolist()]
 
 
+def _row_dots(config, counts):
+    """Each row of counts estimated alone, by the 1-D dot of estimate_mean."""
+    raw = (np.array(counts, dtype=np.int64) / config.n - config.device.forced_share) / config.device.p
+    return np.array([config.support.values_array.dot(row) for row in raw])
+
+
+def _spy_memo(patch):
+    """Record the count rows of each memo call, and of each _estimate_rows call."""
+    memo_calls, dotted = [], []
+    by_memo, by_rows = simulation._estimate_by_memo, simulation._estimate_rows
+
+    def memo(config, block_counts, *args):
+        memo_calls.append(block_counts.tolist())
+        return by_memo(config, block_counts, *args)
+
+    def rows(config, block_counts):
+        dotted.extend(map(tuple, block_counts.tolist()))
+        return by_rows(config, block_counts)
+
+    patch.setattr(simulation, "_estimate_by_memo", memo)
+    patch.setattr(simulation, "_estimate_rows", rows)
+    return memo_calls, dotted
+
+
+def _assert_memo_matches_row_dots(config, monkeypatch):
+    """A serial run estimates through the memo, dots each distinct count vector
+    once, and gives every estimate of the per-row dots and the stage functions
+    bit for bit. Returns the count rows of each memo call."""
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    with monkeypatch.context() as patch:
+        memo_calls, dotted = _spy_memo(patch)
+        summary = run_replicates(config, keep_replicates=True)
+    counts = [r.counts for r in summary.records]
+    assert memo_calls and len(dotted) == len(set(dotted)) == len(set(counts))
+    got = np.array([r.mu_hat for r in summary.records])
+    assert got.tobytes() == _row_dots(config, counts).tobytes()
+    _assert_records_match_stage_functions(summary, config)
+    return memo_calls
+
+
+@st.composite
+def memo_cases(draw):
+    """A config whose blocks keep a memo, with ragged blocks and seed chunks,
+    on the jump path or (JUMP_MAX_N patched below n) the setter path."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8 if m < 4 else 3))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=m, max_size=m))
+    if not any(weights):
+        weights[-1] = 1.0
+    config = SimulationConfig(
+        support=SupportSpec(values=tuple(1e6 + 0.25 * k for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=tuple(w / sum(weights) for w in weights)),
+        device=Device(p=draw(st.floats(0.01, 0.99)), m=m),
+        n=n,
+        replicates=draw(st.integers(1, 60)),
+        seed=draw(st.sampled_from([0, 7, 2**127 + 5])),
+    )
+    return config, draw(st.booleans()), draw(st.integers(2, 6)), draw(st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=memo_cases(), threads=st.sampled_from(["1", "3"]))
+def test_memoised_estimates_equal_the_per_row_dots(case, threads):
+    """Count vectors repeat within blocks, across blocks and across seed
+    chunks at these n; every estimate, memoised or filled, is the per-row dot
+    and estimate_mean's, bit for bit."""
+    config, jump, rows, seed_chunk = case
+    n, m = config.n, config.support.m
+    with mock.patch.object(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else n - 1), \
+            mock.patch.object(simulation, "SEED_CHUNK", seed_chunk):
+        block_bytes = rows * simulation.block_row_bytes(n, m)
+        with mock.patch.object(simulation, "BLOCK_BYTES", block_bytes), \
+                mock.patch.dict(os.environ, {"RRKIT_THREADS": threads}):
+            # a seed chunk of one replicate makes one-row blocks, which keep no memo
+            memo = (n + 1) ** (m - 1) if seed_chunk > 1 else 0
+            assert simulation.memo_codes(n, m) == memo
+            summary = run_replicates(config, keep_replicates=True)
+    counts = [r.counts for r in summary.records]
+    got = np.array([r.mu_hat for r in summary.records])
+    assert got.tobytes() == _row_dots(config, counts).tobytes()
+    _assert_records_match_stage_functions(summary, config)
+
+
+@pytest.mark.parametrize("jump", [True, False])
+def test_memo_hits_repeats_within_blocks_across_blocks_and_across_chunks(jump, monkeypatch):
+    config = SimulationConfig(
+        support=SupportSpec(values=(-3.0, 0.5, 1e6), stigma=(True,) * 3),
+        population=PopulationModel(pi=(0.5, 0.3, 0.2)),
+        device=Device(p=0.35, m=3),
+        n=2,
+        replicates=40,
+        seed=2**127 + 5,
+    )
+    monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else 1)
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * simulation.block_row_bytes(2, 3))
+    monkeypatch.setattr(simulation, "SEED_CHUNK", 10)  # batches of 4, 4 and 2 rows per chunk
+    calls = _assert_memo_matches_row_dots(config, monkeypatch)
+    assert [len(c) for c in calls] == [4, 4, 2] * 4
+    chunks = [sum(calls[3 * c:3 * c + 3], []) for c in range(4)]
+    assert any(len(set(map(tuple, c))) < len(c) for c in calls)  # within a block
+    assert any(set(map(tuple, calls[j])) & set(map(tuple, calls[j - 1]))
+               for j in range(1, 12) if j % 3)  # across blocks of one chunk
+    assert any(set(map(tuple, chunks[c])) & set(map(tuple, chunks[c - 1])) for c in range(1, 4))
+
+
+def _largest_memo_n(m):
+    """The most respondents at which blocks over m values keep a memo."""
+    n = 1
+    while simulation.memo_codes(n + 1, m):
+        n += 1
+    return n
+
+
+def test_each_estimate_path_runs_its_side_of_the_memo_gate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("estimated on the wrong path")
+
+    top3, top4 = _largest_memo_n(3), _largest_memo_n(4)
+    assert (top3, top4) == (240, 37)
+    assert simulation.memo_codes(top3, 3) * simulation.BYTES_PER_MEMO_CODE <= simulation.BLOCK_BYTES
+    # code spaces past BLOCK_BYTES keep no memo in blocks of several rows
+    for n, m in ((top3 + 1, 3), (top4 + 1, 4), (10, 1000)):
+        assert simulation.block_rows(n, m) > 1 and simulation.memo_codes(n, m) == 0
+    two_rows = _first_one_row_n(2) - 1  # the last n of two-row blocks at m = 2
+    assert simulation.memo_codes(two_rows, 2) == two_rows + 1
+    for m, n, memo in (
+        (3, top3, True), (3, top3 + 1, False), (4, top4, True), (4, top4 + 1, False),
+        (2, two_rows, True), (2, two_rows + 1, False),
+    ):
+        config = dataclasses.replace(
+            _one_row_config(m, 0.3, _zeros_every_third(m)), n=n, replicates=120, seed=4
+        )
+        with monkeypatch.context() as patch:
+            if memo:
+                _assert_memo_matches_row_dots(config, patch)
+            else:
+                patch.setattr(simulation, "_estimate_by_memo", refuse)
+                patch.setenv("RRKIT_THREADS", "1")
+                _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+@pytest.mark.parametrize("p", [1e-13, 0.5e-12, 1 - 1e-13, 1 - 0.5e-12])
+def test_memo_matches_the_row_dots_at_p_near_0_and_1(p, monkeypatch):
+    config = dataclasses.replace(
+        _one_row_config(3, p, (0.5, 0.0, 0.5)), n=5, replicates=300, seed=7
+    )
+    _assert_memo_matches_row_dots(config, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_memo_keeps_nan_estimates_and_the_run_ends_nonfinite(monkeypatch):
+    # (w - q) / p overflows to +-inf at p = 1e-320, and the value 0 times an
+    # infinite raw proportion makes the estimate NaN
+    config = SimulationConfig(
+        support=SupportSpec(values=(0.0, 1.0), stigma=(True, True)),
+        population=PopulationModel(pi=(0.3, 0.7)),
+        device=Device(p=1e-320, m=2),
+        n=10,
+        replicates=300,
+        seed=3,
+    )
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    mu_hats, counts = np.empty(300), [None] * 300
+    with monkeypatch.context() as patch:
+        _, dotted = _spy_memo(patch)
+        simulation.run_block(config, range(300), mu_hats, counts)
+    # only counts of (5, 5) leave both raw proportions 0
+    assert np.isnan(mu_hats).tolist() == [c != (5, 5) for c in counts]
+    # a NaN estimate is a filled slot: each distinct vector is dotted once
+    assert len(dotted) == len(set(dotted)) == len(set(counts))
+    assert mu_hats.tobytes() == _row_dots(config, counts).tobytes()
+    with pytest.raises(ValidationError) as e:
+        run_replicates(config)
+    assert e.value.code == "NONFINITE_RESULT"
+
+
 @pytest.mark.filterwarnings("error")
 def test_run_near_p_one_with_large_m_raises_no_warning(monkeypatch):
     # truthful draws score below -2**63 here before the cast to an index
@@ -727,3 +907,71 @@ def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replic
     summary = _assert_plan_covers_traced_peak(cfg, monkeypatch)
     if n == 50_000:
         assert min(min(r.counts) for r in summary.records) > 256
+
+
+def test_memory_plan_covers_the_traced_peak_at_the_largest_memo(monkeypatch):
+    # the memo of 241**2 codes at n = 240, m = 3 is about as large as the block
+    n, m = _largest_memo_n(3), 3
+    memo = simulation.memo_codes(n, m) * simulation.BYTES_PER_MEMO_CODE
+    block = simulation.block_rows(n, m) * simulation.block_row_bytes(n, m)
+    assert 0.9 * block < memo <= simulation.BLOCK_BYTES
+    cfg = SimulationConfig(
+        support=SupportSpec(values=tuple(float(k) for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(1.0 / m,) * m),
+        device=Device(p=0.3, m=m),
+        n=n,
+        replicates=1000,
+        seed=2,
+    )
+    _assert_plan_covers_traced_peak(cfg, monkeypatch)
+
+
+# --- law of the counts ----------------------------------------------------------
+
+
+def _wilson_hilferty(df, z):
+    """The chi-squared quantile with df degrees of freedom at standard normal
+    quantile z, by the Wilson-Hilferty cube-root approximation."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+# one-sided standard normal quantile of 1e-6, fixed before the runs
+LAW_Z = 4.753
+
+
+@pytest.mark.parametrize("jump", [True, False])
+def test_simulated_counts_follow_the_multinomial_law(jump, monkeypatch):
+    """Under the paper's model a replicate's counts are Multinomial(n, lambda)
+    with lambda = p pi + (1 - p) / m, and replicates are independent. At n = 6,
+    m = 3 (28 count vectors) the G statistic of the vectors' frequencies
+    against oracle.enumeration_distribution stays below a Wilson-Hilferty
+    threshold, and so does the lag-1 correlation of the estimates."""
+    n, R = 6, 40_000
+    config = SimulationConfig(
+        support=SupportSpec(values=(0.0, 1.0, 2.0), stigma=(True,) * 3),
+        population=PopulationModel(pi=(0.5, 0.3, 0.2)),
+        device=Device(p=0.4, m=3),
+        n=n,
+        replicates=R,
+        seed=2**64 + 17,
+    )
+    lam = oracle.response_distribution_oracle(config.device, config.population)
+    law = oracle.enumeration_distribution(n, lam)
+    assert len(law) == 28
+
+    def refuse(*args):
+        raise AssertionError("drawn on the wrong path")
+
+    monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else n - 1)
+    monkeypatch.setattr(simulation, "_setter_uniforms" if jump else "_jump_uniforms", refuse)
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    summary = run_replicates(config, keep_replicates=True)
+    seen = collections.Counter(r.counts for r in summary.records)
+    assert set(seen) <= {counts for counts, _ in law}
+    g = 2.0 * sum(seen[counts] * math.log(seen[counts] / (R * prob))
+                  for counts, prob in law if seen[counts])
+    assert g <= _wilson_hilferty(len(law) - 1, LAW_Z)
+    mu = np.array([r.mu_hat for r in summary.records])
+    lag1 = np.corrcoef(mu[:-1], mu[1:])[0, 1]
+    assert abs(lag1) <= LAW_Z / math.sqrt(R)
