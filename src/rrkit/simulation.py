@@ -55,16 +55,19 @@ bincount over all rows beats a count per row, keep the index arrays.
 The estimate memo: an estimate reads only its replicate's counts, which are
 Multinomial(n, lambda), so a run at small n draws the same count vectors
 again and again (at n = 10, m = 4 there are 286, and 2 000 replicates drew
-about 200 distinct ones). Where a block holds several rows and its
-(n + 1)**(m - 1) possible vectors fit a table of at most ``BLOCK_BYTES``
+about 200 distinct ones). Where a block holds several rows, the range holds
+at least ``MEMO_REPLICATES_PER_VECTOR`` replicates per possible count vector
+and its (n + 1)**(m - 1) codes fit a table of at most ``BLOCK_BYTES``
 (:func:`memo_codes`), a range keeps one, indexed by each row's code: its
 first m - 1 counts as digits in base n + 1. The first row of a code is
 estimated by the same 1-D dot as before, into the table; every row of a
 block then takes its estimate from the table in one gather, so each keeps
-its bits. On 2 vCPUs at n = 10, m = 4 the estimate took 0.71 us per
-replicate as a dot per row and 0.22 through the memo (about 200 fills in
-2 000 replicates; 0.04 when every row hits), against 0.12 for seeding,
-0.55 for the uniforms and 0.28 for counting (scripts/kernel_stages.py).
+its bits. A fill costs more than a dot per row, so fewer replicates per
+vector, where most rows fill, would make the memo slower. On 2 vCPUs at
+n = 10, m = 4, R = 2 000 the estimate took 0.51 us per replicate as a dot
+per row and 0.18 through the memo (207 fills, taking 0.08), against 0.09 for
+seeding, 0.42 for the uniforms and 0.20 for counting
+(scripts/kernel_stages.py).
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -144,6 +147,21 @@ JUMP_MAX_N = 70
 # hold one row from about n = 5 460, so 16 is the largest m at which the cuts
 # win at every n.
 CUTS_MAX_M = 16
+# Fewest replicates per possible count vector, C(n + m - 1, m - 1), at which
+# a range of replicates keeps an estimate memo (memo_codes). A fill costs
+# more than the dot it stands for (the memo's gathers, its np.unique, a dot
+# over fewer rows), so the memo pays only where most rows read it. Serial
+# run_block on 2 vCPUs, time by a dot per row over time by the memo, at R
+# replicates and S count vectors (scripts/kernel_stages.py): R < S,
+# 0.78-0.97 at n = 37, m = 4 and n = 240, m = 3 (R = 60-2 000); R = 2S,
+# 0.93 (n = 10, m = 2) to 1.24; R = 4S, 0.95-1.06 where S <= 21 (R = 44-84,
+# a few microseconds either way) and 1.05-1.50 above it at m >= 3, up to the
+# memory cap (n = 240, m = 3: 1.05; n = 37, m = 4: 1.12; n = 10, m = 4:
+# 1.30). At m = 2, n = 100-3 000 (107 to 3 rows per block), where the
+# estimate is a small share of a replicate, the totals read 0.94-1.08 and
+# the estimate stage itself 1.41-4.63 us per replicate by row dots against
+# 1.27-3.76 by the memo.
+MEMO_REPLICATES_PER_VECTOR = 4
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25; 2 when
 # counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
@@ -158,10 +176,11 @@ CUTS_MAX_M = 16
 # when records are kept, the counts as lists; they peaked at 22-32 bytes per
 # cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000),
 # planned as 48.
-# Also per worker, where blocks keep one, the estimate memo: a float64
-# estimate and a bool flag per code (memo_codes), 9 bytes; with the largest
-# memo the gate admits, 241**2 codes at n = 240, m = 3, about the size of the
-# block, a run's peak reached 0.91 of the plan.
+# Also per worker, where its longest range keeps one, the estimate memo: a
+# float64 estimate and a bool flag per code (memo_codes), 9 bytes; with the
+# largest memos the gate admits, 38**3 codes at n = 37, m = 4 and 241**2 at
+# n = 240, m = 3, each about the size of the block, runs of the fewest
+# replicates that keep them peaked at 0.76 and 0.66 of the plan.
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
 # per replicate while its 128-bit integers are assembled, planned as 512
 # (the jump path builds no such integers; its seed words and limbs take 160).
@@ -229,20 +248,37 @@ def block_rows(n: int, m: int) -> int:
     return max(1, min(SEED_CHUNK, BLOCK_BYTES // block_row_bytes(n, m)))
 
 
-def memo_codes(n: int, m: int) -> int:
-    """Entries of the estimate memo that :func:`run_block` keeps per range of
-    replicates of n respondents over m values: one per code, (n + 1)**(m - 1),
-    or 0 where it keeps none. A one-row block has no rows to share a count
-    vector with, and a memo larger than ``BLOCK_BYTES`` would more than double
-    a worker's block memory for count vectors a run mostly never draws."""
+def memo_codes(n: int, m: int, replicates: int) -> int:
+    """Entries of the estimate memo that :func:`run_block` keeps over a range
+    of ``replicates`` replicates of n respondents over m values: one per code,
+    (n + 1)**(m - 1), or 0 where it keeps none. It keeps none where a block
+    holds one row, which has no rows to share a count vector with; where the
+    range holds fewer than ``MEMO_REPLICATES_PER_VECTOR`` replicates per
+    possible count vector, C(n + m - 1, m - 1), so that most rows would fill
+    the memo rather than read it; or where the table would exceed
+    ``BLOCK_BYTES``."""
     if block_rows(n, m) == 1:
         return 0
-    codes = 1
-    for _ in range(m - 1):  # n + 1 >= 2, so this stops early at large m
+    codes = vectors = 1
+    for j in range(1, m):  # codes at least double, so this stops early at large m
         codes *= n + 1
-        if codes * BYTES_PER_MEMO_CODE > BLOCK_BYTES:
+        vectors = vectors * (n + j) // j  # C(n + j, j)
+        if (
+            codes * BYTES_PER_MEMO_CODE > BLOCK_BYTES
+            or vectors * MEMO_REPLICATES_PER_VECTOR > replicates
+        ):
             return 0
     return codes
+
+
+def replicate_ranges(replicates: int, workers: int) -> list[range]:
+    """The contiguous ranges of replicate indices that a run on ``workers``
+    threads hands out: all of them to one worker, or ``BLOCKS_PER_WORKER``
+    per worker."""
+    if workers == 1:
+        return [range(replicates)]
+    count = min(replicates, workers * BLOCKS_PER_WORKER)
+    return [range(k * replicates // count, (k + 1) * replicates // count) for k in range(count)]
 
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
@@ -253,12 +289,13 @@ def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates
     else:
         per_result = BYTES_PER_RESULT
     rows = block_rows(n, m)
+    longest = max(map(len, replicate_ranges(replicates, workers)))
     # the uniforms and scratch take every row of a block; the m-cell arrays
     # only the rows of replicates a batch holds
     per_worker = (
         block_row_bytes(n, 0) * rows
         + min(rows, replicates) * m * BYTES_PER_BLOCK_COUNT
-        + memo_codes(n, m) * BYTES_PER_MEMO_CODE
+        + memo_codes(n, m, longest) * BYTES_PER_MEMO_CODE
         + SEED_CHUNK * BYTES_PER_SEED
     )
     # the jump path's state table is one for all workers
@@ -544,9 +581,10 @@ def run_block(
     most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise, and
     estimated at once, row r's estimate being
     ``x @ ((counts[r] / n - q) / p)`` as in
-    :func:`~rrkit.estimation.estimate_mean`. Where blocks hold several rows
-    and the code space is small (:func:`memo_codes`), the range keeps a memo
-    and computes each distinct count vector's estimate once
+    :func:`~rrkit.estimation.estimate_mean`. Where blocks hold several rows,
+    the range holds several replicates per possible count vector and the
+    code space is small (:func:`memo_codes`), the range keeps a memo and
+    computes each distinct count vector's estimate once
     (:func:`_estimate_by_memo`). The range that holds replicate 0
     first replays it through :func:`simulate_survey` and
     :func:`~rrkit.estimation.estimate_mean`; the kernel must then reproduce
@@ -560,7 +598,7 @@ def run_block(
     # that their temporaries and the block never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
     table = _jump_table(n) if jump else None
-    memo = _estimate_memo(n, m)
+    memo = _estimate_memo(n, m, len(block))
     uniforms = np.empty((rows, 2 * n))
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
@@ -618,12 +656,14 @@ def _estimate_rows(config: SimulationConfig, block_counts: np.ndarray) -> list:
     return list(map(config.support.values_array.dot, raw))
 
 
-def _estimate_memo(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """An empty estimate memo over the :func:`memo_codes` count vectors of n
-    respondents over m values, or None where blocks keep none: the estimate
-    of each code, a flag per code set once its estimate is in, and the powers
-    of n + 1 that weigh the first m - 1 counts."""
-    codes = memo_codes(n, m)
+def _estimate_memo(
+    n: int, m: int, replicates: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """An empty estimate memo over the :func:`memo_codes` codes of a range of
+    ``replicates`` replicates of n respondents over m values, or None where
+    it keeps none: the estimate of each code, a flag per code set once its
+    estimate is in, and the powers of n + 1 that weigh the first m - 1 counts."""
+    codes = memo_codes(n, m, replicates)
     if not codes:
         return None
     powers = np.zeros(m, dtype=np.int64)
@@ -774,10 +814,8 @@ def run_replicates(config: SimulationConfig, keep_replicates: bool = False) -> S
     if workers == 1:
         run(range(R))
     else:
-        count = min(R, workers * BLOCKS_PER_WORKER)
-        blocks = [range(k * R // count, (k + 1) * R // count) for k in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, blocks):
+            for _ in pool.map(run, replicate_ranges(R, workers)):
                 pass
 
     p = config.device.p

@@ -236,7 +236,6 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
     planned = (
         simulation.block_rows(100, 3) * 100 * simulation.BYTES_PER_RESPONDENT
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
-        + 101**2 * simulation.BYTES_PER_MEMO_CODE
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
     )
@@ -700,14 +699,16 @@ def test_memoised_estimates_equal_the_per_row_dots(case, threads):
     and estimate_mean's, bit for bit."""
     config, jump, rows, seed_chunk = case
     n, m = config.n, config.support.m
+    # every range keeps a memo, however few replicates it holds
     with mock.patch.object(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else n - 1), \
-            mock.patch.object(simulation, "SEED_CHUNK", seed_chunk):
+            mock.patch.object(simulation, "SEED_CHUNK", seed_chunk), \
+            mock.patch.object(simulation, "MEMO_REPLICATES_PER_VECTOR", 0):
         block_bytes = rows * simulation.block_row_bytes(n, m)
         with mock.patch.object(simulation, "BLOCK_BYTES", block_bytes), \
                 mock.patch.dict(os.environ, {"RRKIT_THREADS": threads}):
             # a seed chunk of one replicate makes one-row blocks, which keep no memo
             memo = (n + 1) ** (m - 1) if seed_chunk > 1 else 0
-            assert simulation.memo_codes(n, m) == memo
+            assert simulation.memo_codes(n, m, 1) == memo
             summary = run_replicates(config, keep_replicates=True)
     counts = [r.counts for r in summary.records]
     got = np.array([r.mu_hat for r in summary.records])
@@ -738,39 +739,77 @@ def test_memo_hits_repeats_within_blocks_across_blocks_and_across_chunks(jump, m
 
 
 def _largest_memo_n(m):
-    """The most respondents at which blocks over m values keep a memo."""
+    """The most respondents at which blocks over m values keep a memo, in a
+    range of replicates as long as it takes."""
     n = 1
-    while simulation.memo_codes(n + 1, m):
+    while simulation.memo_codes(n + 1, m, 2**62):
         n += 1
     return n
 
 
-def test_each_estimate_path_runs_its_side_of_the_memo_gate(monkeypatch):
+def _count_vectors(n, m):
+    return math.comb(n + m - 1, m - 1)
+
+
+def test_memo_gate_weighs_replicates_per_count_vector_rows_and_bytes():
+    per_vector = simulation.MEMO_REPLICATES_PER_VECTOR
+    # mc_small_n: 286 count vectors, so 2 000 replicates keep a memo
+    assert simulation.memo_codes(10, 4, 2000) == 11**3
+    for n, m in ((1, 2), (10, 3), (10, 4), (8, 5), (3, 8)):
+        fewest = per_vector * _count_vectors(n, m)
+        assert simulation.memo_codes(n, m, fewest) == (n + 1) ** (m - 1)
+        assert simulation.memo_codes(n, m, fewest - 1) == 0
+    # the table's bytes cap the code space, however many replicates a range holds
+    top3, top4 = _largest_memo_n(3), _largest_memo_n(4)
+    assert (top3, top4) == (240, 37)
+    assert simulation.memo_codes(top3, 3, per_vector * _count_vectors(top3, 3)) == 241**2
+    assert 241**2 * simulation.BYTES_PER_MEMO_CODE <= simulation.BLOCK_BYTES
+    for n, m in ((top3 + 1, 3), (top4 + 1, 4), (10, 1000), (1, 1000)):
+        assert simulation.block_rows(n, m) > 1 and simulation.memo_codes(n, m, 2**62) == 0
+    # a block of one row keeps none
+    two_rows = _first_one_row_n(2) - 1
+    assert simulation.memo_codes(two_rows, 2, 2**62) == two_rows + 1
+    assert simulation.memo_codes(two_rows + 1, 2, 2**62) == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_estimate_path_runs_its_side_of_the_memo_gate(threads, monkeypatch):
+    """A range of MEMO_REPLICATES_PER_VECTOR replicates per count vector
+    estimates through the memo, one a replicate short by a dot per row, and
+    the plan counts a memo per worker exactly where the ranges keep one."""
     def refuse(*args):
         raise AssertionError("estimated on the wrong path")
 
-    top3, top4 = _largest_memo_n(3), _largest_memo_n(4)
-    assert (top3, top4) == (240, 37)
-    assert simulation.memo_codes(top3, 3) * simulation.BYTES_PER_MEMO_CODE <= simulation.BLOCK_BYTES
-    # code spaces past BLOCK_BYTES keep no memo in blocks of several rows
-    for n, m in ((top3 + 1, 3), (top4 + 1, 4), (10, 1000)):
-        assert simulation.block_rows(n, m) > 1 and simulation.memo_codes(n, m) == 0
-    two_rows = _first_one_row_n(2) - 1  # the last n of two-row blocks at m = 2
-    assert simulation.memo_codes(two_rows, 2) == two_rows + 1
-    for m, n, memo in (
-        (3, top3, True), (3, top3 + 1, False), (4, top4, True), (4, top4 + 1, False),
-        (2, two_rows, True), (2, two_rows + 1, False),
-    ):
-        config = dataclasses.replace(
-            _one_row_config(m, 0.3, _zeros_every_third(m)), n=n, replicates=120, seed=4
+    n, m, workers = 10, 3, int(threads)
+    ranges = len(simulation.replicate_ranges(10**6, workers))
+    fewest = simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m)
+    memo_run, plain_run = ranges * fewest, ranges * (fewest - 1)
+    for replicates, memo in ((memo_run, True), (plain_run, False)):
+        lengths = {len(r) for r in simulation.replicate_ranges(replicates, workers)}
+        assert lengths == {fewest if memo else fewest - 1}
+        config = SimulationConfig(
+            support=SupportSpec(values=(-2.0, 0.5, 7.0), stigma=(True,) * 3),
+            population=PopulationModel(pi=(0.2, 0.5, 0.3)),
+            device=Device(p=0.3, m=m),
+            n=n,
+            replicates=replicates,
+            seed=4,
         )
         with monkeypatch.context() as patch:
+            patch.setenv("RRKIT_THREADS", threads)
             if memo:
-                _assert_memo_matches_row_dots(config, patch)
+                memo_calls, _ = _spy_memo(patch)
+                summary = run_replicates(config, keep_replicates=True)
+                assert sum(map(len, memo_calls)) == replicates
             else:
                 patch.setattr(simulation, "_estimate_by_memo", refuse)
-                patch.setenv("RRKIT_THREADS", "1")
-                _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+                summary = run_replicates(config, keep_replicates=True)
+        _assert_records_match_stage_functions(summary, config)
+    planned = [simulation.planned_bytes(n, m, r, workers, False) for r in (memo_run, plain_run)]
+    assert planned[0] - planned[1] == (
+        workers * (n + 1) ** (m - 1) * simulation.BYTES_PER_MEMO_CODE
+        + ranges * simulation.BYTES_PER_RESULT
+    )
 
 
 @pytest.mark.parametrize("p", [1e-13, 0.5e-12, 1 - 1e-13, 1 - 0.5e-12])
@@ -910,9 +949,11 @@ def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replic
 
 
 def test_memory_plan_covers_the_traced_peak_at_the_largest_memo(monkeypatch):
-    # the memo of 241**2 codes at n = 240, m = 3 is about as large as the block
-    n, m = _largest_memo_n(3), 3
-    memo = simulation.memo_codes(n, m) * simulation.BYTES_PER_MEMO_CODE
+    # the memo of 38**3 codes at n = 37, m = 4, the most the gate admits at
+    # m = 4 (95% of m = 3's 241**2), is about as large as the block
+    n, m = _largest_memo_n(4), 4
+    replicates = simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m)
+    memo = simulation.memo_codes(n, m, replicates) * simulation.BYTES_PER_MEMO_CODE
     block = simulation.block_rows(n, m) * simulation.block_row_bytes(n, m)
     assert 0.9 * block < memo <= simulation.BLOCK_BYTES
     cfg = SimulationConfig(
@@ -920,7 +961,7 @@ def test_memory_plan_covers_the_traced_peak_at_the_largest_memo(monkeypatch):
         population=PopulationModel(pi=(1.0 / m,) * m),
         device=Device(p=0.3, m=m),
         n=n,
-        replicates=1000,
+        replicates=replicates,
         seed=2,
     )
     _assert_plan_covers_traced_peak(cfg, monkeypatch)
