@@ -16,8 +16,9 @@ from .model import (
     PrivacyPolicy,
     SupportSpec,
     ValidationError,
-    _as_finite_float,
-    _as_int,
+    _support_size,
+    _unit_interval,
+    _xi_below_c,
     validate_policy,
 )
 
@@ -25,20 +26,13 @@ DEFAULT_TABLE_MS = (3, 4, 5)
 DEFAULT_TABLE_XIS = (0.1, 0.2, 0.3, 0.4)
 
 
-def _check_xi(xi: float) -> float:
-    xi = _as_finite_float(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
-    if not 0.0 < xi < 1.0:
-        raise ValidationError("XI_OUT_OF_RANGE", f"xi must lie in (0,1), got {xi!r}")
-    return xi
-
-
 def p0_all_stigmatizing(m: int, xi: float) -> float:
     """Largest p with guaranteed prior/posterior gap at most xi, all values sensitive.
 
     Inverts the worst-case gap: p0 = 1 / (1 + (m/xi) * ((1-xi)/2)^2).
     """
-    m = _as_int(m, "BAD_SUPPORT", "m", 2)
-    xi = _check_xi(xi)
+    m = _support_size(m)
+    xi = _unit_interval(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
     return 1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2)
 
 
@@ -46,15 +40,10 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     """Largest p guaranteeing posterior non-stigmatizing mass at least xi, when
     the prior non-stigmatizing mass is at least c. Needs xi < c: randomization
     can only dilute the prior mass, never amplify it."""
-    m = _as_int(m, "BAD_SUPPORT", "m", 2)
-    xi = _check_xi(xi)
-    c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
-    if not 0.0 < c < 1.0:
-        raise ValidationError("C_OUT_OF_RANGE", f"c must lie in (0,1), got {c!r}")
-    if xi >= c:
-        raise ValidationError(
-            "XI_GE_C", f"required posterior mass xi={xi} must be below the prior floor c={c}"
-        )
+    m = _support_size(m)
+    xi = _unit_interval(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
+    c = _unit_interval(c, "C_OUT_OF_RANGE", "prior mass bound c")
+    _xi_below_c(xi, c)
     a = (c - xi) / m
     return a / (a + xi * (1.0 - c))
 
@@ -141,10 +130,11 @@ def p0_table(
     xis: tuple[float, ...] = DEFAULT_TABLE_XIS,
 ) -> DesignTable:
     """All-stigmatizing p0 over a grid, rounded to 4 decimals for display."""
-    ms = tuple(_as_int(m, "BAD_SUPPORT", "m", 2) for m in ms)
-    xis = tuple(float(x) for x in xis)
+    ms = tuple(_support_size(m) for m in ms)
+    xis = tuple(xis)
     if not ms or not xis:
         raise ValidationError("BAD_GRID", "table needs at least one m and one xi")
+    xis = tuple(_unit_interval(xi, "XI_OUT_OF_RANGE", "privacy threshold xi") for xi in xis)
     rows = tuple(
         tuple(round(p0_all_stigmatizing(m, xi), 4) for xi in xis) for m in ms
     )

@@ -23,9 +23,9 @@ from .model import (
     PopulationModel,
     ResponseSample,
     SupportSpec,
-    _as_int,
     _require_finite,
     _require_same_m,
+    _sample_size,
 )
 
 RAW_OUT_OF_RANGE = "RAW_OUT_OF_RANGE"
@@ -94,7 +94,7 @@ def variance_mean_theoretical(
     sign: that is what equality with the exact multinomial variance requires,
     and the oracle suite pins it.
     """
-    _require_n(n)
+    n = _sample_size(n)
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, population.m)
     p = device.p
@@ -120,7 +120,7 @@ def total_variance_proportions_theoretical(
     term is subtracted, which is what equality with
     (1/(n p^2)) * sum(lambda_i (1 - lambda_i)) requires (oracle-pinned).
     """
-    _require_n(n)
+    n = _sample_size(n)
     _require_same_m(device.m, population.m)
     inv_p2 = 1.0 / (device.p * device.p)
     sum_sq = float(population.pi_array @ population.pi_array)
@@ -151,7 +151,3 @@ def _quotient(numerator: float, denominator: float, what: str, p: float) -> floa
     """numerator / denominator, refused unless finite; the n * p * p
     denominators of the variances underflow to 0 when p is near 0."""
     return _require_finite(numerator / denominator if denominator else math.inf, what, p)
-
-
-def _require_n(n: int) -> None:
-    _as_int(n, "BAD_N", "sample size", 1)

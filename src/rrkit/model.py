@@ -72,6 +72,58 @@ def _as_int(value, code: str, what: str, minimum: int) -> int:
     return int(value)
 
 
+# --- one rule per domain input -----------------------------------------------
+
+
+def _unit_interval(value, code: str, what: str) -> float:
+    """A number strictly between 0 and 1 as a Python float, by the rule of
+    ``_as_finite_float``: the device parameter p, the threshold xi and the
+    prior floor c, each refused with its own code."""
+    out = _as_finite_float(value, code, what)
+    if not 0.0 < out < 1.0:
+        raise ValidationError(code, f"{what} must lie in (0, 1), got {out!r}")
+    return out
+
+
+def _xi_below_c(xi: float, c: float) -> None:
+    """Subset mode's standing assumption: a posterior floor xi at or above the
+    prior floor c cannot be met, since randomization only dilutes prior mass."""
+    if xi >= c:
+        raise ValidationError("XI_GE_C", f"xi ({xi!r}) must be strictly below c ({c!r})")
+
+
+def _index_set(indices, m: int | None = None) -> tuple[int, ...]:
+    """The non-stigmatizing index set, sorted: a non-empty collection of
+    distinct integers >= 0 under ``_as_int``. Given the support size m, every
+    index must lie below m and at least one value must be left stigmatizing."""
+    try:
+        items = iter(indices)
+    except TypeError:
+        raise ValidationError(
+            "BAD_NONSTIG_SET", f"subset mode needs a collection of indices, got {indices!r}"
+        ) from None
+    out = sorted(_as_int(i, "BAD_NONSTIG_SET", "non-stigmatizing index", 0) for i in items)
+    if not out:
+        raise ValidationError("BAD_NONSTIG_SET", "subset mode needs a non-empty index set")
+    if len(set(out)) != len(out):
+        raise ValidationError("BAD_NONSTIG_SET", f"duplicate indices in {out}")
+    if m is not None and out[-1] >= m:
+        raise ValidationError("BAD_NONSTIG_SET", f"indices {tuple(out)} out of range for m={m}")
+    if m is not None and len(out) >= m:
+        raise ValidationError("BAD_NONSTIG_SET", "every value is non-stigmatizing; beta is undefined")
+    return tuple(out)
+
+
+def _sample_size(n) -> int:
+    """The number of respondents n, at least 1."""
+    return _as_int(n, "BAD_N", "sample size", 1)
+
+
+def _support_size(m) -> int:
+    """The number of support values m, at least 2."""
+    return _as_int(m, "BAD_SUPPORT", "support size m", 2)
+
+
 def _as_stigma_flag(value) -> bool:
     """A bool, or numpy's bool as a bool; no other type is a stigma flag."""
     if type(value) is bool:
@@ -328,12 +380,8 @@ class Device:
     m: int
 
     def __post_init__(self):
-        p = _as_finite_float(self.p, "BAD_DEVICE_P", "device parameter p")
-        if not 0.0 < p < 1.0:
-            raise ValidationError(
-                "BAD_DEVICE_P", f"device parameter must satisfy 0 < p < 1, got {p!r}"
-            )
-        object.__setattr__(self, "m", _as_int(self.m, "BAD_SUPPORT", "device support size", 2))
+        p = _unit_interval(self.p, "BAD_DEVICE_P", "device parameter p")
+        object.__setattr__(self, "m", _support_size(self.m))
         object.__setattr__(self, "p", p)
 
     @property
@@ -389,9 +437,7 @@ class PrivacyPolicy:
     def __post_init__(self):
         if not isinstance(self.mode, PolicyMode):
             raise ValidationError("BAD_POLICY", f"unknown policy mode {self.mode!r}")
-        xi = _as_finite_float(self.xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
-        if not 0.0 < xi < 1.0:
-            raise ValidationError("XI_OUT_OF_RANGE", f"xi must lie in (0,1), got {xi!r}")
+        xi = _unit_interval(self.xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
         object.__setattr__(self, "xi", xi)
 
         if self.mode is PolicyMode.ALL_STIGMATIZING:
@@ -401,24 +447,10 @@ class PrivacyPolicy:
                 )
             return
 
-        c = _as_finite_float(self.c, "C_OUT_OF_RANGE", "prior mass bound c")
-        if not 0.0 < c < 1.0:
-            raise ValidationError("C_OUT_OF_RANGE", f"c must lie in (0,1), got {c!r}")
-        if xi >= c:
-            # the standing assumption for subset mode: demanding a posterior
-            # floor above the prior floor is not achievable
-            raise ValidationError("XI_GE_C", f"xi ({xi!r}) must be strictly below c ({c!r})")
+        c = _unit_interval(self.c, "C_OUT_OF_RANGE", "prior mass bound c")
+        _xi_below_c(xi, c)
         object.__setattr__(self, "c", c)
-
-        if not self.nonstigmatizing:
-            raise ValidationError("BAD_NONSTIG_SET", "subset mode needs a non-empty index set")
-        indices = [
-            _as_int(idx, "BAD_NONSTIG_SET", "non-stigmatizing index", 0)
-            for idx in self.nonstigmatizing
-        ]
-        if len(set(indices)) != len(indices):
-            raise ValidationError("BAD_NONSTIG_SET", f"duplicate indices in {indices}")
-        object.__setattr__(self, "nonstigmatizing", tuple(sorted(indices)))
+        object.__setattr__(self, "nonstigmatizing", _index_set(self.nonstigmatizing))
 
     @property
     def t(self) -> int | None:

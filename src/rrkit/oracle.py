@@ -8,7 +8,7 @@ computational path than the production modules:
 * worst cases via brute-force search over a simplex grid.
 
 To keep these checks honest this module must not call into the estimation or
-privacy modules; it shares only the plain data types.
+privacy modules; it shares only the plain data types and their input rules.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     ValidationError,
     _as_finite_float,
     _require_same_m,
+    _sample_size,
 )
 
 # enumeration work grows like (n+1)^(m-1); refuse anything bigger than this
@@ -45,21 +46,23 @@ def bayes_posterior_oracle(device: Device, population: PopulationModel) -> np.nd
     materialized explicitly and the joint is divided by its column sums, so no
     simplified posterior expression is involved.
     """
-    _require_same_m(device.m, population.m)
-    m, p = device.m, device.p
-    kernel = np.full((m, m), (1.0 - p) / m)
-    np.fill_diagonal(kernel, p + (1.0 - p) / m)
-    joint = population.pi_array[:, None] * kernel
+    joint = _joint_table(device, population)
     return joint / joint.sum(axis=0, keepdims=True)
 
 
 def response_distribution_oracle(device: Device, population: PopulationModel) -> np.ndarray:
     """Response marginal from the explicit joint table (column sums)."""
+    return _joint_table(device, population).sum(axis=0)
+
+
+def _joint_table(device: Device, population: PopulationModel) -> np.ndarray:
+    """Joint table: entry [i, j] is Prob(true = x_i, response = x_j), the
+    population times the explicit (m, m) device kernel."""
     _require_same_m(device.m, population.m)
     m, p = device.m, device.p
     kernel = np.full((m, m), (1.0 - p) / m)
     np.fill_diagonal(kernel, p + (1.0 - p) / m)
-    return (population.pi_array[:, None] * kernel).sum(axis=0)
+    return population.pi_array[:, None] * kernel
 
 
 def multinomial_variance_oracle(
@@ -83,8 +86,7 @@ def multinomial_variance_oracle(
     For small problems the result is additionally cross-checked against a full
     enumeration of count vectors.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("BAD_N", f"sample size must be a positive integer, got {n!r}")
+    n = _sample_size(n)
     x = np.asarray(values, dtype=float)
     _require_same_m(device.m, x.size)
     _require_same_m(device.m, population.m)
@@ -128,8 +130,7 @@ def enumeration_distribution(
     """Exact multinomial pmf as (count vector, probability) pairs."""
     probs = np.asarray(probs, dtype=float)
     m = probs.size
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("BAD_N", f"sample size must be a positive integer, got {n!r}")
+    n = _sample_size(n)
     if (n + 1) ** (m - 1) > MAX_ENUMERATION_POINTS:
         raise ValidationError(
             "BAD_N", f"enumeration of n={n}, m={m} exceeds {MAX_ENUMERATION_POINTS} points"

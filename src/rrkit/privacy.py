@@ -28,10 +28,9 @@ from .model import (
     PolicyMode,
     PopulationModel,
     PrivacyPolicy,
-    ValidationError,
-    _as_finite_float,
-    _as_int,
+    _index_set,
     _require_same_m,
+    _unit_interval,
     validate_population_rows,
 )
 
@@ -82,7 +81,7 @@ def alpha_values(device: Device, pis) -> np.ndarray:
 def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.ndarray:
     """beta for each population of a (K, m) batch, as a (K,) array; the batch
     form of :func:`beta_measure`."""
-    indices = _nonstigmatizing_indices(device, nonstigmatizing)
+    indices = _index_set(nonstigmatizing, device.m)
     columns = _population_columns(device, pis)
     beta, _ = _beta_core(_posteriors(device, columns), indices)
     return beta
@@ -99,7 +98,7 @@ def beta_measure(
     device: Device, population: PopulationModel, nonstigmatizing: tuple[int, ...]
 ) -> BetaResult:
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
-    indices = _nonstigmatizing_indices(device, nonstigmatizing)
+    indices = _index_set(nonstigmatizing, device.m)
     _require_same_m(device.m, population.m)
     return _beta_result(_posteriors(device, population.pi_array[:, None]), indices)
 
@@ -150,9 +149,10 @@ def _alpha_core(
     return alpha, gaps
 
 
-def _beta_core(posteriors: np.ndarray, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _beta_core(posteriors: np.ndarray, indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """beta (K,) and the non-stigmatizing posterior mass per response (m, K) of a batch."""
-    mass = posteriors[indices].sum(axis=0)
+    # a list selects rows; a tuple would index one axis per entry
+    mass = posteriors[list(indices)].sum(axis=0)
     return mass.min(axis=0), mass
 
 
@@ -166,7 +166,7 @@ def _alpha_result(device: Device, columns: np.ndarray, posteriors: np.ndarray) -
     return AlphaResult(alpha=alpha, argmax=argmax, gaps=gaps)
 
 
-def _beta_result(posteriors: np.ndarray, indices: list[int]) -> BetaResult:
+def _beta_result(posteriors: np.ndarray, indices: tuple[int, ...]) -> BetaResult:
     """The BetaResult of a batch holding one population."""
     beta, mass = _beta_core(posteriors, indices)
     beta, mass = float(beta[0]), mass[:, 0]
@@ -174,23 +174,6 @@ def _beta_result(posteriors: np.ndarray, indices: list[int]) -> BetaResult:
     threshold = beta + TIE_RTOL * max(beta, 1.0)
     argmin = tuple(int(j) for j in np.flatnonzero(mass <= threshold))
     return BetaResult(beta=beta, argmin=argmin, mass_by_response=mass)
-
-
-def _nonstigmatizing_indices(device: Device, nonstigmatizing: tuple[int, ...]) -> list[int]:
-    indices = sorted(
-        {_as_int(i, "BAD_NONSTIG_SET", "non-stigmatizing index", 0) for i in nonstigmatizing}
-    )
-    if not indices:
-        raise ValidationError("BAD_NONSTIG_SET", "non-stigmatizing index set is empty")
-    if any(i >= device.m for i in indices):
-        raise ValidationError(
-            "BAD_NONSTIG_SET", f"indices {tuple(indices)} out of range for m={device.m}"
-        )
-    if len(indices) >= device.m:
-        raise ValidationError(
-            "BAD_NONSTIG_SET", "every value is non-stigmatizing; beta is undefined"
-        )
-    return indices
 
 
 def guaranteed_alpha_bound(device: Device) -> float:
@@ -206,9 +189,7 @@ def guaranteed_alpha_bound(device: Device) -> float:
 def guaranteed_beta_bound(device: Device, c: float) -> float:
     """Largest threshold xi* such that beta >= xi* for every population whose
     non-stigmatizing mass is at least c."""
-    c = _as_finite_float(c, "C_OUT_OF_RANGE", "prior mass bound c")
-    if not 0.0 < c < 1.0:
-        raise ValidationError("C_OUT_OF_RANGE", f"c must lie in (0,1), got {c!r}")
+    c = _unit_interval(c, "C_OUT_OF_RANGE", "prior mass bound c")
     return c / (1.0 + device.m * device.p * (1.0 - c) / (1.0 - device.p))
 
 
@@ -265,9 +246,7 @@ def privacy_report(
             alpha=result.alpha,
             alpha_argmax=result.argmax,
         )
-    if nonstigmatizing is None:
-        raise ValidationError("BAD_NONSTIG_SET", "subset mode needs the non-stigmatizing indices")
-    result = _beta_result(posteriors, _nonstigmatizing_indices(device, nonstigmatizing))
+    result = _beta_result(posteriors, _index_set(nonstigmatizing, device.m))
     bound = None if c is None else guaranteed_beta_bound(device, c)
     return PrivacyReport(
         mode=mode,

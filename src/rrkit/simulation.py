@@ -105,6 +105,7 @@ from .model import (
     _as_int,
     _require_finite,
     _require_same_m,
+    _sample_size,
 )
 
 THREADS_ENV_VAR = "RRKIT_THREADS"
@@ -330,7 +331,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _require_same_m(self.support.m, self.population.m)
         _require_same_m(self.support.m, self.device.m)
-        object.__setattr__(self, "n", _as_int(self.n, "BAD_N", "sample size", 1))
+        object.__setattr__(self, "n", _sample_size(self.n))
         object.__setattr__(
             self, "replicates", _as_int(self.replicates, "BAD_REPLICATES", "replicates", 1)
         )

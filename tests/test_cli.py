@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: outputs, exit codes, structured errors, determinism."""
 
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -568,3 +570,31 @@ def test_unknown_flag_is_bad_args(capsys):
     code, _, err = run(capsys, "table", "--bogus")
     assert code == 2
     assert stderr_code(err) == "BAD_ARGS"
+
+
+def test_readme_error_table_lists_every_code_the_source_can_return():
+    # a code reaches a user as a literal given to ValidationError or to a
+    # validator that raises it (_as_int, _unit_interval, ...), or as the
+    # "code" of an error the CLI builds itself
+    shape = re.compile(r"[A-Z]+(?:_[A-Z]+)+")
+    src = pathlib.Path(cli.__file__).parent
+    codes, literal = set(), set()
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        literal.update(re.findall(r'ValidationError\(\s*"([A-Z_]+)"', text))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                found = node.args
+            elif isinstance(node, ast.Dict):
+                found = [v for k, v in zip(node.keys, node.values) if getattr(k, "value", None) == "code"]
+            else:
+                continue
+            codes.update(
+                c.value for c in found
+                if isinstance(c, ast.Constant) and isinstance(c.value, str) and shape.fullmatch(c.value)
+            )
+    assert literal and literal <= codes
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\| `([A-Z_]+)` \| \d \|", readme, flags=re.MULTILINE))
+    assert sorted(codes - documented) == []
+    assert sorted(documented - codes) == []

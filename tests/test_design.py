@@ -210,11 +210,12 @@ def test_design_accepts_numpy_real_scalars():
     assert p0_all_stigmatizing(3, np.float64(0.1)) == p0_all_stigmatizing(3, 0.1)
 
 
-@pytest.mark.parametrize("bad", [np.float32(1.5), np.float32(np.nan), "x", None])
+@pytest.mark.parametrize("bad", [np.float32(1.5), np.float32(np.nan), "x", "0.1", None])
 def test_design_rejects_bad_numpy_or_non_numeric_xi_and_c(bad):
-    with pytest.raises(ValidationError) as e:
-        p0_all_stigmatizing(3, bad)
-    assert e.value.code == "XI_OUT_OF_RANGE"
+    for call in (lambda: p0_all_stigmatizing(3, bad), lambda: p0_table((3,), (bad,))):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == "XI_OUT_OF_RANGE"
     with pytest.raises(ValidationError) as e:
         p0_nonstigmatizing(3, 0.1, bad)
     assert e.value.code == "C_OUT_OF_RANGE"

@@ -391,6 +391,16 @@ def test_policy_with_numpy_index_matches_its_survey():
     assert validate_policy(policy, support) is policy
 
 
+@pytest.mark.parametrize("indices, expected", [(np.array([0]), (0,)), (np.array([2, 0]), (0, 2))])
+def test_policy_takes_a_numpy_index_array(indices, expected):
+    # the policy once tested the array's truth value, refusing [0] and failing on [2, 0]
+    policy = PrivacyPolicy(
+        mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=0.3, nonstigmatizing=indices
+    )
+    assert policy.nonstigmatizing == expected
+    assert {type(i) for i in policy.nonstigmatizing} == {int}
+
+
 # --- one number rule: values, probabilities, p, xi and c --------------------
 
 FLOAT_FIELDS = {

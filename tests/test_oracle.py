@@ -104,6 +104,31 @@ def test_variance_oracle_rejects_bad_n():
     assert e.value.code == "BAD_N"
 
 
+N_ENTRY_POINTS = {
+    "enumeration_distribution": lambda n: enumeration_distribution(n, (0.2, 0.3, 0.5)),
+    "multinomial_variance_oracle": lambda n: multinomial_variance_oracle(
+        Device(p=0.6, m=3), (0.0, 1.0, 2.0), PopulationModel(pi=(0.2, 0.3, 0.5)), n
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(N_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_oracles_take_a_numpy_integer_n_as_an_int(entry, n):
+    # the sample-size rule of the estimators and SimulationConfig, which
+    # refused numpy integers here alone
+    call = N_ENTRY_POINTS[entry]
+    assert call(n) == call(3)
+
+
+@pytest.mark.parametrize("entry", sorted(N_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [0, -1, True, 3.0, np.float64(3.0), "3", None])
+def test_oracles_refuse_a_bad_n(entry, n):
+    with pytest.raises(ValidationError) as e:
+        N_ENTRY_POINTS[entry](n)
+    assert e.value.code == "BAD_N"
+
+
 def test_variance_oracle_is_shift_invariant():
     # a support far from 0 must not cancel the variance away, on the moment
     # form (n=100) and on the enumeration self-check path (n=3)

@@ -122,6 +122,28 @@ class TestBeta:
                 beta_measure(d, pop3, (index,))
             assert e.value.code == "BAD_NONSTIG_SET"
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda d, pop, idx: beta_measure(d, pop, idx),
+            lambda d, pop, idx: beta_values(d, [pop.pi], idx),
+            lambda d, pop, idx: privacy_report(
+                d, pop, mode=PolicyMode.NONSTIGMATIZING_SUBSET, nonstigmatizing=idx
+            ),
+            lambda d, pop, idx: PrivacyPolicy(
+                mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=0.3, nonstigmatizing=idx
+            ),
+        ],
+        ids=["beta_measure", "beta_values", "privacy_report", "PrivacyPolicy"],
+    )
+    @pytest.mark.parametrize("indices", [(0, 0), (1, np.int64(1)), None, 0, 1])
+    def test_every_entry_point_refuses_duplicates_and_non_collections(self, pop3, entry, indices):
+        # the measures once merged duplicates that the policy refused, and
+        # raised a bare TypeError on a set that is not a collection
+        with pytest.raises(ValidationError) as e:
+            entry(Device(p=0.5, m=3), pop3, indices)
+        assert e.value.code == "BAD_NONSTIG_SET"
+
     def test_multi_index_mass(self):
         # two non-stigmatizing values: beta bounds their combined posterior mass
         d = Device(p=0.3, m=4)
