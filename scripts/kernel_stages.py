@@ -4,39 +4,40 @@
     PYTHONPATH=src python scripts/kernel_stages.py [--n N] [--m M] [--replicates R] [--repeats K]
 
 Runs ``simulation.run_block`` over R replicates of n respondents over m values
-(uniform population, p = 0.3, seed 31) once with the estimate memo and once
-with a dot per row, alternating, and prints the microseconds per replicate of
-each path's stages, the best of K passes. The stages are the kernel's own
-functions, timed through wrappers set on the module for the pass:
+(uniform population, p = 0.3, seed 31) once reading the run's estimate table
+and once with a dot per row, alternating, and prints the microseconds per
+replicate of each path's stages, the best of K passes. The stages are the
+kernel's own functions, timed through wrappers set on the module for the pass:
 
+- fill: ``_estimate_table``, once per pass of the table path, as
+  ``run_replicates`` builds it before any block is drawn;
 - seeding: ``replicate_words`` on the jump path, ``replicate_states`` on the
   setter path;
 - uniforms: ``_jump_uniforms`` or ``_setter_uniforms``;
 - counting: ``_count_rows``, or ``_count_by_cuts`` for one-row blocks;
-- estimate: ``_estimate_by_memo``, and within it the fills (its calls of
-  ``_estimate_rows``, one dot per count vector it had not seen); or one dot
-  per row (``_estimate_rows``);
+- estimate: ``_estimate_by_table``, a gather per block; or one dot per row
+  (``_estimate_rows``);
 - rest: the rest of ``run_block`` (its allocations, the replay of replicate
   0, the loop);
 - reduce: the mean and variance of the estimates.
 
-The memo is kept whether or not ``simulation.memo_codes`` admits it at n and m
-(where a block holds one row there is none to share), so that both sides of
-its gate can be timed. Before timing, the script checks that both paths give
-the same estimates bit for bit, and replicate 0 ``estimation.estimate_mean``'s.
-Each wrapper adds a fraction of a microsecond per call to the stage it times.
+The table is built whether or not ``simulation.memo_codes`` admits it at R
+(only its cap on bytes holds), so that both sides of the gate can be timed.
+Before timing, the script checks that both paths give the same estimates bit
+for bit, and replicate 0 ``estimation.estimate_mean``'s. Each wrapper adds a
+fraction of a microsecond per call to the stage it times.
 """
 
 import argparse
 import contextlib
-import os
+import dataclasses
 import time
 
 import numpy as np
 
 from rrkit import Device, PopulationModel, SupportSpec, estimation, simulation
 
-STAGES = ("seeding", "uniforms", "counting", "estimate", "fills", "rest", "reduce")
+STAGES = ("fill", "seeding", "uniforms", "counting", "estimate", "rest", "reduce")
 # the kernel's functions, each timed as the stage it belongs to
 TIMED = {
     "replicate_words": "seeding",
@@ -45,7 +46,7 @@ TIMED = {
     "_setter_uniforms": "uniforms",
     "_count_rows": "counting",
     "_count_by_cuts": "counting",
-    "_estimate_by_memo": "estimate",
+    "_estimate_by_table": "estimate",
     "_estimate_rows": "estimate",
 }
 
@@ -61,47 +62,26 @@ def config_for(n, m, replicates):
     )
 
 
-@contextlib.contextmanager
-def estimate_path(n, m, memo):
-    """Make run_block keep an estimate memo over every code (memo) or none."""
-    saved = simulation.memo_codes
-    if memo:
-        simulation.memo_codes = lambda n, m, r: (n + 1) ** (m - 1) if simulation.block_rows(n, m) > 1 else 0
-    else:
-        simulation.memo_codes = lambda n, m, r: 0
-    try:
-        yield
-    finally:
-        simulation.memo_codes = saved
+def estimate_table(config):
+    """The run's estimate table, whatever the replicates per count vector;
+    None where the table would pass its cap on bytes."""
+    return simulation._estimate_table(dataclasses.replace(config, replicates=2**62))
 
 
 @contextlib.contextmanager
-def timed_stages(seconds, fills):
-    """Add each call's seconds to its stage in ``seconds``; count in
-    ``fills[0]`` the rows that the memo hands to ``_estimate_rows``, whose
-    time goes to "fills" as well as to "estimate"."""
+def timed_stages(seconds):
+    """Add each call's seconds to its stage in ``seconds``."""
     clock = time.perf_counter
-    in_memo = [False]
 
     def wrap(name, stage):
         inner = getattr(simulation, name)
 
         def timed(*args):
-            nested = name == "_estimate_rows" and in_memo[0]
-            if name == "_estimate_by_memo":
-                in_memo[0] = True
             start = clock()
             try:
                 return inner(*args)
             finally:
-                elapsed = clock() - start
-                if name == "_estimate_by_memo":
-                    in_memo[0] = False
-                if nested:
-                    seconds["fills"] += elapsed
-                    fills[0] += len(args[1])
-                else:
-                    seconds[stage] += elapsed
+                seconds[stage] += clock() - start
 
         return timed
 
@@ -115,75 +95,75 @@ def timed_stages(seconds, fills):
             setattr(simulation, name, inner)
 
 
-def timed_pass(config, memo):
-    """One run_block over every replicate; returns the seconds per stage, the
-    memo's fills and the estimates."""
-    seconds, fills = dict.fromkeys(STAGES, 0.0), [0]
+def timed_pass(config, table):
+    """The table's fill (where ``table``) and one run_block over every
+    replicate; returns the seconds per stage and the estimates."""
+    seconds = dict.fromkeys(STAGES, 0.0)
     mu_hats = np.empty(config.replicates)
-    with estimate_path(config.n, config.support.m, memo), timed_stages(seconds, fills):
+    estimates = None
+    if table:
         start = time.perf_counter()
-        simulation.run_block(config, range(config.replicates), mu_hats, None)
+        estimates = estimate_table(config)
+        seconds["fill"] = time.perf_counter() - start
+    with timed_stages(seconds):
+        start = time.perf_counter()
+        simulation.run_block(config, range(config.replicates), mu_hats, None, estimates)
         total = time.perf_counter() - start
     start = time.perf_counter()
     mu_hats.mean(), mu_hats.var(ddof=1)
     seconds["reduce"] = time.perf_counter() - start
     seconds["rest"] = total - sum(seconds[s] for s in ("seeding", "uniforms", "counting", "estimate"))
-    return seconds, fills[0], mu_hats
+    return seconds, mu_hats
 
 
 def check(config):
     """Both estimate paths must give the same estimates, and replicate 0
-    estimate_mean's, bit for bit."""
-    mu_hats = {}
-    for memo in (True, False):
-        with estimate_path(config.n, config.support.m, memo):
-            mu_hats[memo] = np.empty(config.replicates)
-            simulation.run_block(config, range(config.replicates), mu_hats[memo], None)
+    estimate_mean's, bit for bit; returns whether the table path exists at
+    this n and m."""
+    def run(estimates):
+        mu_hats = np.empty(config.replicates)
+        simulation.run_block(config, range(config.replicates), mu_hats, None, estimates)
+        return mu_hats
+
+    by_rows = run(None)
     expected = estimation.estimate_mean(
         simulation.simulate_survey(config, 0), config.device, config.support
     )
-    if mu_hats[False][0].hex() != expected.hex():
-        raise SystemExit(f"replicate 0: per-row dot {mu_hats[False][0]!r} vs estimate_mean {expected!r}")
-    if mu_hats[True].tobytes() != mu_hats[False].tobytes():
-        raise SystemExit(f"memoised estimates differ from the per-row dots at n={config.n}, m={config.support.m}")
+    if by_rows[0].hex() != expected.hex():
+        raise SystemExit(f"replicate 0: per-row dot {by_rows[0]!r} vs estimate_mean {expected!r}")
+    estimates = estimate_table(config)
+    if estimates is not None and run(estimates).tobytes() != by_rows.tobytes():
+        raise SystemExit(f"table estimates differ from the per-row dots at n={config.n}, m={config.support.m}")
+    return estimates is not None
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=10)
     parser.add_argument("--m", type=int, default=4)
     parser.add_argument("--replicates", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=20)
-    args = parser.parse_args()
-    os.environ["RRKIT_THREADS"] = "1"
+    args = parser.parse_args(argv)
     config = config_for(args.n, args.m, args.replicates)
     n, m, R = config.n, config.support.m, config.replicates
-    check(config)
-    paths = (True, False) if simulation.block_rows(n, m) > 1 else (False,)
-    best = {memo: dict.fromkeys(STAGES + ("total",), float("inf")) for memo in paths}
+    paths = (True, False) if check(config) else (False,)
+    best = {table: dict.fromkeys(STAGES + ("total",), float("inf")) for table in paths}
     for _ in range(args.repeats):
-        for memo in paths:
-            seconds, fills, _ = timed_pass(config, memo)
-            if memo:
-                memo_fills = fills
-            seconds["total"] = sum(seconds.values()) - seconds["fills"]
-            best[memo] = {name: min(best[memo][name], seconds[name]) for name in best[memo]}
+        for table in paths:
+            seconds, _ = timed_pass(config, table)
+            seconds["total"] = sum(seconds.values())
+            best[table] = {name: min(best[table][name], seconds[name]) for name in best[table]}
     rows = simulation.block_rows(n, m)
     path = "jump" if n <= simulation.JUMP_MAX_N else "setter"
     counter = "cuts" if rows == 1 and m <= simulation.CUTS_MAX_M else "bincount"
-    gate = "keeps a memo" if simulation.memo_codes(n, m, R) else "keeps no memo"
+    gate = "keeps a table" if simulation.memo_codes(n, m, R) else "keeps no table"
     print(f"n = {n}, m = {m}, R = {R}: {path} path, {counter}, block rows {rows}; the gate {gate}")
     if True in paths:
-        print(f"memo and row dots agree bit for bit; the memo filled {memo_fills} of {R} rows")
+        print("the table and the row dots agree bit for bit")
     print(f"us per replicate, best of {args.repeats} passes")
-    print(f"  {'stage':<10}" + "".join(f"{'memo' if memo else 'row dots':>10}" for memo in paths))
+    print(f"  {'stage':<10}" + "".join(f"{'table' if table else 'row dots':>10}" for table in paths))
     for name in STAGES + ("total",):
-        if name != "fills" or True in paths:
-            cells = "".join(
-                f"{best[memo][name] / R * 1e6:10.3f}" if memo or name != "fills" else f"{'':>10}"
-                for memo in paths
-            )
-            print(f"  {name:<10}{cells}")
+        print(f"  {name:<10}" + "".join(f"{best[table][name] / R * 1e6:10.3f}" for table in paths))
 
 
 if __name__ == "__main__":

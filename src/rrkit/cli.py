@@ -30,9 +30,9 @@ from .model import (
     PolicyMode,
     PrivacyPolicy,
     ResponseSample,
-    SupportSpec,
     SurveyDefinition,
     ValidationError,
+    _support_size,
     load_survey,
 )
 
@@ -102,13 +102,13 @@ def cmd_design(args) -> int:
         survey = load_survey(args.survey)
         if survey.policy is None:
             raise ValidationError("BAD_SURVEY", "survey definition has no 'privacy' policy to design for")
-        support, policy = survey.support, survey.policy
+        _, certificate = design_mod.design_device(survey.policy, survey.support)
     elif args.m is not None and args.xi is not None:
-        support = SupportSpec(values=tuple(float(i) for i in range(args.m)), stigma=(True,) * args.m)
+        m = _support_size(args.m)  # a bad m is reported before a bad xi
         policy = PrivacyPolicy(mode=PolicyMode.ALL_STIGMATIZING, xi=args.xi)
+        certificate = design_mod.design_certificate(policy, m)
     else:
         raise ValidationError("BAD_ARGS", "design needs --survey, or --m together with --xi")
-    _, certificate = design_mod.design_device(policy, support)
     _emit_json(certificate.to_json_dict(), args.out)
     return EXIT_OK
 

@@ -75,30 +75,33 @@ class DesignCertificate:
 def design_device(policy: PrivacyPolicy, support: SupportSpec) -> tuple[Device, DesignCertificate]:
     """Most efficient device meeting ``policy`` on ``support``, with its certificate."""
     validate_policy(policy, support)
-    m = support.m
+    cert = design_certificate(policy, support.m)
+    return Device(p=cert.p0, m=cert.m), cert
+
+
+def design_certificate(policy: PrivacyPolicy, m: int) -> DesignCertificate:
+    """The certificate of the most efficient device meeting ``policy`` over m
+    values, from m and the policy alone: p0 reads no support value, and
+    :func:`design_device` checks the policy against a support's stigma flags."""
+    m = _support_size(m)
     if policy.mode is PolicyMode.ALL_STIGMATIZING:
         p0 = p0_all_stigmatizing(m, policy.xi)
         statement = (
             f"For every population on {m} values, no response shifts any posterior "
             f"probability by more than {policy.xi:g} from its prior at p = {p0:.6f}."
         )
-        cert = DesignCertificate(
-            p0=p0, mode=policy.mode, xi=policy.xi, m=m, c=None, t=0,
-            guarantee_statement=statement,
-        )
     else:
         p0 = p0_nonstigmatizing(m, policy.xi, policy.c)
-        t = policy.t
         statement = (
             f"For every population on {m} values with at least {policy.c:g} prior mass on "
-            f"the {t} non-stigmatizing value(s), every response leaves posterior "
+            f"the {policy.t} non-stigmatizing value(s), every response leaves posterior "
             f"non-stigmatizing mass at least {policy.xi:g} at p = {p0:.6f}."
         )
-        cert = DesignCertificate(
-            p0=p0, mode=policy.mode, xi=policy.xi, m=m, c=policy.c, t=t,
-            guarantee_statement=statement,
-        )
-    return Device(p=p0, m=m), cert
+    # all-stigmatizing policies have no c and no index set
+    return DesignCertificate(
+        p0=p0, mode=policy.mode, xi=policy.xi, m=m, c=policy.c, t=policy.t or 0,
+        guarantee_statement=statement,
+    )
 
 
 @dataclass(frozen=True)

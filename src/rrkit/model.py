@@ -120,8 +120,12 @@ def _sample_size(n) -> int:
 
 
 def _support_size(m) -> int:
-    """The number of support values m, at least 2."""
-    return _as_int(m, "BAD_SUPPORT", "support size m", 2)
+    """The number of support values m, from 2 to 2**53, the largest m that
+    the closed forms, which take m as a float, hold exactly."""
+    m = _as_int(m, "BAD_SUPPORT", "support size m", 2)
+    if m > 2**53:
+        raise ValidationError("BAD_SUPPORT", f"support size m must be at most 2**53, got {m.bit_length()} bits")
+    return m
 
 
 def _as_stigma_flag(value) -> bool:

@@ -52,22 +52,18 @@ count is the difference of two such numbers: exactly the bincount's counts.
 Its cost grows as O(m n), so larger m, and multi-row blocks, where one
 bincount over all rows beats a count per row, keep the index arrays.
 
-The estimate memo: an estimate reads only its replicate's counts, which are
-Multinomial(n, lambda), so a run at small n draws the same count vectors
-again and again (at n = 10, m = 4 there are 286, and 2 000 replicates drew
-about 200 distinct ones). Where a block holds several rows, the range holds
-at least ``MEMO_REPLICATES_PER_VECTOR`` replicates per possible count vector
-and its (n + 1)**(m - 1) codes fit a table of at most ``BLOCK_BYTES``
-(:func:`memo_codes`), a range keeps one, indexed by each row's code: its
-first m - 1 counts as digits in base n + 1. The first row of a code is
-estimated by the same 1-D dot as before, into the table; every row of a
-block then takes its estimate from the table in one gather, so each keeps
-its bits. A fill costs more than a dot per row, so fewer replicates per
-vector, where most rows fill, would make the memo slower. On 2 vCPUs at
-n = 10, m = 4, R = 2 000 the estimate took 0.51 us per replicate as a dot
-per row and 0.18 through the memo (207 fills, taking 0.08), against 0.09 for
-seeding, 0.42 for the uniforms and 0.20 for counting
-(scripts/kernel_stages.py).
+The estimate table: an estimate reads only its replicate's counts, which are
+Multinomial(n, lambda), so they take at most C(n + m - 1, m - 1) values (286
+at n = 10, m = 4). Where a run holds at least ``MEMO_REPLICATES_PER_VECTOR``
+replicates per possible count vector and a float64 per code fits
+``BLOCK_BYTES`` (:func:`memo_codes`), :func:`run_replicates` estimates every
+count vector once, before any block is drawn, by the same 1-D dot as a row
+of a block, into one table indexed by code: the first m - 1 counts as digits
+in base n + 1 (:func:`_estimate_table`). Codes whose digits sum past n hold
+NaN, so a stray read ends the run ``NONFINITE_RESULT``. The workers share the
+table read-only, and a block's estimates are one gather, so each keeps its
+bits. The fill costs about a dot per vector, so fewer replicates per vector
+would spend more on the fill than the gathers save.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -81,13 +77,15 @@ hands out contiguous blocks of replicate indices, ``BLOCKS_PER_WORKER`` per
 worker, and each block is drawn through a generator of its own.
 
 Before anything is allocated, a run is refused with ``RESOURCE_LIMIT`` when
-its per-worker block, estimate memo and seed table, plus its per-replicate
-results, would exceed ``MEMORY_BUDGET_BYTES``.
+its per-worker block and seed table, its jump and estimate tables, plus its
+per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -149,20 +147,18 @@ JUMP_MAX_N = 70
 # win at every n.
 CUTS_MAX_M = 16
 # Fewest replicates per possible count vector, C(n + m - 1, m - 1), at which
-# a range of replicates keeps an estimate memo (memo_codes). A fill costs
-# more than the dot it stands for (the memo's gathers, its np.unique, a dot
-# over fewer rows), so the memo pays only where most rows read it. Serial
-# run_block on 2 vCPUs, time by a dot per row over time by the memo, at R
-# replicates and S count vectors (scripts/kernel_stages.py): R < S,
-# 0.78-0.97 at n = 37, m = 4 and n = 240, m = 3 (R = 60-2 000); R = 2S,
-# 0.93 (n = 10, m = 2) to 1.24; R = 4S, 0.95-1.06 where S <= 21 (R = 44-84,
-# a few microseconds either way) and 1.05-1.50 above it at m >= 3, up to the
-# memory cap (n = 240, m = 3: 1.05; n = 37, m = 4: 1.12; n = 10, m = 4:
-# 1.30). At m = 2, n = 100-3 000 (107 to 3 rows per block), where the
-# estimate is a small share of a replicate, the totals read 0.94-1.08 and
-# the estimate stage itself 1.41-4.63 us per replicate by row dots against
-# 1.27-3.76 by the memo.
-MEMO_REPLICATES_PER_VECTOR = 4
+# a run keeps an estimate table (memo_codes). The fill costs a dot per vector
+# (about 1 us, plus 20 us once) and each replicate read from the table saves
+# most of a dot. Serial run_block on 2 vCPUs, time by a dot per row over time
+# by the table with its fill, at R replicates and S count vectors over 15
+# (n, m) from (1, 2) to (255, 3), (3, 8) and (3 000, 2)
+# (scripts/kernel_stages.py): R = S, 0.74-1.03; R = 2S, 0.89-1.08; R = 3S,
+# 1.03-1.27 wherever S >= 66 but one noisy 0.90 (n = 39, m = 4), the
+# estimate stage with its fill taking 0.43-1.11 us per replicate against
+# 0.59-3.77 by row dots at every such shape; R = 4S, 1.02-1.44. Where
+# S <= 11 the fixed cost lost 4-11% at each of these R, a few microseconds
+# in runs of tens.
+MEMO_REPLICATES_PER_VECTOR = 3
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25; 2 when
 # counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
@@ -177,11 +173,12 @@ MEMO_REPLICATES_PER_VECTOR = 4
 # when records are kept, the counts as lists; they peaked at 22-32 bytes per
 # cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000),
 # planned as 48.
-# Also per worker, where its longest range keeps one, the estimate memo: a
-# float64 estimate and a bool flag per code (memo_codes), 9 bytes; with the
-# largest memos the gate admits, 38**3 codes at n = 37, m = 4 and 241**2 at
-# n = 240, m = 3, each about the size of the block, runs of the fewest
-# replicates that keep them peaked at 0.76 and 0.66 of the plan.
+# Once per run, where it keeps one, the estimate table: a float64 per code
+# (memo_codes), 8 bytes. Its fill, done before any block exists, holds the
+# stars-and-bars enumeration of the C(n + m - 1, m - 1) count vectors and
+# estimates them as one block of m-cell rows, planned as such: alone under
+# tracemalloc it peaked at 24-33 bytes per cell past the table (n = 1-65 535,
+# m = 2-17, each at the table's cap, and n = 10, m = 4).
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
 # per replicate while its 128-bit integers are assembled, planned as 512
 # (the jump path builds no such integers; its seed words and limbs take 160).
@@ -194,7 +191,7 @@ BYTES_PER_RESPONDENT = 48
 BYTES_PER_JUMP_RESPONDENT = 112
 BYTES_PER_JUMP_TABLE_RESPONDENT = 16 * 8 * 8
 BYTES_PER_BLOCK_COUNT = 48
-BYTES_PER_MEMO_CODE = 9
+BYTES_PER_MEMO_CODE = 8
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
 BYTES_PER_KEPT_RESULT = 512
@@ -250,16 +247,12 @@ def block_rows(n: int, m: int) -> int:
 
 
 def memo_codes(n: int, m: int, replicates: int) -> int:
-    """Entries of the estimate memo that :func:`run_block` keeps over a range
-    of ``replicates`` replicates of n respondents over m values: one per code,
-    (n + 1)**(m - 1), or 0 where it keeps none. It keeps none where a block
-    holds one row, which has no rows to share a count vector with; where the
-    range holds fewer than ``MEMO_REPLICATES_PER_VECTOR`` replicates per
-    possible count vector, C(n + m - 1, m - 1), so that most rows would fill
-    the memo rather than read it; or where the table would exceed
-    ``BLOCK_BYTES``."""
-    if block_rows(n, m) == 1:
-        return 0
+    """Entries of the estimate table that a run of ``replicates`` replicates
+    of n respondents over m values keeps: one per code, (n + 1)**(m - 1), or
+    0 where it keeps none. It keeps none where the run holds fewer than
+    ``MEMO_REPLICATES_PER_VECTOR`` replicates per possible count vector,
+    C(n + m - 1, m - 1), so that the fill would cost more than the gathers
+    save; or where a float64 per code would exceed ``BLOCK_BYTES``."""
     codes = vectors = 1
     for j in range(1, m):  # codes at least double, so this stops early at large m
         codes *= n + 1
@@ -284,24 +277,26 @@ def replicate_ranges(replicates: int, workers: int) -> list[range]:
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
     """Memory a run of n respondents over m values plans for: each worker's
-    block, estimate memo and seed table, plus every replicate's result."""
+    block and seed table, the run's jump and estimate tables, plus every
+    replicate's result."""
     if keep_replicates:
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
         per_result = BYTES_PER_RESULT
     rows = block_rows(n, m)
-    longest = max(map(len, replicate_ranges(replicates, workers)))
     # the uniforms and scratch take every row of a block; the m-cell arrays
     # only the rows of replicates a batch holds
     per_worker = (
         block_row_bytes(n, 0) * rows
         + min(rows, replicates) * m * BYTES_PER_BLOCK_COUNT
-        + memo_codes(n, m, longest) * BYTES_PER_MEMO_CODE
         + SEED_CHUNK * BYTES_PER_SEED
     )
-    # the jump path's state table is one for all workers
-    table = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
-    return workers * per_worker + table + replicates * per_result
+    # the jump path's state table and the estimate table are one for all
+    # workers; the table's fill estimates every count vector as a block's rows
+    tables = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
+    if codes := memo_codes(n, m, replicates):
+        tables += codes * BYTES_PER_MEMO_CODE + math.comb(n + m - 1, m - 1) * m * BYTES_PER_BLOCK_COUNT
+    return workers * per_worker + tables + replicates * per_result
 
 
 def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
@@ -571,6 +566,7 @@ def run_block(
     block: range,
     mu_hats: np.ndarray,
     counts: list | None,
+    estimates: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
     """Estimate replicates ``block`` of a run into ``mu_hats[i]``, and their
     counts into ``counts[i]`` when a list is given.
@@ -582,14 +578,12 @@ def run_block(
     most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise, and
     estimated at once, row r's estimate being
     ``x @ ((counts[r] / n - q) / p)`` as in
-    :func:`~rrkit.estimation.estimate_mean`. Where blocks hold several rows,
-    the range holds several replicates per possible count vector and the
-    code space is small (:func:`memo_codes`), the range keeps a memo and
-    computes each distinct count vector's estimate once
-    (:func:`_estimate_by_memo`). The range that holds replicate 0
-    first replays it through :func:`simulate_survey` and
-    :func:`~rrkit.estimation.estimate_mean`; the kernel must then reproduce
-    its counts and every bit of its estimate, or ``RuntimeError`` is raised.
+    :func:`~rrkit.estimation.estimate_mean`, or read from the run's
+    ``estimates`` table where it keeps one (:func:`_estimate_table`). The
+    range that holds replicate 0 first replays it through
+    :func:`simulate_survey` and :func:`~rrkit.estimation.estimate_mean`; the
+    kernel must then reproduce its counts and every bit of its estimate, or
+    ``RuntimeError`` is raised.
     """
     n, m = config.n, config.support.m
     jump = n <= JUMP_MAX_N
@@ -599,7 +593,6 @@ def run_block(
     # that their temporaries and the block never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
     table = _jump_table(n) if jump else None
-    memo = _estimate_memo(n, m, len(block))
     uniforms = np.empty((rows, 2 * n))
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
@@ -639,10 +632,10 @@ def run_block(
             else:
                 block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
             i = chunk + lo
-            if memo is None:
+            if estimates is None:
                 mu_hats[i:i + k] = _estimate_rows(config, block_counts)
             else:
-                _estimate_by_memo(config, block_counts, memo, mu_hats[i:i + k])
+                mu_hats[i:i + k] = _estimate_by_table(estimates, block_counts)
             if counts is not None:
                 counts[i:i + k] = map(tuple, block_counts.tolist())
             if i == 0:
@@ -657,44 +650,42 @@ def _estimate_rows(config: SimulationConfig, block_counts: np.ndarray) -> list:
     return list(map(config.support.values_array.dot, raw))
 
 
-def _estimate_memo(
-    n: int, m: int, replicates: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """An empty estimate memo over the :func:`memo_codes` codes of a range of
-    ``replicates`` replicates of n respondents over m values, or None where
-    it keeps none: the estimate of each code, a flag per code set once its
-    estimate is in, and the powers of n + 1 that weigh the first m - 1 counts."""
-    codes = memo_codes(n, m, replicates)
+def _estimate_table(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray] | None:
+    """The estimate of every count vector of a run, read-only and indexed by
+    code, with the powers of n + 1 that weigh a row of counts into its code;
+    None where the run keeps no table (:func:`memo_codes`).
+
+    A code reads the first m - 1 counts as digits in base n + 1, exact and
+    unique since the counts sum to n. The count vectors are enumerated as
+    stars and bars: each (m - 1)-subset of n + m - 1 places, the bars, splits
+    n stars into m counts. Each vector is estimated by :func:`_estimate_rows`,
+    as a block's row of those counts is, so each entry keeps the row's bits.
+    The other codes hold NaN: a stray read ends the run ``NONFINITE_RESULT``.
+    """
+    n, m = config.n, config.support.m
+    codes = memo_codes(n, m, config.replicates)
     if not codes:
         return None
-    powers = np.zeros(m, dtype=np.int64)
-    powers[:-1] = (n + 1) ** np.arange(m - 1, dtype=np.int64)
-    return np.empty(codes), np.zeros(codes, dtype=bool), powers
+    powers = np.append((n + 1) ** np.arange(m - 1, dtype=np.int64), 0)
+    # each vector's bars: one before the first place, the m - 1 places it
+    # takes among n + m - 1, and one after the last
+    bars = itertools.chain.from_iterable(
+        (-1, *places, n + m - 1) for places in itertools.combinations(range(n + m - 1), m - 1)
+    )
+    vectors = math.comb(n + m - 1, m - 1)
+    counts = np.fromiter(bars, dtype=np.int64, count=vectors * (m + 1)).reshape(vectors, m + 1)
+    del bars  # and the places it holds, an int object per vector at m = 2
+    counts = counts[:, 1:] - counts[:, :-1]
+    counts -= 1
+    table = np.full(codes, np.nan)
+    table[counts @ powers] = _estimate_rows(config, counts)
+    return _read_only(table), powers
 
 
-def _estimate_by_memo(
-    config: SimulationConfig,
-    block_counts: np.ndarray,
-    memo: tuple[np.ndarray, np.ndarray, np.ndarray],
-    out: np.ndarray,
-) -> None:
-    """Write the estimate of each row of counts into ``out``, computing it by
-    :func:`_estimate_rows` only for a count vector the memo has not seen.
-
-    A row's code is its first m - 1 counts as digits in base n + 1, exact
-    and unique since the counts sum to n. The estimates of new codes go into
-    the memo, which every row then reads, so each equals the dot of a row of
-    the same counts bit for bit. The flags, not the estimates, mark which
-    codes are in: an estimate can be NaN.
-    """
-    estimates, filled, powers = memo
-    codes = block_counts @ powers
-    fresh = np.flatnonzero(~filled[codes])
-    if fresh.size:
-        new, first = np.unique(codes[fresh], return_index=True)
-        estimates[new] = _estimate_rows(config, block_counts[fresh[first]])
-        filled[new] = True
-    out[:] = estimates[codes]
+def _estimate_by_table(estimates: tuple[np.ndarray, np.ndarray], block_counts: np.ndarray) -> np.ndarray:
+    """The estimate of each row of counts, gathered from the run's table by code."""
+    table, powers = estimates
+    return table[block_counts @ powers]
 
 
 def _count_rows(
@@ -808,9 +799,10 @@ def run_replicates(config: SimulationConfig, keep_replicates: bool = False) -> S
     )
     mu_hats = np.empty(R)
     counts: list[tuple[int, ...] | None] | None = [None] * R if keep_replicates else None
+    estimates = _estimate_table(config)
 
     def run(block: range) -> None:
-        run_block(config, block, mu_hats, counts)
+        run_block(config, block, mu_hats, counts, estimates)
 
     if workers == 1:
         run(range(R))

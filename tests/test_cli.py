@@ -7,6 +7,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,44 @@ def test_design_from_bare_flags(capsys):
     code, out, _ = run(capsys, "design", "--m", "2", "--xi", "0.2")
     assert code == 0
     assert round(json.loads(out)["p0"], 4) == 0.3846
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+@pytest.mark.parametrize("xi", ["0.1", "0.35"])
+def test_design_m_certificate_equals_the_survey_certificate(capsys, tmp_path, m, xi):
+    survey = write_json(
+        tmp_path / "all.json",
+        {"values": list(range(m)), "stigmatizing": [True] * m,
+         "privacy": {"mode": "all_stigmatizing", "xi": float(xi)}},
+    )
+    by_m = run(capsys, "design", "--m", str(m), "--xi", xi)
+    assert by_m[0] == 0 and by_m == run(capsys, "design", "--survey", survey)
+
+
+def test_design_m_builds_no_support(capsys):
+    # a support of a million values once took about 2 s and 106 MB traced
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "design", "--m", "1000000", "--xi", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["m"] == 10**6
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("m", [str(2**53 + 1), "1" + "0" * 320], ids=["2**53+1", "10**320"])
+@pytest.mark.parametrize("command", ["design", "table"])
+def test_m_above_2_53_is_bad_support_at_once(capsys, command, m):
+    # 10**320 once overflowed the closed forms' float m: exit 4, INTERNAL_ERROR
+    argv = ("design", "--m", m, "--xi", "0.1") if command == "design" else ("table", "--m", f"3,{m}")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, stderr_code(err)) == (cli.EXIT_VALIDATION, "", "BAD_SUPPORT")
+    largest = ("design", "--m", str(2**53), "--xi", "0.1") if command == "design" else (
+        "table", "--m", str(2**53))
+    assert run(capsys, *largest)[0] == 0
 
 
 def test_design_xi_ge_c_is_validation_failure(capsys, tmp_path):

@@ -165,6 +165,17 @@ def test_design_rejects_bool_small_or_non_integer_m(m):
         assert e.value.code == "BAD_SUPPORT"
 
 
+@pytest.mark.parametrize("m", [2**53 + 1, 10**320])
+def test_m_past_what_a_float_holds_is_bad_support(m):
+    # 10**320 once raised OverflowError in the closed forms
+    for call in (lambda: p0_all_stigmatizing(m, 0.1), lambda: p0_nonstigmatizing(m, 0.1, 0.15),
+                 lambda: p0_table((m,), (0.1,)), lambda: Device(p=0.5, m=m)):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == "BAD_SUPPORT"
+    assert p0_all_stigmatizing(2**53, 0.1) > 0.0
+
+
 # --- certificates ----------------------------------------------------------------
 
 

@@ -2,8 +2,11 @@
 
 import collections
 import dataclasses
+import importlib.util
+import itertools
 import math
 import os
+import pathlib
 import threading
 import tracemalloc
 from unittest import mock
@@ -637,44 +640,47 @@ def _row_dots(config, counts):
     return np.array([config.support.values_array.dot(row) for row in raw])
 
 
-def _spy_memo(patch):
-    """Record the count rows of each memo call, and of each _estimate_rows call."""
-    memo_calls, dotted = [], []
-    by_memo, by_rows = simulation._estimate_by_memo, simulation._estimate_rows
+def _spy_estimates(patch):
+    """Record the count rows of each gather from the estimate table, and of
+    each _estimate_rows call (the table's fill, or a block's row dots)."""
+    gathers, dotted = [], []
+    by_table, by_rows = simulation._estimate_by_table, simulation._estimate_rows
 
-    def memo(config, block_counts, *args):
-        memo_calls.append(block_counts.tolist())
-        return by_memo(config, block_counts, *args)
+    def table(estimates, block_counts):
+        gathers.append(block_counts.tolist())
+        return by_table(estimates, block_counts)
 
     def rows(config, block_counts):
         dotted.extend(map(tuple, block_counts.tolist()))
         return by_rows(config, block_counts)
 
-    patch.setattr(simulation, "_estimate_by_memo", memo)
+    patch.setattr(simulation, "_estimate_by_table", table)
     patch.setattr(simulation, "_estimate_rows", rows)
-    return memo_calls, dotted
+    return gathers, dotted
 
 
-def _assert_memo_matches_row_dots(config, monkeypatch):
-    """A serial run estimates through the memo, dots each distinct count vector
-    once, and gives every estimate of the per-row dots and the stage functions
-    bit for bit. Returns the count rows of each memo call."""
+def _assert_table_matches_row_dots(config, monkeypatch):
+    """A serial run fills the estimate table with one dot per possible count
+    vector, gathers every block's estimates from it, and gives every estimate
+    of the per-row dots and the stage functions bit for bit. Returns the
+    count rows of each gather."""
     monkeypatch.setenv("RRKIT_THREADS", "1")
     with monkeypatch.context() as patch:
-        memo_calls, dotted = _spy_memo(patch)
+        gathers, dotted = _spy_estimates(patch)
         summary = run_replicates(config, keep_replicates=True)
     counts = [r.counts for r in summary.records]
-    assert memo_calls and len(dotted) == len(set(dotted)) == len(set(counts))
+    assert len(dotted) == len(set(dotted)) == _count_vectors(config.n, config.support.m)
+    assert sum(gathers, []) == list(map(list, counts))
     got = np.array([r.mu_hat for r in summary.records])
     assert got.tobytes() == _row_dots(config, counts).tobytes()
     _assert_records_match_stage_functions(summary, config)
-    return memo_calls
+    return gathers
 
 
 @st.composite
 def memo_cases(draw):
-    """A config whose blocks keep a memo, with ragged blocks and seed chunks,
-    on the jump path or (JUMP_MAX_N patched below n) the setter path."""
+    """A config with ragged blocks and seed chunks, on the jump path or
+    (JUMP_MAX_N patched below n) the setter path."""
     m = draw(st.integers(2, 4))
     n = draw(st.integers(1, 8 if m < 4 else 3))
     weights = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=m, max_size=m))
@@ -695,20 +701,19 @@ def memo_cases(draw):
 @given(case=memo_cases(), threads=st.sampled_from(["1", "3"]))
 def test_memoised_estimates_equal_the_per_row_dots(case, threads):
     """Count vectors repeat within blocks, across blocks and across seed
-    chunks at these n; every estimate, memoised or filled, is the per-row dot
-    and estimate_mean's, bit for bit."""
+    chunks at these n; every estimate gathered from the table is the per-row
+    dot and estimate_mean's, bit for bit."""
     config, jump, rows, seed_chunk = case
     n, m = config.n, config.support.m
-    # every range keeps a memo, however few replicates it holds
+    # every run keeps a table, however few replicates it holds
     with mock.patch.object(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else n - 1), \
             mock.patch.object(simulation, "SEED_CHUNK", seed_chunk), \
             mock.patch.object(simulation, "MEMO_REPLICATES_PER_VECTOR", 0):
         block_bytes = rows * simulation.block_row_bytes(n, m)
         with mock.patch.object(simulation, "BLOCK_BYTES", block_bytes), \
                 mock.patch.dict(os.environ, {"RRKIT_THREADS": threads}):
-            # a seed chunk of one replicate makes one-row blocks, which keep no memo
-            memo = (n + 1) ** (m - 1) if seed_chunk > 1 else 0
-            assert simulation.memo_codes(n, m, 1) == memo
+            # one-row blocks (a seed chunk of one replicate) read the table too
+            assert simulation.memo_codes(n, m, 1) == (n + 1) ** (m - 1)
             summary = run_replicates(config, keep_replicates=True)
     counts = [r.counts for r in summary.records]
     got = np.array([r.mu_hat for r in summary.records])
@@ -729,7 +734,7 @@ def test_memo_hits_repeats_within_blocks_across_blocks_and_across_chunks(jump, m
     monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else 1)
     monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * simulation.block_row_bytes(2, 3))
     monkeypatch.setattr(simulation, "SEED_CHUNK", 10)  # batches of 4, 4 and 2 rows per chunk
-    calls = _assert_memo_matches_row_dots(config, monkeypatch)
+    calls = _assert_table_matches_row_dots(config, monkeypatch)
     assert [len(c) for c in calls] == [4, 4, 2] * 4
     chunks = [sum(calls[3 * c:3 * c + 3], []) for c in range(4)]
     assert any(len(set(map(tuple, c))) < len(c) for c in calls)  # within a block
@@ -739,8 +744,8 @@ def test_memo_hits_repeats_within_blocks_across_blocks_and_across_chunks(jump, m
 
 
 def _largest_memo_n(m):
-    """The most respondents at which blocks over m values keep a memo, in a
-    range of replicates as long as it takes."""
+    """The most respondents at which a run over m values keeps an estimate
+    table, given as many replicates as it takes."""
     n = 1
     while simulation.memo_codes(n + 1, m, 2**62):
         n += 1
@@ -753,63 +758,92 @@ def _count_vectors(n, m):
 
 def test_memo_gate_weighs_replicates_per_count_vector_rows_and_bytes():
     per_vector = simulation.MEMO_REPLICATES_PER_VECTOR
-    # mc_small_n: 286 count vectors, so 2 000 replicates keep a memo
+    # mc_small_n: 286 count vectors, so 2 000 replicates keep a table
     assert simulation.memo_codes(10, 4, 2000) == 11**3
     for n, m in ((1, 2), (10, 3), (10, 4), (8, 5), (3, 8)):
         fewest = per_vector * _count_vectors(n, m)
         assert simulation.memo_codes(n, m, fewest) == (n + 1) ** (m - 1)
         assert simulation.memo_codes(n, m, fewest - 1) == 0
-    # the table's bytes cap the code space, however many replicates a range holds
+    # the table's bytes cap the code space, however many replicates a run holds
     top3, top4 = _largest_memo_n(3), _largest_memo_n(4)
-    assert (top3, top4) == (240, 37)
-    assert simulation.memo_codes(top3, 3, per_vector * _count_vectors(top3, 3)) == 241**2
-    assert 241**2 * simulation.BYTES_PER_MEMO_CODE <= simulation.BLOCK_BYTES
+    assert (top3, top4) == (255, 39)
+    assert simulation.memo_codes(top3, 3, per_vector * _count_vectors(top3, 3)) == 256**2
+    assert 256**2 * simulation.BYTES_PER_MEMO_CODE <= simulation.BLOCK_BYTES
     for n, m in ((top3 + 1, 3), (top4 + 1, 4), (10, 1000), (1, 1000)):
-        assert simulation.block_rows(n, m) > 1 and simulation.memo_codes(n, m, 2**62) == 0
-    # a block of one row keeps none
-    two_rows = _first_one_row_n(2) - 1
-    assert simulation.memo_codes(two_rows, 2, 2**62) == two_rows + 1
-    assert simulation.memo_codes(two_rows + 1, 2, 2**62) == 0
+        assert simulation.memo_codes(n, m, 2**62) == 0
+    # the table is the run's, so a block of one row reads it too
+    one_row = _first_one_row_n(2)
+    assert simulation.block_rows(one_row, 2) == 1
+    assert simulation.memo_codes(one_row, 2, 2**62) == one_row + 1
+
+
+def _gate_config(n, replicates):
+    return SimulationConfig(
+        support=SupportSpec(values=(-2.0, 0.5, 7.0), stigma=(True,) * 3),
+        population=PopulationModel(pi=(0.2, 0.5, 0.3)),
+        device=Device(p=0.3, m=3),
+        n=n,
+        replicates=replicates,
+        seed=4,
+    )
+
+
+def _uniform_config(n, m, replicates):
+    return SimulationConfig(
+        support=SupportSpec(values=tuple(1.5 * k - 4 for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(1.0 / m,) * m),
+        device=Device(p=0.3, m=m),
+        n=n,
+        replicates=replicates,
+        seed=2,
+    )
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_each_estimate_path_runs_its_side_of_the_memo_gate(threads, monkeypatch):
-    """A range of MEMO_REPLICATES_PER_VECTOR replicates per count vector
-    estimates through the memo, one a replicate short by a dot per row, and
-    the plan counts a memo per worker exactly where the ranges keep one."""
-    def refuse(*args):
-        raise AssertionError("estimated on the wrong path")
-
-    n, m, workers = 10, 3, int(threads)
-    ranges = len(simulation.replicate_ranges(10**6, workers))
-    fewest = simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m)
-    memo_run, plain_run = ranges * fewest, ranges * (fewest - 1)
-    for replicates, memo in ((memo_run, True), (plain_run, False)):
-        lengths = {len(r) for r in simulation.replicate_ranges(replicates, workers)}
-        assert lengths == {fewest if memo else fewest - 1}
-        config = SimulationConfig(
-            support=SupportSpec(values=(-2.0, 0.5, 7.0), stigma=(True,) * 3),
-            population=PopulationModel(pi=(0.2, 0.5, 0.3)),
-            device=Device(p=0.3, m=m),
-            n=n,
-            replicates=replicates,
-            seed=4,
-        )
+    """A run of MEMO_REPLICATES_PER_VECTOR replicates per count vector fills
+    the table with a dot per vector and gathers every estimate from it; one a
+    replicate short estimates by a dot per row. The plan differs by the table,
+    its fill and one result."""
+    n, m, workers = 20, 3, int(threads)
+    vectors = _count_vectors(n, m)
+    fewest = simulation.MEMO_REPLICATES_PER_VECTOR * vectors
+    assert fewest > simulation.block_rows(n, m)  # so both runs plan full blocks
+    for replicates, table in ((fewest, True), (fewest - 1, False)):
+        config = _gate_config(n, replicates)
         with monkeypatch.context() as patch:
             patch.setenv("RRKIT_THREADS", threads)
-            if memo:
-                memo_calls, _ = _spy_memo(patch)
-                summary = run_replicates(config, keep_replicates=True)
-                assert sum(map(len, memo_calls)) == replicates
-            else:
-                patch.setattr(simulation, "_estimate_by_memo", refuse)
-                summary = run_replicates(config, keep_replicates=True)
+            gathers, dotted = _spy_estimates(patch)
+            summary = run_replicates(config, keep_replicates=True)
+        if table:
+            assert sum(map(len, gathers)) == replicates and len(dotted) == vectors
+        else:
+            assert not gathers and len(dotted) == replicates
         _assert_records_match_stage_functions(summary, config)
-    planned = [simulation.planned_bytes(n, m, r, workers, False) for r in (memo_run, plain_run)]
+    planned = [simulation.planned_bytes(n, m, r, workers, False) for r in (fewest, fewest - 1)]
     assert planned[0] - planned[1] == (
-        workers * (n + 1) ** (m - 1) * simulation.BYTES_PER_MEMO_CODE
-        + ranges * simulation.BYTES_PER_RESULT
+        (n + 1) ** (m - 1) * simulation.BYTES_PER_MEMO_CODE
+        + vectors * m * simulation.BYTES_PER_BLOCK_COUNT
+        + simulation.BYTES_PER_RESULT
     )
+
+
+def test_thread_count_does_not_choose_the_estimate_path(monkeypatch):
+    """At n = 10, m = 3 and 264 replicates, one worker's range holds them all
+    and each of three workers' twelve ranges holds 22; the estimate path is
+    the run's either way."""
+    config = _gate_config(10, 264)
+    assert simulation.memo_codes(10, 3, 264)
+    paths = {}
+    for threads in ("1", "3"):
+        with monkeypatch.context() as patch:
+            patch.setenv("RRKIT_THREADS", threads)
+            gathers, dotted = _spy_estimates(patch)
+            summary = run_replicates(config, keep_replicates=True)
+        paths[threads] = (sum(map(len, gathers)), sorted(dotted))
+        _assert_records_match_stage_functions(summary, config)
+    assert paths["1"] == paths["3"]
+    assert paths["1"][0] == 264 and len(paths["1"][1]) == _count_vectors(10, 3)
 
 
 @pytest.mark.parametrize("p", [1e-13, 0.5e-12, 1 - 1e-13, 1 - 0.5e-12])
@@ -817,7 +851,7 @@ def test_memo_matches_the_row_dots_at_p_near_0_and_1(p, monkeypatch):
     config = dataclasses.replace(
         _one_row_config(3, p, (0.5, 0.0, 0.5)), n=5, replicates=300, seed=7
     )
-    _assert_memo_matches_row_dots(config, monkeypatch)
+    _assert_table_matches_row_dots(config, monkeypatch)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -832,19 +866,28 @@ def test_memo_keeps_nan_estimates_and_the_run_ends_nonfinite(monkeypatch):
         replicates=300,
         seed=3,
     )
-    monkeypatch.setenv("RRKIT_THREADS", "1")
+    estimates = simulation._estimate_table(config)
+    # code k is the vector (k, 10 - k); only (5, 5) leaves both raw proportions 0
+    assert np.isnan(estimates[0]).tolist() == [k != 5 for k in range(11)]
     mu_hats, counts = np.empty(300), [None] * 300
-    with monkeypatch.context() as patch:
-        _, dotted = _spy_memo(patch)
-        simulation.run_block(config, range(300), mu_hats, counts)
-    # only counts of (5, 5) leave both raw proportions 0
+    simulation.run_block(config, range(300), mu_hats, counts, estimates)
     assert np.isnan(mu_hats).tolist() == [c != (5, 5) for c in counts]
-    # a NaN estimate is a filled slot: each distinct vector is dotted once
-    assert len(dotted) == len(set(dotted)) == len(set(counts))
     assert mu_hats.tobytes() == _row_dots(config, counts).tobytes()
+    monkeypatch.setenv("RRKIT_THREADS", "1")
     with pytest.raises(ValidationError) as e:
         run_replicates(config)
     assert e.value.code == "NONFINITE_RESULT"
+
+
+@pytest.mark.parametrize("n, m", [(7, 3), (3, 5), (1, 2)])
+def test_estimate_table_holds_each_count_vector_once_and_nan_elsewhere(n, m):
+    config = _uniform_config(n, m, simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m))
+    table, powers = simulation._estimate_table(config)
+    assert not table.flags.writeable and len(table) == (n + 1) ** (m - 1)
+    vectors = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n]
+    codes = np.array(vectors) @ powers
+    assert sorted(codes) == [k for k in range(len(table)) if not np.isnan(table[k])]
+    assert table[codes].tobytes() == _row_dots(config, vectors).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -862,6 +905,31 @@ def test_run_near_p_one_with_large_m_raises_no_warning(monkeypatch):
     for threads in ("1", "2"):
         monkeypatch.setenv("RRKIT_THREADS", threads)
         _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+
+
+def _kernel_stages_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "kernel_stages.py"
+    spec = importlib.util.spec_from_file_location("kernel_stages", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_stages_script_checks_and_times_the_kernel(capsys):
+    """scripts/kernel_stages.py compares both estimate paths bit for bit and
+    times the kernel's own functions, each stage of which a run must reach."""
+    script = _kernel_stages_script()
+    config = script.config_for(3, 3, 200)
+    kernel = {name: getattr(simulation, name) for name in script.TIMED}
+    assert script.check(config)
+    for table in (True, False):
+        seconds, _ = script.timed_pass(config, table)
+        assert all(seconds[s] > 0 for s in ("seeding", "uniforms", "counting", "estimate"))
+        assert (seconds["fill"] > 0) == table
+    assert {name: getattr(simulation, name) for name in script.TIMED} == kernel
+    script.main(["--n", "3", "--m", "3", "--replicates", "200", "--repeats", "1"])
+    out = capsys.readouterr().out
+    assert "the gate keeps a table" in out and "agree bit for bit" in out
 
 
 def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
@@ -949,22 +1017,24 @@ def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replic
 
 
 def test_memory_plan_covers_the_traced_peak_at_the_largest_memo(monkeypatch):
-    # the memo of 38**3 codes at n = 37, m = 4, the most the gate admits at
-    # m = 4 (95% of m = 3's 241**2), is about as large as the block
+    # the table's fill, alone, within its share of the plan at the cap of
+    # every m: its cells outnumber its codes at m = 2 and are fewest at m = 17
+    for m in (2, 3, 4, 17):
+        n = _largest_memo_n(m)
+        replicates = simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m)
+        tracemalloc.start()
+        try:
+            simulation._estimate_table(_uniform_config(n, m, replicates))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        without = simulation.planned_bytes(n, m, replicates - 1, 1, False)
+        assert peak <= simulation.planned_bytes(n, m, replicates, 1, False) - without
+    # a whole run at the largest table at m = 4, 40**3 codes, fill included
     n, m = _largest_memo_n(4), 4
     replicates = simulation.MEMO_REPLICATES_PER_VECTOR * _count_vectors(n, m)
-    memo = simulation.memo_codes(n, m, replicates) * simulation.BYTES_PER_MEMO_CODE
-    block = simulation.block_rows(n, m) * simulation.block_row_bytes(n, m)
-    assert 0.9 * block < memo <= simulation.BLOCK_BYTES
-    cfg = SimulationConfig(
-        support=SupportSpec(values=tuple(float(k) for k in range(m)), stigma=(True,) * m),
-        population=PopulationModel(pi=(1.0 / m,) * m),
-        device=Device(p=0.3, m=m),
-        n=n,
-        replicates=replicates,
-        seed=2,
-    )
-    _assert_plan_covers_traced_peak(cfg, monkeypatch)
+    assert simulation.memo_codes(n, m, replicates) == 40**3
+    _assert_plan_covers_traced_peak(_uniform_config(n, m, replicates), monkeypatch)
 
 
 # --- law of the counts ----------------------------------------------------------
