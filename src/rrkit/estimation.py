@@ -49,16 +49,32 @@ def estimate_proportions(
     return raw, truncated
 
 
-def estimate_mean(sample: ResponseSample, device: Device, support: SupportSpec) -> float:
-    """Unbiased estimate of the population mean: sum_i x_i * pi_hat_raw_i.
+def mean_estimates(proportions: np.ndarray, device: Device, x: np.ndarray) -> np.ndarray:
+    """Unbiased mean estimates sum_i x_i * (w_i - q) / p, one per row of
+    sample proportions w (the last axis runs over the m support values x).
 
-    Computes the raw proportions exactly as :func:`estimate_proportions` does,
-    without the truncated vector it would discard.
+    The raw proportions are those of :func:`estimate_proportions`. Each row is
+    summed alone by numpy's pairwise sum, ``np.add.reduce`` along the last
+    axis of a C-ordered array, which depends neither on the BLAS build nor on
+    the other rows: a row's estimate has the same bits in a block of rows as
+    on its own. A matmul over the block, or a sum over a Fortran-ordered
+    block, does not promise that.
     """
+    # p near 0: infinite raw entries, and NaN where they meet x = 0 or each
+    # other; refused by estimate_report and run_replicates
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.subtract(proportions, device.forced_share, order="C")
+        terms /= device.p  # in place: the raw proportions, then each x_i times its own
+        terms *= x
+        return np.add.reduce(terms, axis=-1)
+
+
+def estimate_mean(sample: ResponseSample, device: Device, support: SupportSpec) -> float:
+    """Unbiased estimate of the population mean: sum_i x_i * pi_hat_raw_i,
+    by :func:`mean_estimates` on the sample's one row."""
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, sample.m)
-    raw = (sample.proportions - device.forced_share) / device.p
-    return float(support.values_array @ raw)
+    return float(mean_estimates(sample.proportions, device, support.values_array))
 
 
 def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec) -> EstimateReport:
@@ -67,7 +83,7 @@ def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec
     raw, truncated = estimate_proportions(sample, device)
     for value in raw:
         _require_finite(float(value), "pi_hat_raw", device.p)
-    mu_hat = _require_finite(float(support.values_array @ raw), "mu_hat", device.p)
+    mu_hat = _require_finite(estimate_mean(sample, device, support), "mu_hat", device.p)
     flags: tuple[str, ...] = ()
     if (raw < 0.0).any() or (raw > 1.0).any():
         flags = (RAW_OUT_OF_RANGE,)
@@ -93,18 +109,24 @@ def variance_mean_theoretical(
     with xbar the unweighted support mean. The final term carries a plus
     sign: that is what equality with the exact multinomial variance requires,
     and the oracle suite pins it.
+
+    Every term is computed from d = x - xbar, centred twice as in
+    :func:`variance_mean_plugin`, so that a support far from 0 cancels
+    nothing: mu - xbar is pi @ d and sigma2 the pi-weighted square of
+    d - pi @ d.
     """
     n = _sample_size(n)
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, population.m)
     p = device.p
-    x = support.values_array
-    mu = population.mean(support)
-    sigma2 = population.variance(support)
-    xbar = support.unweighted_mean
-    spread = float(np.mean((x - xbar) ** 2))
+    pi = population.pi_array
+    d = support.values_array - np.mean(support.values_array)
+    d -= np.mean(d)
+    spread = float(np.mean(d * d))
+    shift = float(pi @ d)  # mu - xbar
+    sigma2 = float((d - shift) ** 2 @ pi)
     return _quotient(
-        p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * (mu - xbar) ** 2,
+        p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * shift**2,
         n * p * p,
         "var_mu_theoretical",
         p,

@@ -24,8 +24,9 @@ re-derives PCG64's seeding (:func:`replicate_states`) and sets each
 replicate's state on one reused generator before drawing its row. Rows per
 block are capped so that a block, its temporaries and its count cells stay
 within ``BLOCK_BYTES`` (one row when a single replicate is larger). Truth,
-device, counts and the mean estimate are then computed for
-the whole block, through the same uniform-to-index helpers that
+device, counts and the mean estimate (:func:`~rrkit.estimation.mean_estimates`,
+whose bits for a row do not depend on its block) are then computed for the
+whole block, through the same uniform-to-index helpers that
 :func:`sample_true_indices` and :func:`~rrkit.device.draw_responses` use,
 writing into scratch allocated once per range next to the block. Counting
 takes comparisons and array arithmetic only, no searchsorted: the truth index
@@ -52,19 +53,6 @@ count is the difference of two such numbers: exactly the bincount's counts.
 Its cost grows as O(m n), so larger m, and multi-row blocks, where one
 bincount over all rows beats a count per row, keep the index arrays.
 
-The estimate table: an estimate reads only its replicate's counts, which are
-Multinomial(n, lambda), so they take at most C(n + m - 1, m - 1) values (286
-at n = 10, m = 4). Where a run holds at least ``MEMO_REPLICATES_PER_VECTOR``
-replicates per possible count vector and a float64 per code fits
-``BLOCK_BYTES`` (:func:`memo_codes`), :func:`run_replicates` estimates every
-count vector once, before any block is drawn, by the same 1-D dot as a row
-of a block, into one table indexed by code: the first m - 1 counts as digits
-in base n + 1 (:func:`_estimate_table`). Codes whose digits sum past n hold
-NaN, so a stray read ends the run ``NONFINITE_RESULT``. The workers share the
-table read-only, and a block's estimates are one gather, so each keeps its
-bits. The fill costs about a dot per vector, so fewer replicates per vector
-would spend more on the fill than the gathers save.
-
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
 a bit of its estimate raises ``RuntimeError``.
@@ -77,15 +65,13 @@ hands out contiguous blocks of replicate indices, ``BLOCKS_PER_WORKER`` per
 worker, and each block is drawn through a generator of its own.
 
 Before anything is allocated, a run is refused with ``RESOURCE_LIMIT`` when
-its per-worker block and seed table, its jump and estimate tables, plus its
-per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``.
+its per-worker block and seed table, its jump table, plus its per-replicate
+results, would exceed ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -146,19 +132,6 @@ JUMP_MAX_N = 70
 # hold one row from about n = 5 460, so 16 is the largest m at which the cuts
 # win at every n.
 CUTS_MAX_M = 16
-# Fewest replicates per possible count vector, C(n + m - 1, m - 1), at which
-# a run keeps an estimate table (memo_codes). The fill costs a dot per vector
-# (about 1 us, plus 20 us once) and each replicate read from the table saves
-# most of a dot. Serial run_block on 2 vCPUs, time by a dot per row over time
-# by the table with its fill, at R replicates and S count vectors over 15
-# (n, m) from (1, 2) to (255, 3), (3, 8) and (3 000, 2)
-# (scripts/kernel_stages.py): R = S, 0.74-1.03; R = 2S, 0.89-1.08; R = 3S,
-# 1.03-1.27 wherever S >= 66 but one noisy 0.90 (n = 39, m = 4), the
-# estimate stage with its fill taking 0.43-1.11 us per replicate against
-# 0.59-3.77 by row dots at every such shape; R = 4S, 1.02-1.44. Where
-# S <= 11 the fixed cost lost 4-11% at each of these R, a few microseconds
-# in runs of tens.
-MEMO_REPLICATES_PER_VECTOR = 3
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25; 2 when
 # counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
@@ -171,14 +144,9 @@ MEMO_REPLICATES_PER_VECTOR = 3
 # m = 3 and 40, R = 1-1 000. Each block also holds m cells per replicate: its
 # counts and the estimate's raw proportions, with their temporaries, and,
 # when records are kept, the counts as lists; they peaked at 22-32 bytes per
-# cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000),
-# planned as 48.
-# Once per run, where it keeps one, the estimate table: a float64 per code
-# (memo_codes), 8 bytes. Its fill, done before any block exists, holds the
-# stars-and-bars enumeration of the C(n + m - 1, m - 1) count vectors and
-# estimates them as one block of m-cell rows, planned as such: alone under
-# tracemalloc it peaked at 24-33 bytes per cell past the table (n = 1-65 535,
-# m = 2-17, each at the table's cap, and n = 10, m = 4).
+# cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000), and
+# summing each row alone (estimation.mean_estimates) added 7-8 bytes per cell
+# without records (m = 300 and 3 000, n = 10 and 500); planned as 48.
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
 # per replicate while its 128-bit integers are assembled, planned as 512
 # (the jump path builds no such integers; its seed words and limbs take 160).
@@ -191,7 +159,6 @@ BYTES_PER_RESPONDENT = 48
 BYTES_PER_JUMP_RESPONDENT = 112
 BYTES_PER_JUMP_TABLE_RESPONDENT = 16 * 8 * 8
 BYTES_PER_BLOCK_COUNT = 48
-BYTES_PER_MEMO_CODE = 8
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
 BYTES_PER_KEPT_RESULT = 512
@@ -246,25 +213,6 @@ def block_rows(n: int, m: int) -> int:
     return max(1, min(SEED_CHUNK, BLOCK_BYTES // block_row_bytes(n, m)))
 
 
-def memo_codes(n: int, m: int, replicates: int) -> int:
-    """Entries of the estimate table that a run of ``replicates`` replicates
-    of n respondents over m values keeps: one per code, (n + 1)**(m - 1), or
-    0 where it keeps none. It keeps none where the run holds fewer than
-    ``MEMO_REPLICATES_PER_VECTOR`` replicates per possible count vector,
-    C(n + m - 1, m - 1), so that the fill would cost more than the gathers
-    save; or where a float64 per code would exceed ``BLOCK_BYTES``."""
-    codes = vectors = 1
-    for j in range(1, m):  # codes at least double, so this stops early at large m
-        codes *= n + 1
-        vectors = vectors * (n + j) // j  # C(n + j, j)
-        if (
-            codes * BYTES_PER_MEMO_CODE > BLOCK_BYTES
-            or vectors * MEMO_REPLICATES_PER_VECTOR > replicates
-        ):
-            return 0
-    return codes
-
-
 def replicate_ranges(replicates: int, workers: int) -> list[range]:
     """The contiguous ranges of replicate indices that a run on ``workers``
     threads hands out: all of them to one worker, or ``BLOCKS_PER_WORKER``
@@ -277,8 +225,8 @@ def replicate_ranges(replicates: int, workers: int) -> list[range]:
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
     """Memory a run of n respondents over m values plans for: each worker's
-    block and seed table, the run's jump and estimate tables, plus every
-    replicate's result."""
+    block and seed table, the run's jump table, plus every replicate's
+    result."""
     if keep_replicates:
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
@@ -291,12 +239,9 @@ def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates
         + min(rows, replicates) * m * BYTES_PER_BLOCK_COUNT
         + SEED_CHUNK * BYTES_PER_SEED
     )
-    # the jump path's state table and the estimate table are one for all
-    # workers; the table's fill estimates every count vector as a block's rows
-    tables = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
-    if codes := memo_codes(n, m, replicates):
-        tables += codes * BYTES_PER_MEMO_CODE + math.comb(n + m - 1, m - 1) * m * BYTES_PER_BLOCK_COUNT
-    return workers * per_worker + tables + replicates * per_result
+    # the jump path's state table is one for all workers
+    table = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
+    return workers * per_worker + table + replicates * per_result
 
 
 def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
@@ -566,7 +511,6 @@ def run_block(
     block: range,
     mu_hats: np.ndarray,
     counts: list | None,
-    estimates: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
     """Estimate replicates ``block`` of a run into ``mu_hats[i]``, and their
     counts into ``counts[i]`` when a list is given.
@@ -576,11 +520,9 @@ def run_block(
     and through a generator set to each replicate's state above it. The block
     is counted, by :func:`_count_by_cuts` when it holds one replicate over at
     most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise, and
-    estimated at once, row r's estimate being
-    ``x @ ((counts[r] / n - q) / p)`` as in
-    :func:`~rrkit.estimation.estimate_mean`, or read from the run's
-    ``estimates`` table where it keeps one (:func:`_estimate_table`). The
-    range that holds replicate 0 first replays it through
+    estimated at once by :func:`~rrkit.estimation.mean_estimates`, which
+    :func:`~rrkit.estimation.estimate_mean` calls on one row. The range that
+    holds replicate 0 first replays it through
     :func:`simulate_survey` and :func:`~rrkit.estimation.estimate_mean`; the
     kernel must then reproduce its counts and every bit of its estimate, or
     ``RuntimeError`` is raised.
@@ -593,6 +535,7 @@ def run_block(
     # that their temporaries and the block never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
     table = _jump_table(n) if jump else None
+    x = config.support.values_array
     uniforms = np.empty((rows, 2 * n))
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
@@ -632,60 +575,11 @@ def run_block(
             else:
                 block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
             i = chunk + lo
-            if estimates is None:
-                mu_hats[i:i + k] = _estimate_rows(config, block_counts)
-            else:
-                mu_hats[i:i + k] = _estimate_by_table(estimates, block_counts)
+            mu_hats[i:i + k] = estimation.mean_estimates(block_counts / n, config.device, x)
             if counts is not None:
                 counts[i:i + k] = map(tuple, block_counts.tolist())
             if i == 0:
                 _check_first_replicate(config, replayed, block_counts[0], mu_hats[0])
-
-
-def _estimate_rows(config: SimulationConfig, block_counts: np.ndarray) -> list:
-    """The estimate of each row of counts, ``x @ ((counts / n - q) / p)`` as in
-    :func:`~rrkit.estimation.estimate_mean`."""
-    raw = (block_counts / config.n - config.device.forced_share) / config.device.p
-    # the same 1-D dot as x @ row, without matmul's dispatch per row
-    return list(map(config.support.values_array.dot, raw))
-
-
-def _estimate_table(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """The estimate of every count vector of a run, read-only and indexed by
-    code, with the powers of n + 1 that weigh a row of counts into its code;
-    None where the run keeps no table (:func:`memo_codes`).
-
-    A code reads the first m - 1 counts as digits in base n + 1, exact and
-    unique since the counts sum to n. The count vectors are enumerated as
-    stars and bars: each (m - 1)-subset of n + m - 1 places, the bars, splits
-    n stars into m counts. Each vector is estimated by :func:`_estimate_rows`,
-    as a block's row of those counts is, so each entry keeps the row's bits.
-    The other codes hold NaN: a stray read ends the run ``NONFINITE_RESULT``.
-    """
-    n, m = config.n, config.support.m
-    codes = memo_codes(n, m, config.replicates)
-    if not codes:
-        return None
-    powers = np.append((n + 1) ** np.arange(m - 1, dtype=np.int64), 0)
-    # each vector's bars: one before the first place, the m - 1 places it
-    # takes among n + m - 1, and one after the last
-    bars = itertools.chain.from_iterable(
-        (-1, *places, n + m - 1) for places in itertools.combinations(range(n + m - 1), m - 1)
-    )
-    vectors = math.comb(n + m - 1, m - 1)
-    counts = np.fromiter(bars, dtype=np.int64, count=vectors * (m + 1)).reshape(vectors, m + 1)
-    del bars  # and the places it holds, an int object per vector at m = 2
-    counts = counts[:, 1:] - counts[:, :-1]
-    counts -= 1
-    table = np.full(codes, np.nan)
-    table[counts @ powers] = _estimate_rows(config, counts)
-    return _read_only(table), powers
-
-
-def _estimate_by_table(estimates: tuple[np.ndarray, np.ndarray], block_counts: np.ndarray) -> np.ndarray:
-    """The estimate of each row of counts, gathered from the run's table by code."""
-    table, powers = estimates
-    return table[block_counts @ powers]
 
 
 def _count_rows(
@@ -799,10 +693,9 @@ def run_replicates(config: SimulationConfig, keep_replicates: bool = False) -> S
     )
     mu_hats = np.empty(R)
     counts: list[tuple[int, ...] | None] | None = [None] * R if keep_replicates else None
-    estimates = _estimate_table(config)
 
     def run(block: range) -> None:
-        run_block(config, block, mu_hats, counts, estimates)
+        run_block(config, block, mu_hats, counts)
 
     if workers == 1:
         run(range(R))

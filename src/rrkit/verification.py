@@ -57,8 +57,8 @@ class VerificationReport:
         }
 
 
-def _unit_support(m: int) -> SupportSpec:
-    return SupportSpec(values=tuple(float(i) for i in range(m)), stigma=(True,) * m)
+def _unit_support(m: int, offset: float = 0.0) -> SupportSpec:
+    return SupportSpec(values=tuple(offset + i for i in range(m)), stigma=(True,) * m)
 
 
 def _check_posterior_matches_oracle() -> CheckResult:
@@ -95,18 +95,22 @@ def _check_alpha_reduced_form() -> CheckResult:
 def _check_mean_variance_identity() -> CheckResult:
     n = 100
     worst = 0.0
-    for p, pi in CROSS_CHECK_CASES:
+    # each case on 0..m-1, and one on a support offset by 1e8, where a closed
+    # form that does not centre x cancels
+    cases = [(p, pi, 0.0) for p, pi in CROSS_CHECK_CASES] + [(*CROSS_CHECK_CASES[1], 1e8)]
+    for p, pi, offset in cases:
         m = len(pi)
         device = Device(p=p, m=m)
         population = PopulationModel(pi=pi)
-        support = _unit_support(m)
+        support = _unit_support(m, offset)
         closed = estimation.variance_mean_theoretical(device, support, population, n)
         reference = oracle.multinomial_variance_oracle(device, support.values, population, n)
         worst = max(worst, abs(closed - reference) / abs(reference))
     return CheckResult(
         name="mean_variance_identity",
         passed=worst <= EXACT_TOL,
-        detail=f"max relative gap closed-form vs moment identity = {worst:.3e} at n={n}",
+        detail=f"max relative gap closed-form vs moment identity = {worst:.3e} at n={n}, "
+        "one support offset by 1e8",
     )
 
 

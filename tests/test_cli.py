@@ -415,6 +415,19 @@ def test_p_whose_results_are_not_finite_is_refused(capsys, survey_m2, tmp_path, 
     assert stderr_code(err) == "NONFINITE_RESULT"
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimate_and_simulate_at_extreme_p_raise_no_warning(capsys, survey_m2, tmp_path):
+    # a warning, raised here as an error, would end the command INTERNAL_ERROR
+    counts = write_json(tmp_path / "c.json", [4, 6])
+    for p, expected in (("1e-320", 2), ("1e-300", 2), ("1e-160", 2), ("1e-100", 0), ("0.9999999999999999", 0)):
+        for argv in (
+            ("simulate", "--survey", survey_m2, "--n", "10", "--replicates", "5"),
+            ("estimate", "--survey", survey_m2, "--counts", counts),
+        ):
+            code, _, err = run(capsys, *argv, "--p", p)
+            assert code == expected, (argv[0], p, err)
+
+
 def test_small_p_with_finite_results_prints_strict_json(capsys, survey_m2, tmp_path):
     def strict(text):
         return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))

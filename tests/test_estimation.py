@@ -8,10 +8,11 @@ regression toward them cannot pass silently.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit import Device, PopulationModel, ResponseSample, SupportSpec, ValidationError
@@ -20,11 +21,17 @@ from rrkit.estimation import (
     estimate_mean,
     estimate_proportions,
     estimate_report,
+    mean_estimates,
     total_variance_proportions_theoretical,
     variance_mean_plugin,
     variance_mean_theoretical,
 )
-from rrkit.oracle import enumeration_moments, response_distribution_oracle
+from rrkit.oracle import (
+    enumeration_moments,
+    multinomial_variance_oracle,
+    response_distribution_oracle,
+)
+from rrkit.simulation import SEED_CHUNK
 
 
 def test_raw_proportions_by_hand(device_half2):
@@ -64,6 +71,55 @@ def test_mean_is_bitwise_the_report_mean(counts, p, shift):
     sample = ResponseSample(counts=tuple(counts))
     d = Device(p=p, m=m)
     assert estimate_mean(sample, d, support) == estimate_report(sample, d, support).mu_hat
+
+
+def _assert_block_estimates_are_each_rows_own(proportions, device, x):
+    """The block's estimates, C- or Fortran-ordered, equal byte for byte each
+    row's estimated alone, as a 1-D row and as a block of one row."""
+    block = mean_estimates(proportions, device, x)
+    fortran = mean_estimates(np.asfortranarray(proportions), device, x)
+    alone = [mean_estimates(row, device, x) for row in proportions]
+    one_row = [mean_estimates(proportions[r:r + 1], device, x)[0] for r in range(len(proportions))]
+    assert block.shape == (len(proportions),)
+    assert block.tobytes() == fortran.tobytes() == np.array(alone).tobytes() == np.array(one_row).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, SEED_CHUNK),
+    # numpy's pairwise sum adds runs of 8 and splits past 128 entries
+    m=st.one_of(
+        st.integers(2, 20),
+        st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]),
+        st.integers(2, 2_000),
+    ),
+    shift=st.sampled_from([0.0, -7.5, 1e6, -1e8, 3e9]),
+    scale=st.sampled_from([1.0, 1e-3, 0.25, 7.5]),
+    p=st.one_of(st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from([1e-320, 1e-300, 1.0 - 1e-16])),
+    special=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_mean_estimates_are_each_rows_own(k, m, shift, scale, p, special, seed):
+    """mean_estimates gives each row of a block the bits it has alone, on
+    offset and scaled supports and with infinite or NaN raw entries."""
+    rng = np.random.default_rng(seed)
+    proportions = rng.multinomial(max(m, 40), np.full(m, 1.0 / m), size=k) / max(m, 40)
+    # +-inf and NaN raw proportions, as p near 0 and bad counts give
+    rows, cols = rng.integers(0, k, special), rng.integers(0, m, special)
+    proportions[rows, cols] = rng.choice([np.inf, -np.inf, np.nan], special)
+    x = shift + scale * rng.permutation(m)
+    x[rng.integers(0, m)] = 0.0  # a zero value meeting an infinite entry makes NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_block_estimates_are_each_rows_own(proportions, Device(p=p, m=m), x)
+
+
+def test_block_mean_estimates_are_each_rows_own_at_m_350_000():
+    m = 350_000
+    rng = np.random.default_rng(5)
+    proportions = rng.multinomial(10 * m, np.full(m, 1.0 / m), size=3) / (10 * m)
+    x = 1e8 + 0.25 * np.arange(m)
+    _assert_block_estimates_are_each_rows_own(proportions, Device(p=0.3, m=m), x)
 
 
 def test_mean_checks_both_dimensions(device_half2, support2, support3):
@@ -133,6 +189,27 @@ def test_variance_mean_matches_moment_identity_on_grid():
                 identity = float((x * x @ lam - (x @ lam) ** 2) / (n * p * p))
                 closed = variance_mean_theoretical(d, support, pop, n)
                 assert abs(closed - identity) <= 1e-12 * abs(identity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shift=st.one_of(st.sampled_from([1e8, -1e8, 3e9, -3e9]), st.floats(-3e9, 3e9)),
+    scale=st.one_of(st.sampled_from([1e-3, 7.5]), st.floats(1e-3, 7.5)),
+    p=st.floats(0.01, 0.99),
+    weights=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]), min_size=2, max_size=6).filter(any),
+)
+def test_variance_mean_matches_the_oracle_on_offset_and_scaled_supports(shift, scale, p, weights):
+    """Far from 0 the closed form must not cancel: at support 1e8 + {0, 1, 2}
+    an uncentred form was 6.45e-10 off the oracle, and 1.2e-4 at a shift of
+    -3e9 with scale 1e-3."""
+    m = len(weights)
+    values = tuple(shift + scale * k for k in range(m))
+    support = SupportSpec(values=values, stigma=(True,) * m)
+    pop = PopulationModel(pi=tuple(w / sum(weights) for w in weights))
+    device = Device(p=p, m=m)
+    closed = variance_mean_theoretical(device, support, pop, 100)
+    reference = multinomial_variance_oracle(device, values, pop, 100)
+    assert abs(closed - reference) <= 1e-12 * reference
 
 
 # --- summed variance of the proportion estimators ---------------------------
