@@ -55,9 +55,11 @@ def bincount_counter(cfg, rows):
 
 
 def cuts_counter(cfg):
-    """Count one row per call by comparisons against the cut points."""
+    """Count one row per call by comparisons against the cut points, paired
+    once, as the kernel pairs them once per range."""
     scratch = (np.empty(cfg.n, dtype=bool), np.empty(cfg.n, dtype=bool))
-    return lambda u: simulation._count_by_cuts(cfg, u[0], scratch)
+    levels = simulation._cut_levels(cfg)
+    return lambda u: simulation._count_by_cuts(cfg, u[0], scratch, levels=levels)
 
 
 def check():

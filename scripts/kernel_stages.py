@@ -8,12 +8,13 @@ Runs ``simulation.run_block`` over R replicates of n respondents over m values
 replicate of each stage, the best of K passes. The stages are the kernel's
 own functions, timed through wrappers set on their modules for the pass:
 
-- seeding: ``replicate_words`` on the jump path, ``replicate_states`` on the
-  setter path;
-- uniforms: ``_jump_uniforms`` or ``_setter_uniforms``;
+- seeding: ``replicate_words`` and the cast of its limbs (``_jump_limbs``)
+  on the jump path, ``replicate_states`` on the setter path, once per seed
+  chunk;
+- uniforms: ``_jump_uniforms`` or ``_setter_uniforms``, once per block;
 - counting: ``_count_rows``, or ``_count_by_cuts`` for one-row blocks;
-- estimate: ``estimation.mean_estimates``, once per block (and once for the
-  replay of replicate 0);
+- estimate: ``estimation.mean_estimates``, once per seed chunk (and once for
+  the replay of replicate 0);
 - rest: the rest of ``run_block`` (its allocations, the replay of replicate
   0, the loop);
 - reduce: the mean and variance of the estimates.
@@ -35,6 +36,7 @@ STAGES = ("seeding", "uniforms", "counting", "estimate", "rest", "reduce")
 # the kernel's functions, by module and name, each timed as the stage it belongs to
 TIMED = {
     (simulation, "replicate_words"): "seeding",
+    (simulation, "_jump_limbs"): "seeding",
     (simulation, "replicate_states"): "seeding",
     (simulation, "_jump_uniforms"): "uniforms",
     (simulation, "_setter_uniforms"): "uniforms",
@@ -125,7 +127,8 @@ def main(argv=None) -> None:
     rows = simulation.block_rows(n, m)
     path = "jump" if n <= simulation.JUMP_MAX_N else "setter"
     counter = "cuts" if rows == 1 and m <= simulation.CUTS_MAX_M else "bincount"
-    print(f"n = {n}, m = {m}, R = {R}: {path} path, {counter}, block rows {rows}")
+    print(f"n = {n}, m = {m}, R = {R}: {path} path, {counter}, block rows {rows}, "
+          f"chunk rows {simulation.chunk_rows(m)}")
     print("the kernel's estimates and estimate_mean's agree bit for bit")
     print(f"us per replicate, best of {args.repeats} passes")
     for name in STAGES + ("total",):

@@ -9,10 +9,10 @@ two ways: by setting one generator's PCG64 state to each replicate's in turn
 jump path, used up to ``simulation.JUMP_MAX_N`` respondents). This script
 first checks that both give ``Generator.random``'s bits for a few seeds and
 replicate ranges. It then prints, per n and path, the microseconds per
-replicate of seeding plus uniforms, in the block rows each path gets at m
-values, and of the whole serial kernel (``run_replicates`` with
-``RRKIT_THREADS=1``, uniform population, p = 0.3), each the best of K passes
-over R replicates. The jump path's larger scratch leaves it fewer rows per
+replicate of seeding plus uniforms, in the seed chunks and block rows the
+kernel gives each path at m values, and of the whole serial kernel
+(``run_replicates`` with ``RRKIT_THREADS=1``, uniform population, p = 0.3),
+each the best of K passes over R replicates. The jump path's larger scratch leaves it fewer rows per
 block, so the kernel columns cross at a lower n than the stream columns;
 ``JUMP_MAX_N`` is set from the kernel columns.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from rrkit import Device, PopulationModel, SupportSpec, simulation
 
-SIZES = (1, 10, 30, 50, 60, 70, 80, 100, 500)
+SIZES = (1, 10, 30, 50, 60, 70, 80, 90, 100, 500)
 
 
 @contextlib.contextmanager
@@ -50,8 +50,8 @@ def setter_fill(seed, start, stop, n, m):
     out = np.empty((stop - start, 2 * n))
     generator = np.random.Generator(np.random.PCG64(0))
     step = rows(n, m, jump=False)
-    for chunk in range(start, stop, simulation.SEED_CHUNK):
-        end = min(chunk + simulation.SEED_CHUNK, stop)
+    for chunk in range(start, stop, simulation.chunk_rows(m)):
+        end = min(chunk + simulation.chunk_rows(m), stop)
         states = simulation.replicate_states(seed, chunk, end)
         for lo in range(0, end - chunk, step):
             k = min(step, end - chunk - lo)
@@ -65,13 +65,13 @@ def jump_fill(seed, start, stop, n, m):
     out = np.empty((stop - start, 2 * n))
     step = rows(n, m, jump=True)
     table, scratch = simulation._jump_table(n), simulation._jump_scratch(step, n)
-    for chunk in range(start, stop, simulation.SEED_CHUNK):
-        end = min(chunk + simulation.SEED_CHUNK, stop)
-        words = simulation.replicate_words(seed, chunk, end)
+    for chunk in range(start, stop, simulation.chunk_rows(m)):
+        end = min(chunk + simulation.chunk_rows(m), stop)
+        limbs = simulation._jump_limbs(simulation.replicate_words(seed, chunk, end))
         for lo in range(0, end - chunk, step):
             k = min(step, end - chunk - lo)
             at = chunk - start + lo
-            simulation._jump_uniforms(words[:, lo:lo + k], table, out[at:at + k], scratch)
+            simulation._jump_uniforms(limbs[lo:lo + k], table, out[at:at + k], scratch)
     return out
 
 

@@ -8,27 +8,33 @@ uniforms for the device. Results are collected into a slot per replicate and
 reduced in replicate order, so the summary is byte-identical no matter how
 many worker threads ran.
 
-The block kernel: :func:`run_block` seeds the streams of up to
-``SEED_CHUNK`` replicates in one vectorised pass (:func:`replicate_words`
-re-derives SeedSequence's mixing), then draws each replicate's 2n uniforms
-into a row of a block. Up to ``JUMP_MAX_N`` respondents it computes the
-uniforms of a whole block at once, with no generator: PCG64 is a 128-bit LCG
-with multiplier M, so the state behind output j is
+The block kernel: :func:`run_block` takes a range of replicates in seed
+chunks of up to ``SEED_CHUNK``, and does once per chunk all that does not
+grow with n: it seeds the chunk's streams in one vectorised pass
+(:func:`replicate_words` re-derives SeedSequence's mixing), estimates the
+chunk's count rows in one call and keeps their tuples. In between, block by
+block, it draws each replicate's 2n uniforms into a row of a block and counts
+them into the replicate's row of the chunk. Up to ``JUMP_MAX_N`` respondents
+it computes the uniforms of a whole block at once, with no generator: PCG64
+is a 128-bit LCG with multiplier M, so the state behind output j is
 M^(j+1) w + C_(j+2) inc mod 2**128, C_t = sum of M^u for u < t (Brown,
 "Random Number Generation with Arbitrary Strides", 1994), from the seed
-words w and inc. Those states are one exact float64 matmul of the seeds'
-16-bit limbs by a table built once per n, followed by a carry chain, the
-XSL-RR output step and ``Generator.random``'s ``>> 11`` and 2**-53. Above
+words w and inc = 2i + 1. Those states are one exact float64 matmul of the
+seed words' 16-bit limbs, cast once per chunk, by a table built once per n
+that folds in the word order and inc, followed by a carry chain, the XSL-RR
+output step and ``Generator.random``'s ``>> 11`` and 2**-53. Above
 ``JUMP_MAX_N``, where the matmul grows past the cost of a generator, it
 re-derives PCG64's seeding (:func:`replicate_states`) and sets each
 replicate's state on one reused generator before drawing its row. Rows per
 block are capped so that a block, its temporaries and its count cells stay
-within ``BLOCK_BYTES`` (one row when a single replicate is larger). Truth,
-device, counts and the mean estimate (:func:`~rrkit.estimation.mean_estimates`,
-whose bits for a row do not depend on its block) are then computed for the
-whole block, through the same uniform-to-index helpers that
-:func:`sample_true_indices` and :func:`~rrkit.device.draw_responses` use,
-writing into scratch allocated once per range next to the block. Counting
+within ``BLOCK_BYTES`` (one row when a single replicate is larger), and rows
+per chunk so that its count cells do (:func:`chunk_rows`). Truth, device and
+counts are computed for the whole block, through the same uniform-to-index
+helpers that :func:`sample_true_indices` and
+:func:`~rrkit.device.draw_responses` use, writing into scratch allocated
+once per range next to the block; the mean estimate
+(:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do not depend
+on the rows beside it) for the whole chunk. Counting
 takes comparisons and array arithmetic only, no searchsorted: the truth index
 is a branchless binary search over the cached CDF padded with +inf, which
 equals the capped searchsorted because the CDF is non-decreasing; the device
@@ -65,8 +71,8 @@ hands out contiguous blocks of replicate indices, ``BLOCKS_PER_WORKER`` per
 worker, and each block is drawn through a generator of its own.
 
 Before anything is allocated, a run is refused with ``RESOURCE_LIMIT`` when
-its per-worker block and seed table, its jump table, plus its per-replicate
-results, would exceed ``MEMORY_BUDGET_BYTES``.
+its per-worker block, seed chunk and count cells, its jump table, plus its
+per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -112,15 +118,21 @@ BLOCKS_PER_WORKER = 4
 # Replicates per block of the kernel: as many as keep a block's rows
 # (block_row_bytes: uniforms, temporaries and count cells) within
 # BLOCK_BYTES, at least one, and at most SEED_CHUNK, the replicates seeded
-# per pass.
+# and estimated per pass; a chunk's count cells are capped by BLOCK_BYTES
+# too (chunk_rows).
 BLOCK_BYTES = 1 << 19
-SEED_CHUNK = 256
+SEED_CHUNK = 2048
 # Respondents per replicate up to which run_block computes each block's
 # uniforms from the seeds by jumping ahead (_jump_uniforms) rather than by
 # setting a generator's state per replicate. The jump's cost grows with n,
-# the setter's barely does; serial kernels on 2 vCPUs at m = 4 took 0.90 vs
-# 2.46 us per replicate at n = 10, 3.03 vs 3.17 at n = 70 and 3.40 vs 3.26
-# at n = 80 (scripts/stream_crossover.py).
+# the setter's barely does; serial kernels on 2 vCPUs at m = 4 took 0.84 vs
+# 3.60 us per replicate at n = 10, 4.03 vs 4.70 at n = 80 and 5.13 vs 5.01
+# at n = 100 (scripts/stream_crossover.py, best of three runs of 60 passes).
+# In 11 sets of both paths run in turn, the jump's time over the setter's had
+# a median of 0.82 at n = 70, 0.89 at n = 90, 0.96 and 1.06 in two runs at
+# n = 100, and 1.17 at n = 110. The jump wins up to 70 in every measurement;
+# where it stops winning above that moved between runs (80-90 for the kernel
+# that seeded each block, measured the same way), so the limit stays at 70.
 JUMP_MAX_N = 70
 # Largest m at which a block of one replicate is counted by comparisons
 # against cut points (_count_by_cuts) rather than through index arrays and a
@@ -139,17 +151,19 @@ CUTS_MAX_M = 16
 # numpy's ufunc buffers of up to 64 KiB, which bring a block at n = 10 to 53,
 # within its range's seed allowance. On the jump path a block also holds, per respondent, its limb
 # sums (64 bytes) and three uint64 word arrays (48), planned as 112, and the
-# run holds one state table of 1 KiB per respondent; a cold run's peak (the
-# table built inside the trace) stayed within 0.89 of the plan at n = 1-70,
-# m = 3 and 40, R = 1-1 000. Each block also holds m cells per replicate: its
-# counts and the estimate's raw proportions, with their temporaries, and,
-# when records are kept, the counts as lists; they peaked at 22-32 bytes per
-# cell, with records or without (m = 300-3 000, n = 10, 500 and 50 000), and
-# summing each row alone (estimation.mean_estimates) added 7-8 bytes per cell
-# without records (m = 300 and 3 000, n = 10 and 500); planned as 48.
+# run holds one state table of 17 rows of 8 doubles per respondent; a cold
+# run's peak (the table built inside the trace) stayed within 0.79 of the plan
+# at n = 1-70, m = 3 and 40, R = 1-3 000. Each seed chunk holds m cells per
+# replicate: its counts, each block's bincount and the estimate's raw
+# proportions, with their temporaries, and, when records are kept, the
+# counts as lists; held per block, they peaked at 22-32 bytes per cell, with
+# records or without (m = 300-3 000, n = 10, 500 and 50 000), and summing
+# each row alone (estimation.mean_estimates) added 7-8 bytes per cell without
+# records (m = 300 and 3 000, n = 10 and 500); planned as 48.
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
 # per replicate while its 128-bit integers are assembled, planned as 512
-# (the jump path builds no such integers; its seed words and limbs take 160).
+# (the jump path builds no such integers; its seed words take 113 and their
+# limbs 136).
 # Each result keeps 16 bytes (its estimate and the variance pass), or, with
 # its record, about 240 at m = 3, planned as 512, plus its counts tuple: 8
 # bytes per count up to 256 (Python's shared small ints) and 40 above it,
@@ -157,7 +171,7 @@ CUTS_MAX_M = 16
 MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
 BYTES_PER_JUMP_RESPONDENT = 112
-BYTES_PER_JUMP_TABLE_RESPONDENT = 16 * 8 * 8
+BYTES_PER_JUMP_TABLE_RESPONDENT = 17 * 8 * 8
 BYTES_PER_BLOCK_COUNT = 48
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
@@ -213,6 +227,13 @@ def block_rows(n: int, m: int) -> int:
     return max(1, min(SEED_CHUNK, BLOCK_BYTES // block_row_bytes(n, m)))
 
 
+def chunk_rows(m: int) -> int:
+    """Replicates over m values per seed chunk of the kernel: as many as keep
+    the chunk's count cells within ``BLOCK_BYTES``, at least one, and at most
+    ``SEED_CHUNK``; never fewer than a block's rows at any n."""
+    return max(1, min(SEED_CHUNK, BLOCK_BYTES // (m * BYTES_PER_BLOCK_COUNT)))
+
+
 def replicate_ranges(replicates: int, workers: int) -> list[range]:
     """The contiguous ranges of replicate indices that a run on ``workers``
     threads hands out: all of them to one worker, or ``BLOCKS_PER_WORKER``
@@ -225,18 +246,17 @@ def replicate_ranges(replicates: int, workers: int) -> list[range]:
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
     """Memory a run of n respondents over m values plans for: each worker's
-    block and seed table, the run's jump table, plus every replicate's
-    result."""
+    block, seed chunk and count cells, the run's jump table, plus every
+    replicate's result."""
     if keep_replicates:
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
         per_result = BYTES_PER_RESULT
-    rows = block_rows(n, m)
     # the uniforms and scratch take every row of a block; the m-cell arrays
-    # only the rows of replicates a batch holds
+    # only the rows of replicates a chunk holds
     per_worker = (
-        block_row_bytes(n, 0) * rows
-        + min(rows, replicates) * m * BYTES_PER_BLOCK_COUNT
+        block_row_bytes(n, 0) * block_rows(n, m)
+        + min(chunk_rows(m), replicates) * m * BYTES_PER_BLOCK_COUNT
         + SEED_CHUNK * BYTES_PER_SEED
     )
     # the jump path's state table is one for all workers
@@ -417,65 +437,74 @@ def _setter_uniforms(
 
 @functools.lru_cache(maxsize=16)
 def _jump_table(n: int) -> np.ndarray:
-    """The (16, 8n) float64 table that takes a replicate's 16-bit seed limbs
-    to its first 2n PCG64 states.
+    """The (17, 8n) float64 table that takes a replicate's seed limbs
+    (:func:`_jump_limbs`) to its first 2n PCG64 states.
 
-    With w = s1:s0 and inc as in :func:`replicate_states`, the state that
-    gives output j (j = 1..2n) is M^(j+1) w + C_(j+2) inc mod 2**128, where
-    M is the multiplier and C_t = sum of M^u for u < t; j = 0 is the seeded
-    state. Row p multiplies 16-bit limb p of w (rows 8 + p: of inc).
-    Column 4(j - 1) + L holds, for 32-bit limb L of state j, the 16-bit limb
-    2L - p of the coefficient plus 2**16 times limb 2L + 1 - p, so that the
-    limbs @ table product gives T_2L + 2**16 T_(2L+1), where T_t sums the
-    limb products of weight 2**(16t). Every entry is below 2**32, and every
-    sum of the 16 products below 2**52: the float64 product is exact in any
-    summation order.
+    With w = s1:s0, i = i1:i0 and inc = 2i + 1 as in
+    :func:`replicate_states`, the state that gives output j (j = 1..2n) is
+    M^(j+1) w + C_(j+2) inc = M^(j+1) w + (2 C_(j+2)) i + C_(j+2) mod 2**128,
+    where M is the multiplier and C_t = sum of M^u for u < t; j = 0 is the
+    seeded state. Rows 0-15 multiply the 16-bit limbs of the words
+    (s1, s0, i1, i0), in :func:`replicate_words`' order: a limb of w by the
+    coefficient M^(j+1), a limb of i by 2 C_(j+2) mod 2**128. Row 16
+    multiplies a constant 1 by C_(j+2). For the limb of weight 2**(16p),
+    column 4(j - 1) + L holds, for 32-bit limb L of state j, the 16-bit limb
+    2L - p of the coefficient plus 2**16 times limb 2L + 1 - p (p = 0 for the
+    constant), so that the limbs @ table product gives T_2L + 2**16 T_(2L+1),
+    where T_t sums the limb products of weight 2**(16t). Every entry is below
+    2**32, and every sum of the 17 products at most
+    16 (2**16 - 1)(2**32 - 1) + 2**32 - 1 < 2**52: the float64 product is
+    exact in any summation order.
     """
     a, c = _PCG64_MULT, 1 + _PCG64_MULT
     coeffs = []
     for _ in range(2 * n):
         a = a * _PCG64_MULT & _MASK128
         c = c + a & _MASK128
-        coeffs += (a, c)
+        coeffs += (a, 2 * c & _MASK128, c)
     # each coefficient's 16-bit limbs, least significant first, after 8 zeros
-    limbs = np.zeros((4 * n, 16))
+    limbs = np.zeros((6 * n, 16))
     raw = b"".join(coeff.to_bytes(16, "little") for coeff in coeffs)
     limbs[:, 8:] = np.frombuffer(raw, dtype="<u2").reshape(-1, 8)
     q = 2 * np.arange(4) - np.arange(8)[:, None] + 8  # coefficient limb 2L - p, padded
     table = limbs[:, q] + 65536.0 * limbs[:, q + 1]  # (coefficient, p, L)
-    table = table.reshape(2 * n, 2, 8, 4).transpose(1, 2, 0, 3).reshape(16, 8 * n)
-    return _read_only(np.ascontiguousarray(table))
+    table = table.reshape(2 * n, 3, 8, 4).transpose(1, 2, 0, 3).reshape(3, 8, 8 * n)
+    # the words' limbs, s1 and i1 (weights 2**64 up) before s0 and i0
+    order = [4, 5, 6, 7, 0, 1, 2, 3]
+    table = np.concatenate([table[0, order], table[1, order], table[2, :1]])
+    return _read_only(table)
+
+
+def _jump_limbs(words: np.ndarray) -> np.ndarray:
+    """The (k, 17) float64 seed limbs of the k columns of ``words`` (8, k),
+    from :func:`replicate_words`: row r holds the 16-bit limbs of column r,
+    least significant first within each word, then a 1 for
+    :func:`_jump_table`'s constant row."""
+    limbs = np.empty((words.shape[1], 17))
+    limbs[:, :16] = np.ascontiguousarray(words.T, dtype="<u4").view("<u2")
+    limbs[:, 16] = 1.0
+    return limbs
 
 
 def _jump_scratch(rows: int, n: int) -> tuple[np.ndarray, ...]:
     """Scratch for :func:`_jump_uniforms` over up to ``rows`` replicates of n
-    respondents: seed words, their limbs, the limb sums and three word arrays."""
+    respondents: the limb sums and three word arrays."""
     return (
-        np.empty((rows, 8), dtype="<u4"),
-        np.empty((rows, 16)),
         np.empty((rows, 8 * n)),
         *(np.empty((rows, 2 * n), dtype=np.uint64) for _ in range(3)),
     )
 
 
 def _jump_uniforms(
-    words: np.ndarray, table: np.ndarray, out: np.ndarray, scratch: tuple[np.ndarray, ...]
+    limbs: np.ndarray, table: np.ndarray, out: np.ndarray, scratch: tuple[np.ndarray, ...]
 ) -> None:
     """Fill row r of ``out`` (k, 2n) with the first 2n ``Generator.random``
-    uniforms of the stream seeded by column r of ``words`` (8, k), from
-    :func:`replicate_words`, without a generator: every state comes from the
+    uniforms of the stream whose seed limbs (:func:`_jump_limbs`) are row r
+    of ``limbs`` (k, 17), without a generator: every state comes from the
     seed through ``table`` (:func:`_jump_table`), one float64 matmul.
     """
     k = len(out)
-    seeds, limbs, sums, lo, hi, tmp = (a[:k] for a in scratch)
-    # w's 32-bit words, least significant first, then those of inc = 2i + 1
-    seeds[:, :4] = words[[2, 3, 0, 1]].T
-    i = words[[6, 7, 4, 5]].T
-    inc = seeds[:, 4:]
-    np.left_shift(i, 1, out=inc)
-    inc[:, 1:] |= i[:, :3] >> 31
-    inc[:, 0] |= 1
-    limbs[...] = seeds.view("<u2")
+    sums, lo, hi, tmp = (a[:k] for a in scratch)
     np.matmul(limbs, table, out=sums)
     # each sum is an integer below 2**52: adding 2**52 puts it in the mantissa
     sums += 2.0**52
@@ -515,21 +544,26 @@ def run_block(
     """Estimate replicates ``block`` of a run into ``mu_hats[i]``, and their
     counts into ``counts[i]`` when a list is given.
 
-    Each replicate's 2n uniforms are drawn from its own v1 stream into a row
-    of a block, by :func:`_jump_uniforms` up to ``JUMP_MAX_N`` respondents
-    and through a generator set to each replicate's state above it. The block
-    is counted, by :func:`_count_by_cuts` when it holds one replicate over at
-    most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise, and
-    estimated at once by :func:`~rrkit.estimation.mean_estimates`, which
+    The range is taken in seed chunks of :func:`chunk_rows` replicates. Each
+    chunk's streams are seeded in one pass (:func:`replicate_words`, and on
+    the jump path one cast of their limbs, :func:`_jump_limbs`). Block by
+    block of :func:`block_rows`, each replicate's 2n uniforms are then drawn
+    from its own v1 stream into a row of the block, by :func:`_jump_uniforms`
+    up to ``JUMP_MAX_N`` respondents and through a generator set to each
+    replicate's state above it, and counted into its row of the chunk's
+    counts, by :func:`_count_by_cuts` when a block holds one replicate over at
+    most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise. The
+    chunk's counts are estimated at once by
+    :func:`~rrkit.estimation.mean_estimates`, which
     :func:`~rrkit.estimation.estimate_mean` calls on one row. The range that
-    holds replicate 0 first replays it through
-    :func:`simulate_survey` and :func:`~rrkit.estimation.estimate_mean`; the
-    kernel must then reproduce its counts and every bit of its estimate, or
-    ``RuntimeError`` is raised.
+    holds replicate 0 first replays it through :func:`simulate_survey` and
+    :func:`~rrkit.estimation.estimate_mean`; the kernel must then reproduce
+    its counts and every bit of its estimate, or ``RuntimeError`` is raised.
     """
     n, m = config.n, config.support.m
     jump = n <= JUMP_MAX_N
     rows = block_rows(n, m)
+    step = chunk_rows(m)
     cuts = rows == 1 and m <= CUTS_MAX_M
     # replayed, and the jump table built, before the block is allocated, so
     # that their temporaries and the block never coexist
@@ -537,6 +571,7 @@ def run_block(
     table = _jump_table(n) if jump else None
     x = config.support.values_array
     uniforms = np.empty((rows, 2 * n))
+    chunk_counts = np.empty((min(step, len(block)), m), dtype=np.int64)
     # Scratch for counting, allocated once per range and overwritten by every
     # batch. Arrays this large, freed and allocated again per replicate on the
     # main thread (a serial run), can go back to the operating system in
@@ -545,6 +580,7 @@ def run_block(
     # these. Counting by cuts needs only two flag rows.
     if cuts:
         scratch = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        levels = _cut_levels(config)
     else:
         scratch = (
             np.empty((rows, n), dtype=np.int64),
@@ -557,29 +593,31 @@ def run_block(
         jump_scratch = _jump_scratch(rows, n)
     else:
         generator = np.random.Generator(np.random.PCG64(0))
-    for chunk in range(block.start, block.stop, SEED_CHUNK):
-        stop = min(chunk + SEED_CHUNK, block.stop)
+    for chunk in range(block.start, block.stop, step):
+        size = min(step, block.stop - chunk)
         if jump:
-            words = replicate_words(config.seed, chunk, stop)
+            limbs = _jump_limbs(replicate_words(config.seed, chunk, chunk + size))
         else:
-            states = replicate_states(config.seed, chunk, stop)
-        for lo in range(0, stop - chunk, rows):
-            k = min(rows, stop - chunk - lo)
+            states = replicate_states(config.seed, chunk, chunk + size)
+        for lo in range(0, size, rows):
+            k = min(rows, size - lo)
             u = uniforms[:k]
             if jump:
-                _jump_uniforms(words[:, lo:lo + k], table, u, jump_scratch)
+                _jump_uniforms(limbs[lo:lo + k], table, u, jump_scratch)
             else:
                 _setter_uniforms(states[lo:lo + k], generator, u)
             if cuts:
-                block_counts = _count_by_cuts(config, u[0], scratch)
+                _count_by_cuts(config, u[0], scratch, chunk_counts[lo:lo + 1], levels)
             else:
-                block_counts = _count_rows(config, u, offsets[:k], [a[:k] for a in scratch])
-            i = chunk + lo
-            mu_hats[i:i + k] = estimation.mean_estimates(block_counts / n, config.device, x)
-            if counts is not None:
-                counts[i:i + k] = map(tuple, block_counts.tolist())
-            if i == 0:
-                _check_first_replicate(config, replayed, block_counts[0], mu_hats[0])
+                chunk_counts[lo:lo + k] = _count_rows(
+                    config, u, offsets[:k], [a[:k] for a in scratch]
+                )
+        filled = chunk_counts[:size]
+        mu_hats[chunk:chunk + size] = estimation.mean_estimates(filled / n, config.device, x)
+        if counts is not None:
+            counts[chunk:chunk + size] = map(tuple, filled.tolist())
+        if chunk == 0:
+            _check_first_replicate(config, replayed, filled[0], mu_hats[0])
 
 
 def _count_rows(
@@ -602,11 +640,22 @@ def _count_rows(
     return np.bincount(responses.ravel(), minlength=len(u) * m).reshape(len(u), m)
 
 
+def _cut_levels(config: SimulationConfig) -> list[tuple[float, float]]:
+    """The pairs (``cdf[k-1]``, t_k), k = 1..m-1, that :func:`_count_by_cuts`
+    compares truth and device uniforms with."""
+    return list(zip(config.population.cdf[:-1].tolist(), config.device.forced_cuts))
+
+
 def _count_by_cuts(
-    config: SimulationConfig, u: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+    config: SimulationConfig,
+    u: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray | None = None,
+    levels: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    """Response counts of one replicate, as a (1, m) row, from its n truth
-    uniforms followed by its n device uniforms, with no index array.
+    """Response counts of one replicate, into the (1, m) row ``out`` (a new
+    one if None), from its n truth uniforms followed by its n device
+    uniforms, with no index array.
 
     A truthful draw (device uniform below p) reports its true index, which is
     at least k exactly when its truth uniform is at or above ``cdf[k-1]``,
@@ -615,21 +664,30 @@ def _count_by_cuts(
     t_k (:attr:`~rrkit.model.Device.forced_cuts`), and t_k > p. So the
     responses at or above k number the truthful draws past ``cdf[k-1]`` plus
     the device uniforms past t_k, and each count is the difference of two
-    such numbers. ``scratch`` holds two bool rows of n, both overwritten.
+    such numbers. ``scratch`` holds two bool rows of n, both overwritten;
+    ``levels`` the pairs of :func:`_cut_levels`, which the kernel forms once
+    per range.
     """
     n, p = config.n, config.device.p
+    if out is None:
+        out = np.empty((1, config.support.m), dtype=np.int64)
     truth, draws = u[:n], u[n:]
     truthful, flags = scratch
     np.less(draws, p, out=truthful)
-    at_least = [n]
-    for level, cut in zip(config.population.cdf[:-1].tolist(), config.device.forced_cuts):
+    if levels is None:
+        levels = _cut_levels(config)
+    row = out[0]
+    above = n
+    for k, (level, cut) in enumerate(levels):
         np.greater_equal(truth, level, out=flags)
         flags &= truthful
-        above = np.count_nonzero(flags)
+        at_least = np.count_nonzero(flags)
         np.greater_equal(draws, cut, out=flags)
-        at_least.append(above + np.count_nonzero(flags))
-    at_least.append(0)
-    return -np.diff(at_least)[None, :]
+        at_least += np.count_nonzero(flags)
+        row[k] = above - at_least
+        above = at_least
+    row[-1] = above
+    return out
 
 
 def _check_first_replicate(

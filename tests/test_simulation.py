@@ -386,10 +386,25 @@ def test_jump_uniforms_match_generator_random(case):
     words = replicate_words(seed, start - lead, start + k)[:, lead:]
     out = np.empty((k, 2 * n))
     simulation._jump_uniforms(
-        words, simulation._jump_table(n), out, simulation._jump_scratch(rows, n)
+        simulation._jump_limbs(words), simulation._jump_table(n), out,
+        simulation._jump_scratch(rows, n),
     )
     for r in range(k):
         assert out[r].tobytes() == replicate_stream(seed, start + r).random(2 * n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, JUMP_MAX_N])
+def test_jump_table_products_are_exact_in_float64(n):
+    """Every entry of the folded table is an integer below 2**32, and the
+    largest sum the limbs can give (16 limbs of 2**16 - 1 and the constant 1)
+    is below 2**52, so every matmul sum is exact."""
+    table = simulation._jump_table(n)
+    assert table.shape == (17, 8 * n)
+    assert (table >= 0).all() and (table < 2**32).all()
+    entries = table.astype(np.int64)
+    assert (entries == table).all()
+    top = np.array([2**16 - 1] * 16 + [1], dtype=np.int64)
+    assert (top @ entries).max() < 2**52
 
 
 def test_each_path_draws_its_side_of_jump_max_n(support3, pop3, monkeypatch):
@@ -648,8 +663,8 @@ def _gate_config(n, replicates):
 
 def test_thread_count_does_not_choose_the_estimate_path(monkeypatch):
     """At n = 10, m = 3 and 264 replicates, one worker's range holds them all,
-    estimated in blocks of 256 and 8 rows, and each of three workers' twelve
-    ranges holds 22, estimated as one block. Every estimate comes from
+    estimated as one seed chunk, and each of three workers' twelve ranges
+    holds 22, estimated as one chunk. Every estimate comes from
     estimation.mean_estimates either way, with the same bits."""
     config = _gate_config(10, 264)
     blocks, estimates = {}, {}
@@ -669,7 +684,7 @@ def test_thread_count_does_not_choose_the_estimate_path(monkeypatch):
         blocks[threads] = sorted(rows)
         estimates[threads] = np.array([r.mu_hat for r in summary.records]).tobytes()
         _assert_records_match_stage_functions(summary, config)
-    assert blocks == {"1": [8, 256], "3": [22] * 12}
+    assert blocks == {"1": [264], "3": [22] * 12}
     assert estimates["1"] == estimates["3"]
 
 
@@ -683,7 +698,7 @@ def test_kernel_matches_the_stage_functions_at_p_near_0_and_1(p, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_memo_keeps_nan_estimates_and_the_run_ends_nonfinite(monkeypatch):
+def test_nan_estimates_keep_their_bits_and_the_run_ends_nonfinite(monkeypatch):
     # (w - q) / p overflows to +-inf at p = 1e-320, and the value 0 times an
     # infinite raw proportion makes the estimate NaN, with no warning; only
     # the counts (5, 5) leave both raw proportions 0
@@ -782,13 +797,24 @@ def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
 
 
 def test_block_rows_fit_block_bytes_with_the_count_cells():
-    assert simulation.block_rows(10, 4) == simulation.SEED_CHUNK  # mc_small_n's rows
+    rows = simulation.BLOCK_BYTES // simulation.block_row_bytes(10, 4)
+    assert simulation.block_rows(10, 4) == rows  # mc_small_n's rows
     for n, m in ((10, 1000), (10, 350_000), (JUMP_MAX_N, 3), (JUMP_MAX_N + 1, 3), (500, 3000)):
         rows = simulation.block_rows(n, m)
         assert rows == 1 or rows * simulation.block_row_bytes(n, m) <= simulation.BLOCK_BYTES
         assert (rows + 1) * simulation.block_row_bytes(n, m) > simulation.BLOCK_BYTES or (
             rows == simulation.SEED_CHUNK
         )
+
+
+def test_seed_chunks_fit_block_bytes_with_their_count_cells():
+    assert simulation.chunk_rows(4) == simulation.SEED_CHUNK >= 2000  # mc_small_n in one chunk
+    assert simulation.chunk_rows(350_000) == 1
+    for m in (2, 3, 4, 1000, 2730, 2731, 350_000):
+        rows = simulation.chunk_rows(m)
+        assert rows == 1 or rows * m * simulation.BYTES_PER_BLOCK_COUNT <= simulation.BLOCK_BYTES
+        for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 50_000):
+            assert rows >= simulation.block_rows(n, m)
 
 
 def test_memory_plan_at_m_350_000_holds_one_row_of_counts():
