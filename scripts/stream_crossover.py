@@ -12,14 +12,19 @@ replicate ranges. It then prints, per n and path, the microseconds per
 replicate of seeding plus uniforms, in the seed chunks and block rows the
 kernel gives each path at m values, and of the whole serial kernel
 (``run_replicates`` with ``RRKIT_THREADS=1``, uniform population, p = 0.3),
-each the best of K passes over R replicates. The jump path's larger scratch leaves it fewer rows per
-block, so the kernel columns cross at a lower n than the stream columns;
-``JUMP_MAX_N`` is set from the kernel columns.
+each the best of K passes over R replicates. The two paths are timed in
+turn, K times, so that both see the same load; beside each pair of columns
+``j/s`` is the median of the K jump/setter ratios, which resolves the
+crossing where the best-of-K columns, drawn on a shared host, may not. The
+jump path's larger scratch leaves it fewer rows per block, so the kernel
+columns cross at a lower n than the stream columns; ``JUMP_MAX_N`` is set
+from the kernel columns.
 """
 
 import argparse
 import contextlib
 import os
+import statistics
 import time
 
 import numpy as np
@@ -90,14 +95,20 @@ def check(m):
                         raise SystemExit(f"Generator.random differs: seed {seed}, replicate {start + r}, n {n}")
 
 
-def best_us(run, replicates, repeats):
-    run()  # tables and caches built outside the timing
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best / replicates * 1e6
+def paired_us(setter, jump, replicates, repeats):
+    """Each path's best microseconds per replicate over ``repeats`` passes
+    that time the two in turn, first one then the other leading, and the
+    median of the passes' jump/setter ratios."""
+    setter(), jump()  # tables and caches built outside the timing
+    times = ([], [])
+    for i in range(repeats):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for side in order:
+            start = time.perf_counter()
+            (setter, jump)[side]()
+            times[side].append(time.perf_counter() - start)
+    ratio = statistics.median(j / s for s, j in zip(*times))
+    return min(times[0]) / replicates * 1e6, min(times[1]) / replicates * 1e6, ratio
 
 
 def kernel(n, m, replicates, jump):
@@ -128,14 +139,16 @@ def main() -> None:
     check(args.m)
     R, m = args.replicates, args.m
     print(f"bit-identical to Generator.random on both paths; JUMP_MAX_N = {simulation.JUMP_MAX_N}")
-    print(f"us per replicate, best of {args.repeats} x {R} replicates, m = {m}")
-    print(f"{'':>5} {'seeding + uniforms':>19} {'whole kernel':>19}")
-    print(f"{'n':>5} {'setter':>9} {'jump':>9} {'setter':>9} {'jump':>9} {'rows s/j':>10}")
+    print(f"us per replicate, best of {args.repeats} x {R} replicates, m = {m}; "
+          f"j/s: median jump/setter ratio of the {args.repeats} passes")
+    print(f"{'':>5} {'seeding + uniforms':>25} {'whole kernel':>25}")
+    print(f"{'n':>5}" + f" {'setter':>9} {'jump':>9} {'j/s':>5}" * 2 + f" {'rows s/j':>10}")
     for n in SIZES:
-        cells = [
-            best_us(lambda: fill(31, 0, R, n, m), R, args.repeats) for fill in (setter_fill, jump_fill)
-        ] + [best_us(kernel(n, m, R, jump), R, args.repeats) for jump in (False, True)]
-        print(f"{n:>5}" + "".join(f" {c:>9.2f}" for c in cells)
+        stream = paired_us(
+            lambda: setter_fill(31, 0, R, n, m), lambda: jump_fill(31, 0, R, n, m), R, args.repeats
+        )
+        whole = paired_us(kernel(n, m, R, False), kernel(n, m, R, True), R, args.repeats)
+        print(f"{n:>5}" + "".join(f" {s:>9.2f} {j:>9.2f} {r:>5.2f}" for s, j, r in (stream, whole))
               + f" {rows(n, m, False):>5}/{rows(n, m, True)}")
 
 

@@ -316,6 +316,13 @@ def validate_population_rows(pis) -> np.ndarray:
     summing to 1 within ``PI_SUM_BAND``; the first row that breaks a rule is
     named in the ``BAD_PI`` error. Returns a new float array.
     """
+    rows, totals = _rows_and_sums(pis)
+    return rows / totals[:, None]
+
+
+def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`validate_population_rows`, checked but not yet
+    renormalized, and the sums it divides them by."""
     import numpy as np
 
     try:
@@ -340,7 +347,7 @@ def validate_population_rows(pis) -> np.ndarray:
             "BAD_PI",
             f"row {row} sums to {float(totals[row])!r}, expected 1 within {PI_SUM_BAND}",
         )
-    return rows / totals[:, None]
+    return rows, totals
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:

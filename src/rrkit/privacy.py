@@ -31,7 +31,7 @@ from .model import (
     _index_set,
     _require_same_m,
     _unit_interval,
-    validate_population_rows,
+    _rows_and_sums,
 )
 
 # relative slack when collecting tied argmax/argmin indices
@@ -83,7 +83,7 @@ def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.nda
     form of :func:`beta_measure`."""
     indices = _index_set(nonstigmatizing, device.m)
     columns = _population_columns(device, pis)
-    beta, _ = _beta_core(_posteriors(device, columns), indices)
+    beta, _ = _beta_core(_posteriors(device, columns, indices))
     return beta
 
 
@@ -100,7 +100,7 @@ def beta_measure(
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
     indices = _index_set(nonstigmatizing, device.m)
     _require_same_m(device.m, population.m)
-    return _beta_result(_posteriors(device, population.pi_array[:, None]), indices)
+    return _beta_result(_posteriors(device, population.pi_array[:, None], indices))
 
 
 # --- the batch core ------------------------------------------------------------
@@ -110,35 +110,50 @@ def beta_measure(
 
 
 def _population_columns(device: Device, pis) -> np.ndarray:
-    rows = validate_population_rows(pis)
+    """The rows of :func:`validate_population_rows` as the columns of an (m, K) array."""
+    rows, totals = _rows_and_sums(pis)
     _require_same_m(device.m, rows.shape[1])
-    return np.ascontiguousarray(rows.T)
+    return np.divide(rows.T, totals, out=np.empty(rows.shape[::-1]))
 
 
-def _posteriors(device: Device, columns: np.ndarray) -> np.ndarray:
-    """Posterior matrices (m, m, K) of the populations in the columns of ``columns``."""
+def _posteriors(
+    device: Device, columns: np.ndarray, rows: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Posterior matrices of the populations in the columns of ``columns``:
+    all m rows (m, m, K), or only the true values ``rows`` (len(rows), m, K),
+    in their order. An entry's arithmetic does not depend on which rows are
+    built."""
     p, q = device.p, device.forced_share
     m, k = columns.shape
-    posterior = np.empty((m, m, k))
-    posterior[...] = (q * columns)[:, None, :]
-    posterior.reshape(m * m, k)[:: m + 1] += p * columns  # the diagonals
-    posterior /= (p * columns + q)[None, :, :]
+    # a list selects rows; a tuple would index one axis per entry
+    true = columns if rows is None else columns[list(rows)]
+    posterior = np.multiply(q, true[:, None, :], out=np.empty((len(true), m, k)))
+    truthful = p * columns
+    if rows is None:
+        posterior.reshape(m * m, k)[:: m + 1] += truthful  # the diagonals
+    else:
+        for t, i in enumerate(rows):
+            posterior[t, i] += truthful[i]
+    truthful += q  # the response probabilities
+    posterior /= truthful
     return posterior
 
 
 def _alpha_core(
     device: Device, columns: np.ndarray, posteriors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """alpha (K,) and the gap matrices (m, m, K) of a batch."""
-    gaps = posteriors - columns[:, None, :]
+    """alpha (K,) and the gap matrices (m, m, K) of a batch, written over
+    ``posteriors``."""
+    gaps = np.subtract(posteriors, columns[:, None, :], out=posteriors)
     np.abs(gaps, out=gaps)
     alpha = gaps.max(axis=(0, 1))
 
     # the maximum gap is always attained on the diagonal; cross-check the
     # full-matrix max against that reduced form before reporting
-    reduced = np.max(
-        columns * (1.0 - columns) / (columns + device.forced_share / device.p), axis=0
-    )
+    reduced = 1.0 - columns
+    reduced *= columns
+    reduced /= columns + device.forced_share / device.p
+    reduced = reduced.max(axis=0)
     broken = np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha
     if broken.any():
         k = int(np.argmax(broken))
@@ -149,10 +164,11 @@ def _alpha_core(
     return alpha, gaps
 
 
-def _beta_core(posteriors: np.ndarray, indices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """beta (K,) and the non-stigmatizing posterior mass per response (m, K) of a batch."""
-    # a list selects rows; a tuple would index one axis per entry
-    mass = posteriors[list(indices)].sum(axis=0)
+def _beta_core(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """beta (K,) and the non-stigmatizing posterior mass per response (m, K)
+    of a batch, from the posterior rows (t, m, K) of its t non-stigmatizing
+    values, summed in their order."""
+    mass = posteriors.sum(axis=0)
     return mass.min(axis=0), mass
 
 
@@ -166,9 +182,9 @@ def _alpha_result(device: Device, columns: np.ndarray, posteriors: np.ndarray) -
     return AlphaResult(alpha=alpha, argmax=argmax, gaps=gaps)
 
 
-def _beta_result(posteriors: np.ndarray, indices: tuple[int, ...]) -> BetaResult:
+def _beta_result(posteriors: np.ndarray) -> BetaResult:
     """The BetaResult of a batch holding one population."""
-    beta, mass = _beta_core(posteriors, indices)
+    beta, mass = _beta_core(posteriors)
     beta, mass = float(beta[0]), mass[:, 0]
     mass.flags.writeable = False
     threshold = beta + TIE_RTOL * max(beta, 1.0)
@@ -235,9 +251,10 @@ def privacy_report(
     bound is reported as None.
     """
     posterior = revealing_probabilities(device, population)
-    columns, posteriors = population.pi_array[:, None], posterior[:, :, None]
     if mode is PolicyMode.ALL_STIGMATIZING:
-        result = _alpha_result(device, columns, posteriors)
+        # the gaps are written over the posteriors handed in: hand a copy
+        posteriors = posterior[:, :, None].copy()
+        result = _alpha_result(device, population.pi_array[:, None], posteriors)
         return PrivacyReport(
             mode=mode,
             p=device.p,
@@ -246,7 +263,8 @@ def privacy_report(
             alpha=result.alpha,
             alpha_argmax=result.argmax,
         )
-    result = _beta_result(posteriors, _index_set(nonstigmatizing, device.m))
+    indices = list(_index_set(nonstigmatizing, device.m))
+    result = _beta_result(posterior[indices][:, :, None])
     bound = None if c is None else guaranteed_beta_bound(device, c)
     return PrivacyReport(
         mode=mode,

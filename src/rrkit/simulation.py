@@ -463,16 +463,17 @@ def _jump_table(n: int) -> np.ndarray:
         c = c + a & _MASK128
         coeffs += (a, 2 * c & _MASK128, c)
     # each coefficient's 16-bit limbs, least significant first, after 8 zeros
-    limbs = np.zeros((6 * n, 16))
+    limbs = np.zeros((3, 2 * n, 16), dtype="<u2")
     raw = b"".join(coeff.to_bytes(16, "little") for coeff in coeffs)
-    limbs[:, 8:] = np.frombuffer(raw, dtype="<u2").reshape(-1, 8)
-    q = 2 * np.arange(4) - np.arange(8)[:, None] + 8  # coefficient limb 2L - p, padded
-    table = limbs[:, q] + 65536.0 * limbs[:, q + 1]  # (coefficient, p, L)
-    table = table.reshape(2 * n, 3, 8, 4).transpose(1, 2, 0, 3).reshape(3, 8, 8 * n)
-    # the words' limbs, s1 and i1 (weights 2**64 up) before s0 and i0
-    order = [4, 5, 6, 7, 0, 1, 2, 3]
-    table = np.concatenate([table[0, order], table[1, order], table[2, :1]])
-    return _read_only(table)
+    limbs[:, :, 8:] = np.frombuffer(raw, dtype="<u2").reshape(2 * n, 3, 8).transpose(1, 0, 2)
+    # the words' limbs, s1 and i1 (weights 2**64 up) before s0 and i0, then
+    # the constant; limbs 2L - p and 2L + 1 - p of a coefficient are its 32-bit
+    # limb L once it is shifted up p 16-bit limbs
+    rows = [(w, p) for w in (0, 1) for p in (4, 5, 6, 7, 0, 1, 2, 3)] + [(2, 0)]
+    table = np.empty((17, 2 * n, 4))
+    for row, (w, p) in zip(table, rows):
+        row[...] = np.ascontiguousarray(limbs[w, :, 8 - p : 16 - p]).view("<u4")
+    return _read_only(table.reshape(17, 8 * n))
 
 
 def _jump_limbs(words: np.ndarray) -> np.ndarray:

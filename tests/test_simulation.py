@@ -407,6 +407,19 @@ def test_jump_table_products_are_exact_in_float64(n):
     assert (top @ entries).max() < 2**52
 
 
+@pytest.mark.parametrize("n", [1, 10, JUMP_MAX_N])
+def test_jump_table_build_peaks_near_the_table_it_keeps(n):
+    """The table is built row by row from the coefficients' limbs, with no
+    gathers over all the (coefficient, shift, limb) triples it does not keep."""
+    tracemalloc.start()
+    try:
+        table = simulation._jump_table.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes + 4096
+
+
 def test_each_path_draws_its_side_of_jump_max_n(support3, pop3, monkeypatch):
     def refuse(*args):
         raise AssertionError("drawn on the wrong path")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rrkit.estimation as estimation
+import rrkit.oracle as oracle
 import rrkit.privacy as privacy
 from rrkit.verification import run_verification
 
@@ -111,6 +112,39 @@ def test_fine_grid_keeps_the_point_counts():
     details = {c.name: c.detail for c in run_verification(grid_step=0.01).checks}
     assert "(5152 points)" in details["alpha_guarantee_tight"]
     assert "(3742 points)" in details["beta_guarantee_tight"]
+
+
+def test_tightness_searches_do_not_depend_on_the_block_cap(monkeypatch):
+    """At step 0.01 each search hands the whole lattice, and the witness after
+    it, to one objective call; 128 KiB blocks (1 820 rows at m = 3) split it
+    into several, and every bit of every result must stay."""
+
+    def verify():
+        found, calls = [], []
+        search = oracle.simplex_grid_search
+
+        def recorded(objective, *args, **kwargs):
+            def counted(points):
+                calls.append(len(points))
+                return objective(points)
+
+            found.append(search(counted, *args, **kwargs))
+            return found[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "simplex_grid_search", recorded)
+            doc = run_verification(grid_step=0.01).to_json_dict()
+        return found, calls, doc
+
+    whole, whole_calls, whole_doc = verify()
+    monkeypatch.setattr(oracle, "GRID_BLOCK_BYTES", 1 << 17)
+    split, split_calls, split_doc = verify()
+    assert whole_calls == [5152, 3742]
+    assert max(split_calls) <= 1820 and len(split_calls) > 2
+    assert [r.points_evaluated for r in split] == [r.points_evaluated for r in whole] == [5152, 3742]
+    assert [r.value for r in split] == [r.value for r in whole]
+    assert [r.witness.tobytes() for r in split] == [r.witness.tobytes() for r in whole]
+    assert split_doc == whole_doc
 
 
 def test_coarser_grid_still_passes():
