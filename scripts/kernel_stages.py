@@ -1,12 +1,26 @@
 #!/usr/bin/env python3
-"""Where does a replicate of the simulate kernel spend its time, stage by stage?
+"""Where does a replicate of the simulate kernel spend its time, stage by stage, on each side of its forks?
 
-    PYTHONPATH=src python scripts/kernel_stages.py [--n N] [--m M] [--replicates R] [--repeats K]
+    PYTHONPATH=src python scripts/kernel_stages.py [--n N,...] [--m M,...] [--replicates R] [--repeats K]
 
-Runs ``simulation.run_block`` over R replicates of n respondents over m values
-(uniform population, p = 0.3, seed 31) and prints the microseconds per
-replicate of each stage, the best of K passes. The stages are the kernel's
-own functions, timed through wrappers set on their modules for the pass:
+The kernel, ``simulation.run_block``, forks twice on a run's shape. It draws
+each block's uniforms on the jump path up to ``simulation.JUMP_MAX_N``
+respondents and on the setter path above it; and it counts a block of one
+replicate over at most ``simulation.CUTS_MAX_M`` values by cuts, and every
+other block through a bincount. For each n and m given, the script runs
+``run_block`` over R replicates (uniform population, p = 0.3, seed 31) on
+each side of each fork that can run there: both stream paths, by setting
+``JUMP_MAX_N`` to n or n - 1 for the pass, and, where that path's blocks hold
+one replicate, both counters, by setting ``CUTS_MAX_M`` to m or m - 1. The
+side the kernel takes with its own limits is marked with ``*``.
+
+Before timing, the script checks that every side gives the same estimates and
+counts bit for bit, and that every estimate equals
+``estimation.estimate_mean`` of its replicate's counts bit for bit. It then
+times the sides in turn, K passes each, each pass led by the next side, and
+prints the microseconds per replicate of each stage, the best of the K
+passes. The stages are the kernel's own functions, timed through wrappers set
+on their modules for the pass:
 
 - seeding: ``replicate_words`` and the cast of its limbs (``_jump_limbs``)
   on the jump path, ``replicate_states`` on the setter path, once per seed
@@ -19,13 +33,17 @@ own functions, timed through wrappers set on their modules for the pass:
   0, the loop);
 - reduce: the mean and variance of the estimates.
 
-Before timing, the script checks that every kernel estimate equals
-``estimation.estimate_mean`` of the replicate's counts bit for bit. Each
+Under each table, ``jump/setter`` is the median over the passes of the jump
+path's total over the setter path's, with each counter that ran on both, and
+``cuts/bincount`` the same on each path. These ratios of paired passes place
+a crossing that best-of-K columns, drawn on a shared host, may not. Each
 wrapper adds a fraction of a microsecond per call to the stage it times.
 """
 
 import argparse
 import contextlib
+import itertools
+import statistics
 import time
 
 import numpy as np
@@ -44,6 +62,9 @@ TIMED = {
     (simulation, "_count_by_cuts"): "counting",
     (estimation, "mean_estimates"): "estimate",
 }
+# each fork's two branches, the first taken where its flag is set; a side of
+# the kernel is a pair of flags (jump, cuts), one branch of each fork
+FORKS = (("jump", "setter"), ("cuts", "bincount"))
 
 
 def config_for(n, m, replicates):
@@ -55,6 +76,35 @@ def config_for(n, m, replicates):
         replicates=replicates,
         seed=31,
     )
+
+
+@contextlib.contextmanager
+def forced(config, side):
+    """Make run_block take ``side`` on ``config``'s n and m."""
+    n, m = config.n, config.support.m
+    saved = simulation.JUMP_MAX_N, simulation.CUTS_MAX_M
+    simulation.JUMP_MAX_N = n if side[0] else n - 1
+    simulation.CUTS_MAX_M = m if side[1] else m - 1
+    try:
+        yield
+    finally:
+        simulation.JUMP_MAX_N, simulation.CUTS_MAX_M = saved
+
+
+def sides(config):
+    """The sides run_block can take on ``config``: both stream paths, each with
+    both counters where its blocks hold one replicate."""
+    found = []
+    for jump in (True, False):
+        with forced(config, (jump, False)):
+            one_row = simulation.block_rows(config.n, config.support.m) == 1
+        found += [(jump, cuts) for cuts in ((True, False) if one_row else (False,))]
+    return found
+
+
+def label(side):
+    """The side's stream path and counter, as in FORKS."""
+    return " ".join(names[not flag] for names, flag in zip(FORKS, side))
 
 
 @contextlib.contextmanager
@@ -100,39 +150,84 @@ def timed_pass(config):
 
 def check(config):
     """Every kernel estimate must equal estimate_mean of its replicate's
-    counts, bit for bit."""
+    counts, bit for bit; returns the estimates and the counts."""
     mu_hats, counts = np.empty(config.replicates), [None] * config.replicates
     simulation.run_block(config, range(config.replicates), mu_hats, counts)
     for i, (got, c) in enumerate(zip(mu_hats.tolist(), counts)):
         expected = estimation.estimate_mean(ResponseSample(counts=c), config.device, config.support)
         if got.hex() != expected.hex():
             raise SystemExit(f"replicate {i}: kernel {got!r} vs estimate_mean {expected!r}")
+    return mu_hats.tobytes(), counts
+
+
+def paired_passes(config, found, repeats):
+    """Seconds per stage of ``repeats`` passes on each side, the sides taken
+    in turn and each pass led by the next side."""
+    passes = {side: [] for side in found}
+    for i in range(repeats):
+        lead = i % len(found)
+        for side in found[lead:] + found[:lead]:
+            with forced(config, side):
+                seconds = timed_pass(config)
+            seconds["total"] = sum(seconds.values())
+            passes[side].append(seconds)
+    return passes
+
+
+def median_ratios(passes, fork):
+    """For each side on the fork's first branch whose twin on the second (the
+    side that differs in this fork alone) ran: the side's branch of the other
+    fork, and the median over the passes of the two sides' total times."""
+    for side, first in passes.items():
+        twin = side[:fork] + (False,) + side[fork + 1:]
+        if side[fork] and twin in passes:
+            ratios = [a["total"] / b["total"] for a, b in zip(first, passes[twin])]
+            yield FORKS[1 - fork][not side[1 - fork]], statistics.median(ratios)
+
+
+def report(config, repeats):
+    n, m, R = config.n, config.support.m, config.replicates
+    chosen = (n <= simulation.JUMP_MAX_N,
+              simulation.block_rows(n, m) == 1 and m <= simulation.CUTS_MAX_M)
+    found = sides(config)
+    print(f"n = {n}, m = {m}, R = {R}: chunk rows {simulation.chunk_rows(m)}")
+    results = {}
+    for side in found:
+        with forced(config, side):
+            results[side] = check(config)
+            rows = simulation.block_rows(n, m)
+        path, counter = label(side).split()
+        print(f"{'*' if side == chosen else ' '} {path} path, {counter}, block rows {rows}")
+    for side in found[1:]:
+        if results[side] != results[found[0]]:
+            raise SystemExit(f"n = {n}, m = {m}: {label(side)} and {label(found[0])} differ")
+    print("both sides of each fork give the same estimates and counts bit for bit")
+    print("the kernel's estimates and estimate_mean's agree bit for bit")
+    passes = paired_passes(config, found, repeats)
+    print(f"us per replicate, best of {repeats} passes, the sides in turn")
+    print(f"  {'':<10}" + "".join(f"{label(side):>17}" for side in found))
+    for name in STAGES + ("total",):
+        best = [min(s[name] for s in passes[side]) / R * 1e6 for side in found]
+        print(f"  {name:<10}" + "".join(f"{us:17.3f}" for us in best))
+    for fork, names in enumerate(FORKS):
+        ratios = [f"{ratio:.2f} ({other})" for other, ratio in median_ratios(passes, fork)]
+        if ratios:
+            print(f"  {'/'.join(names)}: {', '.join(ratios)}; medians of the paired passes")
 
 
 def main(argv=None) -> None:
+    def sizes(text):
+        return [int(v) for v in text.split(",")]
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=10)
-    parser.add_argument("--m", type=int, default=4)
+    parser.add_argument("--n", type=sizes, default=[10], help="respondents, a comma list")
+    parser.add_argument("--m", type=sizes, default=[4], help="support sizes, a comma list")
     parser.add_argument("--replicates", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
-    config = config_for(args.n, args.m, args.replicates)
-    n, m, R = config.n, config.support.m, config.replicates
-    check(config)
-    best = dict.fromkeys(STAGES + ("total",), float("inf"))
-    for _ in range(args.repeats):
-        seconds = timed_pass(config)
-        seconds["total"] = sum(seconds.values())
-        best = {name: min(best[name], seconds[name]) for name in best}
-    rows = simulation.block_rows(n, m)
-    path = "jump" if n <= simulation.JUMP_MAX_N else "setter"
-    counter = "cuts" if rows == 1 and m <= simulation.CUTS_MAX_M else "bincount"
-    print(f"n = {n}, m = {m}, R = {R}: {path} path, {counter}, block rows {rows}, "
-          f"chunk rows {simulation.chunk_rows(m)}")
-    print("the kernel's estimates and estimate_mean's agree bit for bit")
-    print(f"us per replicate, best of {args.repeats} passes")
-    for name in STAGES + ("total",):
-        print(f"  {name:<10}{best[name] / R * 1e6:10.3f}")
+    print(f"JUMP_MAX_N = {simulation.JUMP_MAX_N}, CUTS_MAX_M = {simulation.CUTS_MAX_M}")
+    for n, m in itertools.product(args.n, args.m):
+        report(config_for(n, m, args.replicates), args.repeats)
 
 
 if __name__ == "__main__":

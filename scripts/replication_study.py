@@ -41,6 +41,8 @@ def main(argv=None):
     parser.add_argument("--replicates", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=20240801)
     args = parser.parse_args(argv)
+    if args.replicates < 2:
+        parser.error("--replicates must be at least 2: the study compares a sample variance")
 
     survey = load_survey(args.survey)
     if survey.population is None:

@@ -127,12 +127,15 @@ SEED_CHUNK = 2048
 # setting a generator's state per replicate. The jump's cost grows with n,
 # the setter's barely does; serial kernels on 2 vCPUs at m = 4 took 0.84 vs
 # 3.60 us per replicate at n = 10, 4.03 vs 4.70 at n = 80 and 5.13 vs 5.01
-# at n = 100 (scripts/stream_crossover.py, best of three runs of 60 passes).
+# at n = 100 (best of three runs of 60 passes; the totals of
+# scripts/kernel_stages.py --n 10,80,100 --m 4 --replicates 2000 --repeats 60).
 # In 11 sets of both paths run in turn, the jump's time over the setter's had
 # a median of 0.82 at n = 70, 0.89 at n = 90, 0.96 and 1.06 in two runs at
-# n = 100, and 1.17 at n = 110. The jump wins up to 70 in every measurement;
-# where it stops winning above that moved between runs (80-90 for the kernel
-# that seeded each block, measured the same way), so the limit stays at 70.
+# n = 100, and 1.17 at n = 110 (the jump/setter line of
+# scripts/kernel_stages.py --n 70,90,100,110 --m 4 --replicates 2000
+# --repeats 11). The jump wins up to 70 in every measurement; where it stops
+# winning above that moved between runs (80-90 for the kernel that seeded
+# each block, measured the same way), so the limit stays at 70.
 JUMP_MAX_N = 70
 # Largest m at which a block of one replicate is counted by comparisons
 # against cut points (_count_by_cuts) rather than through index arrays and a
@@ -140,9 +143,10 @@ JUMP_MAX_N = 70
 # index arrays a number that grows with log m. One row on 2 vCPUs, us per
 # replicate, cuts vs bincount: n = 5 500 m = 3 11.5 vs 40.8, m = 16 54.0 vs
 # 57.2, m = 24 80.7 vs 66.2; n = 50 000 m = 3 54 vs 291, m = 16 245 vs 396,
-# m = 24 363 vs 455, m = 32 479 vs 458 (scripts/count_crossover.py). Blocks
-# hold one row from about n = 5 460, so 16 is the largest m at which the cuts
-# win at every n.
+# m = 24 363 vs 455, m = 32 479 vs 458 (the counting row of the setter
+# path's two counters in scripts/kernel_stages.py --n 5500,50000
+# --m 3,16,24,32 --replicates 20). Blocks hold one row from about
+# n = 5 460, so 16 is the largest m at which the cuts win at every n.
 CUTS_MAX_M = 16
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25; 2 when
@@ -651,12 +655,12 @@ def _count_by_cuts(
     config: SimulationConfig,
     u: np.ndarray,
     scratch: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray | None = None,
-    levels: list[tuple[float, float]] | None = None,
-) -> np.ndarray:
-    """Response counts of one replicate, into the (1, m) row ``out`` (a new
-    one if None), from its n truth uniforms followed by its n device
-    uniforms, with no index array.
+    out: np.ndarray,
+    levels: list[tuple[float, float]],
+) -> None:
+    """Response counts of one replicate, into the (1, m) row ``out``, from
+    its n truth uniforms followed by its n device uniforms, with no index
+    array.
 
     A truthful draw (device uniform below p) reports its true index, which is
     at least k exactly when its truth uniform is at or above ``cdf[k-1]``,
@@ -670,13 +674,9 @@ def _count_by_cuts(
     per range.
     """
     n, p = config.n, config.device.p
-    if out is None:
-        out = np.empty((1, config.support.m), dtype=np.int64)
     truth, draws = u[:n], u[n:]
     truthful, flags = scratch
     np.less(draws, p, out=truthful)
-    if levels is None:
-        levels = _cut_levels(config)
     row = out[0]
     above = n
     for k, (level, cut) in enumerate(levels):
@@ -688,7 +688,6 @@ def _count_by_cuts(
         row[k] = above - at_least
         above = at_least
     row[-1] = above
-    return out
 
 
 def _check_first_replicate(

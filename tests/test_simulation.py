@@ -659,7 +659,8 @@ def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
     truth = config.population.inverse_cdf(u[:config.n])
     expected = np.bincount(responses_from_uniforms(config.device, truth, u[config.n:]), minlength=m)
     scratch = (np.empty(config.n, dtype=bool), np.empty(config.n, dtype=bool))
-    got = simulation._count_by_cuts(config, u, scratch)
+    got = np.empty((1, m), dtype=np.int64)
+    simulation._count_by_cuts(config, u, scratch, got, simulation._cut_levels(config))
     assert got.tolist() == [expected.tolist()]
 
 
