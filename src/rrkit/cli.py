@@ -10,11 +10,12 @@ respondents per replicate and with one thread per CPU at or above it;
 ``RRKIT_THREADS`` (1 to ``simulation.MAX_THREADS``) overrides that and changes
 speed, never output.
 
-Each command imports only what it runs, since start-up is most of its time:
-``design`` and ``table`` need only ``design`` and ``model``, which never load
-numpy; the other handlers import their own module, so ``privacy`` and
-``estimate`` load neither ``simulation`` nor the oracles, ``verify`` does not
-load ``simulation``, and ``simulate`` does not load ``verification``.
+Each command imports only what it runs, since start-up is most of its time.
+Only ``simulate`` and ``verify`` load numpy: ``design`` and ``table`` need
+only ``design`` and ``model``, and ``privacy`` and ``estimate`` import their
+own module, which measures one population or estimates one sample on Python
+floats. ``verify`` does not load ``simulation``, and ``simulate`` does not
+load ``verification``.
 """
 
 from __future__ import annotations

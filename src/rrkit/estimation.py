@@ -9,13 +9,17 @@ The estimators invert the device's mixing: with q = (1-p)/m,
 Raw estimates are what the unbiasedness and variance results describe; the
 truncated variant clamps to [0, 1] and renormalizes for reporting, at the
 price of a bias that is not analyzed here.
+
+One sample is estimated on Python floats, which is all ``estimate`` needs,
+so that command never loads numpy; :func:`mean_estimates`, the batch form
+over a block of samples, and the theoretical variances import it when they
+run. Every sum of one sample goes through :func:`_row_sum`, which has the
+bits of :func:`mean_estimates`' sum of one row.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .model import (
     Device,
@@ -33,7 +37,7 @@ RAW_OUT_OF_RANGE = "RAW_OUT_OF_RANGE"
 
 def estimate_proportions(
     sample: ResponseSample, device: Device
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Raw and truncated proportion estimates from observed response counts.
 
     The raw vector satisfies sum(pi_hat) = 1 up to rounding but individual
@@ -41,12 +45,20 @@ def estimate_proportions(
     and renormalized onto the simplex.
     """
     _require_same_m(device.m, sample.m)
-    w = sample.proportions
-    with np.errstate(over="ignore"):  # p near 0: infinite entries, refused by estimate_report
-        raw = (w - device.forced_share) / device.p
-    clamped = np.clip(raw, 0.0, 1.0)
-    truncated = clamped / clamped.sum()
-    return raw, truncated
+    # p near 0: infinite entries, refused by estimate_report
+    raw = _raw_proportions(sample.proportions, device)
+    clamped = [min(max(v, 0.0), 1.0) for v in raw]
+    total = _row_sum(clamped)
+    if not total:  # p so near 0 that 1 - p rounds to 1 can leave every raw entry 0
+        return raw, (math.nan,) * len(raw)
+    return raw, tuple(v / total for v in clamped)
+
+
+def _raw_proportions(w: tuple[float, ...], device: Device) -> tuple[float, ...]:
+    """(w_i - q) / p for each sample proportion, the operations of
+    :func:`mean_estimates` in its order."""
+    q, p = device.forced_share, device.p
+    return tuple((v - q) / p for v in w)
 
 
 def mean_estimates(proportions: np.ndarray, device: Device, x: np.ndarray) -> np.ndarray:
@@ -60,6 +72,8 @@ def mean_estimates(proportions: np.ndarray, device: Device, x: np.ndarray) -> np
     on its own. A matmul over the block, or a sum over a Fortran-ordered
     block, does not promise that.
     """
+    import numpy as np
+
     # p near 0: infinite raw entries, and NaN where they meet x = 0 or each
     # other; refused by estimate_report and run_replicates
     with np.errstate(over="ignore", invalid="ignore"):
@@ -71,10 +85,11 @@ def mean_estimates(proportions: np.ndarray, device: Device, x: np.ndarray) -> np
 
 def estimate_mean(sample: ResponseSample, device: Device, support: SupportSpec) -> float:
     """Unbiased estimate of the population mean: sum_i x_i * pi_hat_raw_i,
-    by :func:`mean_estimates` on the sample's one row."""
+    with the bits :func:`mean_estimates` gives the sample's one row."""
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, sample.m)
-    return float(mean_estimates(sample.proportions, device, support.values_array))
+    raw = _raw_proportions(sample.proportions, device)
+    return _row_sum([r * x for r, x in zip(raw, support.values)])
 
 
 def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec) -> EstimateReport:
@@ -82,15 +97,17 @@ def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec
     _require_same_m(device.m, support.m)
     raw, truncated = estimate_proportions(sample, device)
     for value in raw:
-        _require_finite(float(value), "pi_hat_raw", device.p)
+        _require_finite(value, "pi_hat_raw", device.p)
+    for value in truncated:
+        _require_finite(value, "pi_hat_truncated", device.p)
     mu_hat = _require_finite(estimate_mean(sample, device, support), "mu_hat", device.p)
     flags: tuple[str, ...] = ()
-    if (raw < 0.0).any() or (raw > 1.0).any():
+    if any(v < 0.0 or v > 1.0 for v in raw):
         flags = (RAW_OUT_OF_RANGE,)
     return EstimateReport(
         mu_hat=mu_hat,
-        pi_hat_raw=tuple(float(v) for v in raw),
-        pi_hat_truncated=tuple(float(v) for v in truncated),
+        pi_hat_raw=raw,
+        pi_hat_truncated=truncated,
         var_mu_plugin=variance_mean_plugin(sample, device, support),
         flags=flags,
     )
@@ -115,6 +132,8 @@ def variance_mean_theoretical(
     nothing: mu - xbar is pi @ d and sigma2 the pi-weighted square of
     d - pi @ d.
     """
+    import numpy as np
+
     n = _sample_size(n)
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, population.m)
@@ -162,10 +181,15 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
     """
     _require_same_m(device.m, support.m)
     w = sample.proportions
-    d = support.values_array - support.values_array @ w
-    d -= d @ w
+    xbar = _row_sum([x * v for x, v in zip(support.values, w)])
+    d = [x - xbar for x in support.values]
+    shift = _row_sum([e * v for e, v in zip(d, w)])
+    d = [e - shift for e in d]
     return _quotient(
-        float((d * d) @ w), sample.n * device.p * device.p, "var_mu_plugin", device.p
+        _row_sum([e * e * v for e, v in zip(d, w)]),
+        sample.n * device.p * device.p,
+        "var_mu_plugin",
+        device.p,
     )
 
 
@@ -173,3 +197,32 @@ def _quotient(numerator: float, denominator: float, what: str, p: float) -> floa
     """numerator / denominator, refused unless finite; the n * p * p
     denominators of the variances underflow to 0 when p is near 0."""
     return _require_finite(numerator / denominator if denominator else math.inf, what, p)
+
+
+def _row_sum(values) -> float:
+    """The sum of a list or tuple of floats with the bits ``np.add.reduce``
+    gives a contiguous row of them, as in :func:`mean_estimates`: 0.0 plus
+    numpy's pairwise sum. The built-in ``sum`` compensates from Python 3.12
+    on, and a BLAS dot sums in an order of its build."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(values, start: int, n: int) -> float:
+    """numpy's pairwise sum of ``values[start:start + n]``: left to right below
+    8 terms, in 8 interleaved partial sums up to 128, and above that the sum
+    of the two halves, cut at a multiple of 8."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+    stop = start + n
+    total = -0.0
+    if n >= 8:
+        end = stop - n % 8
+        r = values[start:start + 8]
+        for i in range(start + 8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        start = end
+    for v in values[start:stop]:
+        total += v
+    return total

@@ -6,8 +6,8 @@ failures raise :class:`ValidationError` carrying a stable machine-readable
 ``code`` that the CLI maps onto structured error output.
 
 numpy is imported inside the methods that build arrays, so that building and
-validating these types, which is all ``design`` and ``table`` need, never
-loads it.
+validating these types, which is all that ``design``, ``table``, ``privacy``
+and ``estimate`` need, never loads it.
 """
 
 from __future__ import annotations
@@ -510,8 +510,15 @@ class ResponseSample:
         counts = [_as_int(c, "BAD_COUNTS", "count", 0) for c in self.counts]
         if len(counts) < 2:
             raise ValidationError("BAD_COUNTS", "need counts for at least two response values")
-        if sum(counts) < 1:
+        n = sum(counts)
+        if n < 1:
             raise ValidationError("BAD_COUNTS", "sample size must be at least 1")
+        # below the cap every count and n are exact as floats, and c / n is
+        # float(c) / float(n) rounded once
+        if n > 2**53:
+            raise ValidationError(
+                "BAD_COUNTS", f"sample size must be at most 2**53, got {n.bit_length()} bits"
+            )
         object.__setattr__(self, "counts", tuple(counts))
 
     @property
@@ -523,11 +530,10 @@ class ResponseSample:
         return len(self.counts)
 
     @property
-    def proportions(self) -> np.ndarray:
+    def proportions(self) -> tuple[float, ...]:
         """Sample proportions w_i = counts_i / n."""
-        import numpy as np
-
-        return np.asarray(self.counts, dtype=float) / self.n
+        n = self.n
+        return tuple(c / n for c in self.counts)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,19 @@ summarize the exposure:
 Both depend on the unknown population, so design works with guaranteed
 bounds: the worst case of each measure over all populations the device
 parameter admits.
+
+One population is measured on Python floats, which is all ``privacy`` needs,
+so that command never loads numpy; the batch forms over many populations,
+:func:`alpha_values` and :func:`beta_values`, and the array results of the
+single measures import it when they run. Both cores do the same IEEE
+operations in the same order, so a population's measures have the same bits
+alone and in a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import (
     Device,
@@ -63,8 +68,10 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
     denominator is bounded below by (1-p)/m > 0, so every response value is
     possible and each column is a proper distribution.
     """
+    import numpy as np
+
     _require_same_m(device.m, population.m)
-    return _posteriors(device, population.pi_array[:, None])[:, :, 0]
+    return np.array(_posterior(device, population.pi))
 
 
 def alpha_values(device: Device, pis) -> np.ndarray:
@@ -90,8 +97,9 @@ def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.nda
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
     _require_same_m(device.m, population.m)
-    columns = population.pi_array[:, None]
-    return _alpha_result(device, columns, _posteriors(device, columns))
+    pi = population.pi
+    alpha, argmax, gaps = _alpha(device, pi, _posterior(device, pi))
+    return AlphaResult(alpha=alpha, argmax=argmax, gaps=_read_only(gaps))
 
 
 def beta_measure(
@@ -100,7 +108,73 @@ def beta_measure(
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
     indices = _index_set(nonstigmatizing, device.m)
     _require_same_m(device.m, population.m)
-    return _beta_result(_posteriors(device, population.pi_array[:, None], indices))
+    beta, argmin, mass = _beta(_posterior(device, population.pi), indices)
+    return BetaResult(beta=beta, argmin=argmin, mass_by_response=_read_only(mass))
+
+
+def _read_only(values) -> np.ndarray:
+    """A float array of ``values`` that cannot be written."""
+    import numpy as np
+
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+# --- one population, on floats ---------------------------------------------------
+
+
+def _posterior(device: Device, pi: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """The posterior matrix of one population as a tuple of rows, entry by
+    entry the arithmetic of :func:`_posteriors`: q*pi_i, plus p*pi_i on the
+    diagonal, divided by p*pi_j + q."""
+    p, q = device.p, device.forced_share
+    responses = [p * v + q for v in pi]
+    return tuple(
+        tuple((q * v + p * v if i == j else q * v) / r for j, r in enumerate(responses))
+        for i, v in enumerate(pi)
+    )
+
+
+def _alpha(
+    device: Device, pi: tuple[float, ...], posterior: tuple[tuple[float, ...], ...]
+) -> tuple[float, tuple[tuple[int, int], ...], tuple[tuple[float, ...], ...]]:
+    """alpha of one population, the (i, j) pairs within ``TIE_RTOL`` of it in
+    row-major order, and the gap matrix; the reduced-form self-check of
+    :func:`_alpha_core`."""
+    gaps = tuple(tuple(abs(v - prior) for v in row) for row, prior in zip(posterior, pi))
+    alpha = max(max(row) for row in gaps)
+    ratio = device.forced_share / device.p
+    _check_reduced_form(alpha, max((1.0 - v) * v / (v + ratio) for v in pi))
+    threshold = alpha - TIE_RTOL * alpha
+    argmax = tuple(
+        (i, j) for i, row in enumerate(gaps) for j, gap in enumerate(row) if gap >= threshold
+    )
+    return alpha, argmax, gaps
+
+
+def _beta(
+    posterior: tuple[tuple[float, ...], ...], indices: tuple[int, ...]
+) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
+    """beta of one population, the responses within ``TIE_RTOL`` of it, and
+    the non-stigmatizing posterior mass per response, summed over the rows
+    ``indices`` left to right as :func:`_beta_core` sums them."""
+    mass = posterior[indices[0]]
+    for i in indices[1:]:
+        mass = tuple(a + b for a, b in zip(mass, posterior[i]))
+    beta = min(mass)
+    threshold = beta + TIE_RTOL * max(beta, 1.0)
+    return beta, tuple(j for j, v in enumerate(mass) if v <= threshold), mass
+
+
+def _check_reduced_form(alpha: float, reduced: float) -> None:
+    """The maximum gap is always attained on the diagonal, where it is
+    (1 - pi_i) pi_i / (pi_i + q/p): raise unless the full-matrix max agrees
+    with that reduced form."""
+    if abs(alpha - reduced) > 1e-12 + 1e-9 * alpha:
+        raise RuntimeError(
+            f"alpha self-check failed: matrix max {alpha!r} vs diagonal form {reduced!r}"
+        )
 
 
 # --- the batch core ------------------------------------------------------------
@@ -111,6 +185,8 @@ def beta_measure(
 
 def _population_columns(device: Device, pis) -> np.ndarray:
     """The rows of :func:`validate_population_rows` as the columns of an (m, K) array."""
+    import numpy as np
+
     rows, totals = _rows_and_sums(pis)
     _require_same_m(device.m, rows.shape[1])
     return np.divide(rows.T, totals, out=np.empty(rows.shape[::-1]))
@@ -123,6 +199,8 @@ def _posteriors(
     all m rows (m, m, K), or only the true values ``rows`` (len(rows), m, K),
     in their order. An entry's arithmetic does not depend on which rows are
     built."""
+    import numpy as np
+
     p, q = device.p, device.forced_share
     m, k = columns.shape
     # a list selects rows; a tuple would index one axis per entry
@@ -144,12 +222,13 @@ def _alpha_core(
 ) -> tuple[np.ndarray, np.ndarray]:
     """alpha (K,) and the gap matrices (m, m, K) of a batch, written over
     ``posteriors``."""
+    import numpy as np
+
     gaps = np.subtract(posteriors, columns[:, None, :], out=posteriors)
     np.abs(gaps, out=gaps)
     alpha = gaps.max(axis=(0, 1))
 
-    # the maximum gap is always attained on the diagonal; cross-check the
-    # full-matrix max against that reduced form before reporting
+    # the diagonal form of _check_reduced_form, for every population
     reduced = 1.0 - columns
     reduced *= columns
     reduced /= columns + device.forced_share / device.p
@@ -157,10 +236,7 @@ def _alpha_core(
     broken = np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha
     if broken.any():
         k = int(np.argmax(broken))
-        raise RuntimeError(
-            f"alpha self-check failed: matrix max {float(alpha[k])!r} "
-            f"vs diagonal form {float(reduced[k])!r}"
-        )
+        _check_reduced_form(float(alpha[k]), float(reduced[k]))
     return alpha, gaps
 
 
@@ -170,26 +246,6 @@ def _beta_core(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, summed in their order."""
     mass = posteriors.sum(axis=0)
     return mass.min(axis=0), mass
-
-
-def _alpha_result(device: Device, columns: np.ndarray, posteriors: np.ndarray) -> AlphaResult:
-    """The AlphaResult of a batch holding one population."""
-    alpha, gaps = _alpha_core(device, columns, posteriors)
-    alpha, gaps = float(alpha[0]), gaps[:, :, 0]
-    gaps.flags.writeable = False
-    threshold = alpha - TIE_RTOL * alpha
-    argmax = tuple((int(i), int(j)) for i, j in np.argwhere(gaps >= threshold))
-    return AlphaResult(alpha=alpha, argmax=argmax, gaps=gaps)
-
-
-def _beta_result(posteriors: np.ndarray) -> BetaResult:
-    """The BetaResult of a batch holding one population."""
-    beta, mass = _beta_core(posteriors)
-    beta, mass = float(beta[0]), mass[:, 0]
-    mass.flags.writeable = False
-    threshold = beta + TIE_RTOL * max(beta, 1.0)
-    argmin = tuple(int(j) for j in np.flatnonzero(mass <= threshold))
-    return BetaResult(beta=beta, argmin=argmin, mass_by_response=mass)
 
 
 def guaranteed_alpha_bound(device: Device) -> float:
@@ -215,7 +271,7 @@ class PrivacyReport:
 
     mode: PolicyMode
     p: float
-    posterior: np.ndarray
+    posterior: tuple[tuple[float, ...], ...]
     guaranteed_bound: float | None
     alpha: float | None = None
     alpha_argmax: tuple[tuple[int, int], ...] | None = None
@@ -232,7 +288,7 @@ class PrivacyReport:
             else [list(pair) for pair in self.alpha_argmax],
             "beta": self.beta,
             "beta_argmin": None if self.beta_argmin is None else list(self.beta_argmin),
-            "posterior": [[float(v) for v in row] for row in self.posterior],
+            "posterior": [list(row) for row in self.posterior],
             "guaranteed_bound": self.guaranteed_bound,
         }
 
@@ -250,29 +306,27 @@ def privacy_report(
     In subset mode the bound needs the prior mass floor ``c``; without it the
     bound is reported as None.
     """
-    posterior = revealing_probabilities(device, population)
+    _require_same_m(device.m, population.m)
+    posterior = _posterior(device, population.pi)
     if mode is PolicyMode.ALL_STIGMATIZING:
-        # the gaps are written over the posteriors handed in: hand a copy
-        posteriors = posterior[:, :, None].copy()
-        result = _alpha_result(device, population.pi_array[:, None], posteriors)
+        alpha, argmax, _ = _alpha(device, population.pi, posterior)
         return PrivacyReport(
             mode=mode,
             p=device.p,
             posterior=posterior,
             guaranteed_bound=guaranteed_alpha_bound(device),
-            alpha=result.alpha,
-            alpha_argmax=result.argmax,
+            alpha=alpha,
+            alpha_argmax=argmax,
         )
-    indices = list(_index_set(nonstigmatizing, device.m))
-    result = _beta_result(posterior[indices][:, :, None])
+    beta, argmin, _ = _beta(posterior, _index_set(nonstigmatizing, device.m))
     bound = None if c is None else guaranteed_beta_bound(device, c)
     return PrivacyReport(
         mode=mode,
         p=device.p,
         posterior=posterior,
         guaranteed_bound=bound,
-        beta=result.beta,
-        beta_argmin=result.argmin,
+        beta=beta,
+        beta_argmin=argmin,
     )
 
 

@@ -496,6 +496,31 @@ def test_estimate_bad_counts_file(capsys, survey_m2, tmp_path):
     assert stderr_code(err) == "BAD_COUNTS"
 
 
+@pytest.mark.parametrize(
+    "counts",
+    # the first once ended INTERNAL_ERROR (int too large to convert to float);
+    # the second printed a variance computed from an n that float64 rounds
+    ["[" + "9" * 400 + ", 1, 1]", "[18446744073709551616, 1, 1]"],
+    ids=["400_digits", "2_64"],
+)
+def test_estimate_refuses_a_sample_size_past_2_53(capsys, survey_beta, tmp_path, counts):
+    path = tmp_path / "c.json"
+    path.write_text(counts)
+    code, out, err = run(capsys, "estimate", "--survey", survey_beta, "--counts", str(path), "--p", "0.5")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "BAD_COUNTS" and "2**53" in doc["message"]
+
+
+def test_estimate_where_every_raw_estimate_rounds_to_zero_is_refused(capsys, survey_m2, tmp_path):
+    # at p = 1e-17, 1 - p rounds to 1, so equal counts leave every raw
+    # estimate 0 and no truncated estimate; this once ended INTERNAL_ERROR
+    counts = write_json(tmp_path / "c.json", [5, 5])
+    code, out, err = run(capsys, "estimate", "--survey", survey_m2, "--counts", counts, "--p", "1e-17")
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == "NONFINITE_RESULT" and "pi_hat_truncated" in err
+
+
 # --- privacy ------------------------------------------------------------------
 
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from rrkit import Device, PopulationModel, ResponseSample, SupportSpec, ValidationError
 from rrkit.estimation import (
     RAW_OUT_OF_RANGE,
+    _raw_proportions,
+    _row_sum,
     estimate_mean,
     estimate_proportions,
     estimate_report,
@@ -112,6 +114,36 @@ def test_block_mean_estimates_are_each_rows_own(k, m, shift, scale, p, special, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_block_estimates_are_each_rows_own(proportions, Device(p=p, m=m), x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # the row sum adds left to right below 8 terms, in 8 partial sums up to
+    # 128, and splits in halves past 128
+    m=st.one_of(
+        st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 300]),
+        st.integers(1, 300),
+    ),
+    shift=st.sampled_from([0.0, -7.5, 1e6, -1e8, 3e9]),
+    p=st.one_of(st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from([1e-320, 1e-300])),
+    special=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sum_has_the_bits_of_mean_estimates(m, shift, p, special, seed):
+    """The sum of one sample's terms equals mean_estimates on the same one-row
+    block, with infinite or NaN raw entries too. As in the simulate kernel's
+    replicate-0 check, bits compare by float.hex, which names every NaN
+    'nan': where NaNs of both signs meet, the sign kept depends on the
+    operand order of numpy's compiled adds."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(m)
+    w[rng.integers(0, m, special)] = rng.choice([np.inf, -np.inf, np.nan], special)
+    x = shift + rng.permutation(m) * 0.25
+    x[rng.integers(0, m)] = 0.0
+    device = Device(p=p, m=max(m, 2))  # the device's m only sets q here
+    want = float(mean_estimates(w[None, :], device, x)[0])
+    terms = [r * v for r, v in zip(_raw_proportions(tuple(w.tolist()), device), x.tolist())]
+    assert _row_sum(terms).hex() == want.hex()
 
 
 def test_block_mean_estimates_are_each_rows_own_at_m_350_000():
@@ -379,7 +411,7 @@ def test_plugin_variance_shift_invariant_and_scales_by_square(counts, p, shift, 
 )
 def test_raw_proportions_always_sum_to_one(counts, p):
     d = Device(p=p, m=len(counts))
-    raw, truncated = estimate_proportions(ResponseSample(counts=tuple(counts)), d)
+    raw, truncated = map(np.asarray, estimate_proportions(ResponseSample(counts=tuple(counts)), d))
     assert abs(raw.sum() - 1.0) <= 1e-12
     assert abs(truncated.sum() - 1.0) <= 1e-9
     assert (truncated >= 0).all() and (truncated <= 1).all()

@@ -30,6 +30,8 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - started)}))
 
 SIMULATE_STACK = ("rrkit.simulation", "concurrent.futures")
 VERIFY_STACK = ("rrkit.verification", "rrkit.oracle")
+# what no command but simulate and verify may load
+HEAVY = ("numpy", *SIMULATE_STACK, *VERIFY_STACK)
 
 
 def run_fresh(source: str, *args: str) -> str:
@@ -48,13 +50,6 @@ def loaded_by(argv: list[str]) -> set[str]:
     return set(doc["loaded"])
 
 
-@pytest.fixture(scope="module")
-def counts_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("counts") / "counts.json"
-    path.write_text("[120, 95, 85]", encoding="utf-8")
-    return str(path)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -68,18 +63,24 @@ def counts_file(tmp_path_factory):
 def test_design_and_table_leave_numpy_out(argv):
     loaded = loaded_by(argv)
     assert "rrkit.design" in loaded
-    for name in ("numpy", "rrkit.privacy", "rrkit.estimation", *SIMULATE_STACK, *VERIFY_STACK):
+    for name in ("rrkit.privacy", "rrkit.estimation", *HEAVY):
         assert name not in loaded
 
 
+@pytest.mark.parametrize("p", [None, "0.3"], ids=["designed_p", "given_p"])
+@pytest.mark.parametrize("survey", [M3, M4], ids=["m3", "m4"])
 @pytest.mark.parametrize("command", ["privacy", "estimate"])
-def test_privacy_and_estimate_leave_the_simulate_and_verify_stacks_out(command, counts_file):
-    argv = [command, "--survey", M3]
+def test_privacy_and_estimate_leave_numpy_out(command, survey, p, tmp_path):
+    argv = [command, "--survey", survey]
     if command == "estimate":
-        argv += ["--counts", counts_file]
+        counts = tmp_path / "counts.json"
+        counts.write_text("[120, 95, 85]" if survey == M3 else "[40, 30, 20, 10]", encoding="utf-8")
+        argv += ["--counts", str(counts)]
+    if p is not None:
+        argv += ["--p", p]
     loaded = loaded_by(argv)
     assert f"rrkit.{'privacy' if command == 'privacy' else 'estimation'}" in loaded
-    for name in (*SIMULATE_STACK, *VERIFY_STACK):
+    for name in HEAVY:
         assert name not in loaded
 
 

@@ -336,6 +336,16 @@ def test_sample_rejects_bad_counts(counts):
     assert err_code(e) == "BAD_COUNTS"
 
 
+def test_sample_size_is_capped_at_2_53():
+    # below the cap every count and n are exact floats, and c / n is numpy's quotient
+    sample = ResponseSample(counts=(2**53 - 3, 1, 2))
+    assert sample.proportions == tuple(np.array(sample.counts, dtype=float) / float(2**53))
+    for counts in ((2**53, 1), (2**64, 1, 1), (10**400, 1)):
+        with pytest.raises(ValidationError) as e:
+            ResponseSample(counts=counts)
+        assert err_code(e) == "BAD_COUNTS"
+
+
 def test_sample_accepts_numpy_integers():
     s = ResponseSample(counts=tuple(np.array([3, 4], dtype=np.int64)))
     assert s.counts == (3, 4)

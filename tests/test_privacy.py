@@ -291,20 +291,36 @@ class TestReports:
 
 
 class TestBatchForms:
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 10])
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
     def test_batch_values_match_the_per_point_measures(self, m, p):
+        """The batch cores and the one-population core agree bit for bit; at
+        m = 10 beta sums 9 posterior rows, past numpy's 8-term runs."""
         device = Device(p=p, m=m)
-        lattice = simplex_grid_points(m, 0.05)
-        pops = [PopulationModel(pi=tuple(pt)) for pt in lattice]
-        alphas = alpha_values(device, lattice)
-        assert alphas.shape == (len(lattice),)
+        if m <= 4:
+            points = simplex_grid_points(m, 0.05)
+        else:
+            points = np.random.default_rng(m).dirichlet(np.ones(m), size=200)
+        pops = [PopulationModel(pi=tuple(pt)) for pt in points]
+        alphas = alpha_values(device, points)
+        assert alphas.shape == (len(points),)
         np.testing.assert_array_equal(alphas, [alpha_measure(device, pop).alpha for pop in pops])
+        np.testing.assert_array_equal(
+            alphas,
+            [privacy_report(device, pop, mode=PolicyMode.ALL_STIGMATIZING).alpha for pop in pops],
+        )
         for nonstig in [(0,), (m - 1,), tuple(range(m - 1))]:
-            betas = beta_values(device, lattice, nonstig)
+            betas = beta_values(device, points, nonstig)
             np.testing.assert_array_equal(
                 betas, [beta_measure(device, pop, nonstig).beta for pop in pops]
             )
+            reports = [
+                privacy_report(
+                    device, pop, mode=PolicyMode.NONSTIGMATIZING_SUBSET, nonstigmatizing=nonstig
+                )
+                for pop in pops
+            ]
+            np.testing.assert_array_equal(betas, [report.beta for report in reports])
 
     def test_batch_rows_are_validated_like_populations(self):
         device = Device(p=0.5, m=3)
@@ -333,14 +349,14 @@ class TestBatchForms:
         ],
     )
     def test_privacy_report_computes_the_posterior_once(self, monkeypatch, mode, extra):
-        original = privacy.revealing_probabilities
+        original = privacy._posterior
         calls = []
 
-        def counted(device, population):
+        def counted(device, pi):
             calls.append(1)
-            return original(device, population)
+            return original(device, pi)
 
-        monkeypatch.setattr(privacy, "revealing_probabilities", counted)
+        monkeypatch.setattr(privacy, "_posterior", counted)
         device, pop = Device(p=0.3, m=3), PopulationModel(pi=(0.2, 0.3, 0.5))
         report = privacy_report(device, pop, mode=mode, **extra)
         assert len(calls) == 1
@@ -350,6 +366,17 @@ class TestBatchForms:
         else:
             result = beta_measure(device, pop, (0,))
             assert (report.beta, report.beta_argmin) == (result.beta, result.argmin)
+
+
+def test_both_alpha_cores_refuse_a_max_gap_off_the_diagonal_form():
+    device, pi = Device(p=0.3, m=3), (0.2, 0.3, 0.5)
+    posterior = [list(row) for row in privacy._posterior(device, pi)]
+    posterior[0][1] += 0.5  # a gap past the diagonal form
+    with pytest.raises(RuntimeError, match="alpha self-check failed"):
+        privacy._alpha(device, pi, posterior)
+    columns = np.array(pi)[:, None]
+    with pytest.raises(RuntimeError, match="alpha self-check failed"):
+        privacy._alpha_core(device, columns, np.array(posterior)[:, :, None])
 
 
 def test_beta_bound_accepts_numpy_scalars():
