@@ -264,8 +264,10 @@ def build_parser() -> _Parser:
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> _Parser:
-    """The parser, built once per process: building it takes about 0.5 ms,
-    a sixth of an in-process ``simulate --n 10``."""
+    """The parser, built once per process: building it takes ~2.5 ms the
+    first time in a fresh process and ~1 ms after that, against ~2.5 ms for
+    a whole in-process ``simulate --n 10 --replicates 2000`` (medians on a
+    2-vCPU x86 machine)."""
     return build_parser()
 
 

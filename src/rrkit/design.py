@@ -8,14 +8,13 @@ here invert the corresponding worst-case bounds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Device,
     PolicyMode,
     PrivacyPolicy,
     SupportSpec,
     ValidationError,
+    _Record,
     _support_size,
     _unit_interval,
     _xi_below_c,
@@ -48,17 +47,28 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     return a / (a + xi * (1.0 - c))
 
 
-@dataclass(frozen=True)
-class DesignCertificate:
+class DesignCertificate(_Record):
     """What a designed device promises, and under which mode/thresholds."""
 
-    p0: float
-    mode: PolicyMode
-    xi: float
-    m: int
-    c: float | None = None
-    t: int = 0
-    guarantee_statement: str = ""
+    _fields = ("p0", "mode", "xi", "m", "c", "t", "guarantee_statement")
+
+    def __init__(
+        self,
+        p0: float,
+        mode: PolicyMode,
+        xi: float,
+        m: int,
+        c: float | None = None,
+        t: int = 0,
+        guarantee_statement: str = "",
+    ):
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "guarantee_statement", guarantee_statement)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,13 +114,20 @@ def design_certificate(policy: PrivacyPolicy, m: int) -> DesignCertificate:
     )
 
 
-@dataclass(frozen=True)
-class DesignTable:
+class DesignTable(_Record):
     """Grid of all-stigmatizing design parameters: one row per m, one column per xi."""
 
-    ms: tuple[int, ...]
-    xis: tuple[float, ...]
-    p0: tuple[tuple[float, ...], ...]  # p0[row][col], rounded to 4 decimals
+    _fields = ("ms", "xis", "p0")
+
+    def __init__(
+        self,
+        ms: tuple[int, ...],
+        xis: tuple[float, ...],
+        p0: tuple[tuple[float, ...], ...],  # p0[row][col], rounded to 4 decimals
+    ):
+        object.__setattr__(self, "ms", ms)
+        object.__setattr__(self, "xis", xis)
+        object.__setattr__(self, "p0", p0)
 
     def to_json_dict(self) -> dict:
         return {

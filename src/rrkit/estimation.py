@@ -27,6 +27,7 @@ from .model import (
     PopulationModel,
     ResponseSample,
     SupportSpec,
+    ValidationError,
     _require_finite,
     _require_same_m,
     _sample_size,
@@ -130,7 +131,8 @@ def variance_mean_theoretical(
     Every term is computed from d = x - xbar, centred twice as in
     :func:`variance_mean_plugin`, so that a support far from 0 cancels
     nothing: mu - xbar is pi @ d and sigma2 the pi-weighted square of
-    d - pi @ d.
+    d - pi @ d. A support whose spread squared overflows is refused with
+    ``NONFINITE_RESULT``.
     """
     import numpy as np
 
@@ -139,17 +141,27 @@ def variance_mean_theoretical(
     _require_same_m(device.m, population.m)
     p = device.p
     pi = population.pi_array
-    d = support.values_array - np.mean(support.values_array)
-    d -= np.mean(d)
-    spread = float(np.mean(d * d))
-    shift = float(pi @ d)  # mu - xbar
-    sigma2 = float((d - shift) ** 2 @ pi)
-    return _quotient(
-        p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * shift**2,
-        n * p * p,
-        "var_mu_theoretical",
-        p,
-    )
+    # a support spread past ~1e154 overflows to inf, or to NaN where inf
+    # meets inf or a zero proportion; refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = support.values_array - np.mean(support.values_array)
+        d -= np.mean(d)
+        spread = float(np.mean(d * d))
+        shift = float(pi @ d)  # mu - xbar
+        sigma2 = float((d - shift) ** 2 @ pi)
+    try:
+        shift_squared = shift**2
+    except OverflowError:
+        shift_squared = math.inf
+    numerator = p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * shift_squared
+    if not math.isfinite(numerator):
+        scale = max(abs(x) for x in support.values)
+        raise ValidationError(
+            "NONFINITE_RESULT",
+            f"var_mu_theoretical is {numerator!r}, not a finite number: the support's "
+            f"scale (largest |x| = {scale!r}) is too large for its variance",
+        )
+    return _quotient(numerator, n * p * p, "var_mu_theoretical", p)
 
 
 def total_variance_proportions_theoretical(

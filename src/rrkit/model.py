@@ -7,7 +7,10 @@ failures raise :class:`ValidationError` carrying a stable machine-readable
 
 numpy is imported inside the methods that build arrays, so that building and
 validating these types, which is all that ``design``, ``table``, ``privacy``
-and ``estimate`` need, never loads it.
+and ``estimate`` need, never loads it. For the same reason the types are
+plain classes over :class:`_Record` rather than dataclasses: importing
+``dataclasses`` loads ``inspect``, and each generated class ``exec``s its
+methods at import, which together cost a cold command several milliseconds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
 # Input probability vectors must sum to 1 within this band; anything further
 # off is rejected as bad data rather than silently rescaled.
@@ -31,6 +33,47 @@ class ValidationError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Record:
+    """An immutable record over the field names in ``_fields``, with the
+    semantics of a frozen dataclass.
+
+    Assignment and deletion raise ``AttributeError``. Two records are equal
+    when they are of the same class with equal field tuples, and hash as
+    that tuple, so a record holding an ndarray stays unhashable. The repr is
+    the dataclass one, ``Name(field=value, ...)``. Each subclass writes its
+    own ``__init__``, which validates its arguments and sets each field with
+    ``object.__setattr__``; instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on them.
+
+    ``simulation``, ``oracle`` and ``verification`` keep dataclasses: the
+    commands that load them load numpy too, and ``dataclasses.replace`` is
+    used on ``SimulationConfig``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class PolicyMode(enum.Enum):
@@ -140,18 +183,14 @@ def _as_stigma_flag(value) -> bool:
     raise ValidationError("BAD_SUPPORT", f"stigma flag must be true or false, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SupportSpec:
+class SupportSpec(_Record):
     """The known values x_1..x_m of the sensitive variable, with a stigma flag per value."""
 
-    values: tuple[float, ...]
-    stigma: tuple[bool, ...]
+    _fields = ("values", "stigma")
 
-    def __post_init__(self):
-        values = tuple(
-            _as_finite_float(v, "BAD_SUPPORT", "support value") for v in self.values
-        )
-        stigma = tuple(_as_stigma_flag(s) for s in self.stigma)
+    def __init__(self, values: tuple[float, ...], stigma: tuple[bool, ...]):
+        values = tuple(_as_finite_float(v, "BAD_SUPPORT", "support value") for v in values)
+        stigma = tuple(_as_stigma_flag(s) for s in stigma)
         if len(values) < 2:
             raise ValidationError("BAD_SUPPORT", "support needs at least two values")
         if len(stigma) != len(values):
@@ -194,8 +233,7 @@ class SupportSpec:
         return float(np.mean(self.values_array))
 
 
-@dataclass(frozen=True)
-class PopulationModel:
+class PopulationModel(_Record):
     """Population proportions over the support; a point on the probability simplex.
 
     Inputs are renormalized when their sum is within ``PI_SUM_BAND`` of 1 and
@@ -203,10 +241,10 @@ class PopulationModel:
     unnormalized data is not.
     """
 
-    pi: tuple[float, ...]
+    _fields = ("pi",)
 
-    def __post_init__(self):
-        pi = tuple(_as_finite_float(v, "BAD_PI", "probability") for v in self.pi)
+    def __init__(self, pi: tuple[float, ...]):
+        pi = tuple(_as_finite_float(v, "BAD_PI", "probability") for v in pi)
         if len(pi) < 2:
             raise ValidationError("BAD_PI", "need at least two proportions")
         if any(v < 0.0 for v in pi):
@@ -382,18 +420,16 @@ def _two_sum_error(a: np.ndarray, b: np.ndarray, summed: np.ndarray) -> np.ndarr
     return (a - (summed - virtual)) + (b - virtual)
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(_Record):
     """The randomization device, reduced to its single tunable: the probability p
     that a respondent is instructed to report truthfully."""
 
-    p: float
-    m: int
+    _fields = ("p", "m")
 
-    def __post_init__(self):
-        p = _unit_interval(self.p, "BAD_DEVICE_P", "device parameter p")
-        object.__setattr__(self, "m", _support_size(self.m))
+    def __init__(self, p: float, m: int):
+        p = _unit_interval(p, "BAD_DEVICE_P", "device parameter p")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", _support_size(m))
 
     @property
     def forced_share(self) -> float:
@@ -435,33 +471,35 @@ class Device:
         return tuple(cuts)
 
 
-@dataclass(frozen=True)
-class PrivacyPolicy:
+class PrivacyPolicy(_Record):
     """A stipulated privacy requirement: threshold xi, plus, in subset mode, the
     non-stigmatizing index set and a prior lower bound c on its total mass."""
 
-    mode: PolicyMode
-    xi: float
-    c: float | None = None
-    nonstigmatizing: tuple[int, ...] | None = None
+    _fields = ("mode", "xi", "c", "nonstigmatizing")
 
-    def __post_init__(self):
-        if not isinstance(self.mode, PolicyMode):
-            raise ValidationError("BAD_POLICY", f"unknown policy mode {self.mode!r}")
-        xi = _unit_interval(self.xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
-        object.__setattr__(self, "xi", xi)
-
-        if self.mode is PolicyMode.ALL_STIGMATIZING:
-            if self.c is not None or self.nonstigmatizing is not None:
+    def __init__(
+        self,
+        mode: PolicyMode,
+        xi: float,
+        c: float | None = None,
+        nonstigmatizing: tuple[int, ...] | None = None,
+    ):
+        if not isinstance(mode, PolicyMode):
+            raise ValidationError("BAD_POLICY", f"unknown policy mode {mode!r}")
+        xi = _unit_interval(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
+        if mode is PolicyMode.ALL_STIGMATIZING:
+            if c is not None or nonstigmatizing is not None:
                 raise ValidationError(
                     "BAD_POLICY", "c/nonstigmatizing apply only in nonstigmatizing_subset mode"
                 )
-            return
-
-        c = _unit_interval(self.c, "C_OUT_OF_RANGE", "prior mass bound c")
-        _xi_below_c(xi, c)
+        else:
+            c = _unit_interval(c, "C_OUT_OF_RANGE", "prior mass bound c")
+            _xi_below_c(xi, c)
+            nonstigmatizing = _index_set(nonstigmatizing)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "nonstigmatizing", _index_set(self.nonstigmatizing))
+        object.__setattr__(self, "nonstigmatizing", nonstigmatizing)
 
     @property
     def t(self) -> int | None:
@@ -500,14 +538,13 @@ def validate_policy(policy: PrivacyPolicy, support: SupportSpec) -> PrivacyPolic
     return policy
 
 
-@dataclass(frozen=True)
-class ResponseSample:
+class ResponseSample(_Record):
     """Observed randomized-response counts; the sole survey data artifact."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
-    def __post_init__(self):
-        counts = [_as_int(c, "BAD_COUNTS", "count", 0) for c in self.counts]
+    def __init__(self, counts: tuple[int, ...]):
+        counts = [_as_int(c, "BAD_COUNTS", "count", 0) for c in counts]
         if len(counts) < 2:
             raise ValidationError("BAD_COUNTS", "need counts for at least two response values")
         n = sum(counts)
@@ -536,23 +573,30 @@ class ResponseSample:
         return tuple(c / n for c in self.counts)
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(_Record):
     """Estimation output bundle: raw and truncated proportion estimates, the mean
     estimate they induce, a plug-in variance, and diagnostic flags."""
 
-    mu_hat: float
-    pi_hat_raw: tuple[float, ...]
-    pi_hat_truncated: tuple[float, ...]
-    var_mu_plugin: float
-    flags: tuple[str, ...]
+    _fields = ("mu_hat", "pi_hat_raw", "pi_hat_truncated", "var_mu_plugin", "flags")
 
-    def __post_init__(self):
-        trunc = self.pi_hat_truncated
+    def __init__(
+        self,
+        mu_hat: float,
+        pi_hat_raw: tuple[float, ...],
+        pi_hat_truncated: tuple[float, ...],
+        var_mu_plugin: float,
+        flags: tuple[str, ...],
+    ):
+        trunc = pi_hat_truncated
         if any(v < -1e-12 or v > 1.0 + 1e-12 for v in trunc):
             raise ValidationError("BAD_ESTIMATE", f"truncated estimate off the simplex: {trunc}")
         if abs(math.fsum(trunc) - 1.0) > 1e-9:
             raise ValidationError("BAD_ESTIMATE", f"truncated estimate does not sum to 1: {trunc}")
+        object.__setattr__(self, "mu_hat", mu_hat)
+        object.__setattr__(self, "pi_hat_raw", pi_hat_raw)
+        object.__setattr__(self, "pi_hat_truncated", pi_hat_truncated)
+        object.__setattr__(self, "var_mu_plugin", var_mu_plugin)
+        object.__setattr__(self, "flags", flags)
 
     def to_json_dict(self) -> dict:
         return {
@@ -564,13 +608,20 @@ class EstimateReport:
         }
 
 
-@dataclass(frozen=True)
-class SurveyDefinition:
+class SurveyDefinition(_Record):
     """A parsed survey definition document: support, optional population, optional policy."""
 
-    support: SupportSpec
-    population: PopulationModel | None
-    policy: PrivacyPolicy | None
+    _fields = ("support", "population", "policy")
+
+    def __init__(
+        self,
+        support: SupportSpec,
+        population: PopulationModel | None,
+        policy: PrivacyPolicy | None,
+    ):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "population", population)
+        object.__setattr__(self, "policy", policy)
 
 
 def parse_survey_document(doc) -> SurveyDefinition:

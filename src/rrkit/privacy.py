@@ -26,7 +26,6 @@ alone and in a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     Device,
@@ -34,6 +33,7 @@ from .model import (
     PopulationModel,
     PrivacyPolicy,
     _index_set,
+    _Record,
     _require_same_m,
     _unit_interval,
     _rows_and_sums,
@@ -43,22 +43,26 @@ from .model import (
 TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(_Record):
     """Worst-case prior/posterior gap, every (i, j) pair attaining it, and the full gap matrix."""
 
-    alpha: float
-    argmax: tuple[tuple[int, int], ...]
-    gaps: np.ndarray
+    _fields = ("alpha", "argmax", "gaps")
+
+    def __init__(self, alpha: float, argmax: tuple[tuple[int, int], ...], gaps: np.ndarray):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "gaps", gaps)
 
 
-@dataclass(frozen=True)
-class BetaResult:
+class BetaResult(_Record):
     """Minimum posterior non-stigmatizing mass, the responses attaining it, and the mass per response."""
 
-    beta: float
-    argmin: tuple[int, ...]
-    mass_by_response: np.ndarray
+    _fields = ("beta", "argmin", "mass_by_response")
+
+    def __init__(self, beta: float, argmin: tuple[int, ...], mass_by_response: np.ndarray):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "argmin", argmin)
+        object.__setattr__(self, "mass_by_response", mass_by_response)
 
 
 def revealing_probabilities(device: Device, population: PopulationModel) -> np.ndarray:
@@ -253,9 +257,16 @@ def guaranteed_alpha_bound(device: Device) -> float:
 
     With k = 4(1-p)/(mp), xi* is the root in (0, 1) of (1-xi)^2 = k*xi,
     evaluated in the cancellation-free form 2 / (2 + k + sqrt((2+k)^2 - 4)).
+    Where (2+k)^2 overflows, at 2 + k past ~1.3e154 (p below ~7e-155 for
+    m = 4), sqrt((2+k)^2 - 4) is taken as sqrt(k) * sqrt(k + 4), which is
+    equal and stays finite; xi* is then about mp/4.
     """
     k = 4.0 * (1.0 - device.p) / (device.m * device.p)
-    return 2.0 / (2.0 + k + math.sqrt((2.0 + k) ** 2 - 4.0))
+    try:
+        root = math.sqrt((2.0 + k) ** 2 - 4.0)
+    except OverflowError:
+        root = math.sqrt(k) * math.sqrt(k + 4.0)
+    return 2.0 / (2.0 + k + root)
 
 
 def guaranteed_beta_bound(device: Device, c: float) -> float:
@@ -265,18 +276,32 @@ def guaranteed_beta_bound(device: Device, c: float) -> float:
     return c / (1.0 + device.m * device.p * (1.0 - c) / (1.0 - device.p))
 
 
-@dataclass(frozen=True)
-class PrivacyReport:
+class PrivacyReport(_Record):
     """Privacy diagnostics for one (device, population) pair under a given mode."""
 
-    mode: PolicyMode
-    p: float
-    posterior: tuple[tuple[float, ...], ...]
-    guaranteed_bound: float | None
-    alpha: float | None = None
-    alpha_argmax: tuple[tuple[int, int], ...] | None = None
-    beta: float | None = None
-    beta_argmin: tuple[int, ...] | None = None
+    _fields = (
+        "mode", "p", "posterior", "guaranteed_bound", "alpha", "alpha_argmax", "beta", "beta_argmin"
+    )
+
+    def __init__(
+        self,
+        mode: PolicyMode,
+        p: float,
+        posterior: tuple[tuple[float, ...], ...],
+        guaranteed_bound: float | None,
+        alpha: float | None = None,
+        alpha_argmax: tuple[tuple[int, int], ...] | None = None,
+        beta: float | None = None,
+        beta_argmin: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "posterior", posterior)
+        object.__setattr__(self, "guaranteed_bound", guaranteed_bound)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_argmax", alpha_argmax)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta_argmin", beta_argmin)
 
     def to_json_dict(self) -> dict:
         return {

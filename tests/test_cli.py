@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: outputs, exit codes, structured errors, determinism."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,9 +12,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rrkit.cli as cli
 import rrkit.estimation as estimation
@@ -553,6 +559,32 @@ def test_privacy_degenerate_population(capsys, tmp_path):
     assert json.loads(out)["alpha"] == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("p", ["1e-160", "6.9e-155", "1e-300"])
+def test_privacy_at_a_p_whose_bound_squares_past_overflow(capsys, survey_all_stig_m4, p):
+    # k = 4(1 - p)/(mp) makes (2 + k)**2 overflow a float; the bound is ~mp/4
+    code, out, err = run(capsys, "privacy", "--survey", str(survey_all_stig_m4), "--p", p)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["guaranteed_bound"] == pytest.approx(float(p), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "values", [[0, 1e200, -1e200], [1e308, 1.7e308, -1e308]], ids=["square", "mean"]
+)
+def test_simulate_on_a_support_too_wide_for_its_variance_is_refused(capsys, tmp_path, values):
+    survey = write_json(
+        tmp_path / "wide.json",
+        {"values": values, "stigmatizing": [True] * 3, "pi": [0.2, 0.5, 0.3]},
+    )
+    code, out, err = run(
+        capsys, "simulate", "--survey", survey, "--n", "5", "--replicates", "3", "--p", "0.3"
+    )
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "NONFINITE_RESULT"
+    assert "scale" in doc["message"] and "p is too close" not in doc["message"]
+
+
 def test_privacy_bad_p(capsys, survey_m2):
     code, _, err = run(capsys, "privacy", "--survey", survey_m2, "--p", "1.5")
     assert code == 2
@@ -676,3 +708,110 @@ def test_readme_error_table_lists_every_code_the_source_can_return():
     documented = set(re.findall(r"^\| `([A-Z_]+)` \| \d \|", readme, flags=re.MULTILINE))
     assert sorted(codes - documented) == []
     assert sorted(documented - codes) == []
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+# finite floats out to the largest doubles, with the extremes drawn often
+FUZZ_VALUE = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.integers(-3, 3),
+    st.sampled_from([1e308, -1e308, 1e200, -1e200, 5e-324]),
+)
+# numbers in (0, 1) down to the smallest subnormal, for p, xi and c
+FUZZ_UNIT = st.one_of(
+    st.floats(5e-324, 1.0, exclude_max=True),
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-160, 1e-100, 0.5, 1.0 - 2**-53]),
+)
+FUZZ_P = st.one_of(st.none(), FUZZ_UNIT, FUZZ_UNIT, st.floats())
+
+
+@st.composite
+def survey_documents(draw):
+    """Survey documents, mostly valid, with supports and proportions out to
+    the extremes of a float."""
+    m = draw(st.integers(2, 5))
+    stigma = draw(st.one_of(st.just([True] * m), st.lists(st.booleans(), min_size=m, max_size=m)))
+    values = draw(st.lists(FUZZ_VALUE, min_size=m, max_size=m, unique=True))
+    doc = {"values": values, "stigmatizing": stigma}
+    if draw(st.sampled_from([True, True, True, False])):
+        weights = draw(
+            st.lists(st.one_of(st.floats(0.0, 1.0), st.just(5e-324)), min_size=m, max_size=m)
+        )
+        total = math.fsum(weights)
+        doc["pi"] = [w / total for w in weights] if total else weights
+    nonstigmatizing = [i for i, s in enumerate(stigma) if not s]
+    matching = "nonstigmatizing_subset" if nonstigmatizing else "all_stigmatizing"
+    mode = draw(
+        st.sampled_from([matching, matching, None, "all_stigmatizing", "nonstigmatizing_subset", "bogus"])
+    )
+    if mode == "all_stigmatizing":
+        doc["privacy"] = {"mode": mode, "xi": draw(FUZZ_UNIT)}
+    elif mode is not None:
+        xi, c = draw(st.lists(FUZZ_UNIT, min_size=2, max_size=2))
+        if draw(st.sampled_from([True, True, False])):
+            xi, c = min(xi, c), max(xi, c)  # mostly the xi < c that subset mode needs
+        doc["privacy"] = {"mode": mode, "xi": xi, "c": c, "nonstigmatizing": nonstigmatizing}
+    return doc
+
+
+@st.composite
+def cli_invocations(draw):
+    """An argument list for one command, with the survey and counts
+    documents it reads; "SURVEY" and "COUNTS" stand for their paths."""
+    command = draw(st.sampled_from(["design", "table", "privacy", "estimate", "simulate"]))
+    survey = draw(survey_documents())
+    counts = None
+    if command == "design":
+        if draw(st.booleans()):
+            argv = ["design", "--survey", "SURVEY"]
+        else:
+            m = draw(st.one_of(st.integers(-1, 6), st.sampled_from([2**53, 2**53 + 1])))
+            argv = ["design", "--m", str(m), "--xi", repr(draw(FUZZ_UNIT))]
+    elif command == "table":
+        ms = draw(st.lists(st.integers(-1, 2**53), min_size=1, max_size=3))
+        xis = draw(st.lists(FUZZ_UNIT, min_size=1, max_size=3))
+        argv = ["table", "--m", ",".join(map(str, ms)), "--xi", ",".join(map(repr, xis))]
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    else:
+        argv = [command, "--survey", "SURVEY"]
+        if command == "estimate":
+            m = len(survey["values"]) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+            counts = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
+            if counts and draw(st.sampled_from([False, False, False, True])):
+                counts[-1] = 2**53  # past the cap on n unless every other count is 0
+            argv += ["--counts", "COUNTS"]
+        elif command == "simulate":
+            argv += ["--n", str(draw(st.integers(0, 5))), "--replicates", str(draw(st.integers(0, 3)))]
+            argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
+        p = draw(FUZZ_P)
+        if p is not None:
+            argv += ["--p", repr(p)]
+    return argv, survey, counts
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(invocation=cli_invocations())
+def test_any_invocation_exits_with_a_contract_code_and_structured_error(tmp_path, invocation):
+    # each example rewrites the two files it reads
+    argv, survey, counts = invocation
+    paths = {"SURVEY": write_json(tmp_path / "survey.json", survey)}
+    if counts is not None:
+        paths["COUNTS"] = write_json(tmp_path / "counts.json", counts)
+    argv = [paths.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # a warning, which a user would see on stderr, fails the command instead
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code:
+        doc = json.loads(err.getvalue())
+        assert isinstance(doc, dict) and {"code", "message"} <= set(doc), doc
+    else:
+        assert err.getvalue() == "" and out.getvalue()

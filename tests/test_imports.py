@@ -30,8 +30,9 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - started)}))
 
 SIMULATE_STACK = ("rrkit.simulation", "concurrent.futures")
 VERIFY_STACK = ("rrkit.verification", "rrkit.oracle")
-# what no command but simulate and verify may load
-HEAVY = ("numpy", *SIMULATE_STACK, *VERIFY_STACK)
+# what no command but simulate and verify may load; ``dataclasses`` loads
+# ``inspect``, and the model types are plain classes to keep both out
+HEAVY = ("numpy", *SIMULATE_STACK, *VERIFY_STACK, "dataclasses", "inspect")
 
 
 def run_fresh(source: str, *args: str) -> str:
@@ -80,6 +81,17 @@ def test_privacy_and_estimate_leave_numpy_out(command, survey, p, tmp_path):
         argv += ["--p", p]
     loaded = loaded_by(argv)
     assert f"rrkit.{'privacy' if command == 'privacy' else 'estimation'}" in loaded
+    for name in HEAVY:
+        assert name not in loaded
+
+
+def test_cli_import_and_parser_leave_dataclasses_out():
+    source = (
+        "import json, sys; started = set(sys.modules); import rrkit.cli; "
+        "rrkit.cli.build_parser(); print(json.dumps(sorted(set(sys.modules) - started)))"
+    )
+    loaded = set(json.loads(run_fresh(source)))
+    assert "rrkit.cli" in loaded
     for name in HEAVY:
         assert name not in loaded
 

@@ -1,5 +1,7 @@
 """Privacy measures, posteriors, and the guaranteed worst-case bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,28 @@ class TestGuaranteedBounds:
     def test_alpha_bound_paper_round_trips(self):
         assert guaranteed_alpha_bound(Device(p=0.1099, m=4)) == pytest.approx(0.1, abs=5e-4)
         assert guaranteed_alpha_bound(Device(p=0.1413, m=3)) == pytest.approx(0.1, abs=5e-4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        exponent=st.floats(-300.0, -154.0),
+        m=st.one_of(st.integers(2, 1000), st.sampled_from([2**20, 2**53])),
+    )
+    def test_alpha_bound_below_the_overflow_of_its_square_matches_mpmath(self, exponent, m):
+        # at p below ~7e-155 (for m = 4), (2 + k)**2 overflows a float; the
+        # bound, about mp/4, is then taken from sqrt(k) * sqrt(k + 4)
+        mpmath = pytest.importorskip("mpmath")
+        p = 10.0**exponent
+        with mpmath.workprec(200):
+            k = 4 * (1 - mpmath.mpf(p)) / (m * mpmath.mpf(p))
+            exact = 2 / (2 + k + mpmath.sqrt((2 + k) ** 2 - 4))
+            got = guaranteed_alpha_bound(Device(p=p, m=m))
+            assert abs(got - exact) <= 1e-15 * exact
+
+    def test_alpha_bound_keeps_its_bits_where_the_square_is_finite(self):
+        for p, m in ((0.1099, 4), (1e-150, 4), (0.5, 2), (1 - 2**-53, 7), (1e-154, 3)):
+            k = 4.0 * (1.0 - p) / (m * p)
+            expected = 2.0 / (2.0 + k + math.sqrt((2.0 + k) ** 2 - 4.0))
+            assert guaranteed_alpha_bound(Device(p=p, m=m)).hex() == expected.hex()
 
     def test_beta_bound_round_trips_from_design(self):
         for m in (2, 3, 5):
