@@ -20,7 +20,7 @@ _EXPORTS = {
         "p0_nonstigmatizing",
         "p0_table",
     ),
-    "device": ("draw_responses", "response_distribution"),
+    "device": ("draw_responses",),
     "estimation": (
         "estimate_mean",
         "estimate_proportions",

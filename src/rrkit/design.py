@@ -32,7 +32,7 @@ def p0_all_stigmatizing(m: int, xi: float) -> float:
     """
     m = _support_size(m)
     xi = _unit_interval(xi, "XI_OUT_OF_RANGE", "privacy threshold xi")
-    return 1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2)
+    return _device_p(1.0 / (1.0 + (m / xi) * ((1.0 - xi) / 2.0) ** 2), m, xi)
 
 
 def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
@@ -44,31 +44,27 @@ def p0_nonstigmatizing(m: int, xi: float, c: float) -> float:
     c = _unit_interval(c, "C_OUT_OF_RANGE", "prior mass bound c")
     _xi_below_c(xi, c)
     a = (c - xi) / m
-    return a / (a + xi * (1.0 - c))
+    return _device_p(a / (a + xi * (1.0 - c)), m, xi, c)
+
+
+def _device_p(p0: float, m: int, xi: float, c: float | None = None) -> float:
+    """A designed p0, refused with ``XI_OUT_OF_RANGE`` where it rounds to 0 or
+    1, values no device can take: xi is then too close to 0 or 1 for m."""
+    if not 0.0 < p0 < 1.0:
+        given = f"m={m}, xi={xi!r}" + ("" if c is None else f", c={c!r}")
+        raise ValidationError(
+            "XI_OUT_OF_RANGE",
+            f"the designed device parameter p0 rounds to {p0!r} at {given}; "
+            "xi is too close to 0 or 1 for a device to meet it",
+        )
+    return p0
 
 
 class DesignCertificate(_Record):
     """What a designed device promises, and under which mode/thresholds."""
 
     _fields = ("p0", "mode", "xi", "m", "c", "t", "guarantee_statement")
-
-    def __init__(
-        self,
-        p0: float,
-        mode: PolicyMode,
-        xi: float,
-        m: int,
-        c: float | None = None,
-        t: int = 0,
-        guarantee_statement: str = "",
-    ):
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "guarantee_statement", guarantee_statement)
+    _defaults = {"c": None, "t": 0, "guarantee_statement": ""}
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,19 +111,10 @@ def design_certificate(policy: PrivacyPolicy, m: int) -> DesignCertificate:
 
 
 class DesignTable(_Record):
-    """Grid of all-stigmatizing design parameters: one row per m, one column per xi."""
+    """Grid of all-stigmatizing design parameters: one row per m, one column per
+    xi, with ``p0[row][col]`` rounded to 4 decimals."""
 
     _fields = ("ms", "xis", "p0")
-
-    def __init__(
-        self,
-        ms: tuple[int, ...],
-        xis: tuple[float, ...],
-        p0: tuple[tuple[float, ...], ...],  # p0[row][col], rounded to 4 decimals
-    ):
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "xis", xis)
-        object.__setattr__(self, "p0", p0)
 
     def to_json_dict(self) -> dict:
         return {

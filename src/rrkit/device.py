@@ -2,22 +2,16 @@
 
 A respondent draws one card: with probability p the card says "report your
 true value", and with probability (1-p)/m it forces one of the m support
-values. The conditional law of the response R given the true value X is the
-response kernel; its marginal under a population model is the response
-distribution lambda.
+values. This module draws the responses;
+:func:`rrkit.oracle.response_distribution_oracle` gives their marginal law,
+lambda_i = p*pi_i + (1-p)/m.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Device, PopulationModel, ValidationError, _require_same_m
-
-
-def response_distribution(device: Device, population: PopulationModel) -> np.ndarray:
-    """Marginal response probabilities lambda_i = p*pi_i + (1-p)/m."""
-    _require_same_m(device.m, population.m)
-    return device.p * population.pi_array + device.forced_share
+from .model import Device, ValidationError
 
 
 def responses_from_uniforms(

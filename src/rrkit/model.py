@@ -7,9 +7,9 @@ failures raise :class:`ValidationError` carrying a stable machine-readable
 
 numpy is imported inside the methods that build arrays, so that building and
 validating these types, which is all that ``design``, ``table``, ``privacy``
-and ``estimate`` need, never loads it. For the same reason the types are
-plain classes over :class:`_Record` rather than dataclasses: importing
-``dataclasses`` loads ``inspect``, and each generated class ``exec``s its
+and ``estimate`` need, never loads it. For the same reason every value type
+of rrkit is a plain class over :class:`_Record`, which imports nothing: the
+standard library's generated classes load ``inspect`` and ``exec`` their
 methods at import, which together cost a cold command several milliseconds.
 """
 
@@ -36,23 +36,49 @@ class ValidationError(ValueError):
 
 
 class _Record:
-    """An immutable record over the field names in ``_fields``, with the
-    semantics of a frozen dataclass.
+    """An immutable record over the field names in ``_fields``; every value
+    type of rrkit is one.
+
+    The constructor binds positional and keyword arguments to ``_fields`` in
+    order, takes a missing field from the per-class ``_defaults`` table, and
+    raises ``TypeError`` for a missing, unknown or repeated argument. A class
+    that validates its arguments, or is built once per replicate, writes its
+    own ``__init__`` instead and stores its fields in one statement:
+    ``self.__dict__.update``, or a single item assignment for a single field,
+    which is faster.
 
     Assignment and deletion raise ``AttributeError``. Two records are equal
     when they are of the same class with equal field tuples, and hash as
     that tuple, so a record holding an ndarray stays unhashable. The repr is
-    the dataclass one, ``Name(field=value, ...)``. Each subclass writes its
-    own ``__init__``, which validates its arguments and sets each field with
-    ``object.__setattr__``; instances keep a ``__dict__``, so
+    ``Name(field=value, ...)`` over the fields in order, less those named in
+    ``_repr_omits``. Instances keep a ``__dict__``, so
     ``functools.cached_property`` works on them.
-
-    ``simulation``, ``oracle`` and ``verification`` keep dataclasses: the
-    commands that load them load numpy too, and ``dataclasses.replace`` is
-    used on ``SimulationConfig``.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _repr_omits: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        for key, value in zip(fields, args):
+            if key in kwargs:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            kwargs[key] = value
+        # the common case, every field given, costs one length check and one pass
+        if len(kwargs) != len(fields) or not all(map(kwargs.__contains__, fields)):
+            for key in kwargs:
+                if key not in fields:
+                    raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            missing = [key for key in fields if key not in kwargs and key not in self._defaults]
+            if missing:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+            kwargs = {**self._defaults, **kwargs}
+        self.__dict__.update(kwargs)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -72,7 +98,9 @@ class _Record:
         return hash(self._astuple())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._repr_omits
+        )
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -204,8 +232,7 @@ class SupportSpec(_Record):
             raise ValidationError("BAD_SUPPORT", "support values must be pairwise distinct")
         if not any(stigma):
             raise ValidationError("NO_STIGMATIZING", "at least one value must be stigmatizing")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stigma", stigma)
+        self.__dict__.update(values=values, stigma=stigma)
 
     @property
     def m(self) -> int:
@@ -254,7 +281,7 @@ class PopulationModel(_Record):
             raise ValidationError(
                 "BAD_PI", f"proportions sum to {total!r}, expected 1 within {PI_SUM_BAND}"
             )
-        object.__setattr__(self, "pi", tuple(v / total for v in pi))
+        self.__dict__["pi"] = tuple(v / total for v in pi)
 
     @property
     def m(self) -> int:
@@ -346,21 +373,16 @@ class PopulationModel(_Record):
         return float(((support.values_array - mu) ** 2) @ self.pi_array)
 
 
-def validate_population_rows(pis) -> np.ndarray:
+def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
     """A batch of populations, one per row of a (K, m) array, checked by the
-    rules of :class:`PopulationModel` and renormalized the same way.
+    rules of :class:`PopulationModel`, and the sums that renormalize them the
+    same way.
 
     Every row must be finite and non-negative, with at least two entries
     summing to 1 within ``PI_SUM_BAND``; the first row that breaks a rule is
-    named in the ``BAD_PI`` error. Returns a new float array.
+    named in the ``BAD_PI`` error. Returns the rows as a float array, not
+    yet renormalized, and their sums.
     """
-    rows, totals = _rows_and_sums(pis)
-    return rows / totals[:, None]
-
-
-def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of :func:`validate_population_rows`, checked but not yet
-    renormalized, and the sums it divides them by."""
     import numpy as np
 
     try:
@@ -428,8 +450,7 @@ class Device(_Record):
 
     def __init__(self, p: float, m: int):
         p = _unit_interval(p, "BAD_DEVICE_P", "device parameter p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", _support_size(m))
+        self.__dict__.update(p=p, m=_support_size(m))
 
     @property
     def forced_share(self) -> float:
@@ -496,10 +517,7 @@ class PrivacyPolicy(_Record):
             c = _unit_interval(c, "C_OUT_OF_RANGE", "prior mass bound c")
             _xi_below_c(xi, c)
             nonstigmatizing = _index_set(nonstigmatizing)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "nonstigmatizing", nonstigmatizing)
+        self.__dict__.update(mode=mode, xi=xi, c=c, nonstigmatizing=nonstigmatizing)
 
     @property
     def t(self) -> int | None:
@@ -556,7 +574,7 @@ class ResponseSample(_Record):
             raise ValidationError(
                 "BAD_COUNTS", f"sample size must be at most 2**53, got {n.bit_length()} bits"
             )
-        object.__setattr__(self, "counts", tuple(counts))
+        self.__dict__["counts"] = tuple(counts)
 
     @property
     def n(self) -> int:
@@ -592,11 +610,10 @@ class EstimateReport(_Record):
             raise ValidationError("BAD_ESTIMATE", f"truncated estimate off the simplex: {trunc}")
         if abs(math.fsum(trunc) - 1.0) > 1e-9:
             raise ValidationError("BAD_ESTIMATE", f"truncated estimate does not sum to 1: {trunc}")
-        object.__setattr__(self, "mu_hat", mu_hat)
-        object.__setattr__(self, "pi_hat_raw", pi_hat_raw)
-        object.__setattr__(self, "pi_hat_truncated", pi_hat_truncated)
-        object.__setattr__(self, "var_mu_plugin", var_mu_plugin)
-        object.__setattr__(self, "flags", flags)
+        self.__dict__.update(
+            mu_hat=mu_hat, pi_hat_raw=pi_hat_raw, pi_hat_truncated=pi_hat_truncated,
+            var_mu_plugin=var_mu_plugin, flags=flags,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -612,16 +629,6 @@ class SurveyDefinition(_Record):
     """A parsed survey definition document: support, optional population, optional policy."""
 
     _fields = ("support", "population", "policy")
-
-    def __init__(
-        self,
-        support: SupportSpec,
-        population: PopulationModel | None,
-        policy: PrivacyPolicy | None,
-    ):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "population", population)
-        object.__setattr__(self, "policy", policy)
 
 
 def parse_survey_document(doc) -> SurveyDefinition:

@@ -14,7 +14,6 @@ privacy modules; it shares only the plain data types and their input rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import (
     PopulationModel,
     ValidationError,
     _as_finite_float,
+    _Record,
     _require_same_m,
     _sample_size,
 )
@@ -168,13 +168,10 @@ def enumeration_moments(
     return mean, var
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(_Record):
     """Best value found, the population attaining it, and how many points were tried."""
 
-    value: float
-    witness: np.ndarray
-    points_evaluated: int
+    _fields = ("value", "witness", "points_evaluated")
 
 
 def grid_divisions(m: int, step: float) -> int:

@@ -48,21 +48,11 @@ class AlphaResult(_Record):
 
     _fields = ("alpha", "argmax", "gaps")
 
-    def __init__(self, alpha: float, argmax: tuple[tuple[int, int], ...], gaps: np.ndarray):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "argmax", argmax)
-        object.__setattr__(self, "gaps", gaps)
-
 
 class BetaResult(_Record):
     """Minimum posterior non-stigmatizing mass, the responses attaining it, and the mass per response."""
 
     _fields = ("beta", "argmin", "mass_by_response")
-
-    def __init__(self, beta: float, argmin: tuple[int, ...], mass_by_response: np.ndarray):
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "argmin", argmin)
-        object.__setattr__(self, "mass_by_response", mass_by_response)
 
 
 def revealing_probabilities(device: Device, population: PopulationModel) -> np.ndarray:
@@ -188,7 +178,8 @@ def _check_reduced_form(alpha: float, reduced: float) -> None:
 
 
 def _population_columns(device: Device, pis) -> np.ndarray:
-    """The rows of :func:`validate_population_rows` as the columns of an (m, K) array."""
+    """The rows of :func:`~rrkit.model._rows_and_sums`, renormalized, as the
+    columns of an (m, K) array."""
     import numpy as np
 
     rows, totals = _rows_and_sums(pis)
@@ -257,16 +248,20 @@ def guaranteed_alpha_bound(device: Device) -> float:
 
     With k = 4(1-p)/(mp), xi* is the root in (0, 1) of (1-xi)^2 = k*xi,
     evaluated in the cancellation-free form 2 / (2 + k + sqrt((2+k)^2 - 4)).
-    Where (2+k)^2 overflows, at 2 + k past ~1.3e154 (p below ~7e-155 for
-    m = 4), sqrt((2+k)^2 - 4) is taken as sqrt(k) * sqrt(k + 4), which is
-    equal and stays finite; xi* is then about mp/4.
+    Where that denominator overflows, at 2 + k past ~1.3e154 (p below
+    ~7e-155 for m = 4), xi* is taken in the equal form
+    mp / (mp + 2q + 2 sqrt(q (q + mp))), q = 1 - p, which overflows nowhere;
+    xi* is then about mp/4.
     """
     k = 4.0 * (1.0 - device.p) / (device.m * device.p)
     try:
-        root = math.sqrt((2.0 + k) ** 2 - 4.0)
+        denominator = 2.0 + k + math.sqrt((2.0 + k) ** 2 - 4.0)
     except OverflowError:
-        root = math.sqrt(k) * math.sqrt(k + 4.0)
-    return 2.0 / (2.0 + k + root)
+        denominator = math.inf
+    if denominator < math.inf:
+        return 2.0 / denominator
+    mp, q = device.m * device.p, 1.0 - device.p
+    return mp / (mp + 2.0 * q + 2.0 * math.sqrt(q * (q + mp)))
 
 
 def guaranteed_beta_bound(device: Device, c: float) -> float:
@@ -282,26 +277,7 @@ class PrivacyReport(_Record):
     _fields = (
         "mode", "p", "posterior", "guaranteed_bound", "alpha", "alpha_argmax", "beta", "beta_argmin"
     )
-
-    def __init__(
-        self,
-        mode: PolicyMode,
-        p: float,
-        posterior: tuple[tuple[float, ...], ...],
-        guaranteed_bound: float | None,
-        alpha: float | None = None,
-        alpha_argmax: tuple[tuple[int, int], ...] | None = None,
-        beta: float | None = None,
-        beta_argmin: tuple[int, ...] | None = None,
-    ):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "posterior", posterior)
-        object.__setattr__(self, "guaranteed_bound", guaranteed_bound)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_argmax", alpha_argmax)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "beta_argmin", beta_argmin)
+    _defaults = dict.fromkeys(("alpha", "alpha_argmax", "beta", "beta_argmin"))
 
     def to_json_dict(self) -> dict:
         return {

@@ -80,7 +80,6 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +92,7 @@ from .model import (
     SupportSpec,
     ValidationError,
     _as_int,
+    _Record,
     _require_finite,
     _require_same_m,
     _sample_size,
@@ -281,25 +281,27 @@ def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates
         )
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """One fully specified Monte Carlo run."""
 
-    support: SupportSpec
-    population: PopulationModel
-    device: Device
-    n: int
-    replicates: int
-    seed: int
+    _fields = ("support", "population", "device", "n", "replicates", "seed")
 
-    def __post_init__(self) -> None:
-        _require_same_m(self.support.m, self.population.m)
-        _require_same_m(self.support.m, self.device.m)
-        object.__setattr__(self, "n", _sample_size(self.n))
-        object.__setattr__(
-            self, "replicates", _as_int(self.replicates, "BAD_REPLICATES", "replicates", 1)
+    def __init__(
+        self,
+        support: SupportSpec,
+        population: PopulationModel,
+        device: Device,
+        n: int,
+        replicates: int,
+        seed: int,
+    ):
+        _require_same_m(support.m, population.m)
+        _require_same_m(support.m, device.m)
+        self.__dict__.update(
+            support=support, population=population, device=device, n=_sample_size(n),
+            replicates=_as_int(replicates, "BAD_REPLICATES", "replicates", 1),
+            seed=_as_int(seed, "BAD_SEED", "seed", 0),
         )
-        object.__setattr__(self, "seed", _as_int(self.seed, "BAD_SEED", "seed", 0))
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -705,27 +707,26 @@ def _check_first_replicate(
         )
 
 
-@dataclass(frozen=True)
-class ReplicateRecord:
-    replicate: int
-    mu_hat: float
-    counts: tuple[int, ...]
+class ReplicateRecord(_Record):
+    """One replicate's mean estimate and response counts."""
+
+    _fields = ("replicate", "mu_hat", "counts")
+
+    # one of these per replicate under --replicate-csv, so it skips the binder
+    def __init__(self, replicate, mu_hat, counts):
+        self.__dict__.update(replicate=replicate, mu_hat=mu_hat, counts=counts)
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
-    """Run-level results; ``records`` is populated only when per-replicate detail was requested."""
+class SimulationSummary(_Record):
+    """Run-level results; ``records`` is populated only when per-replicate
+    detail was requested, and is left out of the repr."""
 
-    n: int
-    replicates: int
-    seed: int
-    mu_x: float
-    mean_mu_hat: float
-    var_mu_hat_empirical: float | None
-    var_mu_theoretical: float
-    variance_ratio: float | None
-    mc_se_mean: float | None
-    records: tuple[ReplicateRecord, ...] = field(default=(), repr=False)
+    _fields = (
+        "n", "replicates", "seed", "mu_x", "mean_mu_hat", "var_mu_hat_empirical",
+        "var_mu_theoretical", "variance_ratio", "mc_se_mean", "records",
+    )
+    _defaults = {"records": ()}
+    _repr_omits = ("records",)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,12 +9,10 @@ after import — fails verification rather than silently agreeing with itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import design, estimation, oracle, privacy
-from .model import Device, PopulationModel, ResponseSample, SupportSpec, ValidationError
+from .model import Device, PopulationModel, ResponseSample, SupportSpec, ValidationError, _Record
 
 # (p, pi) cases shared by several checks; supports use values 0..m-1
 CROSS_CHECK_CASES: tuple[tuple[float, tuple[float, ...]], ...] = (
@@ -32,19 +30,19 @@ BREAK_MARGIN = 1e-8
 GRID_M = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    """One self-check's name, outcome and a line of detail."""
+
+    _fields = ("name", "passed", "detail")
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed), "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(_Record):
+    """The outcomes of every self-check, in suite order."""
+
+    _fields = ("checks",)
 
     @property
     def passed(self) -> bool:
@@ -61,7 +59,7 @@ def _unit_support(m: int, offset: float = 0.0) -> SupportSpec:
     return SupportSpec(values=tuple(offset + i for i in range(m)), stigma=(True,) * m)
 
 
-def _check_posterior_matches_oracle() -> CheckResult:
+def _check_posterior_matches_oracle() -> tuple[bool, str]:
     worst = 0.0
     for p, pi in CROSS_CHECK_CASES:
         device = Device(p=p, m=len(pi))
@@ -69,14 +67,13 @@ def _check_posterior_matches_oracle() -> CheckResult:
         closed = privacy.revealing_probabilities(device, population)
         reference = oracle.bayes_posterior_oracle(device, population)
         worst = max(worst, float(np.abs(closed - reference).max()))
-    return CheckResult(
-        name="posterior_matches_oracle",
-        passed=worst <= EXACT_TOL,
-        detail=f"max |closed - joint-table| = {worst:.3e} over {len(CROSS_CHECK_CASES)} cases",
+    return (
+        worst <= EXACT_TOL,
+        f"max |closed - joint-table| = {worst:.3e} over {len(CROSS_CHECK_CASES)} cases",
     )
 
 
-def _check_alpha_reduced_form() -> CheckResult:
+def _check_alpha_reduced_form() -> tuple[bool, str]:
     worst = 0.0
     for p, pi in CROSS_CHECK_CASES:
         device = Device(p=p, m=len(pi))
@@ -85,14 +82,10 @@ def _check_alpha_reduced_form() -> CheckResult:
         posterior = oracle.bayes_posterior_oracle(device, population)
         reference = float(np.abs(posterior - population.pi_array[:, None]).max())
         worst = max(worst, abs(full - reference))
-    return CheckResult(
-        name="alpha_matches_oracle",
-        passed=worst <= EXACT_TOL,
-        detail=f"max |alpha - oracle alpha| = {worst:.3e}",
-    )
+    return worst <= EXACT_TOL, f"max |alpha - oracle alpha| = {worst:.3e}"
 
 
-def _check_mean_variance_identity() -> CheckResult:
+def _check_mean_variance_identity() -> tuple[bool, str]:
     n = 100
     worst = 0.0
     # each case on 0..m-1, and one on a support offset by 1e8, where a closed
@@ -106,15 +99,14 @@ def _check_mean_variance_identity() -> CheckResult:
         closed = estimation.variance_mean_theoretical(device, support, population, n)
         reference = oracle.multinomial_variance_oracle(device, support.values, population, n)
         worst = max(worst, abs(closed - reference) / abs(reference))
-    return CheckResult(
-        name="mean_variance_identity",
-        passed=worst <= EXACT_TOL,
-        detail=f"max relative gap closed-form vs moment identity = {worst:.3e} at n={n}, "
+    return (
+        worst <= EXACT_TOL,
+        f"max relative gap closed-form vs moment identity = {worst:.3e} at n={n}, "
         "one support offset by 1e8",
     )
 
 
-def _check_enumeration_agreement() -> CheckResult:
+def _check_enumeration_agreement() -> tuple[bool, str]:
     n, p = 3, 0.6
     device = Device(p=p, m=2)
     population = PopulationModel(pi=(0.4, 0.6))
@@ -127,14 +119,13 @@ def _check_enumeration_agreement() -> CheckResult:
     _, enum_var = oracle.enumeration_moments(n, lam, mu_hat)
     closed = estimation.variance_mean_theoretical(device, support, population, n)
     gap = abs(enum_var - closed) / abs(closed)
-    return CheckResult(
-        name="enumeration_agreement",
-        passed=gap <= EXACT_TOL,
-        detail=f"relative gap enumeration vs closed form = {gap:.3e} at n={n}, m=2",
+    return (
+        gap <= EXACT_TOL,
+        f"relative gap enumeration vs closed form = {gap:.3e} at n={n}, m=2",
     )
 
 
-def _check_avg_proportion_variance() -> CheckResult:
+def _check_avg_proportion_variance() -> tuple[bool, str]:
     n = 250
     worst = 0.0
     for p, pi in CROSS_CHECK_CASES:
@@ -145,14 +136,13 @@ def _check_avg_proportion_variance() -> CheckResult:
         lam = oracle.response_distribution_oracle(device, population)
         reference = float(np.sum(lam * (1.0 - lam)) / (n * p * p))
         worst = max(worst, abs(closed - reference) / abs(reference))
-    return CheckResult(
-        name="total_proportion_variance",
-        passed=worst <= EXACT_TOL,
-        detail=f"max relative gap vs per-response moments = {worst:.3e} at n={n}",
+    return (
+        worst <= EXACT_TOL,
+        f"max relative gap vs per-response moments = {worst:.3e} at n={n}",
     )
 
 
-def _check_alpha_guarantee_tight(grid_step: float) -> CheckResult:
+def _check_alpha_guarantee_tight(grid_step: float) -> tuple[bool, str]:
     m, xi = GRID_M, 0.1
     p0 = design.p0_all_stigmatizing(m, xi)
     device = Device(p=p0, m=m)
@@ -171,18 +161,14 @@ def _check_alpha_guarantee_tight(grid_step: float) -> CheckResult:
     bound_holds = search.value <= xi + TIGHTNESS_TOL
     attained = abs(at_witness - xi) <= TIGHTNESS_TOL
     breaks = broken > xi + BREAK_MARGIN
-    return CheckResult(
-        name="alpha_guarantee_tight",
-        passed=bound_holds and attained and breaks,
-        detail=(
-            f"grid max alpha = {search.value:.10f} vs xi = {xi} "
-            f"({search.points_evaluated} points); witness alpha = {at_witness:.10f}; "
-            f"alpha at p0+1e-6 = {broken:.10f}"
-        ),
+    return bound_holds and attained and breaks, (
+        f"grid max alpha = {search.value:.10f} vs xi = {xi} "
+        f"({search.points_evaluated} points); witness alpha = {at_witness:.10f}; "
+        f"alpha at p0+1e-6 = {broken:.10f}"
     )
 
 
-def _check_beta_guarantee_tight(grid_step: float) -> CheckResult:
+def _check_beta_guarantee_tight(grid_step: float) -> tuple[bool, str]:
     m, xi, c = GRID_M, 0.10, 0.15
     nonstig = (0,)
     p0 = design.p0_nonstigmatizing(m, xi, c)
@@ -204,18 +190,14 @@ def _check_beta_guarantee_tight(grid_step: float) -> CheckResult:
     bound_holds = search.value >= xi - TIGHTNESS_TOL
     attained = abs(at_witness - xi) <= TIGHTNESS_TOL
     breaks = broken < xi - BREAK_MARGIN
-    return CheckResult(
-        name="beta_guarantee_tight",
-        passed=bound_holds and attained and breaks,
-        detail=(
-            f"grid min beta = {search.value:.10f} vs xi = {xi} "
-            f"({search.points_evaluated} points); witness beta = {at_witness:.10f}; "
-            f"beta at p0+1e-6 = {broken:.10f}"
-        ),
+    return bound_holds and attained and breaks, (
+        f"grid min beta = {search.value:.10f} vs xi = {xi} "
+        f"({search.points_evaluated} points); witness beta = {at_witness:.10f}; "
+        f"beta at p0+1e-6 = {broken:.10f}"
     )
 
 
-def _check_estimator_unbiased() -> CheckResult:
+def _check_estimator_unbiased() -> tuple[bool, str]:
     n, p = 3, 0.5
     pi = (0.2, 0.3, 0.5)
     values = (0.0, 1.5, 4.0)
@@ -230,20 +212,21 @@ def _check_estimator_unbiased() -> CheckResult:
     expected = oracle.enumeration_expectation(n, lam, mu_hat)
     truth = population.mean(support)
     gap = abs(expected - truth)
-    return CheckResult(
-        name="estimator_unbiased",
-        passed=gap <= EXACT_TOL,
-        detail=f"|E[mu_hat] - mu_X| = {gap:.3e} by exact enumeration (n={n}, m=3)",
+    return (
+        gap <= EXACT_TOL,
+        f"|E[mu_hat] - mu_X| = {gap:.3e} by exact enumeration (n={n}, m=3)",
     )
 
 
 def run_verification(grid_step: float = 0.05) -> VerificationReport:
     """Run every self-check and collect the outcomes.
 
-    A check that raises is recorded as failed rather than aborting the suite —
-    a corrupted build may blow up anywhere, and the report should still come
-    back. Input errors (a grid step that does not divide 1, or a lattice over
-    ``oracle.MAX_GRID_POINTS``) are the caller's problem and propagate.
+    Each check returns whether it passed and a line of detail, and is
+    reported under its name in the suite. A check that raises is recorded as
+    failed rather than aborting the suite — a corrupted build may blow up
+    anywhere, and the report should still come back. Input errors (a grid
+    step that does not divide 1, or a lattice over ``oracle.MAX_GRID_POINTS``)
+    are the caller's problem and propagate.
     """
     suite = (
         ("posterior_matches_oracle", _check_posterior_matches_oracle),
@@ -260,9 +243,10 @@ def run_verification(grid_step: float = 0.05) -> VerificationReport:
     checks = []
     for name, fn in suite:
         try:
-            checks.append(fn())
+            passed, detail = fn()
         except ValidationError:
             raise
         except Exception as exc:  # noqa: BLE001 - any crash means the check failed
-            checks.append(CheckResult(name=name, passed=False, detail=f"check raised {exc!r}"))
+            passed, detail = False, f"check raised {exc!r}"
+        checks.append(CheckResult(name=name, passed=passed, detail=detail))
     return VerificationReport(checks=tuple(checks))

@@ -158,6 +158,49 @@ def test_design_xi_ge_c_is_validation_failure(capsys, tmp_path):
     assert stderr_code(err) == "XI_GE_C"
 
 
+# an all-stigmatizing m = 4 survey at xi = 5e-324, where p0 underflows to 0,
+# and a subset survey at xi = 1e-20, c = 0.5, where p0 rounds to 1
+P0_ROUNDS_TO_0 = {
+    "values": [0, 1, 2, 3],
+    "stigmatizing": [True] * 4,
+    "pi": [0.4, 0.3, 0.2, 0.1],
+    "privacy": {"mode": "all_stigmatizing", "xi": 5e-324},
+}
+P0_ROUNDS_TO_1 = {
+    "values": [0, 1, 2],
+    "stigmatizing": [False, True, True],
+    "pi": [0.5, 0.3, 0.2],
+    "privacy": {"mode": "nonstigmatizing_subset", "xi": 1e-20, "c": 0.5, "nonstigmatizing": [0]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, survey, named",
+    [
+        (["design", "--m", "4", "--xi", "5e-324"], None, "m=4, xi=5e-324"),
+        (["table", "--m", "4", "--xi", "5e-324"], None, "m=4, xi=5e-324"),
+        (["design"], P0_ROUNDS_TO_0, "m=4, xi=5e-324"),
+        (["privacy"], P0_ROUNDS_TO_0, "m=4, xi=5e-324"),
+        (["estimate"], P0_ROUNDS_TO_0, "m=4, xi=5e-324"),
+        (["design"], P0_ROUNDS_TO_1, "m=3, xi=1e-20, c=0.5"),
+        (["privacy"], P0_ROUNDS_TO_1, "m=3, xi=1e-20, c=0.5"),
+        (["estimate"], P0_ROUNDS_TO_1, "m=3, xi=1e-20, c=0.5"),
+    ],
+    ids=["design-m", "table", "design-0", "privacy-0", "estimate-0", "design-1", "privacy-1",
+         "estimate-1"],
+)
+def test_a_designed_p0_that_rounds_to_0_or_1_is_xi_out_of_range(capsys, tmp_path, argv, survey, named):
+    if survey is not None:
+        argv = [*argv, "--survey", write_json(tmp_path / "survey.json", survey)]
+        if argv[0] == "estimate":
+            counts = [40, 30, 20, 10][: len(survey["values"])]
+            argv += ["--counts", write_json(tmp_path / "counts.json", counts)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == "XI_OUT_OF_RANGE"
+    assert named in json.loads(err)["message"]
+
+
 def test_design_without_inputs(capsys):
     code, _, err = run(capsys, "design")
     assert code == 2
@@ -724,6 +767,16 @@ FUZZ_UNIT = st.one_of(
     st.sampled_from([5e-324, 1e-320, 1e-300, 1e-160, 1e-100, 0.5, 1.0 - 2**-53]),
 )
 FUZZ_P = st.one_of(st.none(), FUZZ_UNIT, FUZZ_UNIT, st.floats())
+# verify's grid steps: hostile ones, among them steps whose lattice on the
+# 3-value simplex has more than oracle.MAX_GRID_POINTS points, and valid ones
+# no finer than 0.05, so that each example stays fast
+HOSTILE_GRID_STEPS = [math.nan, math.inf, -math.inf, 0.0, -0.05, 5e-324, 1e308, 0.3, 2e-4, 1e-5]
+FUZZ_GRID_STEP = st.one_of(
+    st.sampled_from(HOSTILE_GRID_STEPS),
+    st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 1.0]),
+    st.floats(min_value=0.05),
+    st.floats(max_value=0.0),
+)
 
 
 @st.composite
@@ -759,10 +812,14 @@ def survey_documents(draw):
 def cli_invocations(draw):
     """An argument list for one command, with the survey and counts
     documents it reads; "SURVEY" and "COUNTS" stand for their paths."""
-    command = draw(st.sampled_from(["design", "table", "privacy", "estimate", "simulate"]))
+    command = draw(st.sampled_from(["design", "table", "privacy", "estimate", "simulate", "verify"]))
     survey = draw(survey_documents())
     counts = None
-    if command == "design":
+    if command == "verify":
+        # "=" keeps a negative step from reading as an option
+        argv = ["verify", f"--grid-step={draw(FUZZ_GRID_STEP)!r}"]
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    elif command == "design":
         if draw(st.booleans()):
             argv = ["design", "--survey", "SURVEY"]
         else:
@@ -803,7 +860,18 @@ def test_any_invocation_exits_with_a_contract_code_and_structured_error(tmp_path
     paths = {"SURVEY": write_json(tmp_path / "survey.json", survey)}
     if counts is not None:
         paths["COUNTS"] = write_json(tmp_path / "counts.json", counts)
-    argv = [paths.get(arg, arg) for arg in argv]
+    assert_exit_contract([paths.get(arg, arg) for arg in argv])
+
+
+@pytest.mark.parametrize("step", HOSTILE_GRID_STEPS, ids=repr)
+def test_verify_keeps_the_exit_contract_on_every_hostile_grid_step(step):
+    # the fuzz property draws these too, but not each of them in its examples
+    assert_exit_contract(["verify", f"--grid-step={step!r}"])
+
+
+def assert_exit_contract(argv):
+    """``main(argv)`` exits 0 to 3, with one JSON object holding ``code`` and
+    ``message`` on stderr on failure and nothing on stderr on success."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         # a warning, which a user would see on stderr, fails the command instead

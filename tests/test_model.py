@@ -19,11 +19,18 @@ from rrkit import (
     parse_survey_document,
     validate_policy,
 )
-from rrkit.model import validate_population_rows
+from rrkit.model import _rows_and_sums
+from rrkit.privacy import _population_columns
 
 
 def err_code(excinfo):
     return excinfo.value.code
+
+
+def renormalized(rows):
+    """Population rows as the batch privacy measures take them: checked by
+    ``_rows_and_sums`` and divided by its sums, one population per row."""
+    return _population_columns(Device(p=0.5, m=len(rows[0])), rows).T
 
 
 # --- SupportSpec -----------------------------------------------------------
@@ -141,10 +148,10 @@ def test_population_rows_follow_the_population_model(drawn):
             models.append(None)
     if None in models:
         with pytest.raises(ValidationError) as e:
-            validate_population_rows(rows)
+            _rows_and_sums(rows)
         assert err_code(e) == "BAD_PI"
     else:
-        assert validate_population_rows(rows).tolist() == [list(pi) for pi in models]
+        assert renormalized(rows).tolist() == [list(pi) for pi in models]
 
 
 def test_population_rows_divide_by_the_correctly_rounded_sum():
@@ -153,13 +160,13 @@ def test_population_rows_divide_by_the_correctly_rounded_sum():
     raw = [0.5, 0.6213941548063432, 3.852745846738543e-223]
     row = [v / math.fsum(raw) for v in raw]
     assert math.fsum(row) == 1.0 - 2.0**-53
-    assert validate_population_rows([row]).tolist() == [list(PopulationModel(pi=tuple(row)).pi)]
+    assert renormalized([row]).tolist() == [list(PopulationModel(pi=tuple(row)).pi)]
     rng = np.random.default_rng(5)
     rows = rng.random((20_000, 3))
     rows[:, 2] *= 10.0 ** rng.integers(-300, 0, len(rows))
     rows /= rows.sum(axis=1, keepdims=True)
     expected = np.array([[v / math.fsum(r) for v in r] for r in rows.tolist()])
-    assert validate_population_rows(rows).tobytes() == expected.tobytes()
+    assert renormalized(rows).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -175,12 +182,12 @@ def test_population_rows_divide_by_the_correctly_rounded_sum():
 )
 def test_population_rows_reject_what_the_model_rejects(rows):
     with pytest.raises(ValidationError) as e:
-        validate_population_rows(rows)
+        _rows_and_sums(rows)
     assert err_code(e) == "BAD_PI"
 
 
 def test_population_rows_renormalize_within_the_band():
-    rows = validate_population_rows([[0.3, 0.7 + 5e-10], [0.0, 1.0]])
+    rows = renormalized([[0.3, 0.7 + 5e-10], [0.0, 1.0]])
     assert rows.tolist() == [list(PopulationModel(pi=(0.3, 0.7 + 5e-10)).pi), [0.0, 1.0]]
 
 

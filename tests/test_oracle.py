@@ -6,6 +6,7 @@ the oracles are meant to check.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -285,6 +286,6 @@ def test_oracle_module_does_not_lean_on_production_modules():
     # independence guard: the reference path must not import the modules it checks
     import rrkit.oracle as oracle_module
 
-    source = open(oracle_module.__file__, encoding="utf-8").read()
+    source = pathlib.Path(oracle_module.__file__).read_text(encoding="utf-8")
     assert "from .privacy" not in source and "import privacy" not in source
     assert "from .estimation" not in source and "import estimation" not in source

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rrkit.privacy as privacy
@@ -168,20 +168,26 @@ class TestGuaranteedBounds:
         assert guaranteed_alpha_bound(Device(p=0.1413, m=3)) == pytest.approx(0.1, abs=5e-4)
 
     @settings(max_examples=100, deadline=None)
+    # where k itself overflows (1e-310), and where only the denominator does
+    @example(exponent=-310.0, m=4)
+    @example(exponent=-308.0, m=4)
+    @example(exponent=-307.7, m=2)
     @given(
-        exponent=st.floats(-300.0, -154.0),
+        exponent=st.floats(-320.0, -154.0),
         m=st.one_of(st.integers(2, 1000), st.sampled_from([2**20, 2**53])),
     )
     def test_alpha_bound_below_the_overflow_of_its_square_matches_mpmath(self, exponent, m):
-        # at p below ~7e-155 (for m = 4), (2 + k)**2 overflows a float; the
-        # bound, about mp/4, is then taken from sqrt(k) * sqrt(k + 4)
+        # at p below ~7e-155 (for m = 4), (2 + k)**2 overflows a float, and
+        # below mp ~2.2e-308 k itself does; the bound, about mp/4, is then
+        # taken from the form scaled by mp/2. Subnormal bounds are held to
+        # two units of their last place, 2**-1073.
         mpmath = pytest.importorskip("mpmath")
         p = 10.0**exponent
         with mpmath.workprec(200):
             k = 4 * (1 - mpmath.mpf(p)) / (m * mpmath.mpf(p))
             exact = 2 / (2 + k + mpmath.sqrt((2 + k) ** 2 - 4))
             got = guaranteed_alpha_bound(Device(p=p, m=m))
-            assert abs(got - exact) <= 1e-15 * exact
+            assert abs(got - exact) <= 1e-15 * exact + 2.0**-1073
 
     def test_alpha_bound_keeps_its_bits_where_the_square_is_finite(self):
         for p, m in ((0.1099, 4), (1e-150, 4), (0.5, 2), (1 - 2**-53, 7), (1e-154, 3)):

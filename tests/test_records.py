@@ -1,6 +1,6 @@
-"""The immutable record types that the cold commands build: construction,
-immutability, equality, hashing and repr, each as a frozen dataclass gives
-them."""
+"""Every rrkit record type: construction, immutability, equality, hashing
+and repr, each as a frozen dataclass gives them, and the argument binding
+of the shared constructor."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,12 @@ from rrkit.model import (
     ResponseSample,
     SupportSpec,
     SurveyDefinition,
+    _Record,
 )
+from rrkit.oracle import GridSearchResult
 from rrkit.privacy import AlphaResult, BetaResult, PrivacyReport
+from rrkit.simulation import ReplicateRecord, SimulationConfig, SimulationSummary
+from rrkit.verification import CheckResult, VerificationReport
 
 ALL = PolicyMode.ALL_STIGMATIZING
 SUBSET = PolicyMode.NONSTIGMATIZING_SUBSET
@@ -25,6 +29,9 @@ POPULATION = PopulationModel((0.5, 0.25, 0.25))
 POLICY = PrivacyPolicy(SUBSET, 0.1, 0.3, (1,))
 GAPS = np.zeros(2)
 MASS = np.array([0.25, 0.5])
+WITNESS = np.array([0.5, 0.5])
+REPLICATE = ReplicateRecord(0, 0.5, (4, 6))
+CHECK = CheckResult("posterior_matches_oracle", True, "ok")
 
 # class, field names in order, positional arguments, and the repr, pinned in
 # the dataclass format
@@ -94,10 +101,59 @@ CASES = [
         "posterior=((0.5, 0.5), (0.5, 0.5)), guaranteed_bound=None, alpha=None, alpha_argmax=None, "
         "beta=0.5, beta_argmin=(0, 1))",
     ),
+    (
+        SimulationConfig,
+        ("support", "population", "device", "n", "replicates", "seed"),
+        (SUPPORT, POPULATION, Device(0.25, 3), 10, 3, 7),
+        "SimulationConfig(support=SupportSpec(values=(1.0, 2.5, -3.0), stigma=(True, False, True)), "
+        "population=PopulationModel(pi=(0.5, 0.25, 0.25)), device=Device(p=0.25, m=3), n=10, "
+        "replicates=3, seed=7)",
+    ),
+    (
+        ReplicateRecord,
+        ("replicate", "mu_hat", "counts"),
+        (0, 0.5, (4, 6)),
+        "ReplicateRecord(replicate=0, mu_hat=0.5, counts=(4, 6))",
+    ),
+    (
+        SimulationSummary,
+        (
+            "n", "replicates", "seed", "mu_x", "mean_mu_hat", "var_mu_hat_empirical",
+            "var_mu_theoretical", "variance_ratio", "mc_se_mean", "records",
+        ),
+        (10, 1, 7, 0.75, 0.7, 0.01, 0.02, 0.5, 0.07, (REPLICATE,)),
+        # records stay out of the repr, as field(repr=False) left them
+        "SimulationSummary(n=10, replicates=1, seed=7, mu_x=0.75, mean_mu_hat=0.7, "
+        "var_mu_hat_empirical=0.01, var_mu_theoretical=0.02, variance_ratio=0.5, mc_se_mean=0.07)",
+    ),
+    (
+        GridSearchResult,
+        ("value", "witness", "points_evaluated"),
+        (0.1, WITNESS, 21),
+        "GridSearchResult(value=0.1, witness=array([0.5, 0.5]), points_evaluated=21)",
+    ),
+    (
+        CheckResult,
+        ("name", "passed", "detail"),
+        ("posterior_matches_oracle", True, "ok"),
+        "CheckResult(name='posterior_matches_oracle', passed=True, detail='ok')",
+    ),
+    (
+        VerificationReport,
+        ("checks",),
+        ((CHECK,),),
+        "VerificationReport(checks=(CheckResult(name='posterior_matches_oracle', passed=True, "
+        "detail='ok'),))",
+    ),
 ]
 IDS = [case[0].__name__ for case in CASES]
 # the classes whose ndarray field leaves them unhashable
-UNHASHABLE = (AlphaResult, BetaResult)
+UNHASHABLE = (AlphaResult, BetaResult, GridSearchResult)
+
+
+def test_every_record_type_is_pinned():
+    assert {case[0] for case in CASES} == set(_Record.__subclasses__())
+    assert len(CASES) == 18
 
 
 @pytest.mark.parametrize("cls, names, args, expected", CASES, ids=IDS)
@@ -127,11 +183,39 @@ def test_positional_and_keyword_construction_agree_and_keep_the_repr(cls, names,
             "posterior=((1.0,),), guaranteed_bound=0.1, alpha=None, alpha_argmax=None, "
             "beta=None, beta_argmin=None)",
         ),
+        (
+            SimulationSummary(10, 1, 7, 0.75, 0.7, None, 0.02, None, None),
+            "SimulationSummary(n=10, replicates=1, seed=7, mu_x=0.75, mean_mu_hat=0.7, "
+            "var_mu_hat_empirical=None, var_mu_theoretical=0.02, variance_ratio=None, "
+            "mc_se_mean=None)",
+        ),
     ],
-    ids=["PrivacyPolicy", "DesignCertificate", "PrivacyReport"],
+    ids=["PrivacyPolicy", "DesignCertificate", "PrivacyReport", "SimulationSummary"],
 )
 def test_defaults(record, expected):
     assert repr(record) == expected
+
+
+def test_a_default_can_be_overridden_by_keyword_and_records_default_to_empty():
+    assert DesignCertificate(0.5, ALL, 0.1, 3, t=2).t == 2
+    assert SimulationSummary(10, 1, 7, 0.75, 0.7, None, 0.02, None, None).records == ()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DesignTable((3,), (0.1,)), r"DesignTable\(\) missing required arguments: 'p0'"),
+        (lambda: CheckResult(), "missing required arguments: 'name', 'passed', 'detail'"),
+        (lambda: CheckResult("a", True, "ok", 1), r"takes 3 positional arguments but 4 were given"),
+        (lambda: CheckResult("a", True, detail="ok", note=1), "unexpected keyword argument 'note'"),
+        (lambda: CheckResult("a", True, "ok", passed=False), "multiple values for argument 'passed'"),
+        (lambda: DesignCertificate(0.5, ALL, 0.1), "missing required arguments: 'm'"),
+    ],
+    ids=["missing", "none", "too-many", "unknown", "twice", "missing-before-defaults"],
+)
+def test_the_shared_constructor_refuses_what_a_dataclass_refuses(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("cls, names, args, expected", CASES, ids=IDS)
@@ -169,8 +253,15 @@ def test_equal_fields_give_equal_records_and_hashes(cls, names, args, expected):
         (PopulationModel((0.5, 0.5)), PopulationModel((0.25, 0.75))),
         (PrivacyPolicy(ALL, 0.2), PrivacyPolicy(ALL, 0.3)),
         (DesignTable((3,), (0.1,), ((0.1413,),)), DesignTable((4,), (0.1,), ((0.1413,),))),
+        (
+            # records count in equality, though not in the repr
+            SimulationSummary(10, 1, 7, 0.75, 0.7, None, 0.02, None, None, (REPLICATE,)),
+            SimulationSummary(10, 1, 7, 0.75, 0.7, None, 0.02, None, None),
+        ),
+        (CheckResult("a", True, "ok"), CheckResult("a", False, "ok")),
     ],
-    ids=["Device", "PopulationModel", "PrivacyPolicy", "DesignTable"],
+    ids=["Device", "PopulationModel", "PrivacyPolicy", "DesignTable", "SimulationSummary",
+         "CheckResult"],
 )
 def test_a_different_field_gives_unequal_records(first, second):
     assert first != second and not first == second

@@ -1,7 +1,6 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
 import collections
-import dataclasses
 import importlib.util
 import math
 import os
@@ -574,6 +573,11 @@ def _splice_boundaries(patch, config):
     patch.setattr(simulation, "replicate_stream", SplicedStream)
 
 
+def _with(config, **changes):
+    """A new SimulationConfig with the fields of ``config``, less ``changes``."""
+    return SimulationConfig(**{**{name: getattr(config, name) for name in config._fields}, **changes})
+
+
 def _one_row_config(m, p, pi):
     return SimulationConfig(
         support=SupportSpec(values=tuple(2.5 * k - 1e6 for k in range(m)), stigma=(True,) * m),
@@ -605,7 +609,7 @@ def test_kernel_matches_stage_functions_at_one_row_n(case, threads, monkeypatch,
     if isinstance(case, str):
         survey = load_survey(request.getfixturevalue(case))
         device, _ = design_device(survey.policy, survey.support)
-        config = dataclasses.replace(
+        config = _with(
             _one_row_config(survey.support.m, device.p, survey.population.pi),
             support=survey.support,
         )
@@ -627,7 +631,7 @@ def test_each_counter_counts_its_side_of_one_row_and_cuts_max_m(monkeypatch):
         (top, _first_one_row_n(top) - 1, "_count_by_cuts"),  # two rows per block
         (top + 1, _first_one_row_n(top + 1), "_count_by_cuts"),
     ):
-        config = dataclasses.replace(_one_row_config(m, 0.3, _zeros_every_third(m)), n=n)
+        config = _with(_one_row_config(m, 0.3, _zeros_every_third(m)), n=n)
         with monkeypatch.context() as patch:
             patch.setattr(simulation, other, refuse)
             _splice_boundaries(patch, config)
@@ -652,7 +656,7 @@ def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
     if not any(weights):
         weights[-1] = 1.0
     config = _one_row_config(m, p, tuple(w / sum(weights) for w in weights))
-    config = dataclasses.replace(config, n=200)
+    config = _with(config, n=200)
     u = np.random.default_rng(seed).random(2 * config.n)
     pairs = _boundary_pairs(config)
     u[:len(pairs)], u[config.n:config.n + len(pairs)] = pairs.T
@@ -704,7 +708,7 @@ def test_thread_count_does_not_choose_the_estimate_path(monkeypatch):
 
 @pytest.mark.parametrize("p", [1e-13, 0.5e-12, 1 - 1e-13, 1 - 0.5e-12])
 def test_kernel_matches_the_stage_functions_at_p_near_0_and_1(p, monkeypatch):
-    config = dataclasses.replace(
+    config = _with(
         _one_row_config(3, p, (0.5, 0.0, 0.5)), n=5, replicates=300, seed=7
     )
     monkeypatch.setenv("RRKIT_THREADS", "1")
@@ -807,7 +811,7 @@ def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
     # the setter path (n = 200) and the jump path both seed through replicate_words
     for n in (config3.n, JUMP_MAX_N):
         with pytest.raises(RuntimeError, match="replicate 0"):
-            run_replicates(dataclasses.replace(config3, n=n))
+            run_replicates(_with(config3, n=n))
 
 
 def test_block_rows_fit_block_bytes_with_the_count_cells():
