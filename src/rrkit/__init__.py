@@ -52,7 +52,6 @@ _EXPORTS = {
         "guaranteed_alpha_bound",
         "guaranteed_beta_bound",
         "privacy_report",
-        "report_for_policy",
         "revealing_probabilities",
     ),
     "simulation": (

@@ -33,6 +33,7 @@ from .model import (
     ResponseSample,
     SurveyDefinition,
     ValidationError,
+    _read_json,
     _support_size,
     load_survey,
 )
@@ -45,10 +46,20 @@ EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports bad arguments through the structured-error path."""
+    """argparse parser that reports bad arguments through the structured-error
+    path, and reads a token that ``float()`` accepts, such as ``-1e-3`` or
+    ``-inf``, as a value: no option looks like a number."""
 
     def error(self, message: str):
         raise ValidationError("BAD_ARGS", message)
+
+    def _parse_optional(self, arg_string: str):
+        # argparse itself takes only plain negative decimals, such as -0.5, as values
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -142,20 +153,17 @@ def cmd_simulate(args) -> int:
     summary = simulation.run_replicates(config, keep_replicates=args.replicate_csv is not None)
     doc = summary.to_json_dict()
     doc["p"] = device.p
-    _emit_json(doc, args.out)
+    # the CSV first, so that a path it cannot write leaves stdout empty
     if args.replicate_csv is not None:
         lines = ["replicate,mu_hat"]
         lines.extend(f"{rec.replicate},{rec.mu_hat!r}" for rec in summary.records)
         _emit("\n".join(lines) + "\n", args.replicate_csv)
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
 def _load_counts(path: str) -> tuple[int, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("BAD_COUNTS", f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path, "BAD_COUNTS")
     if not isinstance(doc, list):
         raise ValidationError("BAD_COUNTS", f"{path}: expected a JSON array of counts")
     return tuple(doc)
@@ -178,18 +186,17 @@ def cmd_privacy(args) -> int:
     survey = load_survey(args.survey)
     population = _require_population(survey)
     device = _resolve_device(args, survey)
-    if survey.policy is not None:
-        report = privacy.report_for_policy(device, population, survey.policy)
-    elif survey.support.all_stigmatizing:
-        report = privacy.privacy_report(device, population, mode=PolicyMode.ALL_STIGMATIZING)
-    else:
-        report = privacy.privacy_report(
-            device,
-            population,
-            mode=PolicyMode.NONSTIGMATIZING_SUBSET,
-            nonstigmatizing=survey.support.nonstigmatizing_indices,
-            c=None,
-        )
+    # a policy's mode and index set match the support (model.validate_policy)
+    support = survey.support
+    report = privacy.privacy_report(
+        device,
+        population,
+        mode=PolicyMode.ALL_STIGMATIZING
+        if support.all_stigmatizing
+        else PolicyMode.NONSTIGMATIZING_SUBSET,
+        nonstigmatizing=support.nonstigmatizing_indices,
+        c=None if survey.policy is None else survey.policy.c,
+    )
     _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK
 

@@ -684,12 +684,19 @@ def parse_survey_document(doc) -> SurveyDefinition:
 
 def load_survey(path) -> SurveyDefinition:
     """Read and parse a survey definition JSON file."""
+    return parse_survey_document(_read_json(path, "BAD_SURVEY"))
+
+
+def _read_json(path, code: str):
+    """The JSON document in the file at ``path``. A file that is not UTF-8,
+    not JSON, nested past the recursion limit or holding an integer past
+    Python's digit limit is refused with ``code``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("BAD_SURVEY", f"{path}: not valid JSON ({exc})") from None
-    return parse_survey_document(doc)
+            return json.load(fh)
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(code, f"{path}: not valid JSON ({exc})") from None
 
 
 def _require_same_m(expected: int, got: int) -> None:

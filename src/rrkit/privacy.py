@@ -15,12 +15,15 @@ Both depend on the unknown population, so design works with guaranteed
 bounds: the worst case of each measure over all populations the device
 parameter admits.
 
-One population is measured on Python floats, which is all ``privacy`` needs,
-so that command never loads numpy; the batch forms over many populations,
-:func:`alpha_values` and :func:`beta_values`, and the array results of the
-single measures import it when they run. Both cores do the same IEEE
-operations in the same order, so a population's measures have the same bits
-alone and in a batch.
+One core forms the posterior entries (:func:`_posterior`) and sums the
+non-stigmatizing rows (:func:`_mass`). It takes one population as a tuple of
+floats, which is all ``privacy`` needs, so that command never loads numpy;
+or a batch of K populations as the m rows of an (m, K) array, one population
+per column, so that each operation runs along the batch. An entry is the
+same IEEE operations either way, so a population's measures have the same
+bits alone and in a batch. The single measures reduce with the built-in max
+and min; the batch forms, :func:`alpha_values` and :func:`beta_values`,
+reduce with numpy's, in place.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     Device,
     PolicyMode,
     PopulationModel,
-    PrivacyPolicy,
     _index_set,
     _Record,
     _require_same_m,
@@ -68,26 +70,6 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
     return np.array(_posterior(device, population.pi))
 
 
-def alpha_values(device: Device, pis) -> np.ndarray:
-    """alpha for each population of a (K, m) batch, as a (K,) array.
-
-    Rows are validated and renormalized like :class:`PopulationModel`, and
-    each value equals ``alpha_measure(device, PopulationModel(pi=row)).alpha``.
-    """
-    columns = _population_columns(device, pis)
-    alpha, _ = _alpha_core(device, columns, _posteriors(device, columns))
-    return alpha
-
-
-def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.ndarray:
-    """beta for each population of a (K, m) batch, as a (K,) array; the batch
-    form of :func:`beta_measure`."""
-    indices = _index_set(nonstigmatizing, device.m)
-    columns = _population_columns(device, pis)
-    beta, _ = _beta_core(_posteriors(device, columns, indices))
-    return beta
-
-
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
     _require_same_m(device.m, population.m)
@@ -106,6 +88,38 @@ def beta_measure(
     return BetaResult(beta=beta, argmin=argmin, mass_by_response=_read_only(mass))
 
 
+def alpha_values(device: Device, pis) -> np.ndarray:
+    """alpha for each population of a (K, m) batch, as a (K,) array.
+
+    Rows are validated and renormalized like :class:`PopulationModel`, and
+    each value equals ``alpha_measure(device, PopulationModel(pi=row)).alpha``.
+    """
+    import numpy as np
+
+    columns = _population_columns(device, pis)
+    gaps = [
+        np.abs(np.subtract(entry, prior, out=entry), out=entry)
+        for row, prior in zip(_posterior(device, columns), columns)
+        for entry in row
+    ]
+    alpha = _fold(np.maximum, gaps)
+    reduced = _fold(np.maximum, [_diagonal_form(device, v) for v in columns])
+    # the self-check of every population, raised for the first that fails it
+    for k in np.flatnonzero(np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha):
+        _check_reduced_form(float(alpha[k]), float(reduced[k]))
+    return alpha
+
+
+def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.ndarray:
+    """beta for each population of a (K, m) batch, as a (K,) array; the batch
+    form of :func:`beta_measure`."""
+    import numpy as np
+
+    indices = _index_set(nonstigmatizing, device.m)
+    columns = _population_columns(device, pis)
+    return _fold(np.minimum, _mass(_posterior(device, columns, indices)))
+
+
 def _read_only(values) -> np.ndarray:
     """A float array of ``values`` that cannot be written."""
     import numpy as np
@@ -115,31 +129,52 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
-# --- one population, on floats ---------------------------------------------------
+# --- the core: one population on floats, or a batch on (K,) arrays -------------
 
 
-def _posterior(device: Device, pi: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """The posterior matrix of one population as a tuple of rows, entry by
-    entry the arithmetic of :func:`_posteriors`: q*pi_i, plus p*pi_i on the
-    diagonal, divided by p*pi_j + q."""
+def _posterior(device: Device, pi, rows: tuple[int, ...] | None = None) -> tuple[tuple, ...]:
+    """Rows of the posterior matrix of ``pi``: all m, or only the true values
+    ``rows``, in their order.
+
+    ``pi`` is one population, a tuple of m floats, or a batch, the m rows of
+    an (m, K) array from :func:`_population_columns`; an entry is then a
+    float or a (K,) array. Entry [i][j] is q*pi_i, plus p*pi_i on the
+    diagonal, divided by p*pi_j + q.
+    """
     p, q = device.p, device.forced_share
     responses = [p * v + q for v in pi]
-    return tuple(
-        tuple((q * v + p * v if i == j else q * v) / r for j, r in enumerate(responses))
-        for i, v in enumerate(pi)
-    )
+    posterior = []
+    for i in range(len(pi)) if rows is None else rows:
+        v = pi[i]
+        forced = q * v
+        posterior.append(
+            tuple((forced + p * v if i == j else forced) / r for j, r in enumerate(responses))
+        )
+    return tuple(posterior)
+
+
+def _mass(rows: tuple[tuple, ...]) -> tuple:
+    """The posterior rows of the non-stigmatizing values, summed entry by
+    entry from left to right: the non-stigmatizing mass per response."""
+    mass = rows[0]
+    for row in rows[1:]:
+        mass = tuple(a + b for a, b in zip(mass, row))
+    return mass
+
+
+def _diagonal_form(device: Device, v):
+    """(1 - pi_i) pi_i / (pi_i + q/p), the gap on the diagonal at its largest."""
+    return (1.0 - v) * v / (v + device.forced_share / device.p)
 
 
 def _alpha(
     device: Device, pi: tuple[float, ...], posterior: tuple[tuple[float, ...], ...]
 ) -> tuple[float, tuple[tuple[int, int], ...], tuple[tuple[float, ...], ...]]:
     """alpha of one population, the (i, j) pairs within ``TIE_RTOL`` of it in
-    row-major order, and the gap matrix; the reduced-form self-check of
-    :func:`_alpha_core`."""
+    row-major order, and the gap matrix."""
     gaps = tuple(tuple(abs(v - prior) for v in row) for row, prior in zip(posterior, pi))
     alpha = max(max(row) for row in gaps)
-    ratio = device.forced_share / device.p
-    _check_reduced_form(alpha, max((1.0 - v) * v / (v + ratio) for v in pi))
+    _check_reduced_form(alpha, max(_diagonal_form(device, v) for v in pi))
     threshold = alpha - TIE_RTOL * alpha
     argmax = tuple(
         (i, j) for i, row in enumerate(gaps) for j, gap in enumerate(row) if gap >= threshold
@@ -151,11 +186,8 @@ def _beta(
     posterior: tuple[tuple[float, ...], ...], indices: tuple[int, ...]
 ) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
     """beta of one population, the responses within ``TIE_RTOL`` of it, and
-    the non-stigmatizing posterior mass per response, summed over the rows
-    ``indices`` left to right as :func:`_beta_core` sums them."""
-    mass = posterior[indices[0]]
-    for i in indices[1:]:
-        mass = tuple(a + b for a, b in zip(mass, posterior[i]))
+    the non-stigmatizing posterior mass per response."""
+    mass = _mass(tuple(posterior[i] for i in indices))
     beta = min(mass)
     threshold = beta + TIE_RTOL * max(beta, 1.0)
     return beta, tuple(j for j, v in enumerate(mass) if v <= threshold), mass
@@ -163,18 +195,11 @@ def _beta(
 
 def _check_reduced_form(alpha: float, reduced: float) -> None:
     """The maximum gap is always attained on the diagonal, where it is
-    (1 - pi_i) pi_i / (pi_i + q/p): raise unless the full-matrix max agrees
-    with that reduced form."""
+    :func:`_diagonal_form`: raise unless the full-matrix max agrees with it."""
     if abs(alpha - reduced) > 1e-12 + 1e-9 * alpha:
         raise RuntimeError(
             f"alpha self-check failed: matrix max {alpha!r} vs diagonal form {reduced!r}"
         )
-
-
-# --- the batch core ------------------------------------------------------------
-# K populations are held one per column of an (m, K) array, and their posterior
-# matrices stacked along the last axis of an (m, m, K) array, so every numpy
-# loop below runs along the batch rather than along the short m axis.
 
 
 def _population_columns(device: Device, pis) -> np.ndarray:
@@ -187,60 +212,12 @@ def _population_columns(device: Device, pis) -> np.ndarray:
     return np.divide(rows.T, totals, out=np.empty(rows.shape[::-1]))
 
 
-def _posteriors(
-    device: Device, columns: np.ndarray, rows: tuple[int, ...] | None = None
-) -> np.ndarray:
-    """Posterior matrices of the populations in the columns of ``columns``:
-    all m rows (m, m, K), or only the true values ``rows`` (len(rows), m, K),
-    in their order. An entry's arithmetic does not depend on which rows are
-    built."""
-    import numpy as np
-
-    p, q = device.p, device.forced_share
-    m, k = columns.shape
-    # a list selects rows; a tuple would index one axis per entry
-    true = columns if rows is None else columns[list(rows)]
-    posterior = np.multiply(q, true[:, None, :], out=np.empty((len(true), m, k)))
-    truthful = p * columns
-    if rows is None:
-        posterior.reshape(m * m, k)[:: m + 1] += truthful  # the diagonals
-    else:
-        for t, i in enumerate(rows):
-            posterior[t, i] += truthful[i]
-    truthful += q  # the response probabilities
-    posterior /= truthful
-    return posterior
-
-
-def _alpha_core(
-    device: Device, columns: np.ndarray, posteriors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha (K,) and the gap matrices (m, m, K) of a batch, written over
-    ``posteriors``."""
-    import numpy as np
-
-    gaps = np.subtract(posteriors, columns[:, None, :], out=posteriors)
-    np.abs(gaps, out=gaps)
-    alpha = gaps.max(axis=(0, 1))
-
-    # the diagonal form of _check_reduced_form, for every population
-    reduced = 1.0 - columns
-    reduced *= columns
-    reduced /= columns + device.forced_share / device.p
-    reduced = reduced.max(axis=0)
-    broken = np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha
-    if broken.any():
-        k = int(np.argmax(broken))
-        _check_reduced_form(float(alpha[k]), float(reduced[k]))
-    return alpha, gaps
-
-
-def _beta_core(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """beta (K,) and the non-stigmatizing posterior mass per response (m, K)
-    of a batch, from the posterior rows (t, m, K) of its t non-stigmatizing
-    values, summed in their order."""
-    mass = posteriors.sum(axis=0)
-    return mass.min(axis=0), mass
+def _fold(ufunc, arrays):
+    """``ufunc`` over equal-shape arrays, accumulated in place in the first."""
+    acc = arrays[0]
+    for array in arrays[1:]:
+        ufunc(acc, array, out=acc)
+    return acc
 
 
 def guaranteed_alpha_bound(device: Device) -> float:
@@ -330,15 +307,3 @@ def privacy_report(
         beta_argmin=argmin,
     )
 
-
-def report_for_policy(
-    device: Device, population: PopulationModel, policy: PrivacyPolicy
-) -> PrivacyReport:
-    """Privacy report using a policy's mode, index set and mass floor."""
-    return privacy_report(
-        device,
-        population,
-        mode=policy.mode,
-        nonstigmatizing=policy.nonstigmatizing,
-        c=policy.c,
-    )

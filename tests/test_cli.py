@@ -432,6 +432,16 @@ def test_simulate_unwritable_out_is_io_error(capsys, survey_m2, tmp_path):
     assert stderr_code(err) == "IO_ERROR"
 
 
+def test_simulate_unwritable_replicate_csv_leaves_stdout_empty(capsys, survey_m2, tmp_path):
+    # the summary once reached stdout before the CSV failed
+    code, out, err = run(
+        capsys, "simulate", "--survey", survey_m2, "--n", "10", "--replicates", "2", "--p", "0.5",
+        "--replicate-csv", str(tmp_path / "no-such-dir" / "x.csv"),
+    )
+    assert (code, out) == (3, "")
+    assert stderr_code(err) == "IO_ERROR"
+
+
 @pytest.mark.parametrize(
     "n, replicates", [("10000000000000", "1"), ("10", "10000000000000")]
 )
@@ -543,6 +553,41 @@ def test_estimate_bad_counts_file(capsys, survey_m2, tmp_path):
     )
     assert code == 2
     assert stderr_code(err) == "BAD_COUNTS"
+
+
+# files that are not UTF-8, hold an integer past Python's 4 300-digit limit,
+# or nest arrays past the recursion limit; each once ended INTERNAL_ERROR
+HOSTILE_JSON_FILES = {
+    "utf16_bom": b"\xff\xfe[1, 2]",
+    "5000_digits": b"[" + b"9" * 5000 + b", 1]",
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", HOSTILE_JSON_FILES.values(), ids=HOSTILE_JSON_FILES)
+@pytest.mark.parametrize("kind", ["survey", "counts"])
+def test_a_file_that_does_not_read_as_json_is_refused_with_its_code(
+    capsys, survey_beta, tmp_path, kind, content
+):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    if kind == "survey":
+        expected = "BAD_SURVEY"
+        counts = write_json(tmp_path / "c.json", [4, 6, 5])
+        argvs = [
+            ["design", "--survey", str(path)],
+            ["privacy", "--survey", str(path)],
+            ["simulate", "--survey", str(path), "--n", "5", "--replicates", "2"],
+            ["estimate", "--survey", str(path), "--counts", counts],
+        ]
+    else:
+        expected = "BAD_COUNTS"
+        argvs = [["estimate", "--survey", survey_beta, "--counts", str(path), "--p", "0.5"]]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        doc = json.loads(err)
+        assert doc["code"] == expected and str(path) in doc["message"], argv
 
 
 @pytest.mark.parametrize(
@@ -725,6 +770,23 @@ def test_unknown_flag_is_bad_args(capsys):
     assert stderr_code(err) == "BAD_ARGS"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["design", "--m", "4", "--xi", "-inf"], "XI_OUT_OF_RANGE"),
+        (["design", "--m", "4", "--xi", "-1e-3"], "XI_OUT_OF_RANGE"),
+        (["privacy", "--survey", "SURVEY", "--p", "-1e-3"], "BAD_DEVICE_P"),
+        (["simulate", "--survey", "SURVEY", "--n", "5", "--p", "-inf"], "BAD_DEVICE_P"),
+        (["verify", "--grid-step", "-1e-2"], "BAD_GRID"),
+    ],
+)
+def test_a_negative_number_is_the_value_of_its_option(capsys, survey_m2, argv, expected):
+    # these once read as options and ended BAD_ARGS "expected one argument"
+    code, out, err = run(capsys, *[survey_m2 if arg == "SURVEY" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == expected
+
+
 def test_readme_error_table_lists_every_code_the_source_can_return():
     # a code reaches a user as a literal given to ValidationError or to a
     # validator that raises it (_as_int, _unit_interval, ...), or as the
@@ -779,6 +841,11 @@ FUZZ_GRID_STEP = st.one_of(
 )
 
 
+def raw_or(doc):
+    """``doc``, or once in six draws a raw file that does not read as JSON."""
+    return st.one_of(*[st.just(doc)] * 5, st.sampled_from(list(HOSTILE_JSON_FILES.values())))
+
+
 @st.composite
 def survey_documents(draw):
     """Survey documents, mostly valid, with supports and proportions out to
@@ -816,8 +883,7 @@ def cli_invocations(draw):
     survey = draw(survey_documents())
     counts = None
     if command == "verify":
-        # "=" keeps a negative step from reading as an option
-        argv = ["verify", f"--grid-step={draw(FUZZ_GRID_STEP)!r}"]
+        argv = ["verify", "--grid-step", repr(draw(FUZZ_GRID_STEP))]
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     elif command == "design":
         if draw(st.booleans()):
@@ -837,13 +903,17 @@ def cli_invocations(draw):
             counts = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
             if counts and draw(st.sampled_from([False, False, False, True])):
                 counts[-1] = 2**53  # past the cap on n unless every other count is 0
+            counts = draw(raw_or(counts))
             argv += ["--counts", "COUNTS"]
         elif command == "simulate":
             argv += ["--n", str(draw(st.integers(0, 5))), "--replicates", str(draw(st.integers(0, 3)))]
             argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
+            if draw(st.sampled_from([False, False, False, True])):
+                argv += ["--replicate-csv", "UNWRITABLE"]
         p = draw(FUZZ_P)
         if p is not None:
             argv += ["--p", repr(p)]
+    survey = draw(raw_or(survey))
     return argv, survey, counts
 
 
@@ -857,27 +927,36 @@ def cli_invocations(draw):
 def test_any_invocation_exits_with_a_contract_code_and_structured_error(tmp_path, invocation):
     # each example rewrites the two files it reads
     argv, survey, counts = invocation
-    paths = {"SURVEY": write_json(tmp_path / "survey.json", survey)}
-    if counts is not None:
-        paths["COUNTS"] = write_json(tmp_path / "counts.json", counts)
+    paths = {"UNWRITABLE": str(tmp_path / "no-such-dir" / "x.csv")}
+    for key, doc in (("SURVEY", survey), ("COUNTS", counts)):
+        path = tmp_path / f"{key.lower()}.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+            paths[key] = str(path)
+        elif doc is not None:
+            paths[key] = write_json(path, doc)
     assert_exit_contract([paths.get(arg, arg) for arg in argv])
 
 
 @pytest.mark.parametrize("step", HOSTILE_GRID_STEPS, ids=repr)
 def test_verify_keeps_the_exit_contract_on_every_hostile_grid_step(step):
     # the fuzz property draws these too, but not each of them in its examples
-    assert_exit_contract(["verify", f"--grid-step={step!r}"])
+    assert_exit_contract(["verify", "--grid-step", repr(step)])
 
 
 def assert_exit_contract(argv):
     """``main(argv)`` exits 0 to 3, with one JSON object holding ``code`` and
-    ``message`` on stderr on failure and nothing on stderr on success."""
+    ``message`` on stderr on failure, nothing on stderr on success and
+    nothing on stdout on exit 2 or 3."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         # a warning, which a user would see on stderr, fails the command instead
         warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (2, 3):
+        # a refused command prints nothing
+        assert out.getvalue() == ""
     if code:
         doc = json.loads(err.getvalue())
         assert isinstance(doc, dict) and {"code", "message"} <= set(doc), doc

@@ -145,7 +145,7 @@ def test_every_export_is_its_module_attribute(name):
 
 
 def test_all_lists_each_export_once():
-    assert len(rrkit.__all__) == len(set(rrkit.__all__)) == 45
+    assert len(rrkit.__all__) == len(set(rrkit.__all__)) == 44
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from rrkit.privacy import (
     guaranteed_alpha_bound,
     guaranteed_beta_bound,
     privacy_report,
-    report_for_policy,
     revealing_probabilities,
 )
 
@@ -295,7 +294,9 @@ class TestReports:
             mode=PolicyMode.NONSTIGMATIZING_SUBSET, xi=0.1, c=0.15, nonstigmatizing=(0,)
         )
         d = Device(p=0.2, m=3)
-        rep = report_for_policy(d, pop3, policy)
+        rep = privacy_report(
+            d, pop3, mode=policy.mode, nonstigmatizing=policy.nonstigmatizing, c=policy.c
+        )
         doc = rep.to_json_dict()
         assert doc["beta"] == pytest.approx(0.408163, abs=5e-7)
         assert doc["beta_argmin"] == [1]
@@ -324,8 +325,8 @@ class TestBatchForms:
     @pytest.mark.parametrize("m", [2, 3, 4, 10])
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
     def test_batch_values_match_the_per_point_measures(self, m, p):
-        """The batch cores and the one-population core agree bit for bit; at
-        m = 10 beta sums 9 posterior rows, past numpy's 8-term runs."""
+        """The batch forms and the one-population measures agree bit for bit;
+        at m = 10 beta sums 9 posterior rows."""
         device = Device(p=p, m=m)
         if m <= 4:
             points = simplex_grid_points(m, 0.05)
@@ -398,15 +399,64 @@ class TestBatchForms:
             assert (report.beta, report.beta_argmin) == (result.beta, result.argmin)
 
 
-def test_both_alpha_cores_refuse_a_max_gap_off_the_diagonal_form():
+# p within 1e-12 of 0 and 1, and anywhere in (0, 1)
+HOSTILE_P = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.sampled_from([1e-12, 1 - 1e-12])
+)
+
+
+@st.composite
+def population_batches(draw):
+    """A batch of up to 40 populations on 2 to 12 values, with zero entries,
+    and a non-stigmatizing index set that leaves a value stigmatizing."""
+    m = draw(st.integers(2, 12))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-3))
+    rows = draw(
+        st.lists(
+            st.lists(weight, min_size=m, max_size=m).filter(lambda r: math.fsum(r) > 0.0),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    pis = [[w / math.fsum(row) for w in row] for row in rows]
+    indices = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1, unique=True))
+    return Device(p=draw(HOSTILE_P), m=m), pis, tuple(indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=population_batches())
+def test_batch_forms_equal_the_single_measures_bit_for_bit(batch):
+    device, pis, indices = batch
+    pops = [PopulationModel(pi=tuple(row)) for row in pis]
+    alphas, betas = alpha_values(device, pis), beta_values(device, pis, indices)
+    all_stig = [privacy_report(device, pop, mode=PolicyMode.ALL_STIGMATIZING) for pop in pops]
+    subset = [
+        privacy_report(device, pop, mode=PolicyMode.NONSTIGMATIZING_SUBSET, nonstigmatizing=indices)
+        for pop in pops
+    ]
+    for values, single in (
+        (alphas, [alpha_measure(device, pop).alpha for pop in pops]),
+        (alphas, [report.alpha for report in all_stig]),
+        (betas, [beta_measure(device, pop, indices).beta for pop in pops]),
+        (betas, [report.beta for report in subset]),
+    ):
+        assert values.tobytes() == np.array(single).tobytes()
+
+
+def test_alpha_measure_and_alpha_values_refuse_a_max_gap_off_the_diagonal_form(monkeypatch):
+    original = privacy._posterior
+
+    def corrupted(device, pi, rows=None):
+        posterior = [list(row) for row in original(device, pi, rows)]
+        posterior[0][1] = posterior[0][1] + 0.5  # a gap past the diagonal form
+        return posterior
+
+    monkeypatch.setattr(privacy, "_posterior", corrupted)
     device, pi = Device(p=0.3, m=3), (0.2, 0.3, 0.5)
-    posterior = [list(row) for row in privacy._posterior(device, pi)]
-    posterior[0][1] += 0.5  # a gap past the diagonal form
     with pytest.raises(RuntimeError, match="alpha self-check failed"):
-        privacy._alpha(device, pi, posterior)
-    columns = np.array(pi)[:, None]
+        alpha_measure(device, PopulationModel(pi=pi))
     with pytest.raises(RuntimeError, match="alpha self-check failed"):
-        privacy._alpha_core(device, columns, np.array(posterior)[:, :, None])
+        alpha_values(device, [pi, (0.5, 0.25, 0.25)])
 
 
 def test_beta_bound_accepts_numpy_scalars():
