@@ -13,26 +13,33 @@ chunks of up to ``SEED_CHUNK``, and does once per chunk all that does not
 grow with n: it seeds the chunk's streams in one vectorised pass
 (:func:`replicate_words` re-derives SeedSequence's mixing), estimates the
 chunk's count rows in one call and keeps their tuples. In between, block by
-block, it draws each replicate's 2n uniforms into a row of a block and counts
-them into the replicate's row of the chunk. Up to ``JUMP_MAX_N`` respondents
-it computes the uniforms of a whole block at once, with no generator: PCG64
-is a 128-bit LCG with multiplier M, so the state behind output j is
+block, it draws each replicate's 2n uniforms into a block and counts them
+into the replicate's row of the chunk. Up to ``JUMP_MAX_N`` respondents it
+computes the uniforms of a whole block at once, with no generator: PCG64 is
+a 128-bit LCG with multiplier M, so the state behind output j is
 M^(j+1) w + C_(j+2) inc mod 2**128, C_t = sum of M^u for u < t (Brown,
 "Random Number Generation with Arbitrary Strides", 1994), from the seed
 words w and inc = 2i + 1. Those states are one exact float64 matmul of the
 seed words' 16-bit limbs, cast once per chunk, by a table built once per n
 that folds in the word order and inc, followed by a carry chain, the XSL-RR
-output step and ``Generator.random``'s ``>> 11`` and 2**-53. Above
-``JUMP_MAX_N``, where the matmul grows past the cost of a generator, it
-re-derives PCG64's seeding (:func:`replicate_states`) and sets each
-replicate's state on one reused generator before drawing its row. Rows per
-block are capped so that a block, its temporaries and its count cells stay
-within ``BLOCK_BYTES`` (one row when a single replicate is larger), and rows
-per chunk so that its count cells do (:func:`chunk_rows`). Truth, device and
-counts are computed for the whole block, through the same uniform-to-index
-helpers that :func:`sample_true_indices` and
-:func:`~rrkit.device.draw_responses` use, writing into scratch allocated
-once per range next to the block; the mean estimate
+output step and ``Generator.random``'s ``>> 11`` and 2**-53. The block is
+state-major: row j holds output j of every replicate's stream, and the
+matmul's sums come out as four planes, one per 32-bit limb of the states,
+each one contiguous run in which the carry chain and XSL-RR work in place.
+Above ``JUMP_MAX_N``, where the matmul grows past the cost of a generator,
+it re-derives PCG64's seeding (:func:`replicate_states`) and sets each
+replicate's state on one reused generator before drawing its row of the
+block, which keeps a row per replicate. Rows per block are capped so that a
+block, its scratch and its count cells stay within ``BLOCK_BYTES`` (one row
+when a single replicate is larger), and rows per chunk so that its count
+cells do (:func:`chunk_rows`). Each range carves every block, with its
+limb sums and counting scratch, from one allocation
+(:func:`_block_arena`); the counting scratch of the jump path lies in the
+limb sums, dead once the uniforms are out. Truth, device and counts are
+computed for the whole block, through the same uniform-to-index helpers
+that :func:`sample_true_indices` and :func:`~rrkit.device.draw_responses`
+use, on the block's two halves (n rows of the state-major block, or n
+columns of the setter path's); the mean estimate
 (:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do not depend
 on the rows beside it) for the whole chunk. Counting
 takes comparisons and array arithmetic only, no searchsorted: the truth index
@@ -125,18 +132,16 @@ SEED_CHUNK = 2048
 # Respondents per replicate up to which run_block computes each block's
 # uniforms from the seeds by jumping ahead (_jump_uniforms) rather than by
 # setting a generator's state per replicate. The jump's cost grows with n,
-# the setter's barely does; serial kernels on 2 vCPUs at m = 4 took 0.84 vs
-# 3.60 us per replicate at n = 10, 4.03 vs 4.70 at n = 80 and 5.13 vs 5.01
-# at n = 100 (best of three runs of 60 passes; the totals of
-# scripts/kernel_stages.py --n 10,80,100 --m 4 --replicates 2000 --repeats 60).
-# In 11 sets of both paths run in turn, the jump's time over the setter's had
-# a median of 0.82 at n = 70, 0.89 at n = 90, 0.96 and 1.06 in two runs at
-# n = 100, and 1.17 at n = 110 (the jump/setter line of
-# scripts/kernel_stages.py --n 70,90,100,110 --m 4 --replicates 2000
-# --repeats 11). The jump wins up to 70 in every measurement; where it stops
-# winning above that moved between runs (80-90 for the kernel that seeded
-# each block, measured the same way), so the limit stays at 70.
-JUMP_MAX_N = 70
+# the setter's barely does. In six sets of both paths run in turn on 2 vCPUs
+# at m = 4, the jump's time over the setter's had medians of 0.70-0.78 at
+# n = 100, 0.77-0.83 at 120, 0.90-0.95 at 140, 0.89-0.93 at 150 and
+# 1.00-1.08 at 180, and 0.91-0.99 in twelve sets at 160 (the jump/setter line
+# of scripts/kernel_stages.py --n 100,120,140,150,160,180 --m 4
+# --replicates 2000 --repeats 11, 11 paired passes per set). The jump won in
+# every set up to 160, by as little as 1% at 160, so the limit is 150; at
+# n = 150 it also won in every set at m = 2, 3 and 16, and was about even at
+# m = 40 (0.94-1.02 in five sets).
+JUMP_MAX_N = 150
 # Largest m at which a block of one replicate is counted by comparisons
 # against cut points (_count_by_cuts) rather than through index arrays and a
 # bincount (_count_rows). The cuts take 2m - 1 compare passes over n, the
@@ -153,17 +158,20 @@ CUTS_MAX_M = 16
 # counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
 # n = 500 and 42.4 at n = 50 000, planned as 48; the rest is fixed, mostly
 # numpy's ufunc buffers of up to 64 KiB, which bring a block at n = 10 to 53,
-# within its range's seed allowance. On the jump path a block also holds, per respondent, its limb
-# sums (64 bytes) and three uint64 word arrays (48), planned as 112, and the
-# run holds one state table of 17 rows of 8 doubles per respondent; a cold
-# run's peak (the table built inside the trace) stayed within 0.79 of the plan
-# at n = 1-70, m = 3 and 40, R = 1-3 000. Each seed chunk holds m cells per
-# replicate: its counts, each block's bincount and the estimate's raw
-# proportions, with their temporaries, and, when records are kept, the
-# counts as lists; held per block, they peaked at 22-32 bytes per cell, with
-# records or without (m = 300-3 000, n = 10, 500 and 50 000), and summing
-# each row alone (estimation.mean_estimates) added 7-8 bytes per cell without
-# records (m = 300 and 3 000, n = 10 and 500); planned as 48.
+# within its range's seed allowance. On the jump path a block holds its
+# uniforms and its limb sums (64 bytes per respondent), which hold the
+# counting scratch too: a block's peak under tracemalloc grew by 80.0 bytes
+# per respondent over blocks of 64-1 024 rows (m = 3, n = 70-200), planned
+# as the 48 plus 32. The run also holds one state table of 17 rows of 8
+# doubles per respondent; a cold run's peak (the table built inside the
+# trace) stayed within 0.60 of the plan at n = 1-150, m = 3 and 40,
+# R = 1-3 000. Each seed chunk holds m cells per replicate: its counts, each
+# block's bincount and the estimate's raw proportions, with their
+# temporaries, and, when records are kept, the counts as lists; held per
+# block, they peaked at 22-32 bytes per cell, with records or without
+# (m = 300-3 000, n = 10, 500 and 50 000), and summing each row alone
+# (estimation.mean_estimates) added 7-8 bytes per cell without records
+# (m = 300 and 3 000, n = 10 and 500); planned as 48.
 # Also per worker, the seed table of a chunk, which peaked at about 400 bytes
 # per replicate while its 128-bit integers are assembled, planned as 512
 # (the jump path builds no such integers; its seed words take 113 and their
@@ -174,7 +182,7 @@ CUTS_MAX_M = 16
 # where every count is an int object of its own, planned as 48.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
-BYTES_PER_JUMP_RESPONDENT = 112
+BYTES_PER_JUMP_RESPONDENT = 32
 BYTES_PER_JUMP_TABLE_RESPONDENT = 17 * 8 * 8
 BYTES_PER_BLOCK_COUNT = 48
 BYTES_PER_SEED = 512
@@ -453,14 +461,14 @@ def _jump_table(n: int) -> np.ndarray:
     seeded state. Rows 0-15 multiply the 16-bit limbs of the words
     (s1, s0, i1, i0), in :func:`replicate_words`' order: a limb of w by the
     coefficient M^(j+1), a limb of i by 2 C_(j+2) mod 2**128. Row 16
-    multiplies a constant 1 by C_(j+2). For the limb of weight 2**(16p),
-    column 4(j - 1) + L holds, for 32-bit limb L of state j, the 16-bit limb
-    2L - p of the coefficient plus 2**16 times limb 2L + 1 - p (p = 0 for the
-    constant), so that the limbs @ table product gives T_2L + 2**16 T_(2L+1),
-    where T_t sums the limb products of weight 2**(16t). Every entry is below
-    2**32, and every sum of the 17 products at most
-    16 (2**16 - 1)(2**32 - 1) + 2**32 - 1 < 2**52: the float64 product is
-    exact in any summation order.
+    multiplies a constant 1 by C_(j+2). The columns are limb-major: for the
+    limb of weight 2**(16p), column 2n L + j - 1 holds, for 32-bit limb L of
+    state j, the 16-bit limb 2L - p of the coefficient plus 2**16 times limb
+    2L + 1 - p (p = 0 for the constant), so that the limbs @ table product
+    gives T_2L + 2**16 T_(2L+1), where T_t sums the limb products of weight
+    2**(16t). Every entry is below 2**32, and every sum of the 17 products at
+    most 16 (2**16 - 1)(2**32 - 1) + 2**32 - 1 < 2**52: the float64 product
+    is exact in any summation order.
     """
     a, c = _PCG64_MULT, 1 + _PCG64_MULT
     coeffs = []
@@ -476,9 +484,9 @@ def _jump_table(n: int) -> np.ndarray:
     # the constant; limbs 2L - p and 2L + 1 - p of a coefficient are its 32-bit
     # limb L once it is shifted up p 16-bit limbs
     rows = [(w, p) for w in (0, 1) for p in (4, 5, 6, 7, 0, 1, 2, 3)] + [(2, 0)]
-    table = np.empty((17, 2 * n, 4))
+    table = np.empty((17, 4, 2 * n))
     for row, (w, p) in zip(table, rows):
-        row[...] = np.ascontiguousarray(limbs[w, :, 8 - p : 16 - p]).view("<u4")
+        row[...] = np.ascontiguousarray(limbs[w, :, 8 - p : 16 - p]).view("<u4").T
     return _read_only(table.reshape(17, 8 * n))
 
 
@@ -493,42 +501,40 @@ def _jump_limbs(words: np.ndarray) -> np.ndarray:
     return limbs
 
 
-def _jump_scratch(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """Scratch for :func:`_jump_uniforms` over up to ``rows`` replicates of n
-    respondents: the limb sums and three word arrays."""
-    return (
-        np.empty((rows, 8 * n)),
-        *(np.empty((rows, 2 * n), dtype=np.uint64) for _ in range(3)),
-    )
-
-
 def _jump_uniforms(
-    limbs: np.ndarray, table: np.ndarray, out: np.ndarray, scratch: tuple[np.ndarray, ...]
+    limbs: np.ndarray, table: np.ndarray, out: np.ndarray, sums: np.ndarray
 ) -> None:
-    """Fill row r of ``out`` (k, 2n) with the first 2n ``Generator.random``
+    """Fill column r of ``out`` (2n, k) with the first 2n ``Generator.random``
     uniforms of the stream whose seed limbs (:func:`_jump_limbs`) are row r
     of ``limbs`` (k, 17), without a generator: every state comes from the
-    seed through ``table`` (:func:`_jump_table`), one float64 matmul.
+    seed through ``table`` (:func:`_jump_table`), one float64 matmul into
+    ``sums`` (8n, k), which is overwritten.
+
+    Row 2n L + j - 1 of ``sums`` holds 32-bit limb L of state j, so each of
+    the four (2n, k) limb planes is one contiguous run, and the carry chain
+    and the output step run in place in them.
     """
-    k = len(out)
-    sums, lo, hi, tmp = (a[:k] for a in scratch)
-    np.matmul(limbs, table, out=sums)
+    np.matmul(table.T, limbs.T, out=sums)
     # each sum is an integer below 2**52: adding 2**52 puts it in the mantissa
     sums += 2.0**52
     v = sums.view(np.uint64)
-    v &= (1 << 52) - 1
-    v = v.reshape(k, -1, 4)
+    v0, v1, v2, v3 = v.reshape(4, len(out), -1)
+    # clear the exponent bits above each sum, but in v3, whose shift by 32
+    # below drops them
+    v[:3 * len(out)] &= (1 << 52) - 1
     # the state's low 64 bits are v0 + v1 * 2**32 and its high 64 bits
-    # v2 + v3 * 2**32, plus the carry out of the low half, mod 2**64
-    np.right_shift(v[..., 0], 32, out=lo)
-    lo += v[..., 1]
-    np.right_shift(lo, 32, out=hi)
-    hi += v[..., 2]
-    np.left_shift(v[..., 3], 32, out=tmp)
-    hi += tmp
-    lo <<= 32
-    np.bitwise_and(v[..., 0], _MASK32, out=tmp)
-    lo |= tmp
+    # v2 + v3 * 2**32, plus the carry out of the low half, mod 2**64; v3,
+    # once added, is the temporary
+    v3 <<= 32
+    v2 += v3
+    np.right_shift(v0, 32, out=v3)
+    v1 += v3
+    np.right_shift(v1, 32, out=v3)
+    v2 += v3
+    v1 <<= 32
+    v0 &= _MASK32
+    v1 |= v0
+    lo, hi, tmp = v1, v2, v3
     # XSL-RR: hi ^ lo rotated right by the top six bits of hi
     lo ^= hi
     hi >>= 58
@@ -540,6 +546,53 @@ def _jump_uniforms(
     # Generator.random: the top 53 bits, times 2**-53
     lo >>= 11
     np.multiply(lo, 2.0**-53, out=out)
+
+
+def _block_arena(rows: int, n: int, jump: bool, cuts: bool) -> np.ndarray:
+    """The one float64 allocation from which :func:`_block_views` carves
+    every block of up to ``rows`` replicates of n respondents, on the jump
+    path or the setter path, counted by cuts or through index arrays: the
+    uniforms, then the limb sums, or else the counting scratch, which by
+    cuts is two flag rows."""
+    size = rows * n
+    if jump:
+        return np.empty(10 * size)
+    return np.empty(2 * size + (-(-2 * n // 8) if cuts else 3 * size + -(-size // 8)))
+
+
+def _block_views(arena: np.ndarray, k: int, n: int, jump: bool, cuts: bool) -> tuple:
+    """A block of k replicates carved from ``arena`` (:func:`_block_arena`):
+    its uniforms, its limb sums, the truth and device halves of its uniforms
+    and its counting scratch.
+
+    On the jump path the uniforms are state-major, (2n, k), with output j of
+    every stream in row j, so each half is a block of n rows; the (8n, k)
+    limb sums of :func:`_jump_uniforms` follow them. The setter path has no
+    limb sums (None) and keeps a row per replicate, (k, 2n), whose halves
+    are its first and last n columns. The counting scratch follows the
+    uniforms: for :func:`_count_by_cuts` (k = 1), two bool rows of n; for
+    :func:`_count_rows`, the truth and response indices (int64), the flags
+    (bool) and the probe (float64), each of the shape of a half of the
+    uniforms. On the jump path it lies in the limb sums, which are dead once
+    the uniforms are out.
+    """
+    size = k * n
+    if jump:
+        shape = (n, k)
+        u = arena[:2 * size].reshape(2 * n, k)
+        sums = arena[2 * size:10 * size].reshape(8 * n, k)
+        halves = u[:n], u[n:]
+    else:
+        shape = (k, n)
+        u = arena[:2 * size].reshape(k, 2 * n)
+        sums = None
+        halves = u[:, :n], u[:, n:]
+    work = arena[2 * size:]
+    if cuts:
+        return u, sums, halves, work.view(bool)[:2 * n].reshape(2, n)
+    truth, responses, probe = (work[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+    flags = work[3 * size:].view(bool)[:size].reshape(shape)
+    return u, sums, halves, (truth.view(np.int64), responses.view(np.int64), flags, probe)
 
 
 def run_block(
@@ -555,12 +608,13 @@ def run_block(
     chunk's streams are seeded in one pass (:func:`replicate_words`, and on
     the jump path one cast of their limbs, :func:`_jump_limbs`). Block by
     block of :func:`block_rows`, each replicate's 2n uniforms are then drawn
-    from its own v1 stream into a row of the block, by :func:`_jump_uniforms`
-    up to ``JUMP_MAX_N`` respondents and through a generator set to each
-    replicate's state above it, and counted into its row of the chunk's
-    counts, by :func:`_count_by_cuts` when a block holds one replicate over at
-    most ``CUTS_MAX_M`` values and by :func:`_count_rows` otherwise. The
-    chunk's counts are estimated at once by
+    from its own v1 stream into the block (:func:`_block_views`), by
+    :func:`_jump_uniforms` into a column up to ``JUMP_MAX_N`` respondents and
+    through a generator set to each replicate's state into a row above it,
+    and counted into its row of the chunk's counts, by :func:`_count_by_cuts`
+    when a block holds one replicate over at most ``CUTS_MAX_M`` values and
+    by :func:`_count_rows` otherwise. The chunk's counts are estimated at
+    once by
     :func:`~rrkit.estimation.mean_estimates`, which
     :func:`~rrkit.estimation.estimate_mean` calls on one row. The range that
     holds replicate 0 first replays it through :func:`simulate_survey` and
@@ -572,34 +626,30 @@ def run_block(
     rows = block_rows(n, m)
     step = chunk_rows(m)
     cuts = rows == 1 and m <= CUTS_MAX_M
-    # replayed, and the jump table built, before the block is allocated, so
-    # that their temporaries and the block never coexist
+    # replayed, and the jump table built, before the arena is allocated, so
+    # that their temporaries and the arena never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
     table = _jump_table(n) if jump else None
     x = config.support.values_array
-    uniforms = np.empty((rows, 2 * n))
     chunk_counts = np.empty((min(step, len(block)), m), dtype=np.int64)
-    # Scratch for counting, allocated once per range and overwritten by every
-    # batch. Arrays this large, freed and allocated again per replicate on the
-    # main thread (a serial run), can go back to the operating system in
-    # between and page-fault afresh when written: a serial n = 50 000 command
-    # with four fresh arrays per replicate took 84-332 minor faults, 7-11 with
-    # these. Counting by cuts needs only two flag rows.
+    # One allocation per range for every block's uniforms, limb sums and
+    # counting scratch, overwritten by every block. Arrays this large, freed
+    # and allocated again per replicate on the main thread (a serial run), can
+    # go back to the operating system in between and page-fault afresh when
+    # written: a serial n = 50 000 command with four fresh arrays per
+    # replicate took 84-332 minor faults, 7-11 with scratch per range.
+    arena = _block_arena(rows, n, jump, cuts)
     if cuts:
-        scratch = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
         levels = _cut_levels(config)
     else:
-        scratch = (
-            np.empty((rows, n), dtype=np.int64),
-            np.empty((rows, n), dtype=np.int64),
-            np.empty((rows, n), dtype=bool),
-            np.empty((rows, n)),
-        )
-        offsets = np.arange(0, rows * m, m)[:, None]
-    if jump:
-        jump_scratch = _jump_scratch(rows, n)
-    else:
+        # row r's responses are offset by r * m: a row on the jump path, a
+        # column on the setter path
+        offsets = np.arange(0, rows * m, m)
+        if not jump:
+            offsets = offsets[:, None]
+    if not jump:
         generator = np.random.Generator(np.random.PCG64(0))
+    carved = 0
     for chunk in range(block.start, block.stop, step):
         size = min(step, block.stop - chunk)
         if jump:
@@ -608,17 +658,17 @@ def run_block(
             states = replicate_states(config.seed, chunk, chunk + size)
         for lo in range(0, size, rows):
             k = min(rows, size - lo)
-            u = uniforms[:k]
+            if k != carved:
+                u, sums, halves, scratch = _block_views(arena, k, n, jump, cuts)
+                carved = k
             if jump:
-                _jump_uniforms(limbs[lo:lo + k], table, u, jump_scratch)
+                _jump_uniforms(limbs[lo:lo + k], table, u, sums)
             else:
                 _setter_uniforms(states[lo:lo + k], generator, u)
             if cuts:
-                _count_by_cuts(config, u[0], scratch, chunk_counts[lo:lo + 1], levels)
+                _count_by_cuts(config, u.ravel(), scratch, chunk_counts[lo:lo + 1], levels)
             else:
-                chunk_counts[lo:lo + k] = _count_rows(
-                    config, u, offsets[:k], [a[:k] for a in scratch]
-                )
+                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], scratch)
         filled = chunk_counts[:size]
         mu_hats[chunk:chunk + size] = estimation.mean_estimates(filled / n, config.device, x)
         if counts is not None:
@@ -628,23 +678,27 @@ def run_block(
 
 
 def _count_rows(
-    config: SimulationConfig, u: np.ndarray, offsets: np.ndarray, scratch: list[np.ndarray]
+    config: SimulationConfig,
+    truth_u: np.ndarray,
+    draws: np.ndarray,
+    offsets: np.ndarray,
+    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Response counts, one row per replicate, from rows of n truth uniforms
-    followed by n device uniforms; ``offsets`` holds row * m for each row.
+    """Response counts, one row per replicate, from the replicates' truth
+    uniforms ``truth_u`` and device uniforms ``draws``, both (n, k) with a
+    column per replicate or (k, n) with a row; ``offsets`` holds r * m for
+    each replicate r, as a row or a column to match.
 
     ``scratch`` holds the truth and response indices (int64), the compare
-    flags (bool) and a probe (float64), each of shape (rows, n), all
+    flags (bool) and a probe (float64), each of the uniforms' shape, all
     overwritten.
     """
-    n, m = config.n, config.support.m
     truth, responses, flags, probe = scratch
-    config.population.inverse_cdf(u[:, :n], out=truth, flags=flags, probe=probe)
-    responses_from_uniforms(
-        config.device, truth, u[:, n:], out=responses, flags=flags, probe=probe
-    )
+    config.population.inverse_cdf(truth_u, out=truth, flags=flags, probe=probe)
+    responses_from_uniforms(config.device, truth, draws, out=responses, flags=flags, probe=probe)
     responses += offsets
-    return np.bincount(responses.ravel(), minlength=len(u) * m).reshape(len(u), m)
+    m = config.support.m
+    return np.bincount(responses.ravel(), minlength=len(offsets) * m).reshape(-1, m)
 
 
 def _cut_levels(config: SimulationConfig) -> list[tuple[float, float]]:
@@ -656,7 +710,7 @@ def _cut_levels(config: SimulationConfig) -> list[tuple[float, float]]:
 def _count_by_cuts(
     config: SimulationConfig,
     u: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: np.ndarray,
     out: np.ndarray,
     levels: list[tuple[float, float]],
 ) -> None:

@@ -232,12 +232,13 @@ def test_default_pool_at_pool_min_n_matches_serial(support3, pop3, monkeypatch):
 
 
 def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypatch):
+    n = JUMP_MAX_N + 1  # the setter path, with no jump table
     cfg = SimulationConfig(
-        support=support3, population=pop3, device=Device(p=0.3, m=3), n=100,
+        support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
         replicates=4, seed=0,
     )
     planned = (
-        simulation.block_rows(100, 3) * 100 * simulation.BYTES_PER_RESPONDENT
+        simulation.block_rows(n, 3) * n * simulation.BYTES_PER_RESPONDENT
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
@@ -383,16 +384,16 @@ def jump_cases(draw):
 def test_jump_uniforms_match_generator_random(case):
     seed, start, k, lead, n, rows = case
     words = replicate_words(seed, start - lead, start + k)[:, lead:]
-    out = np.empty((k, 2 * n))
-    simulation._jump_uniforms(
-        simulation._jump_limbs(words), simulation._jump_table(n), out,
-        simulation._jump_scratch(rows, n),
+    out, sums, _, _ = simulation._block_views(
+        simulation._block_arena(rows, n, True, False), k, n, True, False
     )
+    simulation._jump_uniforms(simulation._jump_limbs(words), simulation._jump_table(n), out, sums)
     for r in range(k):
-        assert out[r].tobytes() == replicate_stream(seed, start + r).random(2 * n).tobytes()
+        assert out[:, r].tobytes() == replicate_stream(seed, start + r).random(2 * n).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, JUMP_MAX_N])
+# n = 70 inside the jump path, JUMP_MAX_N on its edge
+@pytest.mark.parametrize("n", [1, 70, JUMP_MAX_N])
 def test_jump_table_products_are_exact_in_float64(n):
     """Every entry of the folded table is an integer below 2**32, and the
     largest sum the limbs can give (16 limbs of 2**16 - 1 and the constant 1)
@@ -406,7 +407,7 @@ def test_jump_table_products_are_exact_in_float64(n):
     assert (top @ entries).max() < 2**52
 
 
-@pytest.mark.parametrize("n", [1, 10, JUMP_MAX_N])
+@pytest.mark.parametrize("n", [1, 10, 70, JUMP_MAX_N])
 def test_jump_table_build_peaks_near_the_table_it_keeps(n):
     """The table is built row by row from the coefficients' limbs, with no
     gathers over all the (coefficient, shift, limb) triples it does not keep."""
@@ -500,7 +501,8 @@ def test_kernel_matches_stage_functions_at_large_m(rows, seed_chunk, monkeypatch
     _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, JUMP_MAX_N, JUMP_MAX_N + 1])
+# n = 70 and 71 inside the jump path, JUMP_MAX_N and JUMP_MAX_N + 1 on its edge
+@pytest.mark.parametrize("n", [1, 2, 10, 70, 71, JUMP_MAX_N, JUMP_MAX_N + 1])
 @pytest.mark.parametrize("rows, seed_chunk, threads", [(256, 256, "1"), (3, 5, "1"), (2, 3, "3")])
 def test_kernel_matches_stage_functions_at_small_n(n, rows, seed_chunk, threads, monkeypatch):
     # the hypothesis cases draw n from 1-3000 and so rarely reach the jump path
@@ -866,7 +868,9 @@ def _assert_plan_covers_traced_peak(cfg, monkeypatch):
     return summary
 
 
-@pytest.mark.parametrize("n, replicates", [(10, 3000), (500, 3000), (50_000, 20)])
+@pytest.mark.parametrize(
+    "n, replicates", [(10, 3000), (JUMP_MAX_N, 3000), (500, 3000), (50_000, 20)]
+)
 def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, replicates):
     cfg = SimulationConfig(
         support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
