@@ -13,6 +13,7 @@ privacy modules; it shares only the plain data types and their input rules.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,13 +35,20 @@ MAX_ENUMERATION_POINTS = 100_000
 MAX_GRID_POINTS = 10_000_000
 # grid points per objective call are capped so an (rows, m, m) float64 array
 # stays within this many bytes, which bounds the search's memory at any step.
-# At 1 MiB (14 563 rows at m = 3) each search takes the step-0.01 lattice in
-# one call; at 128 KiB (1 820 rows), which keeps every temporary below glibc's
-# mmap threshold, it takes four. Measured on a 2-vCPU x86 host at step 0.01:
-# run_verification 3.8-4.3 ms against 4.0-5.1 ms at 128 KiB, but ~150 minor
-# page faults a run against none, as the larger temporaries go back to the
-# operating system after each search; peak RSS 31.3 MB against 30.8 MB. At
-# step 0.00025: 2.0-2.3 s against 3.0-3.7 s, and 32.4 MB against 30.5 MB.
+# A lattice within the cap is built once per process and kept, at most
+# GRID_BLOCK_BYTES / m bytes of it; a larger one is built block by block by
+# every search. At 1 MiB (14 563 rows at m = 3) the step-0.01 lattice is kept
+# (124 KB) and each search takes it in one call; at 128 KiB (1 820 rows) each
+# search builds it again in four blocks. Measured on a shared 2-vCPU x86 host,
+# in-process run_verification at step 0.01: 1.30-1.44 ms (best of 500, in
+# four processes) against 2.16-2.19 ms at 128 KiB (two), peak RSS 30.8 MB
+# against 30.6-30.7 MB.
+# Neither size faults in a loop of run_verification alone; in a loop of
+# `verify` CLI commands the count depends on the heap's history: a median 129
+# minor faults a command inside perfbench's verify_fine_grid loop, but 68 with
+# one 41 KB temporary fewer in the mass filter. At step 0.00025 (best and
+# median of three runs): 0.97-0.99 s against 1.64-1.79 s, and 32.1 MB against
+# 31.5 MB.
 GRID_BLOCK_BYTES = 1 << 20
 
 
@@ -197,28 +205,28 @@ def grid_divisions(m: int, step: float) -> int:
 
 
 def _count_vectors(k: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """The count vectors of ``enumerate_count_vectors(k, m)`` whose
-    first entry lies in [lo, hi], as rows of an int array, in the same order."""
-    counts = np.arange(lo, hi + 1)[:, None]
-    left = k - counts[:, 0]
+    """The count vectors of ``enumerate_count_vectors(k, m)`` whose first entry
+    lies in [lo, hi], as the columns of an (m, B) int array, in the same order."""
+    first = np.arange(lo, hi + 1)
+    columns, left = [first], k - first
     for _ in range(m - 2):
         reps = left + 1
         nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        counts = np.column_stack((np.repeat(counts, reps, axis=0), nxt))
+        columns = [np.repeat(column, reps) for column in columns] + [nxt]
         left = np.repeat(left, reps) - nxt
-    return np.column_stack((counts, left))
+    return np.stack(columns + [left])
 
 
 def _count_blocks(k: int, m: int, rows: int) -> Iterator[np.ndarray]:
-    """``enumerate_count_vectors(k, m)`` in order, as int arrays of at most
-    ``rows`` rows: runs of first entries whose vectors fit together, and a
-    first entry whose vectors alone do not fit is split on the next entry."""
+    """``enumerate_count_vectors(k, m)`` in order, as (m, B) int arrays of at
+    most ``rows`` columns: runs of first entries whose vectors fit together,
+    and a first entry whose vectors alone do not fit is split on the next entry."""
     first = 0
     while first <= k:
         largest = math.comb(k - first + m - 2, m - 2)  # vectors starting with `first`
         if largest > rows:
             for block in _count_blocks(k - first, m - 1, rows):
-                yield np.column_stack((np.full(len(block), first), block))
+                yield np.concatenate((np.full((1, block.shape[1]), first), block))
             first += 1
             continue
         last = min(k, first + rows // largest - 1)
@@ -230,6 +238,27 @@ def _block_rows(m: int) -> int:
     return max(1, GRID_BLOCK_BYTES // (8 * m * m))
 
 
+@functools.lru_cache(maxsize=4)
+def _lattice(k: int, m: int, rows: int) -> np.ndarray:
+    """The whole lattice of step 1/k, one point per column of an (m, K)
+    array, for a lattice of at most ``rows`` points. It is shared by every
+    call, so it lies over an immutable buffer: no view of it can be made
+    writeable. ``rows`` is part of the key, so a lattice built at one block
+    size is never served at another."""
+    points = _count_vectors(k, m, 0, k) / k
+    return np.frombuffer(points.tobytes(), dtype=float).reshape(points.shape)
+
+
+def _point_blocks(k: int, m: int) -> Iterator[np.ndarray]:
+    """The lattice of step 1/k in order, as (m, B) float arrays, one point
+    per column: the cached lattice when it fits one block, else block by block."""
+    rows = _block_rows(m)
+    if math.comb(k + m - 1, m - 1) <= rows:
+        return iter((_lattice(k, m, rows),))
+    # map, unlike a generator expression, lets each count block go once divided
+    return map(lambda counts: counts / k, _count_blocks(k, m, rows))
+
+
 def simplex_grid_points(m: int, step: float) -> np.ndarray:
     """Lattice points on the probability simplex with spacing ``step``, as the
     rows of a (K, m) array in the order of ``enumerate_count_vectors``.
@@ -238,7 +267,7 @@ def simplex_grid_points(m: int, step: float) -> np.ndarray:
     and the lattice may hold at most ``MAX_GRID_POINTS`` points.
     """
     k = grid_divisions(m, step)
-    return np.concatenate(list(_count_blocks(k, m, _block_rows(m)))) / k
+    return np.concatenate(list(_point_blocks(k, m)), axis=1).T.copy()
 
 
 def simplex_grid_search(
@@ -253,17 +282,24 @@ def simplex_grid_search(
     """Brute-force extremum of ``objective`` over the simplex grid.
 
     ``objective`` takes a read-only (B, m) array of points and returns their B
-    values. The lattice goes to it in blocks, built one at a time, of at most
-    ``GRID_BLOCK_BYTES / (8 m^2)`` points, so that per-point m-by-m matrices
-    stay within ``GRID_BLOCK_BYTES`` at any step. The first point attaining
-    the best value wins.
+    values. The array may have any memory layout, and may be a view of a
+    lattice that other calls share. A lattice of at most
+    ``GRID_BLOCK_BYTES / (8 m^2)`` points is built once per process and goes
+    to it in one call; a larger one goes in blocks of at most that many
+    points, built one at a time, so that per-point m-by-m matrices stay
+    within ``GRID_BLOCK_BYTES`` at any step. The first point attaining the
+    best value wins.
 
-    When ``mass_indices``/``mass_floor`` are given, grid points whose mass on
-    those coordinates falls below the floor are skipped (the floor itself
-    passes, within 1e-12). ``extra_points`` are evaluated as supplied, after
-    the lattice and in the call of its last block, letting callers inject
-    suspected extremal populations that the lattice misses.
+    When ``mass_indices`` and ``mass_floor`` are given, which must be
+    together, grid points whose mass on those coordinates falls below the
+    floor are skipped (the floor itself passes, within 1e-12).
+    ``extra_points`` are evaluated as supplied, after the lattice and in the
+    call of its last block, letting callers inject suspected extremal
+    populations that the lattice misses.
     """
+    if (mass_indices is None) != (mass_floor is None):
+        missing = "mass_floor" if mass_floor is None else "mass_indices"
+        raise ValueError(f"mass_indices and mass_floor go together; {missing} is missing")
     k = grid_divisions(m, step)
     lattice = math.comb(k + m - 1, m - 1)
     extras = np.asarray(list(extra_points), dtype=float)
@@ -273,15 +309,16 @@ def simplex_grid_search(
     best_point: np.ndarray | None = None
     evaluated = built = 0
     idx = None if mass_indices is None else list(mass_indices)
-    # map, unlike a generator expression, lets each count block go once divided
-    for points in map(lambda counts: counts / k, _count_blocks(k, m, _block_rows(m))):
-        built += len(points)
+    for columns in _point_blocks(k, m):
+        built += columns.shape[1]
         if built == lattice and len(extras):
-            points = np.concatenate((points, extras))
-        if idx is not None and mass_floor is not None:
-            points = points[~(points[:, idx].sum(axis=1) < mass_floor - 1e-12)]
-            if not len(points):
+            columns = np.concatenate((columns, extras.T), axis=1)
+        if idx is not None:
+            keep = ~(columns.T[:, idx].sum(axis=1) < mass_floor - 1e-12)
+            columns = np.compress(keep, columns, axis=1)
+            if not columns.shape[1]:
                 continue
+        points = columns.T
         points.flags.writeable = False
         values = np.asarray(objective(points), dtype=float)
         if values.shape != (len(points),):

@@ -15,20 +15,24 @@ Both depend on the unknown population, so design works with guaranteed
 bounds: the worst case of each measure over all populations the device
 parameter admits.
 
-One core forms the posterior entries (:func:`_posterior`) and sums the
+One core forms the posterior rows (:func:`_posterior`) and sums the
 non-stigmatizing rows (:func:`_mass`). It takes one population as a tuple of
 floats, which is all ``privacy`` needs, so that command never loads numpy;
 or a batch of K populations as the m rows of an (m, K) array, one population
 per column, so that each operation runs along the batch. An entry is the
 same IEEE operations either way, so a population's measures have the same
-bits alone and in a batch. The single measures reduce with the built-in max
-and min; the batch forms, :func:`alpha_values` and :func:`beta_values`,
+bits alone and in a batch. The core is lazy: it forms a row when the caller
+takes it, and the callers fold each row into their result before taking the
+next, so a batch holds one row of (K,) arrays at a time. Callers that keep
+the matrix take all its rows. The single measures reduce with the built-in
+max and min; the batch forms, :func:`alpha_values` and :func:`beta_values`,
 reduce with numpy's, in place.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 from .model import (
     Device,
@@ -67,14 +71,14 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
     import numpy as np
 
     _require_same_m(device.m, population.m)
-    return np.array(_posterior(device, population.pi))
+    return np.array(tuple(_posterior(device, population.pi)))
 
 
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
     _require_same_m(device.m, population.m)
     pi = population.pi
-    alpha, argmax, gaps = _alpha(device, pi, _posterior(device, pi))
+    alpha, argmax, gaps = _alpha(device, pi, tuple(_posterior(device, pi)))
     return AlphaResult(alpha=alpha, argmax=argmax, gaps=_read_only(gaps))
 
 
@@ -84,7 +88,7 @@ def beta_measure(
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
     indices = _index_set(nonstigmatizing, device.m)
     _require_same_m(device.m, population.m)
-    beta, argmin, mass = _beta(_posterior(device, population.pi), indices)
+    beta, argmin, mass = _beta(tuple(_posterior(device, population.pi)), indices)
     return BetaResult(beta=beta, argmin=argmin, mass_by_response=_read_only(mass))
 
 
@@ -97,13 +101,13 @@ def alpha_values(device: Device, pis) -> np.ndarray:
     import numpy as np
 
     columns = _population_columns(device, pis)
-    gaps = [
+    gaps = (
         np.abs(np.subtract(entry, prior, out=entry), out=entry)
         for row, prior in zip(_posterior(device, columns), columns)
         for entry in row
-    ]
+    )
     alpha = _fold(np.maximum, gaps)
-    reduced = _fold(np.maximum, [_diagonal_form(device, v) for v in columns])
+    reduced = _fold(np.maximum, (_diagonal_form(device, v) for v in columns))
     # the self-check of every population, raised for the first that fails it
     for k in np.flatnonzero(np.abs(alpha - reduced) > 1e-12 + 1e-9 * alpha):
         _check_reduced_form(float(alpha[k]), float(reduced[k]))
@@ -132,9 +136,9 @@ def _read_only(values) -> np.ndarray:
 # --- the core: one population on floats, or a batch on (K,) arrays -------------
 
 
-def _posterior(device: Device, pi, rows: tuple[int, ...] | None = None) -> tuple[tuple, ...]:
-    """Rows of the posterior matrix of ``pi``: all m, or only the true values
-    ``rows``, in their order.
+def _posterior(device: Device, pi, rows: tuple[int, ...] | None = None) -> Iterator[tuple]:
+    """Rows of the posterior matrix of ``pi``, each formed as it is taken: all
+    m, or only the true values ``rows``, in their order.
 
     ``pi`` is one population, a tuple of m floats, or a batch, the m rows of
     an (m, K) array from :func:`_population_columns`; an entry is then a
@@ -143,21 +147,19 @@ def _posterior(device: Device, pi, rows: tuple[int, ...] | None = None) -> tuple
     """
     p, q = device.p, device.forced_share
     responses = [p * v + q for v in pi]
-    posterior = []
     for i in range(len(pi)) if rows is None else rows:
         v = pi[i]
         forced = q * v
-        posterior.append(
-            tuple((forced + p * v if i == j else forced) / r for j, r in enumerate(responses))
-        )
-    return tuple(posterior)
+        yield tuple((forced + p * v if i == j else forced) / r for j, r in enumerate(responses))
 
 
-def _mass(rows: tuple[tuple, ...]) -> tuple:
+def _mass(rows: Iterable[tuple]) -> tuple:
     """The posterior rows of the non-stigmatizing values, summed entry by
-    entry from left to right: the non-stigmatizing mass per response."""
-    mass = rows[0]
-    for row in rows[1:]:
+    entry from left to right as they come: the non-stigmatizing mass per
+    response."""
+    rows = iter(rows)
+    mass = next(rows)
+    for row in rows:
         mass = tuple(a + b for a, b in zip(mass, row))
     return mass
 
@@ -187,7 +189,7 @@ def _beta(
 ) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
     """beta of one population, the responses within ``TIE_RTOL`` of it, and
     the non-stigmatizing posterior mass per response."""
-    mass = _mass(tuple(posterior[i] for i in indices))
+    mass = _mass(posterior[i] for i in indices)
     beta = min(mass)
     threshold = beta + TIE_RTOL * max(beta, 1.0)
     return beta, tuple(j for j, v in enumerate(mass) if v <= threshold), mass
@@ -212,10 +214,12 @@ def _population_columns(device: Device, pis) -> np.ndarray:
     return np.divide(rows.T, totals, out=np.empty(rows.shape[::-1]))
 
 
-def _fold(ufunc, arrays):
-    """``ufunc`` over equal-shape arrays, accumulated in place in the first."""
-    acc = arrays[0]
-    for array in arrays[1:]:
+def _fold(ufunc, arrays: Iterable) -> np.ndarray:
+    """``ufunc`` over equal-shape arrays, accumulated in place in the first,
+    each array taken as the last is folded in."""
+    arrays = iter(arrays)
+    acc = next(arrays)
+    for array in arrays:
         ufunc(acc, array, out=acc)
     return acc
 
@@ -285,7 +289,7 @@ def privacy_report(
     bound is reported as None.
     """
     _require_same_m(device.m, population.m)
-    posterior = _posterior(device, population.pi)
+    posterior = tuple(_posterior(device, population.pi))
     if mode is PolicyMode.ALL_STIGMATIZING:
         alpha, argmax, _ = _alpha(device, population.pi, posterior)
         return PrivacyReport(

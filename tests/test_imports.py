@@ -35,11 +35,11 @@ VERIFY_STACK = ("rrkit.verification", "rrkit.oracle")
 HEAVY = ("numpy", *SIMULATE_STACK, *VERIFY_STACK, "dataclasses", "inspect")
 
 
-def run_fresh(source: str, *args: str) -> str:
+def run_fresh(source: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     env = {k: v for k, v in os.environ.items() if k != "RRKIT_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", source, *args], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", source, *args], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -83,6 +83,20 @@ def test_privacy_and_estimate_leave_numpy_out(command, survey, p, tmp_path):
     assert f"rrkit.{'privacy' if command == 'privacy' else 'estimation'}" in loaded
     for name in HEAVY:
         assert name not in loaded
+
+
+@pytest.mark.parametrize("command", ["privacy", "estimate"])
+def test_privacy_and_estimate_leave_typing_out(command, tmp_path):
+    # an installed package's .pth file may load typing as the interpreter
+    # starts, which would hide it here; -S starts without site and its .pth files
+    argv = [command, "--survey", M3]
+    if command == "estimate":
+        counts = tmp_path / "counts.json"
+        counts.write_text("[120, 95, 85]", encoding="utf-8")
+        argv += ["--counts", str(counts)]
+    doc = json.loads(run_fresh(RUN_COMMAND, json.dumps(argv), flags=("-S",)))
+    assert doc["code"] == 0
+    assert "typing" not in doc["loaded"]
 
 
 def test_cli_import_and_parser_leave_dataclasses_out():

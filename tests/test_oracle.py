@@ -251,6 +251,82 @@ def test_grid_search_mass_constraint_filters_points():
     assert res.points_evaluated < full.points_evaluated
 
 
+@pytest.mark.parametrize(
+    "given, missing", [({"mass_floor": 0.5}, "mass_indices"), ({"mass_indices": (0,)}, "mass_floor")]
+)
+def test_grid_search_refuses_half_a_mass_constraint(given, missing):
+    # either half alone used to run an unconstrained search without a word
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        simplex_grid_search(lambda pts: pts[:, 0], 3, 0.1, **given)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 12])
+def test_the_mass_filter_rounds_alike_in_both_layouts(t):
+    """The lattice is stored one point per column, so the mass filter sums
+    ``points[:, idx]`` over a transposed view; the sum must round as it does
+    over row-major (B, m) points, however many indices it adds."""
+    rng = np.random.default_rng(t)
+    columns = rng.random((13, 500)) * rng.choice([1e-8, 1.0, 1e8], size=(13, 500))
+    idx = [int(i) for i in rng.permutation(13)[:t]]
+    row_major = np.ascontiguousarray(columns.T)
+    assert columns.T[:, idx].sum(axis=1).tobytes() == row_major[:, idx].sum(axis=1).tobytes()
+
+
+def test_the_shared_lattice_cannot_be_written():
+    """A lattice that fits one block is built once and handed to every
+    search; neither the objective's view nor what it is a view of may let
+    one search change the points of the next."""
+
+    def objective(pts):
+        with pytest.raises(ValueError):
+            pts[0, 0] = 5.0
+        with pytest.raises((TypeError, ValueError)):
+            pts.base[0] = 5.0
+        with pytest.raises(ValueError):
+            pts.flags.writeable = True
+        return pts[:, 0]
+
+    for _ in range(2):
+        assert simplex_grid_search(objective, 3, 0.01).value == 1.0
+    expected = [np.asarray(c, dtype=float) / 100 for c in enumerate_count_vectors(100, 3)]
+    np.testing.assert_array_equal(simplex_grid_points(3, 0.01), expected)
+
+
+def test_a_changed_block_size_never_reuses_a_cached_lattice(monkeypatch):
+    def lattice_bases(patch=None):
+        """What each objective call's points are a view of, and how many
+        count blocks the search built."""
+        bases, built = [], []
+        count_vectors = oracle._count_vectors
+
+        def counted(*args):
+            built.append(args)
+            return count_vectors(*args)
+
+        def objective(pts):
+            bases.append(pts.base)
+            return pts[:, 0]
+
+        with monkeypatch.context() as context:
+            context.setattr(oracle, "_count_vectors", counted)
+            if patch is not None:
+                context.setattr(oracle, "GRID_BLOCK_BYTES", patch)
+            simplex_grid_search(objective, 3, 0.01)
+        return bases, len(built)
+
+    default, _ = lattice_bases()
+    assert lattice_bases() == (default, 0)  # served again, built never
+    # 512 KiB still holds the step-0.01 lattice (7 281 points at m = 3),
+    # which must then be built afresh at that block size ...
+    half, built = lattice_bases(1 << 19)
+    assert len(half) == 1 and half[0] is not default[0] and built == 1
+    # ... and 128 KiB (1 820 points) streams it in blocks, none of them cached
+    split, built = lattice_bases(1 << 17)
+    assert len(split) > 2 and built >= len(split)
+    assert not any(base is default[0] or base is half[0] for base in split)
+    assert lattice_bases() == (default, 0)
+
+
 def test_grid_search_uses_extra_points():
     # the lattice misses the off-grid optimum; the injected point must win
     target = np.array([0.123, 0.877])

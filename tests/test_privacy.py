@@ -443,6 +443,35 @@ def test_batch_forms_equal_the_single_measures_bit_for_bit(batch):
         assert values.tobytes() == np.array(single).tobytes()
 
 
+def memory_layouts(pis):
+    """One batch as a C-ordered array, an F-ordered one, a strided view into a
+    larger array, and the transpose of an (m, K) array, which is how the grid
+    search hands its lattice over."""
+    rows = np.array(pis, dtype=float)
+    wide = np.full((2 * rows.shape[0], 3 * rows.shape[1]), np.nan)
+    wide[::2, 1::3] = rows
+    return {
+        "C": np.ascontiguousarray(rows),
+        "F": np.asfortranarray(rows),
+        "strided": wide[::2, 1::3],
+        "transposed": np.ascontiguousarray(rows.T).T,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=population_batches())
+def test_batch_forms_keep_their_bits_in_every_memory_layout(batch):
+    device, pis, indices = batch
+    layouts = memory_layouts(pis)
+    assert not layouts["strided"].flags.c_contiguous and not layouts["strided"].flags.f_contiguous
+    for values in (
+        lambda pts: alpha_values(device, pts),
+        lambda pts: beta_values(device, pts, indices),
+    ):
+        found = {name: values(pts).tobytes() for name, pts in layouts.items()}
+        assert len(set(found.values())) == 1, found
+
+
 def test_alpha_measure_and_alpha_values_refuse_a_max_gap_off_the_diagonal_form(monkeypatch):
     original = privacy._posterior
 

@@ -69,6 +69,22 @@ def test_kernel_stages_refuses_sides_that_differ(monkeypatch):
         script.report(script.config_for(6_000, 3, 3), repeats=1)
 
 
+def test_verify_stages_splits_both_grid_checks_cached_and_streamed():
+    """At step 0.25 the lattice fits one block and is cached; at 0.005 its
+    20 301 points stream in blocks of 14 563."""
+    done = _run("verify_stages.py", "--grid-step", "0.25,0.005", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    cached, streamed = done.stdout.split("grid step 0.005")
+    assert "building the lattice, once per process" in cached
+    assert "the lattice streams in blocks" in streamed
+    for part in (cached, streamed):
+        for check in ("posterior_matches_oracle", "alpha_guarantee_tight",
+                      "beta_guarantee_tight", "estimator_unbiased"):
+            assert f"  {check} " in part
+        for stage in ("lattice", "validate + renormalize", "posterior + fold", "reduce", "rest"):
+            assert part.count(f"    {stage} ") == 2, stage
+
+
 def test_replication_study_refuses_fewer_than_two_replicates():
     done = _run("replication_study.py", "--n", "10", "--replicates", "1")
     assert done.returncode == 2

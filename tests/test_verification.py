@@ -147,6 +147,20 @@ def test_tightness_searches_do_not_depend_on_the_block_cap(monkeypatch):
     assert split_doc == whole_doc
 
 
+def test_a_repeated_verification_builds_no_lattice(monkeypatch):
+    """Both tightness searches share one lattice, kept for the process: once
+    a verification has run, the next at the same step builds none."""
+    first = run_verification(grid_step=0.01).to_json_dict()
+
+    def no_lattice(*args):
+        raise AssertionError("a lattice was built again")
+
+    monkeypatch.setattr(oracle, "_count_vectors", no_lattice)
+    monkeypatch.setattr(oracle, "_count_blocks", no_lattice)
+    again = run_verification(grid_step=0.01).to_json_dict()
+    assert again == first and again["passed"]
+
+
 def test_coarser_grid_still_passes():
     assert run_verification(grid_step=0.25).passed
 
