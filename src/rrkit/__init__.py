@@ -20,7 +20,6 @@ _EXPORTS = {
         "p0_nonstigmatizing",
         "p0_table",
     ),
-    "device": ("draw_responses",),
     "estimation": (
         "estimate_mean",
         "estimate_proportions",
@@ -58,6 +57,7 @@ _EXPORTS = {
         "ReplicateRecord",
         "SimulationConfig",
         "SimulationSummary",
+        "draw_responses",
         "replicate_stream",
         "run_replicates",
         "sample_true_indices",

@@ -62,18 +62,14 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _int_list(text: str, what: str) -> tuple[int, ...]:
+def _list(text: str, kind: type, what: str) -> tuple:
+    """The comma-separated values of an option, each read by ``kind`` (int or
+    float); blank entries are skipped."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise ValidationError("BAD_GRID", f"{what} must be comma-separated integers, got {text!r}") from None
-
-
-def _float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise ValidationError("BAD_GRID", f"{what} must be comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError("BAD_GRID", f"{what} must be comma-separated {noun}, got {text!r}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -126,8 +122,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_table(args) -> int:
-    ms = _int_list(args.m, "--m") if args.m is not None else design_mod.DEFAULT_TABLE_MS
-    xis = _float_list(args.xi, "--xi") if args.xi is not None else design_mod.DEFAULT_TABLE_XIS
+    ms = _list(args.m, int, "--m") if args.m is not None else design_mod.DEFAULT_TABLE_MS
+    xis = _list(args.xi, float, "--xi") if args.xi is not None else design_mod.DEFAULT_TABLE_XIS
     table = design_mod.p0_table(ms, xis)
     if args.format == "json":
         _emit_json(table.to_json_dict(), args.out)
@@ -278,31 +274,29 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _fail(exit_code: int, code: str, message: str, **extra) -> int:
+    """Write one structured error to stderr, a JSON object on a line of its
+    own, and return ``exit_code``."""
+    json.dump({"code": code, "message": message, **extra}, sys.stderr)
+    sys.stderr.write("\n")
+    return exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return globals()[args.handler](args)
     except ValidationError as exc:
-        json.dump({"code": exc.code, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, exc.code, str(exc))
     except OSError as exc:
-        json.dump({"code": "IO_ERROR", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_IO
+        return _fail(EXIT_IO, "IO_ERROR", str(exc))
     except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported in the contract's form
         import traceback
 
-        json.dump(
-            {
-                "code": "INTERNAL_ERROR",
-                "message": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            },
-            sys.stderr,
+        return _fail(
+            EXIT_INTERNAL, "INTERNAL_ERROR", f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
         )
-        sys.stderr.write("\n")
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

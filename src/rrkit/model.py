@@ -1,5 +1,9 @@
 """Domain types for randomized-response survey design.
 
+This module is the domain layer: the types and one validation rule per
+input. The rules that draw from these types, the truth by inverse CDF and
+the response by the device's card, are :mod:`rrkit.simulation`'s.
+
 Every type validates its invariants at construction and is immutable
 afterwards, so instances can be shared freely across threads. Validation
 failures raise :class:`ValidationError` carrying a stable machine-readable
@@ -16,7 +20,6 @@ methods at import, which together cost a cold command several milliseconds.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 import numbers
@@ -51,8 +54,7 @@ class _Record:
     when they are of the same class with equal field tuples, and hash as
     that tuple, so a record holding an ndarray stays unhashable. The repr is
     ``Name(field=value, ...)`` over the fields in order, less those named in
-    ``_repr_omits``. Instances keep a ``__dict__``, so
-    ``functools.cached_property`` works on them.
+    ``_repr_omits``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -293,74 +295,6 @@ class PopulationModel(_Record):
 
         return np.asarray(self.pi, dtype=float)
 
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """Cumulative proportions, computed once per model; read-only."""
-        import numpy as np
-
-        cdf = np.cumsum(self.pi_array)
-        cdf.flags.writeable = False
-        return cdf
-
-    @functools.cached_property
-    def _search_levels(self) -> tuple[np.ndarray, ...]:
-        """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
-        2**k >= m, split into the k levels of a binary search over it: the
-        level of step s holds the entries s-1, 3s-1, 5s-1, ... Read-only."""
-        import numpy as np
-
-        k = (self.m - 1).bit_length()
-        table = np.full(2**k - 1, np.inf)
-        table[: self.m - 1] = self.cdf[:-1]
-        levels = tuple(table[2**j - 1::2 ** (j + 1)].copy() for j in reversed(range(k)))
-        for level in levels:
-            level.flags.writeable = False
-        return levels
-
-    def inverse_cdf(
-        self,
-        u: np.ndarray,
-        out: np.ndarray | None = None,
-        *,
-        flags: np.ndarray | None = None,
-        probe: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """True-value indices for uniforms ``u`` in [0, 1), element by element.
-
-        Index i takes the uniforms in [cdf[i-1], cdf[i]), and m-1 also takes a
-        uniform at or above a last cumulative sum that rounded below 1. As the
-        CDF is non-decreasing, that index, ``min(searchsorted(cdf, u, "right"),
-        m - 1)``, is the number of entries of ``cdf[:-1]`` at or below u. A
-        branchless binary search counts them over ``cdf[:-1]`` padded with +inf
-        to 2**k - 1 entries, k = ceil(log2 m), which no uniform reaches:
-        ``idx += step * (u >= table[idx + step - 1])`` for step = 2**(k-1) down
-        to 1, one compare pass per step. It keeps idx / step, doubled before
-        each step, so that each step reads one level of the table.
-
-        ``u`` is only read. ``out`` (int64), ``flags`` (bool) and ``probe``
-        (float64), of u's shape, are scratch a caller may pass to spare the
-        allocations; ``out`` is returned.
-        """
-        import numpy as np
-
-        u = np.asarray(u)
-        levels = self._search_levels
-        if out is None:
-            out = np.empty(u.shape, dtype=np.int64)
-        if flags is None:
-            flags = np.empty(u.shape, dtype=bool)
-        if probe is None:
-            probe = np.empty(u.shape)
-        np.greater_equal(u, levels[0][0], out=flags)
-        np.copyto(out, flags)
-        for level in levels[1:]:
-            # indices stay in range; "clip" lets take write into probe unbuffered
-            np.take(level, out, out=probe, mode="clip")
-            np.greater_equal(u, probe, out=flags)
-            out += out
-            out += flags
-        return out
-
     def mean(self, support: SupportSpec) -> float:
         """Population mean of the sensitive variable under these proportions."""
         _require_same_m(support.m, self.m)
@@ -456,40 +390,6 @@ class Device(_Record):
     def forced_share(self) -> float:
         """Probability (1-p)/m of each individual forced-report card."""
         return (1.0 - self.p) / self.m
-
-    @functools.cached_property
-    def forced_cuts(self) -> tuple[float, ...]:
-        """Cut points t_1 .. t_(m-1) of the forced-card score; computed once.
-
-        A uniform u at or above p forces index ``floor(((u - p) / (1 - p)) * m)``
-        (capped at m - 1), the score evaluated in float64 in that order, as
-        :func:`~rrkit.device.responses_from_uniforms` does. Each step is a
-        correctly rounded operation by a positive constant, so the score is
-        non-decreasing in u, and the forced index is at least k exactly when
-        u >= t_k, the smallest double whose score reaches k. t_k is found by
-        bisection over the bit patterns of the doubles from p, which scores 0,
-        to 1.0, which scores m. A cut of 1.0 is one no uniform in [0, 1) reaches.
-        """
-        import struct
-
-        def bits(x: float) -> int:
-            return struct.unpack("<q", struct.pack("<d", x))[0]
-
-        def double(b: int) -> float:
-            return struct.unpack("<d", struct.pack("<q", b))[0]
-
-        p, m = self.p, self.m
-        cuts = []
-        for k in range(1, m):
-            below, at = bits(p), bits(1.0)  # score(below) < k <= score(at)
-            while at - below > 1:
-                mid = (below + at) // 2
-                if (double(mid) - p) / (1.0 - p) * m >= k:
-                    at = mid
-                else:
-                    below = mid
-            cuts.append(double(at))
-        return tuple(cuts)
 
 
 class PrivacyPolicy(_Record):

@@ -1,5 +1,15 @@
 """Monte Carlo replication of a survey: draw, randomize, estimate, summarize.
 
+This module owns the two draw rules, each written once. The truth rule draws
+a respondent's true index by inverse CDF (:func:`cdf`, :func:`inverse_cdf`).
+The card rule is the (m+1)-card device: with probability p the card says
+"report your true value", and with probability (1-p)/m each it forces one of
+the m support values (:func:`responses_from_uniforms`,
+:func:`draw_responses`, and :func:`forced_cuts` for counting by cuts).
+:func:`rrkit.oracle.response_distribution_oracle` gives the responses'
+marginal law, lambda_i = p*pi_i + (1-p)/m. :mod:`rrkit.model` holds the
+domain types these rules read.
+
 Reproducibility contract (stream v1): replicate ``i`` of a run seeded with
 ``seed`` always uses the generator
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))`` and consumes, in
@@ -36,35 +46,24 @@ cells do (:func:`chunk_rows`). Each range carves every block, with its
 limb sums and counting scratch, from one allocation
 (:func:`_block_arena`); the counting scratch of the jump path lies in the
 limb sums, dead once the uniforms are out. Truth, device and counts are
-computed for the whole block, through the same uniform-to-index helpers
-that :func:`sample_true_indices` and :func:`~rrkit.device.draw_responses`
-use, on the block's two halves (n rows of the state-major block, or n
-columns of the setter path's); the mean estimate
-(:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do not depend
-on the rows beside it) for the whole chunk. Counting
-takes comparisons and array arithmetic only, no searchsorted: the truth index
-is a branchless binary search over the cached CDF padded with +inf, which
-equals the capped searchsorted because the CDF is non-decreasing; the device
-evaluates the forced-card score in the same order, in place, and keeps the
-true index of truthful draws by integer arithmetic instead of a masked copy.
-Every index, and so every count, is the one those forms give.
+computed for the whole block, through the uniform-to-index helpers that
+:func:`sample_true_indices` and :func:`draw_responses` use, on the block's
+two halves (n rows of the state-major block, or n columns of the setter
+path's); the mean estimate (:func:`~rrkit.estimation.mean_estimates`, whose
+bits for a row do not depend on the rows beside it) for the whole chunk.
+Every index, and so every count, is the one those helpers give.
 
 Counting by cuts: a block of one replicate (from about n = 5 460, see
 :func:`block_rows`) over at most ``CUTS_MAX_M`` values builds no index
 array. The estimators read only counts, and "response index >= k" is a
-comparison of uniforms with fixed cut points. A truthful draw (device uniform
-below p) reports its true index, which is >= k exactly when its truth
-uniform is >= ``cdf[k-1]``, the branchless search's rule. The forced-card
-score ((u - p) / (1 - p)) * m is a chain of correctly rounded operations by
-positive constants, so it is non-decreasing in u, and a forced index is >= k
-exactly when the device uniform is >= t_k, the smallest double whose score
-reaches k (:attr:`~rrkit.model.Device.forced_cuts`, found once by bisection
-over the bit patterns of doubles); t_k > p, so only forced draws pass it. The
-responses >= k thus number the truthful draws past ``cdf[k-1]`` plus the
-device uniforms past t_k, two ``count_nonzero`` over flag rows, and each
-count is the difference of two such numbers: exactly the bincount's counts.
-Its cost grows as O(m n), so larger m, and multi-row blocks, where one
-bincount over all rows beats a count per row, keep the index arrays.
+comparison of the truth uniform with ``cdf[k-1]`` for a truthful draw, and
+of the device uniform with a cut point (:func:`forced_cuts`) for a forced
+one, so each count is a difference of ``count_nonzero`` over flag rows
+(:func:`_count_by_cuts`): exactly the bincount's counts. Its cost grows as
+O(m n), so larger m, and multi-row blocks, where one bincount over all rows
+beats a count per row, keep the index arrays. The tables both counters read
+are computed once per population or device value, and looked up once per
+range.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -86,12 +85,12 @@ from __future__ import annotations
 
 import functools
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import estimation
-from .device import draw_responses, responses_from_uniforms
 from .model import (
     Device,
     PopulationModel,
@@ -317,11 +316,177 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
 
 
+# --- the draw rules: the truth by inverse CDF, the response by the card -----
+
+
+@functools.lru_cache(maxsize=16)
+def cdf(population: PopulationModel) -> np.ndarray:
+    """Cumulative proportions of a population; computed once per population
+    value, read-only."""
+    return _read_only(np.cumsum(population.pi_array))
+
+
+@functools.lru_cache(maxsize=16)
+def _search_levels(population: PopulationModel) -> tuple[np.ndarray, ...]:
+    """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
+    2**k >= m, split into the k levels of a binary search over it: the
+    level of step s holds the entries s-1, 3s-1, 5s-1, ... Computed once per
+    population value, read-only."""
+    m = population.m
+    k = (m - 1).bit_length()
+    table = np.full(2**k - 1, np.inf)
+    table[: m - 1] = cdf(population)[:-1]
+    return tuple(_read_only(table[2**j - 1::2 ** (j + 1)].copy()) for j in reversed(range(k)))
+
+
+def inverse_cdf(
+    population: PopulationModel,
+    u: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    flags: np.ndarray | None = None,
+    probe: np.ndarray | None = None,
+    levels: tuple[np.ndarray, ...] | None = None,
+) -> np.ndarray:
+    """True-value indices for uniforms ``u`` in [0, 1), element by element.
+
+    Index i takes the uniforms in [cdf[i-1], cdf[i]), and m-1 also takes a
+    uniform at or above a last cumulative sum that rounded below 1. As the
+    CDF is non-decreasing, that index, ``min(searchsorted(cdf, u, "right"),
+    m - 1)``, is the number of entries of ``cdf[:-1]`` at or below u. A
+    branchless binary search counts them over ``cdf[:-1]`` padded with +inf
+    to 2**k - 1 entries, k = ceil(log2 m), which no uniform reaches:
+    ``idx += step * (u >= table[idx + step - 1])`` for step = 2**(k-1) down
+    to 1, one compare pass per step. It keeps idx / step, doubled before
+    each step, so that each step reads one level of the table
+    (:func:`_search_levels`).
+
+    ``u`` is only read. ``out`` (int64), ``flags`` (bool) and ``probe``
+    (float64), of u's shape, are scratch a caller may pass to spare the
+    allocations; ``out`` is returned. A caller that searches block by block
+    passes the population's ``levels`` once looked up, as finding them
+    hashes its proportions.
+    """
+    u = np.asarray(u)
+    if levels is None:
+        levels = _search_levels(population)
+    if out is None:
+        out = np.empty(u.shape, dtype=np.int64)
+    if flags is None:
+        flags = np.empty(u.shape, dtype=bool)
+    if probe is None:
+        probe = np.empty(u.shape)
+    np.greater_equal(u, levels[0][0], out=flags)
+    np.copyto(out, flags)
+    for level in levels[1:]:
+        # indices stay in range; "clip" lets take write into probe unbuffered
+        np.take(level, out, out=probe, mode="clip")
+        np.greater_equal(u, probe, out=flags)
+        out += out
+        out += flags
+    return out
+
+
+def _forced_score(u, p: float, m: int, out: np.ndarray | None = None):
+    """The forced-card score ((u - p) / (1 - p)) * m of uniforms u, evaluated
+    in float64 in that order: of a float as a float, of an array into
+    ``out``. A uniform at or above p forces index min(floor(score), m - 1).
+    Each step is a correctly rounded operation by a positive constant, so the
+    score is non-decreasing in u."""
+    score = u - p if out is None else np.subtract(u, p, out=out)
+    score /= 1.0 - p
+    score *= m
+    return score
+
+
+@functools.lru_cache(maxsize=16)
+def forced_cuts(device: Device) -> tuple[float, ...]:
+    """Cut points t_1 .. t_(m-1) of the forced-card score; computed once per
+    device value.
+
+    The forced index is at least k exactly when u >= t_k, the smallest double
+    whose :func:`_forced_score` reaches k. t_k is found by bisection over the
+    bit patterns of the doubles from p, which scores 0, to 1.0, which scores
+    m. A cut of 1.0 is one no uniform in [0, 1) reaches.
+    """
+
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def double(b: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    p, m = device.p, device.m
+    cuts = []
+    for k in range(1, m):
+        below, at = bits(p), bits(1.0)  # score(below) < k <= score(at)
+        while at - below > 1:
+            mid = (below + at) // 2
+            if _forced_score(double(mid), p, m) >= k:
+                at = mid
+            else:
+                below = mid
+        cuts.append(double(at))
+    return tuple(cuts)
+
+
+def responses_from_uniforms(
+    device: Device,
+    true_indices: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    flags: np.ndarray | None = None,
+    probe: np.ndarray | None = None,
+) -> np.ndarray:
+    """Randomize true-value indices through the device, one uniform each.
+
+    ``u`` has the shape of ``true_indices``. A uniform below p reports the
+    true index; otherwise its :func:`_forced_score` picks the forced index
+    among the m values.
+
+    ``true_indices`` and ``u`` are only read. ``out`` (int64), ``flags``
+    (bool) and ``probe`` (float64), of u's shape, are scratch a caller may
+    pass to spare the allocations; ``out`` is returned.
+    """
+    if out is None:
+        out = np.empty(u.shape, dtype=np.int64)
+    if flags is None:
+        flags = np.empty(u.shape, dtype=bool)
+    if probe is None:
+        probe = np.empty(u.shape)
+    score = _forced_score(u, device.p, device.m, out=probe)
+    # Only draws u >= p keep their forced index, and those score from 0 up;
+    # a truthful draw scores below 0, and near p = 1 below the int64 range,
+    # so the clip keeps the cast defined without changing a kept index.
+    np.clip(score, -1.0, device.m - 1, out=score)
+    np.copyto(out, score, casting="unsafe")
+    np.less(u, device.p, out=flags)
+    delta = np.subtract(true_indices, out, out=probe.view(np.int64))
+    delta *= flags
+    out += delta
+    return out
+
+
+def draw_responses(
+    device: Device, true_indices: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Randomize each respondent's true index through the device.
+
+    Consumes exactly one uniform per respondent, in respondent order, so
+    streams stay cheap to reason about and replay.
+    """
+    true_indices = np.asarray(true_indices)
+    if true_indices.size and (true_indices.min() < 0 or true_indices.max() >= device.m):
+        raise ValidationError("BAD_INDEX", "true index out of range")
+    return responses_from_uniforms(device, true_indices, rng.random(true_indices.shape[0]))
+
+
 def sample_true_indices(
     population: PopulationModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw n true-value indices from the population by inverse CDF."""
-    return population.inverse_cdf(rng.random(n))
+    return inverse_cdf(population, rng.random(n))
 
 
 def simulate_survey(config: SimulationConfig, replicate: int) -> ResponseSample:
@@ -639,9 +804,11 @@ def run_block(
     # written: a serial n = 50 000 command with four fresh arrays per
     # replicate took 84-332 minor faults, 7-11 with scratch per range.
     arena = _block_arena(rows, n, jump, cuts)
+    # the tables the counter reads, looked up once per range
     if cuts:
         levels = _cut_levels(config)
     else:
+        levels = _search_levels(config.population)
         # row r's responses are offset by r * m: a row on the jump path, a
         # column on the setter path
         offsets = np.arange(0, rows * m, m)
@@ -668,7 +835,7 @@ def run_block(
             if cuts:
                 _count_by_cuts(config, u.ravel(), scratch, chunk_counts[lo:lo + 1], levels)
             else:
-                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], scratch)
+                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], scratch, levels)
         filled = chunk_counts[:size]
         mu_hats[chunk:chunk + size] = estimation.mean_estimates(filled / n, config.device, x)
         if counts is not None:
@@ -683,6 +850,7 @@ def _count_rows(
     draws: np.ndarray,
     offsets: np.ndarray,
     scratch: tuple[np.ndarray, ...],
+    levels: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Response counts, one row per replicate, from the replicates' truth
     uniforms ``truth_u`` and device uniforms ``draws``, both (n, k) with a
@@ -691,10 +859,10 @@ def _count_rows(
 
     ``scratch`` holds the truth and response indices (int64), the compare
     flags (bool) and a probe (float64), each of the uniforms' shape, all
-    overwritten.
+    overwritten; ``levels`` the population's :func:`_search_levels`.
     """
     truth, responses, flags, probe = scratch
-    config.population.inverse_cdf(truth_u, out=truth, flags=flags, probe=probe)
+    inverse_cdf(config.population, truth_u, out=truth, flags=flags, probe=probe, levels=levels)
     responses_from_uniforms(config.device, truth, draws, out=responses, flags=flags, probe=probe)
     responses += offsets
     m = config.support.m
@@ -704,7 +872,7 @@ def _count_rows(
 def _cut_levels(config: SimulationConfig) -> list[tuple[float, float]]:
     """The pairs (``cdf[k-1]``, t_k), k = 1..m-1, that :func:`_count_by_cuts`
     compares truth and device uniforms with."""
-    return list(zip(config.population.cdf[:-1].tolist(), config.device.forced_cuts))
+    return list(zip(cdf(config.population)[:-1].tolist(), forced_cuts(config.device)))
 
 
 def _count_by_cuts(
@@ -720,9 +888,9 @@ def _count_by_cuts(
 
     A truthful draw (device uniform below p) reports its true index, which is
     at least k exactly when its truth uniform is at or above ``cdf[k-1]``,
-    the rule of :meth:`~rrkit.model.PopulationModel.inverse_cdf`; a forced
-    draw's index is at least k exactly when its device uniform is at or above
-    t_k (:attr:`~rrkit.model.Device.forced_cuts`), and t_k > p. So the
+    the rule of :func:`inverse_cdf`; a forced draw's index is at least k
+    exactly when its device uniform is at or above t_k (:func:`forced_cuts`),
+    and t_k > p. So the
     responses at or above k number the truthful draws past ``cdf[k-1]`` plus
     the device uniforms past t_k, and each count is the difference of two
     such numbers. ``scratch`` holds two bool rows of n, both overwritten;

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrkit import Device, PopulationModel, ValidationError
-from rrkit.device import draw_responses, responses_from_uniforms
 from rrkit.oracle import response_distribution_oracle
-from rrkit.simulation import CUTS_MAX_M
+from rrkit.simulation import CUTS_MAX_M, draw_responses, forced_cuts, responses_from_uniforms
 
 
 class StubRng:
@@ -216,7 +215,7 @@ probabilities = st.one_of(
 def test_forced_cuts_are_the_first_uniforms_of_each_forced_index(p, m):
     """At t_k the device forces an index of at least k; one ulp below, less."""
     d = Device(p=p, m=m)
-    cuts = np.array(d.forced_cuts)
+    cuts = np.array(forced_cuts(d))
     assert len(cuts) == m - 1
     assert (cuts > p).all() and (np.diff(cuts) >= 0).all()
     truth = np.zeros(m - 1, dtype=np.int64)  # a truthful draw reports 0 < k

@@ -164,7 +164,7 @@ def test_all_lists_each_export_once():
 
 @pytest.mark.parametrize(
     "name",
-    ["design", "device", "estimation", "model", "oracle", "privacy", "simulation", "verification"],
+    ["design", "estimation", "model", "oracle", "privacy", "simulation", "verification"],
 )
 def test_submodules_resolve_as_attributes_in_a_fresh_interpreter(name):
     source = (

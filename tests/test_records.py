@@ -19,6 +19,7 @@ from rrkit.model import (
 )
 from rrkit.oracle import GridSearchResult
 from rrkit.privacy import AlphaResult, BetaResult, PrivacyReport
+from rrkit import simulation
 from rrkit.simulation import ReplicateRecord, SimulationConfig, SimulationSummary
 from rrkit.verification import CheckResult, VerificationReport
 
@@ -267,16 +268,29 @@ def test_a_different_field_gives_unequal_records(first, second):
     assert first != second and not first == second
 
 
-def test_cached_properties_are_computed_once_per_instance():
+def test_draw_tables_are_read_only_cached_per_value_and_built_once_per_run(monkeypatch):
+    """The simulation's tables hang on no record: an equal record, built
+    apart, finds the same read-only table, and a run builds each table once."""
+    tables = (simulation.cdf, simulation._search_levels, simulation.forced_cuts)
+    for table in tables:
+        table.cache_clear()
     device, twin = Device(0.25, 3), Device(0.25, 3)
-    assert "forced_cuts" not in vars(device)
-    cuts = device.forced_cuts
-    assert vars(device)["forced_cuts"] is cuts and device.forced_cuts is cuts
-    assert twin.forced_cuts == cuts and twin.forced_cuts is not cuts
+    cuts = simulation.forced_cuts(device)
+    assert simulation.forced_cuts(twin) is cuts and vars(device) == {"p": 0.25, "m": 3}
 
     population, twin = PopulationModel((0.5, 0.25, 0.25)), PopulationModel((0.5, 0.25, 0.25))
-    assert "cdf" not in vars(population)
-    cdf = population.cdf
-    assert vars(population)["cdf"] is cdf and population.cdf is cdf
-    assert twin.cdf is not cdf
-    np.testing.assert_array_equal(twin.cdf, cdf)
+    cdf, levels = simulation.cdf(population), simulation._search_levels(population)
+    assert simulation.cdf(twin) is cdf and simulation._search_levels(twin) is levels
+    assert vars(population) == {"pi": (0.5, 0.25, 0.25)}
+    for array in (cdf, *levels):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+    # the jump path, the setter path and one-row blocks counted by cuts
+    monkeypatch.setenv("RRKIT_THREADS", "1")
+    for n, replicates in ((10, 300), (151, 30), (6_000, 3)):
+        for table in tables:
+            table.cache_clear()
+        config = SimulationConfig(SUPPORT, POPULATION, Device(0.4, 3), n, replicates, 5)
+        simulation.run_replicates(config)
+        assert [table.cache_info().misses for table in tables] == [1, 1, int(n == 6_000)]

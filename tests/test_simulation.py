@@ -1,7 +1,9 @@
 """Seeded Monte Carlo replication: stream derivation, determinism, calibration."""
 
 import collections
+import hashlib
 import importlib.util
+import json
 import math
 import os
 import pathlib
@@ -21,12 +23,12 @@ from rrkit import (
     SimulationConfig,
     SupportSpec,
     ValidationError,
+    cli,
     estimation,
     oracle,
     simulation,
 )
 from rrkit.design import design_device
-from rrkit.device import responses_from_uniforms
 from rrkit.estimation import estimate_mean
 from rrkit.model import load_survey
 from rrkit.simulation import (
@@ -36,6 +38,7 @@ from rrkit.simulation import (
     replicate_states,
     replicate_words,
     replicate_stream,
+    responses_from_uniforms,
     run_replicates,
     sample_true_indices,
     simulate_survey,
@@ -325,7 +328,7 @@ def test_config_takes_numpy_integers_as_python_ints(support3, pop3):
 def test_stream_consumption_order_is_pinned(support3, pop3):
     """Replicate i draws n truth uniforms, then n device uniforms, from
     stream (seed, i). Reconstructing by hand must give the same counts."""
-    from rrkit.device import draw_responses
+    from rrkit.simulation import draw_responses
 
     cfg = SimulationConfig(
         support=support3, population=pop3, device=Device(p=0.3, m=3), n=25, replicates=2, seed=9
@@ -538,9 +541,10 @@ def _boundary_pairs(config):
     def below(x):
         return float(np.nextafter(x, 0.0))
 
-    pairs = [(edge, draw) for level in config.population.cdf[:-1].tolist()
+    pairs = [(edge, draw) for level in simulation.cdf(config.population)[:-1].tolist()
              for edge in (level, below(level)) for draw in (below(p), 0.0)]
-    pairs += [(0.5, draw) for cut in config.device.forced_cuts for draw in (cut, below(cut))]
+    pairs += [(0.5, draw) for cut in simulation.forced_cuts(config.device)
+              for draw in (cut, below(cut))]
     pairs += [(0.0, p), (0.0, below(p))]
     return np.array([pair for pair in pairs if max(pair) < 1.0])  # uniforms lie in [0, 1)
 
@@ -662,7 +666,7 @@ def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
     u = np.random.default_rng(seed).random(2 * config.n)
     pairs = _boundary_pairs(config)
     u[:len(pairs)], u[config.n:config.n + len(pairs)] = pairs.T
-    truth = config.population.inverse_cdf(u[:config.n])
+    truth = simulation.inverse_cdf(config.population, u[:config.n])
     expected = np.bincount(responses_from_uniforms(config.device, truth, u[config.n:]), minlength=m)
     scratch = (np.empty(config.n, dtype=bool), np.empty(config.n, dtype=bool))
     got = np.empty((1, m), dtype=np.int64)
@@ -916,8 +920,10 @@ def _wilson_hilferty(df, z):
 LAW_Z = 4.753
 
 
-@pytest.mark.parametrize("jump", [True, False])
-def test_simulated_counts_follow_the_multinomial_law(jump, monkeypatch):
+# True draws on the jump path, False on the setter path, and "cuts" on the
+# jump path in blocks of one replicate, each counted by cuts
+@pytest.mark.parametrize("path", [True, False, "cuts"])
+def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
     """Under the paper's model a replicate's counts are Multinomial(n, lambda)
     with lambda = p pi + (1 - p) / m, and replicates are independent. At n = 6,
     m = 3 (28 count vectors) the G statistic of the vectors' frequencies
@@ -939,8 +945,11 @@ def test_simulated_counts_follow_the_multinomial_law(jump, monkeypatch):
     def refuse(*args):
         raise AssertionError("drawn on the wrong path")
 
-    monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if jump else n - 1)
-    monkeypatch.setattr(simulation, "_setter_uniforms" if jump else "_jump_uniforms", refuse)
+    monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if path else n - 1)
+    monkeypatch.setattr(simulation, "_setter_uniforms" if path else "_jump_uniforms", refuse)
+    if path == "cuts":
+        monkeypatch.setattr(simulation, "BLOCK_BYTES", simulation.block_row_bytes(n, 3))
+        monkeypatch.setattr(simulation, "_count_rows", refuse)
     monkeypatch.setenv("RRKIT_THREADS", "1")
     summary = run_replicates(config, keep_replicates=True)
     seen = collections.Counter(r.counts for r in summary.records)
@@ -951,3 +960,81 @@ def test_simulated_counts_follow_the_multinomial_law(jump, monkeypatch):
     mu = np.array([r.mu_hat for r in summary.records])
     lag1 = np.corrcoef(mu[:-1], mu[1:])[0, 1]
     assert abs(lag1) <= LAW_Z / math.sqrt(R)
+
+
+# --- golden digests of the v1 stream --------------------------------------------
+
+# simulate --replicate-csv at one shape per side of the kernel: (n, R) =
+# (10, 600) on the jump path, counted by bincount; (151, 50) on the setter
+# path, by bincount; (6 000, 4) on the setter path in one-row blocks, by cuts;
+# each on both shipped surveys; and (6 000, 3) on a 17-value survey, one-row
+# blocks above CUTS_MAX_M, by bincount. Each case pins the SHA-256 of the CSV
+# and the float.hex of mean_mu_hat and var_mu_hat_empirical. mu_x and
+# var_mu_theoretical are left out: each goes through a 1-D @, a BLAS dot whose
+# bits may differ between builds.
+GOLDEN_SEED = 12345
+GOLDEN_STREAM = {
+    ("m4", 10, 600): (
+        "e5aae6b816165aaad8eedbf1969e5c791c2c159581b4cb6a6479a9230c3f1b5d",
+        "0x1.d5cfaacd9e83ap-1", "0x1.45c97eea800eep+3",
+    ),
+    ("m3", 10, 600): (
+        "0ceb7ebdb116a029fdbb0a1391d49e5cdbb0b0ebd1fb8bfd6de67fb1f2d52243",
+        "0x1.4840719881fa9p-1", "0x1.3f460085a9879p+1",
+    ),
+    ("m4", 151, 50): (
+        "71c1e49c79658e4174cafa1f768dba670764889f45d4c881c750aff8a24c35fd",
+        "0x1.f9ba26a78081dp-1", "0x1.cd3c176247514p-1",
+    ),
+    ("m3", 151, 50): (
+        "8d3caf4ffa85e0a4fb371b5b60ebc534ff2dd3b2e9690c389687f5f85bf49692",
+        "0x1.633830ef5bb9bp-1", "0x1.bf303a182f9e6p-3",
+    ),
+    ("m4", 6_000, 4): (
+        "cf0e10ca452d5556125d4ea4cefc7f467d2514a0ae629b7d7cb1db7ba14ddebb",
+        "0x1.0caf4f0d844cep+0", "0x1.47c86e5cc8337p-7",
+    ),
+    ("m3", 6_000, 4): (
+        "36b52506dd455f114be8bace9d20958918b69642f85c2dc65921dc9dae491508",
+        "0x1.6e1edb45c4be4p-1", "0x1.645e2bb74f6f1p-8",
+    ),
+    ("m17", 6_000, 3): (
+        "c59dbf6f18df5efb3f76e384a0440695020c0f098594cb3817ef81825f155c6a",
+        "0x1.60fbd401845c9p+3", "0x1.897b0b2301401p-6",
+    ),
+}
+
+
+def _golden_survey(name, tmp_path, request):
+    """The survey file of a golden case and the arguments it takes: a shipped
+    survey at its designed p, or 17 values, three with no mass, at p = 0.3."""
+    if name == "m3":
+        return [str(request.getfixturevalue("survey_one_nonstig_m3"))]
+    if name == "m4":
+        return [str(request.getfixturevalue("survey_all_stig_m4"))]
+    weights = [0.0 if k % 5 == 2 else k + 1.0 for k in range(17)]
+    doc = {
+        "values": list(range(17)),
+        "stigmatizing": [True] * 17,
+        "pi": [w / sum(weights) for w in weights],
+    }
+    path = tmp_path / "m17.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return [str(path), "--p", "0.3"]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_STREAM), ids=lambda c: "-".join(map(str, c)))
+def test_simulate_reproduces_the_golden_v1_stream(case, tmp_path, capsys, request):
+    name, n, replicates = case
+    csv = tmp_path / "replicates.csv"
+    survey = _golden_survey(name, tmp_path, request)
+    argv = ["simulate", "--survey", *survey, "--n", str(n), "--replicates", str(replicates),
+            "--seed", str(GOLDEN_SEED), "--replicate-csv", str(csv)]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = (
+        hashlib.sha256(csv.read_bytes()).hexdigest(),
+        doc["mean_mu_hat"].hex(),
+        doc["var_mu_hat_empirical"].hex(),
+    )
+    assert got == GOLDEN_STREAM[case]
