@@ -1,8 +1,8 @@
 """Command-line front door: design, table, simulate, estimate, privacy, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation (including
-``RESOURCE_LIMIT``, a simulate run refused before it allocates), 3 I/O,
-4 internal error. Failures print a single JSON object
+``RESOURCE_LIMIT``, a simulate or privacy run refused before it allocates),
+3 I/O, 4 internal error. Failures print a single JSON object
 ``{"code": ..., "message": ...}`` on stderr; an internal error (``INTERNAL_ERROR``)
 adds the traceback. All commands are deterministic given their inputs and
 ``--seed``. ``simulate`` runs serially below ``simulation.POOL_MIN_N``
@@ -106,6 +106,8 @@ def _require_population(survey: SurveyDefinition):
 
 
 def cmd_design(args) -> int:
+    if args.survey is not None and (args.m is not None or args.xi is not None):
+        raise ValidationError("BAD_ARGS", "design takes --survey, or --m with --xi, not both")
     if args.survey is not None:
         survey = load_survey(args.survey)
         if survey.policy is None:

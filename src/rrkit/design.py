@@ -65,17 +65,7 @@ class DesignCertificate(_Record):
 
     _fields = ("p0", "mode", "xi", "m", "c", "t", "guarantee_statement")
     _defaults = {"c": None, "t": 0, "guarantee_statement": ""}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "mode": self.mode.value,
-            "xi": self.xi,
-            "c": self.c,
-            "m": self.m,
-            "t": self.t,
-            "guarantee_statement": self.guarantee_statement,
-        }
+    _json_fields = ("p0", "mode", "xi", "c", "m", "t", "guarantee_statement")
 
 
 def design_device(policy: PrivacyPolicy, support: SupportSpec) -> tuple[Device, DesignCertificate]:
@@ -117,12 +107,8 @@ class DesignTable(_Record):
     _fields = ("ms", "xis", "p0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "xi": list(self.xis),
-            "rows": [
-                {"m": m, "p0": list(row)} for m, row in zip(self.ms, self.p0)
-            ],
-        }
+        rows = [{"m": m, "p0": list(row)} for m, row in zip(self.ms, self.p0)]
+        return {"xi": list(self.xis), "rows": rows}
 
     def to_csv(self) -> str:
         header = "m," + ",".join(f"{xi:g}" for xi in self.xis)

@@ -29,6 +29,9 @@ import sys
 # off is rejected as bad data rather than silently rescaled.
 PI_SUM_BAND = 1e-9
 
+# simulate and privacy refuse, before they allocate, a run planned past this
+MEMORY_BUDGET_BYTES = 4 * 2**30
+
 
 class ValidationError(ValueError):
     """Invalid domain input, tagged with a stable machine-readable code."""
@@ -54,12 +57,16 @@ class _Record:
     when they are of the same class with equal field tuples, and hash as
     that tuple, so a record holding an ndarray stays unhashable. The repr is
     ``Name(field=value, ...)`` over the fields in order, less those named in
-    ``_repr_omits``.
+    ``_repr_omits``. The JSON document, ``to_json_dict``, holds the names in
+    ``_json_fields``, or else the fields, in order, each read by ``getattr``
+    so that a property can be listed: a tuple or list as a list, recursively,
+    an enum as its ``value``, a record as its own document.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
     _repr_omits: tuple[str, ...] = ()
+    _json_fields: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs):
         fields, name = self._fields, self.__class__.__qualname__
@@ -104,6 +111,25 @@ class _Record:
             f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._repr_omits
         )
         return f"{self.__class__.__qualname__}({fields})"
+
+    def to_json_dict(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in self._json_fields or self._fields}
+
+
+_JSON_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
+def _json_value(value):
+    """``value`` as a record's JSON document holds it; scalars, the commonest, come first."""
+    if type(value) in _JSON_SCALARS:
+        return value
+    if type(value) in (tuple, list):
+        return [v if type(v) in _JSON_SCALARS else _json_value(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, _Record):
+        return value.to_json_dict()
+    return value
 
 
 class PolicyMode(enum.Enum):
@@ -254,13 +280,6 @@ class SupportSpec(_Record):
 
         return np.asarray(self.values, dtype=float)
 
-    @property
-    def unweighted_mean(self) -> float:
-        """Plain average of the support values (independent of the population)."""
-        import numpy as np
-
-        return float(np.mean(self.values_array))
-
 
 class PopulationModel(_Record):
     """Population proportions over the support; a point on the probability simplex.
@@ -299,12 +318,6 @@ class PopulationModel(_Record):
         """Population mean of the sensitive variable under these proportions."""
         _require_same_m(support.m, self.m)
         return float(support.values_array @ self.pi_array)
-
-    def variance(self, support: SupportSpec) -> float:
-        """Population variance of the sensitive variable."""
-        _require_same_m(support.m, self.m)
-        mu = self.mean(support)
-        return float(((support.values_array - mu) ** 2) @ self.pi_array)
 
 
 def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
@@ -514,15 +527,6 @@ class EstimateReport(_Record):
             mu_hat=mu_hat, pi_hat_raw=pi_hat_raw, pi_hat_truncated=pi_hat_truncated,
             var_mu_plugin=var_mu_plugin, flags=flags,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu_hat": self.mu_hat,
-            "pi_hat_raw": list(self.pi_hat_raw),
-            "pi_hat_truncated": list(self.pi_hat_truncated),
-            "var_mu_plugin": self.var_mu_plugin,
-            "flags": list(self.flags),
-        }
 
 
 class SurveyDefinition(_Record):

@@ -24,9 +24,10 @@ same IEEE operations either way, so a population's measures have the same
 bits alone and in a batch. The core is lazy: it forms a row when the caller
 takes it, and the callers fold each row into their result before taking the
 next, so a batch holds one row of (K,) arrays at a time. Callers that keep
-the matrix take all its rows. The single measures reduce with the built-in
-max and min; the batch forms, :func:`alpha_values` and :func:`beta_values`,
-reduce with numpy's, in place.
+the matrix take all its rows through :func:`_matrix`, which first plans its
+memory. The single measures reduce with the built-in max and min; the batch
+forms, :func:`alpha_values` and :func:`beta_values`, reduce with numpy's, in
+place.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ import math
 from collections.abc import Iterable, Iterator
 
 from .model import (
+    MEMORY_BUDGET_BYTES,
     Device,
     PolicyMode,
     PopulationModel,
+    ValidationError,
     _index_set,
     _Record,
     _require_same_m,
@@ -47,6 +50,9 @@ from .model import (
 
 # relative slack when collecting tied argmax/argmin indices
 TIE_RTOL = 1e-12
+# a privacy command peaked at 155-161 bytes per posterior entry, its printed
+# JSON included (tracemalloc, m = 300 and 600, both modes); planned as 192
+BYTES_PER_POSTERIOR_ENTRY = 192
 
 
 class AlphaResult(_Record):
@@ -70,15 +76,12 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
     """
     import numpy as np
 
-    _require_same_m(device.m, population.m)
-    return np.array(tuple(_posterior(device, population.pi)))
+    return np.array(_matrix(device, population))
 
 
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
-    _require_same_m(device.m, population.m)
-    pi = population.pi
-    alpha, argmax, gaps = _alpha(device, pi, tuple(_posterior(device, pi)))
+    alpha, argmax, gaps = _alpha(device, population.pi, _matrix(device, population))
     return AlphaResult(alpha=alpha, argmax=argmax, gaps=_read_only(gaps))
 
 
@@ -87,8 +90,7 @@ def beta_measure(
 ) -> BetaResult:
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
     indices = _index_set(nonstigmatizing, device.m)
-    _require_same_m(device.m, population.m)
-    beta, argmin, mass = _beta(tuple(_posterior(device, population.pi)), indices)
+    beta, argmin, mass = _beta(_matrix(device, population), indices)
     return BetaResult(beta=beta, argmin=argmin, mass_by_response=_read_only(mass))
 
 
@@ -151,6 +153,20 @@ def _posterior(device: Device, pi, rows: tuple[int, ...] | None = None) -> Itera
         v = pi[i]
         forced = q * v
         yield tuple((forced + p * v if i == j else forced) / r for j, r in enumerate(responses))
+
+
+def _matrix(device: Device, population: PopulationModel) -> tuple[tuple[float, ...], ...]:
+    """One population's posterior matrix, refused with ``RESOURCE_LIMIT``
+    before a row is formed when it plans past ``MEMORY_BUDGET_BYTES``."""
+    _require_same_m(device.m, population.m)
+    planned = device.m**2 * BYTES_PER_POSTERIOR_ENTRY
+    if planned > MEMORY_BUDGET_BYTES:
+        raise ValidationError(
+            "RESOURCE_LIMIT",
+            f"the posterior over m={device.m} values plans {planned} bytes, over the "
+            f"{MEMORY_BUDGET_BYTES}-byte budget",
+        )
+    return tuple(_posterior(device, population.pi))
 
 
 def _mass(rows: Iterable[tuple]) -> tuple:
@@ -259,20 +275,9 @@ class PrivacyReport(_Record):
         "mode", "p", "posterior", "guaranteed_bound", "alpha", "alpha_argmax", "beta", "beta_argmin"
     )
     _defaults = dict.fromkeys(("alpha", "alpha_argmax", "beta", "beta_argmin"))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "p": self.p,
-            "alpha": self.alpha,
-            "alpha_argmax": None
-            if self.alpha_argmax is None
-            else [list(pair) for pair in self.alpha_argmax],
-            "beta": self.beta,
-            "beta_argmin": None if self.beta_argmin is None else list(self.beta_argmin),
-            "posterior": [list(row) for row in self.posterior],
-            "guaranteed_bound": self.guaranteed_bound,
-        }
+    _json_fields = (
+        "mode", "p", "alpha", "alpha_argmax", "beta", "beta_argmin", "posterior", "guaranteed_bound"
+    )
 
 
 def privacy_report(
@@ -288,8 +293,7 @@ def privacy_report(
     In subset mode the bound needs the prior mass floor ``c``; without it the
     bound is reported as None.
     """
-    _require_same_m(device.m, population.m)
-    posterior = tuple(_posterior(device, population.pi))
+    posterior = _matrix(device, population)
     if mode is PolicyMode.ALL_STIGMATIZING:
         alpha, argmax, _ = _alpha(device, population.pi, posterior)
         return PrivacyReport(

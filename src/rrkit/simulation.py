@@ -78,7 +78,8 @@ worker, and each block is drawn through a generator of its own.
 
 Before anything is allocated, a run is refused with ``RESOURCE_LIMIT`` when
 its per-worker block, seed chunk and count cells, its jump table, plus its
-per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``.
+per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``, the budget
+that :mod:`rrkit.model` sets for every command.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ import numpy as np
 
 from . import estimation
 from .model import (
+    MEMORY_BUDGET_BYTES,
     Device,
     PopulationModel,
     ResponseSample,
@@ -179,7 +181,6 @@ CUTS_MAX_M = 16
 # its record, about 240 at m = 3, planned as 512, plus its counts tuple: 8
 # bytes per count up to 256 (Python's shared small ints) and 40 above it,
 # where every count is an int object of its own, planned as 48.
-MEMORY_BUDGET_BYTES = 4 * 2**30
 BYTES_PER_RESPONDENT = 48
 BYTES_PER_JUMP_RESPONDENT = 32
 BYTES_PER_JUMP_TABLE_RESPONDENT = 17 * 8 * 8
@@ -941,7 +942,7 @@ class ReplicateRecord(_Record):
 
 class SimulationSummary(_Record):
     """Run-level results; ``records`` is populated only when per-replicate
-    detail was requested, and is left out of the repr."""
+    detail was requested, and is left out of the repr and the JSON document."""
 
     _fields = (
         "n", "replicates", "seed", "mu_x", "mean_mu_hat", "var_mu_hat_empirical",
@@ -949,19 +950,7 @@ class SimulationSummary(_Record):
     )
     _defaults = {"records": ()}
     _repr_omits = ("records",)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "mu_x": self.mu_x,
-            "mean_mu_hat": self.mean_mu_hat,
-            "var_mu_hat_empirical": self.var_mu_hat_empirical,
-            "var_mu_theoretical": self.var_mu_theoretical,
-            "variance_ratio": self.variance_ratio,
-            "mc_se_mean": self.mc_se_mean,
-        }
+    _json_fields = _fields[:-1]
 
 
 def run_replicates(config: SimulationConfig, keep_replicates: bool = False) -> SimulationSummary:

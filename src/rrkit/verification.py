@@ -35,24 +35,16 @@ class CheckResult(_Record):
 
     _fields = ("name", "passed", "detail")
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), "detail": self.detail}
-
 
 class VerificationReport(_Record):
     """The outcomes of every self-check, in suite order."""
 
     _fields = ("checks",)
+    _json_fields = ("passed", "checks")
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 def _unit_support(m: int, offset: float = 0.0) -> SupportSpec:
@@ -248,5 +240,6 @@ def run_verification(grid_step: float = 0.05) -> VerificationReport:
             raise
         except Exception as exc:  # noqa: BLE001 - any crash means the check failed
             passed, detail = False, f"check raised {exc!r}"
-        checks.append(CheckResult(name=name, passed=passed, detail=detail))
+        # a check may answer with numpy's bool; the record keeps Python's
+        checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return VerificationReport(checks=tuple(checks))

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from rrkit import Device, PopulationModel, SupportSpec
@@ -8,6 +9,15 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SURVEY_DIR = REPO_ROOT / "surveys"
 
 ACCEPTANCE_KEY = pytest.StashKey[list]()
+
+
+def variance_and_unweighted_mean(population, support):
+    """The population variance of the sensitive variable, and the plain
+    average of the support values: the two terms that the sign-flipped
+    variance formula of the tests needs besides the mean."""
+    x = support.values_array
+    mu = population.mean(support)
+    return float(((x - mu) ** 2) @ population.pi_array), float(np.mean(x))
 
 
 def pytest_configure(config):

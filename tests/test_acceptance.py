@@ -28,6 +28,8 @@ from rrkit import (
 )
 from rrkit.cli import main as cli_main
 
+from conftest import variance_and_unweighted_mean
+
 CANONICAL_TABLE_CSV = (
     "m,0.1,0.2,0.3,0.4\n"
     "3,0.1413,0.2941,0.4494,0.5970\n"
@@ -132,8 +134,7 @@ def test_criterion_04_mean_variance_oracle_equivalence(verdict):
 
     # the sign-flipped final term (a transcription hazard) must fail detectably
     p, mu = device.p, population.mean(support)
-    sigma2 = population.variance(support)
-    xbar = support.unweighted_mean
+    sigma2, xbar = variance_and_unweighted_mean(population, support)
     spread = float(np.mean((support.values_array - xbar) ** 2))
     wrong = (p * sigma2 + (1 - p) * spread + p * (p - 1) * (mu - xbar) ** 2) / (n * p * p)
     correct = estimation.variance_mean_theoretical(device, support, population, n)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,8 +22,11 @@ from hypothesis import strategies as st
 
 import rrkit.cli as cli
 import rrkit.estimation as estimation
+import rrkit.privacy as privacy
 import rrkit.simulation as simulation
 from rrkit.cli import main
+
+from conftest import SURVEY_DIR, variance_and_unweighted_mean
 
 CANONICAL_CSV = (
     "m,0.1,0.2,0.3,0.4\n"
@@ -204,6 +208,17 @@ def test_a_designed_p0_that_rounds_to_0_or_1_is_xi_out_of_range(capsys, tmp_path
 def test_design_without_inputs(capsys):
     code, _, err = run(capsys, "design")
     assert code == 2
+    assert stderr_code(err) == "BAD_ARGS"
+
+
+@pytest.mark.parametrize(
+    "flags", [("--m", "10"), ("--xi", "0.3"), ("--m", "10", "--xi", "0.3")],
+    ids=["m", "xi", "m-and-xi"],
+)
+def test_design_refuses_a_survey_together_with_m_or_xi(capsys, survey_one_nonstig_m3, flags):
+    # these once printed the survey's m = 3 certificate and dropped the flags
+    code, out, err = run(capsys, "design", "--survey", str(survey_one_nonstig_m3), *flags)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
     assert stderr_code(err) == "BAD_ARGS"
 
 
@@ -673,6 +688,26 @@ def test_simulate_on_a_support_too_wide_for_its_variance_is_refused(capsys, tmp_
     assert "scale" in doc["message"] and "p is too close" not in doc["message"]
 
 
+@pytest.mark.parametrize("subset", [False, True], ids=["alpha", "beta"])
+def test_privacy_over_memory_budget_is_refused_before_allocating(
+    capsys, tmp_path, monkeypatch, subset
+):
+    # a budget of exactly a 10 x 10 posterior: m = 10 runs, m = 11 is refused
+    monkeypatch.setattr(privacy, "MEMORY_BUDGET_BYTES", 10**2 * privacy.BYTES_PER_POSTERIOR_ENTRY)
+
+    def survey(m):
+        return write_json(tmp_path / f"m{m}.json", {
+            "values": list(range(m)),
+            "stigmatizing": [not subset or i > 0 for i in range(m)],
+            "pi": [1 / m] * m,
+        })
+
+    code, out, err = run(capsys, "privacy", "--survey", survey(10), "--p", "0.3")
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, "privacy", "--survey", survey(11), "--p", "0.3")
+    assert (code, out, stderr_code(err)) == (cli.EXIT_VALIDATION, "", "RESOURCE_LIMIT")
+
+
 def test_privacy_bad_p(capsys, survey_m2):
     code, _, err = run(capsys, "privacy", "--survey", survey_m2, "--p", "1.5")
     assert code == 2
@@ -696,6 +731,71 @@ def test_verify_json_format(capsys):
     assert json.loads(out)["passed"] is True
 
 
+GOLDEN_M4 = str(SURVEY_DIR / "all_stigmatizing_m4.json")
+GOLDEN_M3 = str(SURVEY_DIR / "one_nonstigmatizing_m3.json")
+
+# SHA-256 of stdout. These commands compute on Python floats and never load
+# numpy, so their bits do not depend on the numpy or BLAS build.
+GOLDEN_STDOUT = {
+    ("design", "--m", "4", "--xi", "0.1"):
+        "276a227a0e2794a03ea8e98f518bffd10cd14f13687068de5b0b6cdbc4d7aff4",
+    ("design", "--survey", GOLDEN_M4):
+        "276a227a0e2794a03ea8e98f518bffd10cd14f13687068de5b0b6cdbc4d7aff4",
+    ("design", "--survey", GOLDEN_M3):
+        "a20d42c874f1c52c01df3e2b048f6b25a441d85e815425681b4e4264026324c5",
+    ("table",):
+        "6ac74af7b4014d12438485ed9c55dc6be1652447ca9a8f5ef62d539d27d879f9",
+    ("table", "--format", "json"):
+        "0d359959a90c74741b8ba82750a1b283b44c0fd9eef6e9b488619e4848c16c61",
+    ("table", "--m", "2,3,17", "--xi", "0.05,0.3"):
+        "b948e4ada3ae5bfcaa35a378c3845fa5f35b08e88c106d3249aaf07670d235ed",
+    ("privacy", "--survey", GOLDEN_M4):
+        "7d2cd9b13f1d482aaf95361d6935eaccb46dee9c4cef16eb399359f5e207c832",
+    ("privacy", "--survey", GOLDEN_M3):
+        "81ff9fa52a625b3d5cf97a62d8be1a7c4b600c9eafcd64064b42e561de9826fd",
+    ("privacy", "--survey", GOLDEN_M4, "--p", "0.3"):
+        "f9836e146ec2b2a3055ab7c054b77c881e5252bdbda9921065584a870df3d33d",
+    ("privacy", "--survey", GOLDEN_M3, "--p", "1e-4"):
+        "f4d7b4b58206e67f9e14cf8a1df0c62db13428fc2ff48703a1937d77981d7610",
+    ("estimate", "--survey", GOLDEN_M4, "--counts", "[30, 25, 25, 20]"):
+        "8d55ae29802020369c3074cde7725891de69fd913bb6c3ff1a41e7c3cbd8d2f7",
+    ("estimate", "--survey", GOLDEN_M3, "--counts", "[50, 30, 20]", "--p", "0.3"):
+        "d71c49ccd40cd82c3562ecc33056f7d6a68e68ba2ea0f2773273aa40c36c0d2b",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT.items(),
+    ids=[" ".join(a.replace(str(SURVEY_DIR) + os.sep, "") for a in argv) for argv in GOLDEN_STDOUT],
+)
+def test_command_stdout_is_pinned_byte_for_byte(capsys, tmp_path, argv, digest):
+    # a JSON array after --counts is the content of the counts file
+    argv = list(argv)
+    if "--counts" in argv:
+        at = argv.index("--counts") + 1
+        argv[at] = write_json(tmp_path / "counts.json", json.loads(argv[at]))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_and_verify_documents_keep_their_key_order(capsys):
+    # their values go through BLAS dots, so only the layout is pinned
+    code, out, _ = run(
+        capsys, "simulate", "--survey", GOLDEN_M4, "--n", "10", "--replicates", "20", "--seed", "5"
+    )
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "n", "replicates", "seed", "mu_x", "mean_mu_hat", "var_mu_hat_empirical",
+        "var_mu_theoretical", "variance_ratio", "mc_se_mean", "p",
+    ]
+    code, out, _ = run(capsys, "verify", "--grid-step", "0.25", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["passed", "checks"]
+    assert [list(check) for check in doc["checks"]] == [["name", "passed", "detail"]] * 8
+
+
 def test_verify_bad_grid_step(capsys):
     code, _, err = run(capsys, "verify", "--grid-step", "0.07")
     assert code == 2
@@ -717,8 +817,7 @@ def test_verify_detects_corrupted_build(capsys, monkeypatch):
         p = device.p
         x = support.values_array
         mu = population.mean(support)
-        sigma2 = population.variance(support)
-        xbar = support.unweighted_mean
+        sigma2, xbar = variance_and_unweighted_mean(population, support)
         spread = float(np.mean((x - xbar) ** 2))
         return (p * sigma2 + (1 - p) * spread + p * (p - 1) * (mu - xbar) ** 2) / (n * p * p)
 

@@ -35,6 +35,8 @@ from rrkit.oracle import (
 )
 from rrkit.simulation import SEED_CHUNK
 
+from conftest import variance_and_unweighted_mean
+
 
 def test_raw_proportions_by_hand(device_half2):
     raw, truncated = estimate_proportions(ResponseSample(counts=(40, 60)), device_half2)
@@ -198,8 +200,7 @@ def test_variance_mean_wrong_final_sign_is_detectably_wrong(device_half2, suppor
     p, n = 0.5, 100
     x = support2.values_array
     mu = pop2.mean(support2)
-    sigma2 = pop2.variance(support2)
-    xbar = support2.unweighted_mean
+    sigma2, xbar = variance_and_unweighted_mean(pop2, support2)
     spread = float(np.mean((x - xbar) ** 2))
     wrong = (p * sigma2 + (1 - p) * spread + p * (p - 1) * (mu - xbar) ** 2) / (n * p * p)
     assert wrong == pytest.approx(0.0088, abs=1e-15)

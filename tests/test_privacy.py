@@ -318,6 +318,31 @@ class TestReports:
         assert e.value.code == "BAD_NONSTIG_SET"
 
 
+ONE_POPULATION_FORMS = {
+    "revealing_probabilities": lambda device, pop: revealing_probabilities(device, pop),
+    "alpha_measure": lambda device, pop: alpha_measure(device, pop),
+    "beta_measure": lambda device, pop: beta_measure(device, pop, (0,)),
+    "privacy_report": lambda device, pop: privacy_report(device, pop, PolicyMode.ALL_STIGMATIZING),
+}
+
+
+@pytest.mark.parametrize("form", ONE_POPULATION_FORMS.values(), ids=ONE_POPULATION_FORMS)
+def test_a_posterior_planned_past_the_memory_budget_is_refused_before_a_row_forms(
+    monkeypatch, form
+):
+    # a budget of exactly a 10 x 10 posterior: m = 10 runs, m = 11 is refused
+    monkeypatch.setattr(privacy, "MEMORY_BUDGET_BYTES", 10**2 * privacy.BYTES_PER_POSTERIOR_ENTRY)
+    original, rows = privacy._posterior, []
+    monkeypatch.setattr(privacy, "_posterior", lambda *a: rows.append(a) or original(*a))
+    form(Device(p=0.3, m=10), PopulationModel(pi=(0.1,) * 10))
+    rows.clear()
+    with pytest.raises(ValidationError) as e:
+        form(Device(p=0.3, m=11), PopulationModel(pi=(1 / 11,) * 11))
+    assert e.value.code == "RESOURCE_LIMIT" and rows == []
+    # the batch forms hold one row at a time and plan nothing
+    assert alpha_values(Device(p=0.3, m=11), [(1 / 11,) * 11]).shape == (1,)
+
+
 # --- batch forms ----------------------------------------------------------------
 
 

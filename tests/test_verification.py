@@ -13,6 +13,8 @@ import rrkit.oracle as oracle
 import rrkit.privacy as privacy
 from rrkit.verification import run_verification
 
+from conftest import variance_and_unweighted_mean
+
 EXPECTED_CHECKS = {
     "posterior_matches_oracle",
     "alpha_matches_oracle",
@@ -48,8 +50,7 @@ def test_sign_flipped_mean_variance_fails_verification(monkeypatch):
         p = device.p
         x = support.values_array
         mu = population.mean(support)
-        sigma2 = population.variance(support)
-        xbar = support.unweighted_mean
+        sigma2, xbar = variance_and_unweighted_mean(population, support)
         spread = float(np.mean((x - xbar) ** 2))
         return (p * sigma2 + (1 - p) * spread + p * (p - 1) * (mu - xbar) ** 2) / (n * p * p)
 
