@@ -5,7 +5,9 @@ input. The rules that draw from these types, the truth by inverse CDF and
 the response by the device's card, are :mod:`rrkit.simulation`'s.
 
 Every type validates its invariants at construction and is immutable
-afterwards, so instances can be shared freely across threads. Validation
+afterwards, so instances can be shared freely across threads. An array that
+a record holds, or that a cache hands out, is made by :func:`_frozen`, so
+that no view of it can be made writeable either. Validation
 failures raise :class:`ValidationError` carrying a stable machine-readable
 ``code`` that the CLI maps onto structured error output.
 
@@ -39,6 +41,25 @@ class ValidationError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as an array over an immutable buffer: neither it nor any view
+    of it can be made writeable. Every array that rrkit shares through a cache
+    or stores in a record is made here."""
+    import numpy as np
+
+    array = np.asarray(values)
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
+def _check_budget(planned: int, budget: int, plan: str, advice: str = "") -> None:
+    """Refuse with ``RESOURCE_LIMIT`` a ``plan`` of ``planned`` bytes over
+    ``budget``, the ``MEMORY_BUDGET_BYTES`` that the caller's module reads."""
+    if planned > budget:
+        raise ValidationError(
+            "RESOURCE_LIMIT", f"{plan} {planned} bytes, over the {budget}-byte budget{advice}"
+        )
 
 
 class _Record:
@@ -141,8 +162,8 @@ class PolicyMode(enum.Enum):
 
 def _as_finite_float(value, code: str, what: str) -> float:
     """A finite real number as a Python float. Any ``numbers.Real`` is
-    accepted, numpy's floats and integers included; a bool and a string are
-    not."""
+    accepted, numpy's floats and integers included; a bool, numpy's bool and a
+    string are not."""
     # a plain float or int skips the ABC check, as in _as_int
     real = type(value) in (float, int) or (
         not isinstance(value, bool) and isinstance(value, numbers.Real)
@@ -325,21 +346,28 @@ def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
     rules of :class:`PopulationModel`, and the sums that renormalize them the
     same way.
 
-    Every row must be finite and non-negative, with at least two entries
-    summing to 1 within ``PI_SUM_BAND``; the first row that breaks a rule is
-    named in the ``BAD_PI`` error. Returns the rows as a float array, not
-    yet renormalized, and their sums.
+    Every entry must be a number under ``_as_finite_float``, which names the
+    first that is not, and every row finite and non-negative, with at least
+    two entries summing to 1 within ``PI_SUM_BAND``; the first row that breaks
+    one of those rules is named in the ``BAD_PI`` error. Returns the rows as
+    a float array, not yet renormalized, and their sums.
     """
     import numpy as np
 
+    # an int or float array holds only numbers and is cast whole; any other
+    # input goes entry by entry, so that a bool or a string is refused
+    numeric = isinstance(pis, np.ndarray) and pis.dtype.kind in "fiu"
     try:
-        rows = np.asarray(pis, dtype=float)
+        rows = pis if numeric else np.array(pis, dtype=object)
     except (TypeError, ValueError):
         raise ValidationError("BAD_PI", "population rows are not a numeric array") from None
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise ValidationError(
             "BAD_PI", f"population rows need shape (K, m) with m >= 2, got {rows.shape}"
         )
+    rows = rows.astype(float, copy=False) if numeric else np.reshape(
+        [_as_finite_float(v, "BAD_PI", "probability") for v in rows.flat], rows.shape
+    )
     if not np.isfinite(rows).all():
         row = int(np.argmax(~np.isfinite(rows).all(axis=1)))
         raise ValidationError("BAD_PI", f"row {row} has a non-finite proportion")

@@ -24,6 +24,7 @@ from .model import (
     PopulationModel,
     ValidationError,
     _as_finite_float,
+    _frozen,
     _Record,
     _require_same_m,
     _sample_size,
@@ -177,7 +178,8 @@ def enumeration_moments(
 
 
 class GridSearchResult(_Record):
-    """Best value found, the population attaining it, and how many points were tried."""
+    """Best value found, the population attaining it (a frozen array), and how
+    many points were tried."""
 
     _fields = ("value", "witness", "points_evaluated")
 
@@ -242,11 +244,9 @@ def _block_rows(m: int) -> int:
 def _lattice(k: int, m: int, rows: int) -> np.ndarray:
     """The whole lattice of step 1/k, one point per column of an (m, K)
     array, for a lattice of at most ``rows`` points. It is shared by every
-    call, so it lies over an immutable buffer: no view of it can be made
-    writeable. ``rows`` is part of the key, so a lattice built at one block
-    size is never served at another."""
-    points = _count_vectors(k, m, 0, k) / k
-    return np.frombuffer(points.tobytes(), dtype=float).reshape(points.shape)
+    call, so it is frozen. ``rows`` is part of the key, so a lattice built at
+    one block size is never served at another."""
+    return _frozen(_count_vectors(k, m, 0, k) / k)
 
 
 def _point_blocks(k: int, m: int) -> Iterator[np.ndarray]:
@@ -257,17 +257,6 @@ def _point_blocks(k: int, m: int) -> Iterator[np.ndarray]:
         return iter((_lattice(k, m, rows),))
     # map, unlike a generator expression, lets each count block go once divided
     return map(lambda counts: counts / k, _count_blocks(k, m, rows))
-
-
-def simplex_grid_points(m: int, step: float) -> np.ndarray:
-    """Lattice points on the probability simplex with spacing ``step``, as the
-    rows of a (K, m) array in the order of ``enumerate_count_vectors``.
-
-    ``step`` must divide 1 into a whole number of parts (0.05 -> 20 parts),
-    and the lattice may hold at most ``MAX_GRID_POINTS`` points.
-    """
-    k = grid_divisions(m, step)
-    return np.concatenate(list(_point_blocks(k, m)), axis=1).T.copy()
 
 
 def simplex_grid_search(
@@ -329,7 +318,7 @@ def simplex_grid_search(
         i = int(np.argmax(sign * values))
         if best is None or sign * values[i] > sign * best:
             best = float(values[i])
-            best_point = points[i].copy()
+            best_point = _frozen(points[i])
     if best is None or best_point is None:
         raise ValidationError("BAD_GRID", "no grid point satisfied the mass constraint")
     return GridSearchResult(value=best, witness=best_point, points_evaluated=evaluated)

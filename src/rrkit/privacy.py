@@ -40,7 +40,8 @@ from .model import (
     Device,
     PolicyMode,
     PopulationModel,
-    ValidationError,
+    _check_budget,
+    _frozen,
     _index_set,
     _Record,
     _require_same_m,
@@ -82,7 +83,7 @@ def revealing_probabilities(device: Device, population: PopulationModel) -> np.n
 def alpha_measure(device: Device, population: PopulationModel) -> AlphaResult:
     """Worst-case absolute prior/posterior gap over all (true value, response) pairs."""
     alpha, argmax, gaps = _alpha(device, population.pi, _matrix(device, population))
-    return AlphaResult(alpha=alpha, argmax=argmax, gaps=_read_only(gaps))
+    return AlphaResult(alpha=alpha, argmax=argmax, gaps=_frozen(gaps))
 
 
 def beta_measure(
@@ -91,7 +92,7 @@ def beta_measure(
     """Minimum over responses of the posterior mass on the non-stigmatizing values."""
     indices = _index_set(nonstigmatizing, device.m)
     beta, argmin, mass = _beta(_matrix(device, population), indices)
-    return BetaResult(beta=beta, argmin=argmin, mass_by_response=_read_only(mass))
+    return BetaResult(beta=beta, argmin=argmin, mass_by_response=_frozen(mass))
 
 
 def alpha_values(device: Device, pis) -> np.ndarray:
@@ -126,15 +127,6 @@ def beta_values(device: Device, pis, nonstigmatizing: tuple[int, ...]) -> np.nda
     return _fold(np.minimum, _mass(_posterior(device, columns, indices)))
 
 
-def _read_only(values) -> np.ndarray:
-    """A float array of ``values`` that cannot be written."""
-    import numpy as np
-
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 # --- the core: one population on floats, or a batch on (K,) arrays -------------
 
 
@@ -160,12 +152,7 @@ def _matrix(device: Device, population: PopulationModel) -> tuple[tuple[float, .
     before a row is formed when it plans past ``MEMORY_BUDGET_BYTES``."""
     _require_same_m(device.m, population.m)
     planned = device.m**2 * BYTES_PER_POSTERIOR_ENTRY
-    if planned > MEMORY_BUDGET_BYTES:
-        raise ValidationError(
-            "RESOURCE_LIMIT",
-            f"the posterior over m={device.m} values plans {planned} bytes, over the "
-            f"{MEMORY_BUDGET_BYTES}-byte budget",
-        )
+    _check_budget(planned, MEMORY_BUDGET_BYTES, f"the posterior over m={device.m} values plans")
     return tuple(_posterior(device, population.pi))
 
 

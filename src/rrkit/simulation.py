@@ -100,6 +100,8 @@ from .model import (
     SupportSpec,
     ValidationError,
     _as_int,
+    _check_budget,
+    _frozen,
     _Record,
     _require_finite,
     _require_same_m,
@@ -279,14 +281,8 @@ def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates
 def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
     """Refuse a run whose planned memory exceeds ``MEMORY_BUDGET_BYTES``."""
     planned = planned_bytes(n, m, replicates, workers, keep_replicates)
-    if planned > MEMORY_BUDGET_BYTES:
-        raise ValidationError(
-            "RESOURCE_LIMIT",
-            f"n={n} respondents over m={m} values on {workers} worker(s) and "
-            f"{replicates} replicates plan "
-            f"{planned} bytes, over the {MEMORY_BUDGET_BYTES}-byte budget; "
-            f"lower --n, --replicates or {THREADS_ENV_VAR}",
-        )
+    plan = f"n={n} respondents over m={m} values on {workers} worker(s) and {replicates} replicates plan"
+    _check_budget(planned, MEMORY_BUDGET_BYTES, plan, f"; lower --n, --replicates or {THREADS_ENV_VAR}")
 
 
 class SimulationConfig(_Record):
@@ -323,8 +319,8 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
 @functools.lru_cache(maxsize=16)
 def cdf(population: PopulationModel) -> np.ndarray:
     """Cumulative proportions of a population; computed once per population
-    value, read-only."""
-    return _read_only(np.cumsum(population.pi_array))
+    value, frozen."""
+    return _frozen(np.cumsum(population.pi_array))
 
 
 @functools.lru_cache(maxsize=16)
@@ -332,12 +328,12 @@ def _search_levels(population: PopulationModel) -> tuple[np.ndarray, ...]:
     """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
     2**k >= m, split into the k levels of a binary search over it: the
     level of step s holds the entries s-1, 3s-1, 5s-1, ... Computed once per
-    population value, read-only."""
+    population value, frozen."""
     m = population.m
     k = (m - 1).bit_length()
     table = np.full(2**k - 1, np.inf)
     table[: m - 1] = cdf(population)[:-1]
-    return tuple(_read_only(table[2**j - 1::2 ** (j + 1)].copy()) for j in reversed(range(k)))
+    return tuple(_frozen(table[2**j - 1::2 ** (j + 1)]) for j in reversed(range(k)))
 
 
 def inverse_cdf(
@@ -501,16 +497,11 @@ def simulate_survey(config: SimulationConfig, replicate: int) -> ResponseSample:
 
 def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
     """The next ``count + 1`` values of a SeedSequence hash constant, as a
-    read-only uint32 column."""
+    frozen uint32 column."""
     out = [const]
     for _ in range(count):
         out.append(out[-1] * mult & _MASK32)
-    return _read_only(np.array(out, dtype=np.uint32)[:, None])
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    return _frozen(np.array(out, dtype=np.uint32)[:, None])
 
 
 # generate_state(4, uint64) hashes pool words 0, 1, 2, 3, 0, 1, 2, 3 in turn
@@ -557,7 +548,7 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     scaled = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)
-    return _read_only(scaled[:, None]), _hash_constants(const, _MULT_A, _POOL_SIZE)
+    return _frozen(scaled[:, None]), _hash_constants(const, _MULT_A, _POOL_SIZE)
 
 
 def replicate_words(seed: int, start: int, stop: int) -> np.ndarray:
@@ -653,7 +644,8 @@ def _jump_table(n: int) -> np.ndarray:
     table = np.empty((17, 4, 2 * n))
     for row, (w, p) in zip(table, rows):
         row[...] = np.ascontiguousarray(limbs[w, :, 8 - p : 16 - p]).view("<u4").T
-    return _read_only(table.reshape(17, 8 * n))
+    del coeffs, raw, limbs  # freed before the frozen copy: the build peaks at two tables
+    return _frozen(table.reshape(17, 8 * n))
 
 
 def _jump_limbs(words: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from rrkit import Device, PopulationModel, SupportSpec
+from rrkit import Device, PopulationModel, SupportSpec, oracle
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SURVEY_DIR = REPO_ROOT / "surveys"
@@ -18,6 +18,15 @@ def variance_and_unweighted_mean(population, support):
     x = support.values_array
     mu = population.mean(support)
     return float(((x - mu) ** 2) @ population.pi_array), float(np.mean(x))
+
+
+def simplex_grid_points(m, step):
+    """Lattice points on the probability simplex with spacing ``step``, as the
+    rows of a (K, m) array in the order of ``enumerate_count_vectors``: the
+    points that ``oracle.simplex_grid_search`` visits, built the way it
+    builds them. ``step`` is refused as the search refuses it."""
+    k = oracle.grid_divisions(m, step)
+    return np.concatenate(list(oracle._point_blocks(k, m)), axis=1).T.copy()
 
 
 def pytest_configure(config):

@@ -28,7 +28,7 @@ from rrkit import (
 )
 from rrkit.cli import main as cli_main
 
-from conftest import variance_and_unweighted_mean
+from conftest import simplex_grid_points, variance_and_unweighted_mean
 
 CANONICAL_TABLE_CSV = (
     "m,0.1,0.2,0.3,0.4\n"
@@ -56,7 +56,7 @@ def _unit_support(m: int) -> SupportSpec:
 def _grid_cases():
     for m in GRID_MS:
         support = _unit_support(m)
-        points = list(oracle.simplex_grid_points(m, GRID_STEP))
+        points = list(simplex_grid_points(m, GRID_STEP))
         for p in GRID_PS:
             device = Device(p=p, m=m)
             for point in points:

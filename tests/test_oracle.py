@@ -25,9 +25,10 @@ from rrkit.oracle import (
     grid_divisions,
     multinomial_variance_oracle,
     response_distribution_oracle,
-    simplex_grid_points,
     simplex_grid_search,
 )
+
+from conftest import simplex_grid_points
 
 
 def test_count_vectors_are_the_full_stars_and_bars_set():

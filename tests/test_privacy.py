@@ -1,6 +1,8 @@
 """Privacy measures, posteriors, and the guaranteed worst-case bounds."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from rrkit.design import p0_all_stigmatizing, p0_nonstigmatizing
 from rrkit.oracle import (
     adversarial_alpha_population,
     adversarial_beta_population,
-    simplex_grid_points,
     simplex_grid_search,
 )
 from rrkit.privacy import (
@@ -26,6 +27,8 @@ from rrkit.privacy import (
     privacy_report,
     revealing_probabilities,
 )
+
+from conftest import simplex_grid_points
 
 
 class TestPosterior:
@@ -390,6 +393,53 @@ class TestBatchForms:
         with pytest.raises(ValidationError) as e:
             beta_values(device, [[0.2, 0.3, 0.5]], (0, 1, 2))
         assert e.value.code == "BAD_NONSTIG_SET"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0.5, 0.5),
+            (1, 0),
+            (np.float32(0.25), 0.75),
+            (np.int64(1), 0),
+            (Fraction(1, 4), Fraction(3, 4)),
+            (0.5, 0.5 + 5e-10),
+            ("0.5", "0.5"),
+            (True, False),
+            (np.True_, np.False_),
+            (1.0, False),
+            (Decimal("0.5"), Decimal("0.5")),
+            (0.5 + 0j, 0.5),
+            (None, 1.0),
+            pytest.param((10**400, 0), id="(10**400, 0)"),
+            (np.nan, 1.0),
+            (-0.5, 1.5),
+            (0.3, 0.3),
+        ],
+        ids=repr,
+    )
+    def test_batch_forms_accept_and_refuse_the_rows_that_populations_do(self, row):
+        device = Device(p=0.3, m=2)
+        try:
+            population = PopulationModel(pi=row)
+        except ValidationError as e:
+            assert e.code == "BAD_PI"
+            population = None
+        batches = [[list(row)], [row], np.array([row], dtype=object)]
+        if len({type(v) for v in row}) == 1:
+            batches.append(np.array([row]))  # a bool, string or float array as numpy types it
+        for batch in batches:
+            if population is None:
+                with pytest.raises(ValidationError) as e:
+                    alpha_values(device, batch)
+                assert e.value.code == "BAD_PI"
+                with pytest.raises(ValidationError) as e:
+                    beta_values(device, batch, (0,))
+                assert e.value.code == "BAD_PI"
+            else:
+                assert alpha_values(device, batch).tolist() == [alpha_measure(device, population).alpha]
+                assert beta_values(device, batch, (0,)).tolist() == [
+                    beta_measure(device, population, (0,)).beta
+                ]
 
     def test_single_results_stay_read_only(self):
         device, pop = Device(p=0.3, m=3), PopulationModel(pi=(0.2, 0.3, 0.5))

@@ -18,8 +18,8 @@ from rrkit.model import (
     _Record,
 )
 from rrkit.oracle import GridSearchResult
-from rrkit.privacy import AlphaResult, BetaResult, PrivacyReport
-from rrkit import simulation
+from rrkit.privacy import AlphaResult, BetaResult, PrivacyReport, alpha_measure, beta_measure
+from rrkit import oracle, simulation
 from rrkit.simulation import ReplicateRecord, SimulationConfig, SimulationSummary
 from rrkit.verification import CheckResult, VerificationReport
 
@@ -294,3 +294,46 @@ def test_draw_tables_are_read_only_cached_per_value_and_built_once_per_run(monke
         config = SimulationConfig(SUPPORT, POPULATION, Device(0.4, 3), n, replicates, 5)
         simulation.run_replicates(config)
         assert [table.cache_info().misses for table in tables] == [1, 1, int(n == 6_000)]
+
+
+# every array that a cache shares or a record holds, as a thunk giving its arrays
+FROZEN = {
+    "simulation.cdf": lambda: [simulation.cdf(POPULATION)],
+    "simulation._search_levels": lambda: list(simulation._search_levels(PopulationModel((0.2,) * 5))),
+    "simulation._hash_constants": lambda: [simulation._hash_constants(7, 3, 4)],
+    "simulation._STATE_CONSTANTS": lambda: [simulation._STATE_CONSTANTS],
+    "simulation._seed_pool": lambda: list(simulation._seed_pool(5)),
+    "simulation._jump_table": lambda: [simulation._jump_table(3)],
+    "privacy.alpha_measure.gaps": lambda: [alpha_measure(Device(0.3, 3), POPULATION).gaps],
+    "privacy.beta_measure.mass_by_response": lambda: [
+        beta_measure(Device(0.3, 3), POPULATION, (1,)).mass_by_response
+    ],
+    "oracle._lattice": lambda: [oracle._lattice(20, 3, oracle._block_rows(3))],
+    "oracle.simplex_grid_search.witness": lambda: [
+        oracle.simplex_grid_search(lambda points: points[:, 1], 3, 0.25).witness
+    ],
+}
+
+
+@pytest.mark.parametrize("source", FROZEN)
+def test_no_shared_or_stored_array_can_be_made_writeable(source):
+    """The freeze rule: neither the array nor anything it is a view of can be
+    written or have its flag set back, so a later lookup reads the same values."""
+    arrays = FROZEN[source]()
+    values = [array.copy() for array in arrays]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        base = array.base
+        assert base is not None
+        while isinstance(base, np.ndarray):
+            with pytest.raises(ValueError):
+                base.flags.writeable = True
+            with pytest.raises(ValueError):
+                base[...] = 1
+            base = base.base
+        assert memoryview(base).readonly
+    for array, value in zip(FROZEN[source](), values, strict=True):
+        np.testing.assert_array_equal(array, value)
