@@ -9,23 +9,30 @@ the microseconds of each of its checks, the best of the K passes. Inside the two
 (``alpha_guarantee_tight`` and ``beta_guarantee_tight``) it splits the time
 into stages, timed through wrappers set on their modules for the pass:
 
-- lattice: ``oracle._point_blocks``, taking the lattice's blocks. A lattice
-  that fits one block is built once per process and then served from a
-  cache, so after the first pass this is the cache lookup; the build itself
-  is timed on its own, below the table;
+- lattice: ``oracle._search_blocks``, taking the search's input. Where the
+  lattice fits one block, the whole input (the lattice, the witness
+  appended, the mass filter applied) is built once per process and then
+  served from a cache, so after the first pass this is the cache lookup;
+  a streamed lattice is built, appended to and filtered block by block here;
 - validate + renormalize: ``privacy._population_columns``, which checks the
-  points by the population rules and divides them by their sums;
+  points by the population rules and divides them by their sums. It
+  remembers the columns of a frozen input, so after the first pass this is
+  the lookup of that memo;
 - posterior + fold: the rest of ``privacy.alpha_values`` or
   ``beta_values``: the posterior rows, each folded into the running max or
   min as it forms, and alpha's reduced-form self-check;
-- reduce: the rest of ``oracle.simplex_grid_search``: the witness appended
-  after the lattice, the mass filter, and the argmax over the values;
+- reduce: the rest of ``oracle.simplex_grid_search``: its arguments checked
+  and the argmax over the values;
 - rest: the rest of the check, which measures the witness population one at
   a time.
 
+Below the table, where the lattice fits one block, it times one cold build
+of each search's input: the lattice, the witness, the filter and the
+validation, with every cache emptied first.
+
 Before timing, the script checks that the timed run reports the same checks,
-outcomes and details as an untimed one. Each wrapper adds a fraction of a
-microsecond per call to the stage it times.
+outcomes and details as an untimed one, and exits non-zero if it does not.
+Each wrapper adds a fraction of a microsecond per call to the stage it times.
 """
 
 import argparse
@@ -34,7 +41,7 @@ import math
 import time
 from collections import defaultdict
 
-from rrkit import oracle, privacy, verification
+from rrkit import Device, model, oracle, privacy, verification
 
 GRID_CHECKS = ("alpha_guarantee_tight", "beta_guarantee_tight")
 STAGES = ("lattice", "validate + renormalize", "posterior + fold", "reduce", "rest")
@@ -66,10 +73,12 @@ def patched(replacements):
 
 
 def timed_pass(step):
-    """One run_verification; returns the report and the seconds of each
-    (check function, span) pair, with "total" as the check's own span."""
+    """One run_verification; returns the report, the check functions in the
+    order they ran, the seconds of each (check function, span) pair, with
+    "total" as the check's own span, and the arguments with which each
+    check took its grid search's input."""
     clock = time.perf_counter
-    seconds, running = defaultdict(float), [None]
+    seconds, running, searches = defaultdict(float), [None], {}
 
     def timed_check(inner, name):
         def timed(*args):
@@ -95,6 +104,7 @@ def timed_pass(step):
     def timed_blocks(inner):
         # the blocks of a streamed lattice are built as they are taken
         def timed(*args):
+            searches[running[0]] = args
             blocks = iter(inner(*args))
             while True:
                 start = clock()
@@ -111,11 +121,11 @@ def timed_pass(step):
         for name in check_functions()
     }
     replacements.update({key: timed_span(getattr(*key), span) for key, span in SPANS.items()})
-    replacements[oracle, "_point_blocks"] = timed_blocks(oracle._point_blocks)
+    replacements[oracle, "_search_blocks"] = timed_blocks(oracle._search_blocks)
     with patched(replacements):
         report = verification.run_verification(step)
     order = list(dict.fromkeys(name for name, _ in seconds))
-    return report, order, seconds
+    return report, order, seconds, searches
 
 
 def stages(seconds, name):
@@ -132,18 +142,23 @@ def stages(seconds, name):
     }
 
 
-def lattice_build_us(step, repeats):
-    """Best-of-K microseconds to build the grid checks' lattice afresh, or
-    None where it streams in blocks and is never cached."""
-    m = verification.GRID_M
-    k, rows = oracle.grid_divisions(m, step), oracle._block_rows(m)
-    if math.comb(k + m - 1, m - 1) > rows:
+def input_build_us(args, repeats):
+    """Best-of-K microseconds to build one grid search's input afresh and
+    validate it, from the arguments it took its input with, every cache
+    emptied first; None where the lattice streams in blocks and is never
+    cached."""
+    k, m = args[:2]
+    if math.comb(k + m - 1, m - 1) > oracle._block_rows(m):
         return None
-    build = oracle._lattice.__wrapped__
+    device = Device(p=0.5, m=m)  # _population_columns reads only its m
     best = math.inf
     for _ in range(repeats):
+        oracle._lattice.cache_clear()
+        oracle._search_input.cache_clear()
+        model._REMEMBERED.clear()
         start = time.perf_counter()
-        build(k, m, rows)
+        (columns,) = oracle._search_blocks(*args)
+        privacy._population_columns(device, columns.T)
         best = min(best, time.perf_counter() - start)
     return best * 1e6
 
@@ -152,7 +167,7 @@ def report(step, repeats):
     plain = verification.run_verification(step).to_json_dict()
     passes = []
     for _ in range(repeats):
-        result, order, seconds = timed_pass(step)
+        result, order, seconds, searches = timed_pass(step)
         if result.to_json_dict() != plain:
             raise SystemExit("the timed run reports differently from the untimed one")
         passes.append(seconds)
@@ -172,11 +187,19 @@ def report(step, repeats):
             for stage in STAGES:
                 print(f"    {stage:<26}{min(p[stage] for p in per_stage) * 1e6:12.1f}")
     print(f"  {'sum of the checks':<28}{total:12.1f}")
-    build = lattice_build_us(step, repeats)
-    if build is None:
+    builds = {
+        name: input_build_us(searches[function], repeats)
+        for name, function in zip(names, order)
+        if name in GRID_CHECKS
+    }
+    if None in builds.values():
         print("the lattice streams in blocks, built afresh by each search")
     else:
-        print(f"building the lattice, once per process: {build:.1f} us, best of {repeats}")
+        print(
+            "building the lattice, once per process, with each search's witness, "
+            f"filter and validation, best of {repeats}: "
+            + ", ".join(f"{name} {us:.1f} us" for name, us in builds.items())
+        )
 
 
 def main(argv=None) -> None:

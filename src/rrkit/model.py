@@ -7,7 +7,8 @@ the response by the device's card, are :mod:`rrkit.simulation`'s.
 Every type validates its invariants at construction and is immutable
 afterwards, so instances can be shared freely across threads. An array that
 a record holds, or that a cache hands out, is made by :func:`_frozen`, so
-that no view of it can be made writeable either. Validation
+that no view of it can be made writeable either; so what is computed from
+it can be kept, as :func:`_remembered` keeps a validated batch. Validation
 failures raise :class:`ValidationError` carrying a stable machine-readable
 ``code`` that the CLI maps onto structured error output.
 
@@ -51,6 +52,40 @@ def _frozen(values) -> np.ndarray:
 
     array = np.asarray(values)
     return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
+# what _remembered has computed, keyed by the batch; cleared whole when full
+_REMEMBERED: dict = {}
+_REMEMBERED_ENTRIES = 8
+
+
+def _remembered(compute, batch) -> np.ndarray:
+    """``compute(batch)`` for an array ``batch`` over an immutable ``bytes``
+    buffer, as :func:`_frozen` makes, is computed once and frozen, and every
+    later call with the same view of the same buffer returns it; any other
+    ``batch`` is computed afresh on every call. An error is never kept.
+
+    A view is the same when the buffer is the same object and the view's
+    start, shape, strides and dtype are equal. The table holds the buffers,
+    so that no id in it is reused while the entry lives."""
+    import numpy as np
+
+    owner = batch
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if type(owner) is not bytes:
+        return compute(batch)
+    key = (
+        compute, id(owner), batch.__array_interface__["data"][0],
+        batch.shape, batch.strides, batch.dtype.str,
+    )
+    entry = _REMEMBERED.get(key)
+    if entry is None:
+        entry = (owner, _frozen(compute(batch)))
+        if len(_REMEMBERED) >= _REMEMBERED_ENTRIES:
+            _REMEMBERED.clear()
+        _REMEMBERED[key] = entry
+    return entry[1]
 
 
 def _check_budget(planned: int, budget: int, plan: str, advice: str = "") -> None:

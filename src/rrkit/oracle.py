@@ -37,19 +37,22 @@ MAX_GRID_POINTS = 10_000_000
 # grid points per objective call are capped so an (rows, m, m) float64 array
 # stays within this many bytes, which bounds the search's memory at any step.
 # A lattice within the cap is built once per process and kept, at most
-# GRID_BLOCK_BYTES / m bytes of it; a larger one is built block by block by
-# every search. At 1 MiB (14 563 rows at m = 3) the step-0.01 lattice is kept
-# (124 KB) and each search takes it in one call; at 128 KiB (1 820 rows) each
-# search builds it again in four blocks. Measured on a shared 2-vCPU x86 host,
-# in-process run_verification at step 0.01: 1.30-1.44 ms (best of 500, in
-# four processes) against 2.16-2.19 ms at 128 KiB (two), peak RSS 30.8 MB
-# against 30.6-30.7 MB.
-# Neither size faults in a loop of run_verification alone; in a loop of
-# `verify` CLI commands the count depends on the heap's history: a median 129
-# minor faults a command inside perfbench's verify_fine_grid loop, but 68 with
-# one 41 KB temporary fewer in the mass filter. At step 0.00025 (best and
-# median of three runs): 0.97-0.99 s against 1.64-1.79 s, and 32.1 MB against
-# 31.5 MB.
+# GRID_BLOCK_BYTES / m bytes of it, and so is each search's whole input over
+# it (extra points appended, mass filter applied), whose points the batch
+# privacy forms validate once; a larger lattice is built, appended to and
+# filtered block by block by every search, and every block validated. At
+# 1 MiB (14 563 rows at m = 3) the step-0.01 lattice is kept (124 KB), with
+# verify's two inputs and their validated columns (about 0.4 MB more), and
+# each search takes its input in one call; at 128 KiB (1 820 rows) each
+# search builds it again in four blocks. Measured on a shared 2-vCPU x86
+# host, in-process run_verification at step 0.01: 1.23-1.43 ms (best of 500,
+# in three processes) against 2.51-2.82 ms at 128 KiB (three), peak RSS
+# 30.4-30.6 MB against 30.0-30.3 MB. A loop of `verify --grid-step 0.01` CLI
+# commands takes a median 0 minor faults a command, against 119 when every
+# search still built, appended to, filtered and validated its input (300
+# commands after 20, three processes each). At step 0.00025 (best and
+# median of three runs): 0.97-0.99 s against 1.64-1.79 s, and 32.1 MB
+# against 31.5 MB.
 GRID_BLOCK_BYTES = 1 << 20
 
 
@@ -249,14 +252,88 @@ def _lattice(k: int, m: int, rows: int) -> np.ndarray:
     return _frozen(_count_vectors(k, m, 0, k) / k)
 
 
-def _point_blocks(k: int, m: int) -> Iterator[np.ndarray]:
-    """The lattice of step 1/k in order, as (m, B) float arrays, one point
-    per column: the cached lattice when it fits one block, else block by block."""
+def _search_plan(
+    m: int,
+    step: float,
+    mass_indices: Sequence[int] | None,
+    mass_floor: float | None,
+    extra_points: Iterable[Sequence[float]],
+) -> tuple[int, np.ndarray, tuple[int, ...] | None, float | None]:
+    """The arguments of :func:`simplex_grid_search`, checked before anything
+    is built: the parts k, the extra points as an (E, m) float array, the
+    mass indices as a tuple of ints and the mass floor."""
+    if (mass_indices is None) != (mass_floor is None):
+        missing = "mass_floor" if mass_floor is None else "mass_indices"
+        raise ValueError(f"mass_indices and mass_floor go together; {missing} is missing")
+    k = grid_divisions(m, step)
+    try:
+        extras = np.asarray(list(extra_points), dtype=float)
+    except ValueError:
+        raise ValueError(f"extra_points need shape (E, {m}); they are ragged") from None
+    if extras.size == 0 and extras.ndim == 1:
+        extras = extras.reshape(0, m)
+    if extras.ndim != 2 or extras.shape[1] != m:
+        raise ValueError(f"extra_points need shape (E, {m}), got {extras.shape}")
+    idx = None if mass_indices is None else tuple(mass_indices)
+    for i in idx or ():
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < m:
+            raise ValueError(f"mass index {i!r} is not a value index in 0..{m - 1}")
+    return k, extras, idx, mass_floor
+
+
+def _search_columns(
+    columns: np.ndarray, extras: np.ndarray, idx: tuple[int, ...] | None, floor: float | None
+) -> np.ndarray:
+    """A block of lattice points, one per column, as the search evaluates
+    it: ``extras`` appended after them, and the points whose mass on
+    ``idx`` falls below ``floor`` (within 1e-12) left out. The block itself
+    when there is neither."""
+    if len(extras):
+        columns = np.concatenate((columns, extras.T), axis=1)
+    if idx is not None:
+        keep = ~(columns.T[:, list(idx)].sum(axis=1) < floor - 1e-12)
+        columns = np.compress(keep, columns, axis=1)
+    return columns
+
+
+@functools.lru_cache(maxsize=8)
+def _search_input(
+    k: int,
+    m: int,
+    rows: int,
+    extras: bytes,
+    shape: tuple[int, int],
+    idx: tuple[int, ...] | None,
+    floor: float | None,
+) -> np.ndarray:
+    """The whole input of a search over a lattice that fits one block of
+    ``rows`` points: the cached lattice with the extra points (given by
+    their bytes, so that -0.0 and 0.0 differ) appended and the mass filter
+    applied. It is shared by every search with the same arguments, so it is
+    frozen; a search with neither is handed the lattice itself."""
+    lattice = _lattice(k, m, rows)
+    points = np.frombuffer(extras).reshape(shape) if extras else np.empty(shape)
+    columns = _search_columns(lattice, points, idx, floor)
+    return lattice if columns is lattice else _frozen(columns)
+
+
+def _search_blocks(
+    k: int, m: int, extras: np.ndarray, idx: tuple[int, ...] | None, floor: float | None
+) -> Iterator[np.ndarray]:
+    """The input of a search, in order, as (m, B) float arrays, one point per
+    column: the cached input when the lattice fits one block, else each
+    block of the lattice as it is built, the extras with the last."""
     rows = _block_rows(m)
     if math.comb(k + m - 1, m - 1) <= rows:
-        return iter((_lattice(k, m, rows),))
-    # map, unlike a generator expression, lets each count block go once divided
-    return map(lambda counts: counts / k, _count_blocks(k, m, rows))
+        return iter((_search_input(k, m, rows, extras.tobytes(), extras.shape, idx, floor),))
+    none = extras[:0]
+
+    def block(counts: np.ndarray) -> np.ndarray:
+        # the lattice ends with (k, 0, ..., 0), the one point whose first count is k
+        return _search_columns(counts / k, extras if counts[0, -1] == k else none, idx, floor)
+
+    # map, unlike a generator, lets each count block go once it is divided
+    return map(block, _count_blocks(k, m, rows))
 
 
 def simplex_grid_search(
@@ -271,42 +348,32 @@ def simplex_grid_search(
     """Brute-force extremum of ``objective`` over the simplex grid.
 
     ``objective`` takes a read-only (B, m) array of points and returns their B
-    values. The array may have any memory layout, and may be a view of a
-    lattice that other calls share. A lattice of at most
-    ``GRID_BLOCK_BYTES / (8 m^2)`` points is built once per process and goes
-    to it in one call; a larger one goes in blocks of at most that many
-    points, built one at a time, so that per-point m-by-m matrices stay
-    within ``GRID_BLOCK_BYTES`` at any step. The first point attaining the
-    best value wins.
+    values. The array may have any memory layout, and may be a view of an
+    input that other calls share. A lattice of at most
+    ``GRID_BLOCK_BYTES / (8 m^2)`` points goes to it in one call, and that
+    whole input, the extra points and the mass filter included, is built
+    once per process for each set of arguments; a larger lattice goes in
+    blocks of at most that many points, built one at a time, so that
+    per-point m-by-m matrices stay within ``GRID_BLOCK_BYTES`` at any step.
+    The first point attaining the best value wins.
 
-    When ``mass_indices`` and ``mass_floor`` are given, which must be
-    together, grid points whose mass on those coordinates falls below the
-    floor are skipped (the floor itself passes, within 1e-12).
-    ``extra_points`` are evaluated as supplied, after the lattice and in the
-    call of its last block, letting callers inject suspected extremal
-    populations that the lattice misses.
+    When ``mass_indices`` (value indices in 0..m-1) and ``mass_floor`` are
+    given, which must be together, grid points whose mass on those
+    coordinates falls below the floor are skipped (the floor itself passes,
+    within 1e-12). ``extra_points``, of shape (E, m), are evaluated as
+    supplied, after the lattice and in the call of its last block, letting
+    callers inject suspected extremal populations that the lattice misses.
+    Arguments are refused, with ``BAD_GRID`` for the step and ``ValueError``
+    for the rest, before any lattice is built.
     """
-    if (mass_indices is None) != (mass_floor is None):
-        missing = "mass_floor" if mass_floor is None else "mass_indices"
-        raise ValueError(f"mass_indices and mass_floor go together; {missing} is missing")
-    k = grid_divisions(m, step)
-    lattice = math.comb(k + m - 1, m - 1)
-    extras = np.asarray(list(extra_points), dtype=float)
-
+    k, extras, idx, floor = _search_plan(m, step, mass_indices, mass_floor, extra_points)
     sign = -1.0 if minimize else 1.0
     best: float | None = None
     best_point: np.ndarray | None = None
-    evaluated = built = 0
-    idx = None if mass_indices is None else list(mass_indices)
-    for columns in _point_blocks(k, m):
-        built += columns.shape[1]
-        if built == lattice and len(extras):
-            columns = np.concatenate((columns, extras.T), axis=1)
-        if idx is not None:
-            keep = ~(columns.T[:, idx].sum(axis=1) < mass_floor - 1e-12)
-            columns = np.compress(keep, columns, axis=1)
-            if not columns.shape[1]:
-                continue
+    evaluated = 0
+    for columns in _search_blocks(k, m, extras, idx, floor):
+        if not columns.shape[1]:
+            continue
         points = columns.T
         points.flags.writeable = False
         values = np.asarray(objective(points), dtype=float)

@@ -27,7 +27,11 @@ next, so a batch holds one row of (K,) arrays at a time. Callers that keep
 the matrix take all its rows through :func:`_matrix`, which first plans its
 memory. The single measures reduce with the built-in max and min; the batch
 forms, :func:`alpha_values` and :func:`beta_values`, reduce with numpy's, in
-place.
+place. They validate and renormalize a batch on every call, except one over
+an immutable buffer, such as the input that the simplex grid search keeps
+for the process: its columns are computed on the first call and kept
+(:func:`~rrkit.model._remembered`), so a search repeated in the process
+validates no point.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .model import (
     _frozen,
     _index_set,
     _Record,
+    _remembered,
     _require_same_m,
     _unit_interval,
     _rows_and_sums,
@@ -209,11 +214,17 @@ def _check_reduced_form(alpha: float, reduced: float) -> None:
 
 def _population_columns(device: Device, pis) -> np.ndarray:
     """The rows of :func:`~rrkit.model._rows_and_sums`, renormalized, as the
-    columns of an (m, K) array."""
+    columns of an (m, K) array; for a batch over a frozen buffer, such as
+    the grid search's input, computed once per process and kept frozen."""
+    columns = _remembered(_renormalized_columns, pis)
+    _require_same_m(device.m, columns.shape[0])
+    return columns
+
+
+def _renormalized_columns(pis) -> np.ndarray:
     import numpy as np
 
     rows, totals = _rows_and_sums(pis)
-    _require_same_m(device.m, rows.shape[1])
     return np.divide(rows.T, totals, out=np.empty(rows.shape[::-1]))
 
 

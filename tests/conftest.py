@@ -25,8 +25,9 @@ def simplex_grid_points(m, step):
     rows of a (K, m) array in the order of ``enumerate_count_vectors``: the
     points that ``oracle.simplex_grid_search`` visits, built the way it
     builds them. ``step`` is refused as the search refuses it."""
-    k = oracle.grid_divisions(m, step)
-    return np.concatenate(list(oracle._point_blocks(k, m)), axis=1).T.copy()
+    k, extras, idx, floor = oracle._search_plan(m, step, None, None, ())
+    blocks = oracle._search_blocks(k, m, extras, idx, floor)
+    return np.concatenate(list(blocks), axis=1).T.copy()
 
 
 def pytest_configure(config):

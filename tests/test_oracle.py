@@ -7,6 +7,7 @@ the oracles are meant to check.
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,63 @@ def test_a_changed_block_size_never_reuses_a_cached_lattice(monkeypatch):
     assert len(split) > 2 and built >= len(split)
     assert not any(base is default[0] or base is half[0] for base in split)
     assert lattice_bases() == (default, 0)
+
+
+def lattice_never_built(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("a lattice or a search input was built")
+
+    for name in ("_count_vectors", "_count_blocks", "_lattice", "_search_input"):
+        monkeypatch.setattr(oracle, name, no_lattice)
+
+
+@pytest.mark.parametrize(
+    "extras, shape",
+    [([[0.5, 0.5]], "(1, 2)"), ([0.2, 0.3, 0.5], "(3,)"), ([[[0.2, 0.3, 0.5]]], "(1, 1, 3)")],
+)
+@pytest.mark.parametrize("step", [0.01, 0.005])  # a cached lattice, and a streamed one
+def test_misshapen_extra_points_are_refused_before_building(monkeypatch, extras, shape, step):
+    lattice_never_built(monkeypatch)
+    message = f"extra_points need shape (E, 3), got {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simplex_grid_search(lambda pts: pts[:, 0], 3, step, extra_points=extras)
+    with pytest.raises(ValueError, match="ragged"):
+        simplex_grid_search(lambda pts: pts[:, 0], 3, step, extra_points=[[0.5, 0.5], [1.0]])
+
+
+@pytest.mark.parametrize("index", [3, -1, 1.0, True, "0"])
+@pytest.mark.parametrize("step", [0.01, 0.005])
+def test_mass_indices_off_the_values_are_refused_before_building(monkeypatch, index, step):
+    lattice_never_built(monkeypatch)
+    message = f"mass index {index!r} is not a value index in 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simplex_grid_search(lambda pts: pts[:, 0], 3, step, mass_indices=(0, index), mass_floor=0.1)
+
+
+def test_each_search_input_is_built_once_and_kept_apart():
+    """The input of a search over a cached lattice, extras and filter
+    included, is built once per set of arguments: a -0.0 extra is not a 0.0
+    one, and another floor filters anew; with neither, it is the lattice."""
+    k, rows = 100, oracle._block_rows(3)
+
+    def points_of(**kwargs):
+        seen = []
+        simplex_grid_search(lambda pts: seen.append(pts) or pts[:, 0], 3, 0.01, **kwargs)
+        (points,) = seen
+        return points
+
+    bare = points_of()
+    assert bare.base is oracle._lattice(k, 3, rows).base
+    plus, minus = (points_of(extra_points=[[z, 0.25, 0.75]]) for z in (0.0, -0.0))
+    assert len(plus) == len(minus) == len(bare) + 1
+    assert not np.signbit(plus[-1, 0]) and np.signbit(minus[-1, 0])
+    low, high = (points_of(mass_indices=(0,), mass_floor=c) for c in (0.15, 0.2))
+    # a floor of c/100 leaves out the k + 1 - f points whose first count f is below c
+    assert [len(low), len(high)] == [len(bare) - sum(k + 1 - f for f in range(c)) for c in (15, 20)]
+    again = [points_of(extra_points=[[z, 0.25, 0.75]]) for z in (0.0, -0.0)]
+    again += [points_of(mass_indices=(0,), mass_floor=c) for c in (0.15, 0.2)]
+    assert [a.base for a in again] == [p.base for p in (plus, minus, low, high)]
+    assert len({id(p.base) for p in (bare, plus, minus, low, high)}) == 5
 
 
 def test_grid_search_uses_extra_points():

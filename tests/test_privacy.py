@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rrkit.model as model
 import rrkit.privacy as privacy
 from rrkit import Device, PolicyMode, PopulationModel, PrivacyPolicy, ValidationError
 from rrkit.design import p0_all_stigmatizing, p0_nonstigmatizing
@@ -545,6 +546,111 @@ def test_batch_forms_keep_their_bits_in_every_memory_layout(batch):
     ):
         found = {name: values(pts).tobytes() for name, pts in layouts.items()}
         assert len(set(found.values())) == 1, found
+
+
+# --- the memo of validated batches -----------------------------------------------
+
+
+def frozen_view(view):
+    """``view`` over a copy of the memory it views, held in an immutable
+    ``bytes`` buffer: the same layout, frozen."""
+    owner = view if view.base is None else view.base
+    start = view.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+    return np.ndarray(view.shape, view.dtype, owner.tobytes(order="A"), start, view.strides)
+
+
+def counted_row_sums(patch):
+    """Patch ``model._row_sums`` to record each batch it sums; returns the record."""
+    calls, row_sums = [], model._row_sums
+    patch.setattr(model, "_row_sums", lambda rows: calls.append(len(rows)) or row_sums(rows))
+    return calls
+
+
+def test_a_writeable_batch_is_validated_on_every_call():
+    device = Device(p=0.3, m=3)
+    points = simplex_grid_points(3, 0.1)
+    read_only = points[::2]
+    read_only.flags.writeable = False  # a flag that can be set back is no freeze
+    for batch in (points, read_only):
+        alpha_values(device, batch)
+        beta_values(device, batch, (0,))
+    points[2, 1] = -0.1
+    for batch in (points, read_only):
+        for form in (lambda: alpha_values(device, batch), lambda: beta_values(device, batch, (0,))):
+            with pytest.raises(ValidationError, match="has a negative proportion") as e:
+                form()
+            assert e.value.code == "BAD_PI"
+
+
+def test_a_frozen_invalid_batch_is_refused_on_every_call(monkeypatch):
+    calls = counted_row_sums(monkeypatch)
+    device = Device(p=0.3, m=3)
+    for rows, code in (([[0.5, 0.4, 0.2]], "BAD_PI"), ([[0.5, 0.5]], "DIMENSION_MISMATCH")):
+        batch = model._frozen(rows)
+        for _ in range(2):
+            with pytest.raises(ValidationError) as e:
+                alpha_values(device, batch)
+            assert e.value.code == code
+    # the bad sum is found again on the second call; the valid m = 2 batch is
+    # summed once, and each call still compares its m with the device's
+    assert calls == [1, 1, 1]
+
+
+def test_frozen_batches_of_equal_geometry_keep_their_own_results():
+    device = Device(p=0.3, m=3)
+    batches = [[(0.2, 0.3, 0.5), (0.6, 0.4, 0.0)], [(0.1, 0.1, 0.8), (0.3, 0.3, 0.4)]]
+    fresh = [alpha_values(device, rows).tobytes() for rows in batches]
+    for i in (0, 1, 0, 1, 1, 0):
+        # each batch is dropped before the next is made, so a table keyed by
+        # the id or address alone would serve one batch's result to the other
+        batch = model._frozen(batches[i])
+        assert alpha_values(device, batch).tobytes() == fresh[i]
+        del batch
+    kept = [model._frozen(rows) for rows in batches]
+    assert [alpha_values(device, batch).tobytes() for batch in kept] == fresh
+
+
+@settings(max_examples=50, deadline=None)
+@given(batch=population_batches())
+def test_a_remembered_batch_keeps_its_bits_in_every_memory_layout(batch):
+    device, pis, indices = batch
+
+    def values(pts):
+        return alpha_values(device, pts).tobytes(), beta_values(device, pts, indices).tobytes()
+
+    layouts = memory_layouts(pis)
+    expected = {name: values(pts) for name, pts in layouts.items()}
+    frozen = {name: frozen_view(pts) for name, pts in layouts.items()}
+    frozen["_frozen"] = model._frozen(pis)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_row_sums(patch)
+        for name, pts in frozen.items():
+            assert not pts.flags.writeable
+            assert values(pts) == values(pts) == expected.get(name, expected["C"]), name
+    # each frozen batch is summed on its first call only, whichever form makes it
+    assert calls == [len(pis)] * len(frozen)
+
+
+def test_the_grid_search_points_are_validated_once_per_process(monkeypatch):
+    """The grid search hands the batch forms a view of its frozen input, so
+    the points are validated and renormalized on the first search alone. If
+    a numpy made the view so that its memory could not be traced to the
+    frozen buffer, this would fail rather than quietly lose the memo."""
+    device = Device(p=0.3, m=3)
+    searches = [
+        (lambda pts: alpha_values(device, pts), {"extra_points": [(0.45, 0.55, 0.0)]}),
+        (lambda pts: beta_values(device, pts, (0,)), {"mass_indices": (0,), "mass_floor": 0.15}),
+        (lambda pts: alpha_values(device, pts), {}),
+    ]
+    monkeypatch.setattr(model, "_REMEMBERED", {})
+    calls = counted_row_sums(monkeypatch)
+    first = [simplex_grid_search(f, 3, 0.01, **kwargs) for f, kwargs in searches]
+    assert calls == [5152, 3741, 5151]
+    again = [simplex_grid_search(f, 3, 0.01, **kwargs) for f, kwargs in searches]
+    assert calls == [5152, 3741, 5151]
+    assert [(r.value, r.witness.tobytes(), r.points_evaluated) for r in again] == [
+        (r.value, r.witness.tobytes(), r.points_evaluated) for r in first
+    ]
 
 
 def test_alpha_measure_and_alpha_values_refuse_a_max_gap_off_the_diagonal_form(monkeypatch):

@@ -19,7 +19,7 @@ from rrkit.model import (
 )
 from rrkit.oracle import GridSearchResult
 from rrkit.privacy import AlphaResult, BetaResult, PrivacyReport, alpha_measure, beta_measure
-from rrkit import oracle, simulation
+from rrkit import oracle, privacy, simulation
 from rrkit.simulation import ReplicateRecord, SimulationConfig, SimulationSummary
 from rrkit.verification import CheckResult, VerificationReport
 
@@ -309,6 +309,12 @@ FROZEN = {
         beta_measure(Device(0.3, 3), POPULATION, (1,)).mass_by_response
     ],
     "oracle._lattice": lambda: [oracle._lattice(20, 3, oracle._block_rows(3))],
+    "oracle._search_input": lambda: list(
+        oracle._search_blocks(20, 3, np.array([[0.1, 0.2, 0.7]]), (1,), 0.3)
+    ),
+    "privacy._population_columns": lambda: [
+        privacy._population_columns(Device(0.3, 3), oracle._lattice(20, 3, oracle._block_rows(3)).T)
+    ],
     "oracle.simplex_grid_search.witness": lambda: [
         oracle.simplex_grid_search(lambda points: points[:, 1], 3, 0.25).witness
     ],

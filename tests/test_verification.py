@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rrkit.estimation as estimation
+import rrkit.model as model
 import rrkit.oracle as oracle
 import rrkit.privacy as privacy
 from rrkit.verification import run_verification
@@ -148,16 +149,18 @@ def test_tightness_searches_do_not_depend_on_the_block_cap(monkeypatch):
     assert split_doc == whole_doc
 
 
-def test_a_repeated_verification_builds_no_lattice(monkeypatch):
-    """Both tightness searches share one lattice, kept for the process: once
-    a verification has run, the next at the same step builds none."""
+def test_a_repeated_verification_builds_and_validates_no_lattice(monkeypatch):
+    """Both tightness searches share one lattice, and each keeps its input,
+    validated, for the process: once a verification has run, the next at
+    the same step builds no lattice and sums no point."""
     first = run_verification(grid_step=0.01).to_json_dict()
 
     def no_lattice(*args):
-        raise AssertionError("a lattice was built again")
+        raise AssertionError("a lattice was built or validated again")
 
     monkeypatch.setattr(oracle, "_count_vectors", no_lattice)
     monkeypatch.setattr(oracle, "_count_blocks", no_lattice)
+    monkeypatch.setattr(model, "_row_sums", no_lattice)
     again = run_verification(grid_step=0.01).to_json_dict()
     assert again == first and again["passed"]
 
