@@ -11,10 +11,12 @@ truncated variant clamps to [0, 1] and renormalizes for reporting, at the
 price of a bias that is not analyzed here.
 
 One sample is estimated on Python floats, which is all ``estimate`` needs,
-so that command never loads numpy; :func:`mean_estimates`, the batch form
-over a block of samples, and the theoretical variances import it when they
-run. Every sum of one sample goes through :func:`_row_sum`, which has the
-bits of :func:`mean_estimates`' sum of one row.
+so that command never loads numpy; the theoretical variances, m-term sums,
+are Python floats too. Only :func:`mean_estimates`, the batch form over a
+block of samples, imports numpy, when it runs. Every sum of one sample or
+one population goes through :func:`_row_sum`, which has the bits of
+:func:`mean_estimates`' sum of one row, so no value here depends on the
+BLAS build.
 """
 
 from __future__ import annotations
@@ -130,25 +132,24 @@ def variance_mean_theoretical(
 
     Every term is computed from d = x - xbar, centred twice as in
     :func:`variance_mean_plugin`, so that a support far from 0 cancels
-    nothing: mu - xbar is pi @ d and sigma2 the pi-weighted square of
-    d - pi @ d. A support whose spread squared overflows is refused with
-    ``NONFINITE_RESULT``.
+    nothing: mu - xbar is sum_i pi_i d_i and sigma2 the pi-weighted square
+    of d - sum_i pi_i d_i. A support whose spread squared overflows is
+    refused with ``NONFINITE_RESULT``.
     """
-    import numpy as np
-
     n = _sample_size(n)
     _require_same_m(device.m, support.m)
     _require_same_m(device.m, population.m)
-    p = device.p
-    pi = population.pi_array
+    p, m, pi = device.p, device.m, population.pi
     # a support spread past ~1e154 overflows to inf, or to NaN where inf
-    # meets inf or a zero proportion; refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = support.values_array - np.mean(support.values_array)
-        d -= np.mean(d)
-        spread = float(np.mean(d * d))
-        shift = float(pi @ d)  # mu - xbar
-        sigma2 = float((d - shift) ** 2 @ pi)
+    # meets inf or a zero proportion; refused below. A float's * and - overflow
+    # silently, so the terms square as e * e; only ** raises OverflowError
+    xbar = _row_sum(support.values) / m
+    d = [x - xbar for x in support.values]
+    dbar = _row_sum(d) / m
+    d = [e - dbar for e in d]
+    spread = _row_sum([e * e for e in d]) / m
+    shift = _row_sum([w * e for w, e in zip(pi, d)])  # mu - xbar
+    sigma2 = _row_sum([(e - shift) * (e - shift) * w for e, w in zip(d, pi)])
     try:
         shift_squared = shift**2
     except OverflowError:
@@ -175,9 +176,11 @@ def total_variance_proportions_theoretical(
     """
     n = _sample_size(n)
     _require_same_m(device.m, population.m)
-    inv_p2 = 1.0 / (device.p * device.p)
-    sum_sq = float(population.pi_array @ population.pi_array)
-    return (inv_p2 - sum_sq - (inv_p2 - 1.0) / device.m) / n
+    p2 = device.p * device.p
+    inv_p2 = 1.0 / p2 if p2 else math.inf  # p near 0: refused below
+    sum_sq = _row_sum([w * w for w in population.pi])
+    numerator = inv_p2 - sum_sq - (inv_p2 - 1.0) / device.m
+    return _quotient(numerator, n, "total_variance_proportions_theoretical", device.p)
 
 
 def variance_mean_plugin(sample: ResponseSample, device: Device, support: SupportSpec) -> float:
@@ -206,8 +209,9 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
 
 
 def _quotient(numerator: float, denominator: float, what: str, p: float) -> float:
-    """numerator / denominator, refused unless finite; the n * p * p
-    denominators of the variances underflow to 0 when p is near 0."""
+    """numerator / denominator, refused unless finite; when p is near 0 a
+    variance's numerator overflows or its denominator n * p * p underflows
+    to 0."""
     return _require_finite(numerator / denominator if denominator else math.inf, what, p)
 
 

@@ -373,7 +373,7 @@ class PopulationModel(_Record):
     def mean(self, support: SupportSpec) -> float:
         """Population mean of the sensitive variable under these proportions."""
         _require_same_m(support.m, self.m)
-        return float(support.values_array @ self.pi_array)
+        return math.fsum(x * w for x, w in zip(support.values, self.pi))
 
 
 def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:

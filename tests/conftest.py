@@ -20,6 +20,24 @@ def variance_and_unweighted_mean(population, support):
     return float(((x - mu) ** 2) @ population.pi_array), float(np.mean(x))
 
 
+def closed_forms_on_numpy(device, support, population, n):
+    """var_mu_theoretical, the summed variance of the proportion estimators
+    and mu_X, by the numpy expressions that computed them before they moved
+    to Python floats: means by ``np.mean`` and the weighted sums by 1-D BLAS
+    dots. Overflow gives inf or NaN here, where the closed forms refuse."""
+    x, pi, p = support.values_array, population.pi_array, device.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - np.mean(x)
+        d -= np.mean(d)
+        spread = float(np.mean(d * d))
+        shift = float(pi @ d)
+        sigma2 = float((d - shift) ** 2 @ pi)
+        var_mu = (p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * shift**2) / (n * p * p)
+    inv_p2 = 1.0 / (p * p)
+    var_pi = (inv_p2 - float(pi @ pi) - (inv_p2 - 1.0) / device.m) / n
+    return var_mu, var_pi, float(x @ pi)
+
+
 def simplex_grid_points(m, step):
     """Lattice points on the probability simplex with spacing ``step``, as the
     rows of a (K, m) array in the order of ``enumerate_count_vectors``: the

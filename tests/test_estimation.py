@@ -8,6 +8,7 @@ regression toward them cannot pass silently.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from rrkit.oracle import (
 )
 from rrkit.simulation import SEED_CHUNK
 
-from conftest import variance_and_unweighted_mean
+from conftest import closed_forms_on_numpy, variance_and_unweighted_mean
 
 
 def test_raw_proportions_by_hand(device_half2):
@@ -245,6 +246,51 @@ def test_variance_mean_matches_the_oracle_on_offset_and_scaled_supports(shift, s
     assert abs(closed - reference) <= 1e-12 * reference
 
 
+def _hostile_population(name):
+    """A support and population far from the unit support: m = 1 000, a
+    population with no mass on three of five values, a support offset by 1e8,
+    one scaled by 1e150, and one whose values reach 3e160."""
+    if name == "m1000":
+        weights = np.random.default_rng(5).random(1000)
+        weights[::7] = 0.0
+        return tuple(float(k) for k in range(1000)), tuple(weights / weights.sum())
+    if name == "zero_pi":
+        return (0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 0.25, 0.0, 0.75, 0.0)
+    step = {"offset_1e8": (1e8, 1.0), "scaled_1e150": (0.0, 1e150), "values_1e160": (0.0, 1e160)}
+    offset, scale = step[name]
+    return tuple(offset + scale * k for k in range(4)), (0.1, 0.2, 0.3, 0.4)
+
+
+# (support, p) whose variance overflows: the oracle gives inf and the closed
+# form refuses; values of 1e160 overflow at every p, a scale of 1e150 only
+# once divided by p^2 = 1e-12
+HOSTILE_OVERFLOWS = {
+    ("scaled_1e150", 1e-6),
+    ("values_1e160", 1e-6),
+    ("values_1e160", 0.3),
+    ("values_1e160", 1 - 1e-9),
+}
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.3, 1 - 1e-9])
+@pytest.mark.parametrize("name", ["m1000", "zero_pi", "offset_1e8", "scaled_1e150", "values_1e160"])
+def test_variance_mean_matches_the_oracle_on_hostile_inputs(name, p):
+    values, pi = _hostile_population(name)
+    m = len(values)
+    support = SupportSpec(values=values, stigma=(True,) * m)
+    pop, device = PopulationModel(pi=pi), Device(p=p, m=m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = multinomial_variance_oracle(device, values, pop, 100)
+    if (name, p) in HOSTILE_OVERFLOWS:
+        assert reference == math.inf
+        with pytest.raises(ValidationError) as e:
+            variance_mean_theoretical(device, support, pop, 100)
+        assert e.value.code == "NONFINITE_RESULT"
+    else:
+        closed = variance_mean_theoretical(device, support, pop, 100)
+        assert abs(closed - reference) <= 1e-12 * reference
+
+
 # --- summed variance of the proportion estimators ---------------------------
 
 
@@ -282,6 +328,35 @@ def test_total_proportion_variance_matches_moment_sum(m):
         identity = float(np.sum(lam * (1 - lam)) / (n * p * p))
         closed = total_variance_proportions_theoretical(d, pop, n)
         assert abs(closed - identity) <= 1e-12 * identity
+
+
+# --- the closed forms on Python floats -------------------------------------------
+
+
+def test_closed_forms_agree_with_their_numpy_reference():
+    """The closed forms sum Python floats in numpy's pairwise order, or with
+    math.fsum for the mean, where numpy took 1-D BLAS dots; the bits may
+    differ, the values may not. Random supports with m <= 64, offset up to
+    1e8 and scaled from 1e-3 to 1e3, and populations with zero entries: the
+    variances agree within 1e-12 relative, the mean within 1e-12 of
+    sum |x_i pi_i|, since a mean near 0 cancels."""
+    rng = np.random.default_rng(27)
+    for _ in range(2_000):
+        m = int(rng.integers(2, 65))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        offset = float(rng.choice([0.0, -1e3, 1e8]))
+        values = tuple(offset + scale * (k + rng.random()) for k in range(m))
+        weights = rng.random(m) * (rng.random(m) < 0.8)
+        weights[rng.integers(m)] = 1.0
+        support = SupportSpec(values=values, stigma=(True,) * m)
+        pop = PopulationModel(pi=tuple(weights / weights.sum()))
+        device = Device(p=float(rng.uniform(0.01, 0.99)), m=m)
+        var_mu, var_pi, mu = closed_forms_on_numpy(device, support, pop, 50)
+        assert abs(variance_mean_theoretical(device, support, pop, 50) - var_mu) <= 1e-12 * var_mu
+        total = total_variance_proportions_theoretical(device, pop, 50)
+        assert abs(total - var_pi) <= 1e-12 * var_pi
+        magnitude = sum(abs(x * w) for x, w in zip(values, pop.pi))
+        assert abs(pop.mean(support) - mu) <= 1e-12 * magnitude
 
 
 # --- monotonicity in p -------------------------------------------------------
@@ -418,12 +493,14 @@ def test_raw_proportions_always_sum_to_one(counts, p):
     assert (truncated >= 0).all() and (truncated <= 1).all()
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-160])
+# p * p is subnormal at 1e-160, so 1/p^2 is inf, and 0 at 1e-200 and 1e-300
+@pytest.mark.parametrize("p", [1e-300, 1e-160, 1e-200])
 def test_variances_refuse_a_p_that_leaves_no_finite_value(support2, pop2, p):
     device = Device(p=p, m=2)
     sample = ResponseSample(counts=(4, 6))
     for compute in (
         lambda: variance_mean_theoretical(device, support2, pop2, 10),
+        lambda: total_variance_proportions_theoretical(device, pop2, 10),
         lambda: variance_mean_plugin(sample, device, support2),
         lambda: estimate_report(sample, device, support2),
     ):

@@ -188,3 +188,20 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(rrkit, "planned_bytes")
     with pytest.raises(ImportError):
         exec("from rrkit import no_such_name", {})
+
+
+def test_closed_form_moments_leave_numpy_out():
+    # var_mu_theoretical, the summed proportion variance and mu_X are m-term
+    # sums of Python floats
+    source = (
+        "import sys\n"
+        "from rrkit import Device, PopulationModel, SupportSpec, estimation\n"
+        "device, population = Device(p=0.3, m=3), PopulationModel(pi=(0.5, 0.3, 0.2))\n"
+        "support = SupportSpec(values=(0.0, 1.0, 2.0), stigma=(True, False, True))\n"
+        "print(estimation.variance_mean_theoretical(device, support, population, 100),\n"
+        "      estimation.total_variance_proportions_theoretical(device, population, 100),\n"
+        "      population.mean(support), 'numpy' in sys.modules)\n"
+    )
+    *values, numpy_loaded = run_fresh(source).split()
+    assert [float(v) > 0.0 for v in values] == [True] * 3
+    assert numpy_loaded == "False"

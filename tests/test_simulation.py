@@ -969,38 +969,46 @@ def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
 # path, by bincount; (6 000, 4) on the setter path in one-row blocks, by cuts;
 # each on both shipped surveys; and (6 000, 3) on a 17-value survey, one-row
 # blocks above CUTS_MAX_M, by bincount. Each case pins the SHA-256 of the CSV
-# and the float.hex of mean_mu_hat and var_mu_hat_empirical. mu_x and
-# var_mu_theoretical are left out: each goes through a 1-D @, a BLAS dot whose
-# bits may differ between builds.
+# and the float.hex of mean_mu_hat, var_mu_hat_empirical, mu_x,
+# var_mu_theoretical and variance_ratio. mu_x and var_mu_theoretical are sums
+# of Python floats (math.fsum and estimation._row_sum), with no BLAS dot, so
+# their bits are the same on every numpy build.
 GOLDEN_SEED = 12345
 GOLDEN_STREAM = {
     ("m4", 10, 600): (
         "e5aae6b816165aaad8eedbf1969e5c791c2c159581b4cb6a6479a9230c3f1b5d",
         "0x1.d5cfaacd9e83ap-1", "0x1.45c97eea800eep+3",
+        "0x1.0000000000000p+0", "0x1.4a70a3d70a3d9p+3", "0x1.f8ca61eb44cacp-1",
     ),
     ("m3", 10, 600): (
         "0ceb7ebdb116a029fdbb0a1391d49e5cdbb0b0ebd1fb8bfd6de67fb1f2d52243",
         "0x1.4840719881fa9p-1", "0x1.3f460085a9879p+1",
+        "0x1.6666666666666p-1", "0x1.3ef9db22d0e58p+1", "0x1.003d1cc5aca15p+0",
     ),
     ("m4", 151, 50): (
         "71c1e49c79658e4174cafa1f768dba670764889f45d4c881c750aff8a24c35fd",
         "0x1.f9ba26a78081dp-1", "0x1.cd3c176247514p-1",
+        "0x1.0000000000000p+0", "0x1.5e2295dec5574p-1", "0x1.513ae73b1e9b1p+0",
     ),
     ("m3", 151, 50): (
         "8d3caf4ffa85e0a4fb371b5b60ebc534ff2dd3b2e9690c389687f5f85bf49692",
         "0x1.633830ef5bb9bp-1", "0x1.bf303a182f9e6p-3",
+        "0x1.6666666666666p-1", "0x1.51fce16a66ac1p-3", "0x1.52b60b21025f2p+0",
     ),
     ("m4", 6_000, 4): (
         "cf0e10ca452d5556125d4ea4cefc7f467d2514a0ae629b7d7cb1db7ba14ddebb",
         "0x1.0caf4f0d844cep+0", "0x1.47c86e5cc8337p-7",
+        "0x1.0000000000000p+0", "0x1.19f9b82ef7ac0p-6", "0x1.299673a0dee95p-1",
     ),
     ("m3", 6_000, 4): (
         "36b52506dd455f114be8bace9d20958918b69642f85c2dc65921dc9dae491508",
         "0x1.6e1edb45c4be4p-1", "0x1.645e2bb74f6f1p-8",
+        "0x1.6666666666666p-1", "0x1.10315ed607978p-8", "0x1.4f2adaae968c1p+0",
     ),
     ("m17", 6_000, 3): (
         "c59dbf6f18df5efb3f76e384a0440695020c0f098594cb3817ef81825f155c6a",
         "0x1.60fbd401845c9p+3", "0x1.897b0b2301401p-6",
+        "0x1.5ec27b09ec27bp+3", "0x1.6901c42e85bcfp-5", "0x1.17072cdfd34c0p-1",
     ),
 }
 
@@ -1036,5 +1044,8 @@ def test_simulate_reproduces_the_golden_v1_stream(case, tmp_path, capsys, reques
         hashlib.sha256(csv.read_bytes()).hexdigest(),
         doc["mean_mu_hat"].hex(),
         doc["var_mu_hat_empirical"].hex(),
+        doc["mu_x"].hex(),
+        doc["var_mu_theoretical"].hex(),
+        doc["variance_ratio"].hex(),
     )
     assert got == GOLDEN_STREAM[case]
