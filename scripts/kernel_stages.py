@@ -5,13 +5,12 @@
 
 The kernel, ``simulation.run_block``, forks twice on a run's shape. It draws
 each block's uniforms on the jump path up to ``simulation.JUMP_MAX_N``
-respondents and on the setter path above it; and it counts a block of one
-replicate over at most ``simulation.CUTS_MAX_M`` values by cuts, and every
-other block through a bincount. For each n and m given, the script runs
-``run_block`` over R replicates (uniform population, p = 0.3, seed 31) on
-each side of each fork that can run there: both stream paths, by setting
-``JUMP_MAX_N`` to n or n - 1 for the pass, and, where that path's blocks hold
-one replicate, both counters, by setting ``CUTS_MAX_M`` to m or m - 1. The
+respondents and on the setter path above it; and it counts every block over
+at most ``simulation.CUTS_MAX_M`` values by cuts, and every block over more
+through a bincount. For each n and m given, the script runs ``run_block``
+over R replicates (uniform population, p = 0.3, seed 31) on each side of
+each fork: both stream paths, by setting ``JUMP_MAX_N`` to n or n - 1 for the
+pass, each with both counters, by setting ``CUTS_MAX_M`` to m or m - 1. The
 side the kernel takes with its own limits is marked with ``*``.
 
 Before timing, the script checks that every side gives the same estimates and
@@ -26,7 +25,7 @@ on their modules for the pass:
   on the jump path, ``replicate_states`` on the setter path, once per seed
   chunk;
 - uniforms: ``_jump_uniforms`` or ``_setter_uniforms``, once per block;
-- counting: ``_count_rows``, or ``_count_by_cuts`` for one-row blocks;
+- counting: ``_count_rows`` or ``_count_by_cuts``, once per block;
 - estimate: ``estimation.mean_estimates``, once per seed chunk (and once for
   the replay of replicate 0);
 - rest: the rest of ``run_block`` (its allocations, the replay of replicate
@@ -91,15 +90,10 @@ def forced(config, side):
         simulation.JUMP_MAX_N, simulation.CUTS_MAX_M = saved
 
 
-def sides(config):
-    """The sides run_block can take on ``config``: both stream paths, each with
-    both counters where its blocks hold one replicate."""
-    found = []
-    for jump in (True, False):
-        with forced(config, (jump, False)):
-            one_row = simulation.block_rows(config.n, config.support.m) == 1
-        found += [(jump, cuts) for cuts in ((True, False) if one_row else (False,))]
-    return found
+def sides():
+    """The sides run_block can take at any n and m: both stream paths, each
+    with both counters."""
+    return list(itertools.product((True, False), repeat=2))
 
 
 def label(side):
@@ -187,9 +181,8 @@ def median_ratios(passes, fork):
 
 def report(config, repeats):
     n, m, R = config.n, config.support.m, config.replicates
-    chosen = (n <= simulation.JUMP_MAX_N,
-              simulation.block_rows(n, m) == 1 and m <= simulation.CUTS_MAX_M)
-    found = sides(config)
+    chosen = (n <= simulation.JUMP_MAX_N, m <= simulation.CUTS_MAX_M)
+    found = sides()
     print(f"n = {n}, m = {m}, R = {R}: chunk rows {simulation.chunk_rows(m)}")
     results = {}
     for side in found:

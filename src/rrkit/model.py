@@ -353,7 +353,7 @@ class PopulationModel(_Record):
             raise ValidationError("BAD_PI", "need at least two proportions")
         if any(v < 0.0 for v in pi):
             raise ValidationError("BAD_PI", f"negative proportion in {pi}")
-        total = math.fsum(pi)
+        total = _proportion_sum(pi)
         if abs(total - 1.0) > PI_SUM_BAND:
             raise ValidationError(
                 "BAD_PI", f"proportions sum to {total!r}, expected 1 within {PI_SUM_BAND}"
@@ -371,9 +371,27 @@ class PopulationModel(_Record):
         return np.asarray(self.pi, dtype=float)
 
     def mean(self, support: SupportSpec) -> float:
-        """Population mean of the sensitive variable under these proportions."""
+        """Population mean of the sensitive variable under these proportions;
+        refused with ``NONFINITE_RESULT`` where the exact sum rounds past the
+        largest float, as it can for values within an ulp or two of it."""
         _require_same_m(support.m, self.m)
-        return math.fsum(x * w for x, w in zip(support.values, self.pi))
+        try:
+            return math.fsum(x * w for x, w in zip(support.values, self.pi))
+        except OverflowError:
+            raise ValidationError(
+                "NONFINITE_RESULT",
+                "mu_x is past the largest float: the support's values are too large for its mean",
+            ) from None
+
+
+def _proportion_sum(values) -> float:
+    """``math.fsum`` of finite non-negative proportions, or inf where their
+    exact sum is past the largest float (``math.fsum`` raises there), so that
+    such proportions are refused as any sum far from 1 is."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _rows_and_sums(pis) -> tuple[np.ndarray, np.ndarray]:
@@ -434,15 +452,18 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     total = rows[:, 0].copy()
     error = np.zeros_like(total)
     exact = np.ones(len(rows), dtype=bool)
-    for column in rows.T[1:]:
-        summed = total + column
-        step = _two_sum_error(total, column, summed)
-        carried = error + step
-        exact &= _two_sum_error(error, step, carried) == 0.0
-        total, error = summed, carried
-    sums = total + error
+    # a row summing past the largest float overflows to inf and its errors to
+    # NaN, which fails the exactness test: _proportion_sum gives it inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in rows.T[1:]:
+            summed = total + column
+            step = _two_sum_error(total, column, summed)
+            carried = error + step
+            exact &= _two_sum_error(error, step, carried) == 0.0
+            total, error = summed, carried
+        sums = total + error
     for row in np.flatnonzero(~exact):
-        sums[row] = math.fsum(rows[row])
+        sums[row] = _proportion_sum(rows[row])
     return sums
 
 

@@ -45,25 +45,27 @@ when a single replicate is larger), and rows per chunk so that its count
 cells do (:func:`chunk_rows`). Each range carves every block, with its
 limb sums and counting scratch, from one allocation
 (:func:`_block_arena`); the counting scratch of the jump path lies in the
-limb sums, dead once the uniforms are out. Truth, device and counts are
-computed for the whole block, through the uniform-to-index helpers that
-:func:`sample_true_indices` and :func:`draw_responses` use, on the block's
-two halves (n rows of the state-major block, or n columns of the setter
-path's); the mean estimate (:func:`~rrkit.estimation.mean_estimates`, whose
-bits for a row do not depend on the rows beside it) for the whole chunk.
-Every index, and so every count, is the one those helpers give.
+limb sums, dead once the uniforms are out. Counts are computed for the whole
+block on its two halves (n rows of the state-major block, or n columns of
+the setter path's), by cuts (below) or through the uniform-to-index helpers
+that :func:`sample_true_indices` and :func:`draw_responses` use; the mean
+estimate (:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do
+not depend on the rows beside it) for the whole chunk. Every count is the
+one those helpers give.
 
-Counting by cuts: a block of one replicate (from about n = 5 460, see
-:func:`block_rows`) over at most ``CUTS_MAX_M`` values builds no index
-array. The estimators read only counts, and "response index >= k" is a
-comparison of the truth uniform with ``cdf[k-1]`` for a truthful draw, and
-of the device uniform with a cut point (:func:`forced_cuts`) for a forced
-one, so each count is a difference of ``count_nonzero`` over flag rows
-(:func:`_count_by_cuts`): exactly the bincount's counts. Its cost grows as
-O(m n), so larger m, and multi-row blocks, where one bincount over all rows
-beats a count per row, keep the index arrays. The tables both counters read
-are computed once per population or device value, and looked up once per
-range.
+Counting by cuts: every block over at most ``CUTS_MAX_M`` values, on either
+path, builds no index array. The estimators read only counts, and "response
+index >= k" is a comparison of the truth uniform with ``cdf[k-1]`` for a
+truthful draw, and of the device uniform with a cut point
+(:func:`forced_cuts`) for a forced one, so each count is a difference of two
+numbers of flags (:func:`_count_by_cuts`): exactly the bincount's counts. A
+block of one replicate (from about n = 5 460, see :func:`block_rows`) counts
+its flags level by level with ``count_nonzero``; a block of several compares
+all m - 1 levels of each family in one broadcast and sums the flags over the
+respondent axis in one reduce. Its cost grows as O(m n), so blocks over more
+values keep the index arrays and one bincount (:func:`_count_rows`). The
+tables both counters read are computed once per population or device value,
+and looked up once per range.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -145,32 +147,42 @@ SEED_CHUNK = 2048
 # n = 150 it also won in every set at m = 2, 3 and 16, and was about even at
 # m = 40 (0.94-1.02 in five sets).
 JUMP_MAX_N = 150
-# Largest m at which a block of one replicate is counted by comparisons
-# against cut points (_count_by_cuts) rather than through index arrays and a
-# bincount (_count_rows). The cuts take 2m - 1 compare passes over n, the
-# index arrays a number that grows with log m. One row on 2 vCPUs, us per
+# Largest m at which a block is counted by comparisons against cut points
+# (_count_by_cuts) rather than through index arrays and a bincount
+# (_count_rows). The cuts take about 2m compare passes over n, the index
+# arrays a number that grows with log m. One row on 2 vCPUs, us per
 # replicate, cuts vs bincount: n = 5 500 m = 3 11.5 vs 40.8, m = 16 54.0 vs
 # 57.2, m = 24 80.7 vs 66.2; n = 50 000 m = 3 54 vs 291, m = 16 245 vs 396,
 # m = 24 363 vs 455, m = 32 479 vs 458 (the counting row of the setter
 # path's two counters in scripts/kernel_stages.py --n 5500,50000
-# --m 3,16,24,32 --replicates 20). Blocks hold one row from about
-# n = 5 460, so 16 is the largest m at which the cuts win at every n.
+# --m 3,16,24,32 --replicates 20). Blocks of several rows compare all levels
+# in one broadcast; the medians of the paired passes of the whole kernel on
+# its own path, cuts over bincount, were 0.90-0.92 at n = 10, 0.83-0.99 at
+# n = 150, 0.70-0.98 at n = 500 and 0.60-0.86 at n = 2 000, for m = 4, 8
+# and 16 (kernel_stages.py --replicates 2000, 11 or 21 passes), and
+# 1.13-1.19 at m = 24 (n = 10, 500 and 2 000). So 16 is the largest m at
+# which the cuts win at every n.
 CUTS_MAX_M = 16
 # Largest memory a run may plan for. Per worker, a block of replicates: its
-# uniforms (16 bytes per respondent) and counting scratch (25; 2 when
-# counting by cuts) peaked under tracemalloc at 47.7 bytes per respondent at
-# n = 500 and 42.4 at n = 50 000, planned as 48; the rest is fixed, mostly
-# numpy's ufunc buffers of up to 64 KiB, which bring a block at n = 10 to 53,
-# within its range's seed allowance. On the jump path a block holds its
-# uniforms and its limb sums (64 bytes per respondent), which hold the
-# counting scratch too: a block's peak under tracemalloc grew by 80.0 bytes
-# per respondent over blocks of 64-1 024 rows (m = 3, n = 70-200), planned
-# as the 48 plus 32. The run also holds one state table of 17 rows of 8
-# doubles per respondent; a cold run's peak (the table built inside the
-# trace) stayed within 0.60 of the plan at n = 1-150, m = 3 and 40,
-# R = 1-3 000. Each seed chunk holds m cells per replicate: its counts, each
-# block's bincount and the estimate's raw proportions, with their
-# temporaries, and, when records are kept, the counts as lists; held per
+# uniforms (16 bytes per respondent) and counting scratch (25 through index
+# arrays; by cuts 2 in blocks of one replicate and 2(m - 1) + 1 in blocks of
+# several, at most 31 at m = 16) peaked under tracemalloc, through index
+# arrays, at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
+# and by cuts at 53.9 at n = 500 and 2 000 (m = 16, 47 of them the block's
+# allocation) and 48.4 at n = 5 000, planned as 48; the rest is fixed,
+# mostly numpy's ufunc buffers of up to 64 KiB (the cuts' reduce takes one),
+# which bring a block at n = 10 to 53, within its range's seed allowance. On
+# the jump path a block holds its uniforms and its limb sums (64 bytes per
+# respondent), which hold the counting scratch too: a block's peak under
+# tracemalloc grew by 80.0 bytes per respondent over blocks of 64-1 024 rows
+# (m = 3, n = 70-200), planned as the 48 plus 32; one block of 41 rows at
+# n = 150, m = 16, fixed buffers included, peaked at 93.0 bytes per
+# respondent counted by cuts and 93.1 through index arrays. The run also
+# holds one state table of 17 rows of 8 doubles per respondent; a cold run's
+# peak (the table built inside the trace) stayed within 0.60 of the plan at
+# n = 1-150, m = 3 and 40, R = 1-3 000. Each seed chunk holds m cells per
+# replicate: its counts, each block's bincount and the estimate's raw
+# proportions, with their temporaries, and, when records are kept, the counts as lists; held per
 # block, they peaked at 22-32 bytes per cell, with records or without
 # (m = 300-3 000, n = 10, 500 and 50 000), and summing each row alone
 # (estimation.mean_estimates) added 7-8 bytes per cell without records
@@ -706,19 +718,29 @@ def _jump_uniforms(
     np.multiply(lo, 2.0**-53, out=out)
 
 
-def _block_arena(rows: int, n: int, jump: bool, cuts: bool) -> np.ndarray:
+def _cut_planes(k: int, m: int) -> int:
+    """The bool planes of scratch, each of the shape of a half of the
+    uniforms, that :func:`_count_by_cuts` takes for a block of k replicates
+    over m values: the truthful flags and one flag plane, level by level, for
+    one replicate; the truthful flags and two families of m - 1 planes, all
+    levels at once, for more."""
+    return 2 if k == 1 else 2 * m - 1
+
+
+def _block_arena(rows: int, n: int, m: int, jump: bool, cuts: bool) -> np.ndarray:
     """The one float64 allocation from which :func:`_block_views` carves
-    every block of up to ``rows`` replicates of n respondents, on the jump
-    path or the setter path, counted by cuts or through index arrays: the
-    uniforms, then the limb sums, or else the counting scratch, which by
-    cuts is two flag rows."""
+    every block of up to ``rows`` replicates of n respondents over m values,
+    on the jump path or the setter path, counted by cuts or through index
+    arrays: the uniforms, then the limb sums, or else the counting scratch,
+    which by cuts is :func:`_cut_planes` bool planes."""
     size = rows * n
     if jump:
         return np.empty(10 * size)
-    return np.empty(2 * size + (-(-2 * n // 8) if cuts else 3 * size + -(-size // 8)))
+    scratch = _cut_planes(rows, m) * size if cuts else 25 * size  # bytes
+    return np.empty(2 * size + -(-scratch // 8))
 
 
-def _block_views(arena: np.ndarray, k: int, n: int, jump: bool, cuts: bool) -> tuple:
+def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bool) -> tuple:
     """A block of k replicates carved from ``arena`` (:func:`_block_arena`):
     its uniforms, its limb sums, the truth and device halves of its uniforms
     and its counting scratch.
@@ -728,11 +750,11 @@ def _block_views(arena: np.ndarray, k: int, n: int, jump: bool, cuts: bool) -> t
     limb sums of :func:`_jump_uniforms` follow them. The setter path has no
     limb sums (None) and keeps a row per replicate, (k, 2n), whose halves
     are its first and last n columns. The counting scratch follows the
-    uniforms: for :func:`_count_by_cuts` (k = 1), two bool rows of n; for
-    :func:`_count_rows`, the truth and response indices (int64), the flags
-    (bool) and the probe (float64), each of the shape of a half of the
-    uniforms. On the jump path it lies in the limb sums, which are dead once
-    the uniforms are out.
+    uniforms: for :func:`_count_by_cuts`, its :func:`_cut_planes` bool
+    planes, stacked; for :func:`_count_rows`, the truth and response indices
+    (int64), the flags (bool) and the probe (float64). Every plane or array
+    has the shape of a half of the uniforms. On the jump path the scratch
+    lies in the limb sums, which are dead once the uniforms are out.
     """
     size = k * n
     if jump:
@@ -747,7 +769,8 @@ def _block_views(arena: np.ndarray, k: int, n: int, jump: bool, cuts: bool) -> t
         halves = u[:, :n], u[:, n:]
     work = arena[2 * size:]
     if cuts:
-        return u, sums, halves, work.view(bool)[:2 * n].reshape(2, n)
+        planes = _cut_planes(k, m)
+        return u, sums, halves, work.view(bool)[:planes * size].reshape(planes, *shape)
     truth, responses, probe = (work[i * size:(i + 1) * size].reshape(shape) for i in range(3))
     flags = work[3 * size:].view(bool)[:size].reshape(shape)
     return u, sums, halves, (truth.view(np.int64), responses.view(np.int64), flags, probe)
@@ -770,9 +793,8 @@ def run_block(
     :func:`_jump_uniforms` into a column up to ``JUMP_MAX_N`` respondents and
     through a generator set to each replicate's state into a row above it,
     and counted into its row of the chunk's counts, by :func:`_count_by_cuts`
-    when a block holds one replicate over at most ``CUTS_MAX_M`` values and
-    by :func:`_count_rows` otherwise. The chunk's counts are estimated at
-    once by
+    over at most ``CUTS_MAX_M`` values and by :func:`_count_rows` over more.
+    The chunk's counts are estimated at once by
     :func:`~rrkit.estimation.mean_estimates`, which
     :func:`~rrkit.estimation.estimate_mean` calls on one row. The range that
     holds replicate 0 first replays it through :func:`simulate_survey` and
@@ -781,9 +803,10 @@ def run_block(
     """
     n, m = config.n, config.support.m
     jump = n <= JUMP_MAX_N
+    axis = 0 if jump else 1  # the respondent axis of a block's halves
     rows = block_rows(n, m)
     step = chunk_rows(m)
-    cuts = rows == 1 and m <= CUTS_MAX_M
+    cuts = m <= CUTS_MAX_M
     # replayed, and the jump table built, before the arena is allocated, so
     # that their temporaries and the arena never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
@@ -796,7 +819,7 @@ def run_block(
     # go back to the operating system in between and page-fault afresh when
     # written: a serial n = 50 000 command with four fresh arrays per
     # replicate took 84-332 minor faults, 7-11 with scratch per range.
-    arena = _block_arena(rows, n, jump, cuts)
+    arena = _block_arena(rows, n, m, jump, cuts)
     # the tables the counter reads, looked up once per range
     if cuts:
         levels = _cut_levels(config)
@@ -819,14 +842,14 @@ def run_block(
         for lo in range(0, size, rows):
             k = min(rows, size - lo)
             if k != carved:
-                u, sums, halves, scratch = _block_views(arena, k, n, jump, cuts)
+                u, sums, halves, scratch = _block_views(arena, k, n, m, jump, cuts)
                 carved = k
             if jump:
                 _jump_uniforms(limbs[lo:lo + k], table, u, sums)
             else:
                 _setter_uniforms(states[lo:lo + k], generator, u)
             if cuts:
-                _count_by_cuts(config, u.ravel(), scratch, chunk_counts[lo:lo + 1], levels)
+                _count_by_cuts(config, *halves, axis, scratch, chunk_counts[lo:lo + k], levels)
             else:
                 chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], scratch, levels)
         filled = chunk_counts[:size]
@@ -862,49 +885,73 @@ def _count_rows(
     return np.bincount(responses.ravel(), minlength=len(offsets) * m).reshape(-1, m)
 
 
-def _cut_levels(config: SimulationConfig) -> list[tuple[float, float]]:
-    """The pairs (``cdf[k-1]``, t_k), k = 1..m-1, that :func:`_count_by_cuts`
-    compares truth and device uniforms with."""
-    return list(zip(cdf(config.population)[:-1].tolist(), forced_cuts(config.device)))
+def _cut_levels(config: SimulationConfig) -> np.ndarray:
+    """The (2, m - 1, 1, 1) float64 array of ``cdf[k-1]`` and of t_k,
+    k = 1..m-1, that :func:`_count_by_cuts` compares truth and device
+    uniforms with, one level per (1, 1) entry, so that a family of levels
+    broadcasts against a half of the uniforms in either layout."""
+    cuts = forced_cuts(config.device)
+    return np.array([cdf(config.population)[:-1], cuts]).reshape(2, len(cuts), 1, 1)
 
 
 def _count_by_cuts(
     config: SimulationConfig,
-    u: np.ndarray,
+    truth: np.ndarray,
+    draws: np.ndarray,
+    axis: int,
     scratch: np.ndarray,
     out: np.ndarray,
-    levels: list[tuple[float, float]],
+    levels: np.ndarray,
 ) -> None:
-    """Response counts of one replicate, into the (1, m) row ``out``, from
-    its n truth uniforms followed by its n device uniforms, with no index
-    array.
+    """Response counts of the r replicates of a block, into the (r, m) rows
+    ``out``, from their truth uniforms ``truth`` and device uniforms
+    ``draws``, with no index array. Both are (n, r), a column per replicate
+    (the jump path's state-major halves), or (r, n), a row per replicate
+    (the setter path's); ``axis``, 0 or 1, is their respondent axis.
 
     A truthful draw (device uniform below p) reports its true index, which is
     at least k exactly when its truth uniform is at or above ``cdf[k-1]``,
     the rule of :func:`inverse_cdf`; a forced draw's index is at least k
     exactly when its device uniform is at or above t_k (:func:`forced_cuts`),
-    and t_k > p. So the
-    responses at or above k number the truthful draws past ``cdf[k-1]`` plus
-    the device uniforms past t_k, and each count is the difference of two
-    such numbers. ``scratch`` holds two bool rows of n, both overwritten;
-    ``levels`` the pairs of :func:`_cut_levels`, which the kernel forms once
+    and t_k > p, so the two never flag the same draw. So the responses at or
+    above k number the truthful draws past ``cdf[k-1]`` plus the device
+    uniforms past t_k, and each count is the difference of two such numbers.
+
+    One replicate is counted level by level, with ``count_nonzero`` over two
+    flag planes. More are counted with every level at once: the m - 1
+    truthful flag planes and the m - 1 forced ones, each family one
+    broadcast compare, are joined by ``|=`` and summed over the respondent
+    axis in one reduce, in the smallest unsigned integer type that holds n.
+    ``scratch`` holds the :func:`_cut_planes` bool planes, all overwritten;
+    ``levels`` the array of :func:`_cut_levels`, which the kernel forms once
     per range.
     """
-    n, p = config.n, config.device.p
-    truth, draws = u[:n], u[n:]
-    truthful, flags = scratch
-    np.less(draws, p, out=truthful)
-    row = out[0]
-    above = n
-    for k, (level, cut) in enumerate(levels):
-        np.greater_equal(truth, level, out=flags)
-        flags &= truthful
-        at_least = np.count_nonzero(flags)
-        np.greater_equal(draws, cut, out=flags)
-        at_least += np.count_nonzero(flags)
-        row[k] = above - at_least
-        above = at_least
-    row[-1] = above
+    n, m = config.n, config.support.m
+    truthful = scratch[0]
+    np.less(draws, config.device.p, out=truthful)
+    if len(out) == 1:
+        flags, row = scratch[1], out[0]
+        above = n
+        for k, (level, cut) in enumerate(zip(*levels.reshape(2, -1).tolist())):
+            np.greater_equal(truth, level, out=flags)
+            flags &= truthful
+            at_least = np.count_nonzero(flags)
+            np.greater_equal(draws, cut, out=flags)
+            at_least += np.count_nonzero(flags)
+            row[k] = above - at_least
+            above = at_least
+        row[-1] = above
+        return
+    flags, forced = scratch[1:m], scratch[m:]
+    np.greater_equal(truth, levels[0], out=flags)
+    flags &= truthful
+    np.greater_equal(draws, levels[1], out=forced)
+    flags |= forced
+    # the responses at or above 0, 1, ..., m, a column per replicate
+    at_least = np.empty((m + 1, len(out)), np.min_scalar_type(n))
+    at_least[0], at_least[m] = n, 0
+    np.add.reduce(flags.view(np.uint8), axis=axis + 1, dtype=at_least.dtype, out=at_least[1:m])
+    out[...] = (at_least[:-1] - at_least[1:]).T
 
 
 def _check_first_replicate(

@@ -384,6 +384,15 @@ def test_simulate_requires_pi(capsys, tmp_path):
     assert stderr_code(err) == "MISSING_PI"
 
 
+def test_simulate_refuses_proportions_summing_past_the_largest_float(capsys, tmp_path):
+    # once INTERNAL_ERROR and exit 4, from math.fsum's OverflowError
+    doc = {"values": [0, 1], "stigmatizing": [True, True], "pi": [1e308, 1e308]}
+    survey = write_json(tmp_path / "huge.json", doc)
+    code, out, err = run(capsys, "simulate", "--survey", survey, "--n", "10", "--p", "0.5")
+    assert (code, out) == (2, "")
+    assert stderr_code(err) == "BAD_PI"
+
+
 def test_simulate_requires_some_device_parameter(capsys, survey_m2):
     code, _, err = run(capsys, "simulate", "--survey", survey_m2, "--n", "10")
     assert code == 2

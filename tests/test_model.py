@@ -109,6 +109,26 @@ def test_population_mean_and_variance(support3):
     assert variance_and_unweighted_mean(pop, support3)[0] == pytest.approx(0.61)
 
 
+def test_population_summing_past_the_largest_float_is_bad_pi():
+    # math.fsum raises OverflowError on these, which once escaped as it was
+    for pi in ((1e308, 1e308), (1.0, 1.7976931348623157e308, 1e308)):
+        with pytest.raises(ValidationError) as e:
+            PopulationModel(pi=pi)
+        assert err_code(e) == "BAD_PI"
+
+
+def test_population_mean_past_the_largest_float_is_nonfinite_result():
+    # the exact sum of x_i * pi_i rounds past the largest float, where
+    # math.fsum raises OverflowError
+    top = 1.7976931348623157e308
+    below = math.nextafter(top, 0.0)
+    support = SupportSpec(values=(top, below, math.nextafter(below, 0.0)), stigma=(True,) * 3)
+    pop = PopulationModel(pi=(0.9302078410176895, 0.06906973429830304, 0.0007224246840075709))
+    with pytest.raises(ValidationError, match="mu_x") as e:
+        pop.mean(support)
+    assert err_code(e) == "NONFINITE_RESULT"
+
+
 def test_population_dimension_mismatch(support2):
     pop = PopulationModel(pi=(0.5, 0.3, 0.2))
     with pytest.raises(ValidationError) as e:
@@ -181,6 +201,7 @@ def test_population_rows_divide_by_the_correctly_rounded_sum():
         [[1.0]],
         [0.5, 0.5],
         [["a", "b"]],
+        [[0.5, 0.5], [1e308, 1e308]],  # a sum past the largest float
     ],
 )
 def test_population_rows_reject_what_the_model_rejects(rows):

@@ -286,14 +286,15 @@ def test_draw_tables_are_read_only_cached_per_value_and_built_once_per_run(monke
         with pytest.raises(ValueError):
             array[0] = 0.0
 
-    # the jump path, the setter path and one-row blocks counted by cuts
+    # the jump path, the setter path and one-row blocks, each counted by cuts
+    # (the replay of replicate 0 searches the levels)
     monkeypatch.setenv("RRKIT_THREADS", "1")
     for n, replicates in ((10, 300), (151, 30), (6_000, 3)):
         for table in tables:
             table.cache_clear()
         config = SimulationConfig(SUPPORT, POPULATION, Device(0.4, 3), n, replicates, 5)
         simulation.run_replicates(config)
-        assert [table.cache_info().misses for table in tables] == [1, 1, int(n == 6_000)]
+        assert [table.cache_info().misses for table in tables] == [1, 1, 1]
 
 
 # every array that a cache shares or a record holds, as a thunk giving its arrays

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rrkit import simulation
@@ -36,37 +37,38 @@ def test_scripts_run_at_their_smallest_arguments():
 
 
 def test_kernel_stages_runs_both_sides_of_both_forks():
-    """At n = 3 blocks hold many replicates, so only the stream fork runs; at
-    n = 6 000 they hold one, and both counters run on both paths."""
+    """Both counters run on both paths at every block shape: at n = 3 blocks
+    hold many replicates, at n = 6 000 one."""
     done = _run("kernel_stages.py", "--n", "3,6000", "--m", "3", "--replicates", "3", "--repeats", "1")
     assert done.returncode == 0, done.stderr
     small, large = done.stdout.split("n = 6000")
-    for path in ("jump", "setter"):
-        assert f"{path} path, bincount" in small and f"{path} path, cuts" not in small
-        assert f"{path} path, bincount" in large and f"{path} path, cuts" in large
+    assert "block rows 1\n" not in small and "block rows 1\n" in large
     for part in (small, large):
+        for path, counter in itertools.product(("jump", "setter"), ("cuts", "bincount")):
+            assert f"{path} path, {counter}" in part
         assert "both sides of each fork give the same estimates and counts bit for bit" in part
-        assert "jump/setter: " in part
-    assert "cuts/bincount: " in large and "cuts/bincount: " not in small
+        assert "jump/setter: " in part and "cuts/bincount: " in part
 
 
 def test_kernel_stages_refuses_sides_that_differ(monkeypatch):
     """Counts that one side alone gets wrong past replicate 0 still agree with
     estimate_mean and pass the kernel's own check; the comparison of the
-    sides must catch them."""
+    sides must catch them, in blocks of many replicates and of one."""
     spec = importlib.util.spec_from_file_location("kernel_stages", ROOT / "scripts" / "kernel_stages.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    inner, calls = simulation._count_by_cuts, itertools.count()
+    inner, replicates = simulation._count_by_cuts, itertools.count()
 
-    def swapped(config, u, scratch, out, levels):
-        inner(config, u, scratch, out, levels)
-        if next(calls) % 3 == 1:  # the second replicate of each three-replicate run
-            out[0, :2] = out[0, 1::-1].copy()
+    def swapped(config, truth, draws, axis, scratch, out, levels):
+        inner(config, truth, draws, axis, scratch, out, levels)
+        for row in out:
+            if next(replicates) % 3 == 1:  # the second replicate of each three-replicate run
+                row[:] = np.roll(row, 1)  # changes every row of counts not all equal
 
     monkeypatch.setattr(simulation, "_count_by_cuts", swapped)
-    with pytest.raises(SystemExit, match="jump bincount and jump cuts differ"):
-        script.report(script.config_for(6_000, 3, 3), repeats=1)
+    for n in (10, 6_000):
+        with pytest.raises(SystemExit, match="jump bincount and jump cuts differ"):
+            script.report(script.config_for(n, 3, 3), repeats=1)
 
 
 def test_verify_stages_splits_both_grid_checks_cached_and_streamed():

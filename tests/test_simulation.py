@@ -388,7 +388,7 @@ def test_jump_uniforms_match_generator_random(case):
     seed, start, k, lead, n, rows = case
     words = replicate_words(seed, start - lead, start + k)[:, lead:]
     out, sums, _, _ = simulation._block_views(
-        simulation._block_arena(rows, n, True, False), k, n, True, False
+        simulation._block_arena(rows, n, 3, True, False), k, n, 3, True, False
     )
     simulation._jump_uniforms(simulation._jump_limbs(words), simulation._jump_table(n), out, sums)
     for r in range(k):
@@ -551,20 +551,26 @@ def _boundary_pairs(config):
 
 def _splice_boundaries(patch, config):
     """Start the truth and device halves of every replicate's uniforms with
-    config's boundary pairs, alike for the setter path of the kernel and for
-    the stage functions (and so for the replay of replicate 0)."""
+    config's boundary pairs, alike for both paths of the kernel and for the
+    stage functions (and so for the replay of replicate 0)."""
     pairs = _boundary_pairs(config)
     n, size = config.n, len(pairs)
 
     def splice(row):
         row[:size], row[n:n + size] = pairs.T
 
-    fill, stream = simulation._setter_uniforms, simulation.replicate_stream
+    fill, jump = simulation._setter_uniforms, simulation._jump_uniforms
+    stream = simulation.replicate_stream
 
     def spliced_fill(states, generator, out):
         fill(states, generator, out)
         for row in out:
             splice(row)
+
+    def spliced_jump(limbs, table, out, sums):
+        jump(limbs, table, out, sums)
+        for column in out.T:
+            splice(column)
 
     class SplicedStream:
         def __init__(self, seed, replicate):
@@ -576,6 +582,7 @@ def _splice_boundaries(patch, config):
             return head
 
     patch.setattr(simulation, "_setter_uniforms", spliced_fill)
+    patch.setattr(simulation, "_jump_uniforms", spliced_jump)
     patch.setattr(simulation, "replicate_stream", SplicedStream)
 
 
@@ -627,24 +634,26 @@ def test_kernel_matches_stage_functions_at_one_row_n(case, threads, monkeypatch,
     _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
 
 
-def test_each_counter_counts_its_side_of_one_row_and_cuts_max_m(monkeypatch):
+def test_each_counter_counts_its_side_of_cuts_max_m(monkeypatch):
+    """Every block over at most CUTS_MAX_M values is counted by cuts, and every
+    block over more through a bincount, whatever its rows: one, two (the
+    first n of one-row blocks, less one, in blocks of two, two and one), or
+    many on the jump path."""
     def refuse(*args):
         raise AssertionError("counted on the wrong path")
 
     top = simulation.CUTS_MAX_M
-    for m, n, other in (
-        (top, _first_one_row_n(top), "_count_rows"),
-        (top, _first_one_row_n(top) - 1, "_count_by_cuts"),  # two rows per block
-        (top + 1, _first_one_row_n(top + 1), "_count_by_cuts"),
-    ):
-        config = _with(_one_row_config(m, 0.3, _zeros_every_third(m)), n=n)
-        with monkeypatch.context() as patch:
-            patch.setattr(simulation, other, refuse)
-            _splice_boundaries(patch, config)
-            _assert_records_match_stage_functions(run_replicates(config, keep_replicates=True), config)
+    for m, other in ((top, "_count_rows"), (top + 1, "_count_by_cuts")):
+        for n in (_first_one_row_n(m), _first_one_row_n(m) - 1, JUMP_MAX_N):
+            config = _with(_one_row_config(m, 0.3, _zeros_every_third(m)), n=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, other, refuse)
+                _splice_boundaries(patch, config)
+                summary = run_replicates(config, keep_replicates=True)
+                _assert_records_match_stage_functions(summary, config)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(2, simulation.CUTS_MAX_M),
     p=st.one_of(
@@ -654,24 +663,36 @@ def test_each_counter_counts_its_side_of_one_row_and_cuts_max_m(monkeypatch):
     ),
     zeros=st.sets(st.integers(0, simulation.CUTS_MAX_M - 1)),
     seed=st.integers(0, 2**32 - 1),
+    replicates=st.integers(1, 5),
+    jump=st.booleans(),
+    n=st.sampled_from([100, 255, 256, 300]),
 )
-def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed):
-    """_count_by_cuts gives the bincount of the stage functions' responses, on
-    random uniforms and on every boundary pair."""
+def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed, replicates, jump, n):
+    """_count_by_cuts gives the bincount of the stage functions' responses of
+    every replicate of a block, of one replicate or several, in the jump
+    path's state-major layout or the setter path's row per replicate, on
+    random uniforms and on every boundary pair. A count of n fits the
+    several-replicate sums at n = 255, in one byte, and at n = 256, in two."""
     weights = [0.0 if k in zeros else 1.0 + k for k in range(m)]
     if not any(weights):
         weights[-1] = 1.0
     config = _one_row_config(m, p, tuple(w / sum(weights) for w in weights))
-    config = _with(config, n=200)
-    u = np.random.default_rng(seed).random(2 * config.n)
+    config = _with(config, n=n)
+    rows = np.random.default_rng(seed).random((replicates, 2 * n))
     pairs = _boundary_pairs(config)
-    u[:len(pairs)], u[config.n:config.n + len(pairs)] = pairs.T
-    truth = simulation.inverse_cdf(config.population, u[:config.n])
-    expected = np.bincount(responses_from_uniforms(config.device, truth, u[config.n:]), minlength=m)
-    scratch = (np.empty(config.n, dtype=bool), np.empty(config.n, dtype=bool))
-    got = np.empty((1, m), dtype=np.int64)
-    simulation._count_by_cuts(config, u, scratch, got, simulation._cut_levels(config))
-    assert got.tolist() == [expected.tolist()]
+    rows[:, :len(pairs)], rows[:, n:n + len(pairs)] = pairs.T
+    expected = []
+    for row in rows:
+        truth = simulation.inverse_cdf(config.population, row[:n])
+        responses = responses_from_uniforms(config.device, truth, row[n:])
+        expected.append(np.bincount(responses, minlength=m).tolist())
+    arena = simulation._block_arena(replicates, n, m, jump, True)
+    u, _, halves, scratch = simulation._block_views(arena, replicates, n, m, jump, True)
+    u[...] = rows.T if jump else rows
+    got = np.empty((replicates, m), dtype=np.int64)
+    levels = simulation._cut_levels(config)
+    simulation._count_by_cuts(config, *halves, 0 if jump else 1, scratch, got, levels)
+    assert got.tolist() == expected
 
 
 def _gate_config(n, replicates):
@@ -779,7 +800,8 @@ def _kernel_stages_script():
 def test_kernel_stages_script_checks_and_times_the_kernel(capsys):
     """scripts/kernel_stages.py checks the kernel's estimates against
     estimate_mean bit for bit and times the kernel's own functions, each
-    stage of which a run must reach, on both counting paths."""
+    stage of which a run must reach, in blocks of many replicates and of
+    one."""
     script = _kernel_stages_script()
     kernel = {key: getattr(*key) for key in script.TIMED}
     for config in (script.config_for(3, 3, 200), script.config_for(6_000, 3, 3)):
@@ -829,6 +851,20 @@ def test_block_rows_fit_block_bytes_with_the_count_cells():
         assert (rows + 1) * simulation.block_row_bytes(n, m) > simulation.BLOCK_BYTES or (
             rows == simulation.SEED_CHUNK
         )
+
+
+def test_block_arenas_fit_the_planned_bytes_of_their_rows():
+    """A block's uniforms and counting scratch, by cuts up to CUTS_MAX_M
+    (2(m - 1) + 1 bool planes in blocks of several replicates) and through
+    index arrays above it, fit the bytes per respondent that the plan gives
+    its rows."""
+    top = simulation.CUTS_MAX_M
+    for m in (2, 3, top, top + 1, 1000):
+        for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 5_000, _first_one_row_n(m), 50_000):
+            rows = simulation.block_rows(n, m)
+            jump = n <= JUMP_MAX_N
+            arena = simulation._block_arena(rows, n, m, jump, m <= top)
+            assert arena.nbytes <= rows * simulation.block_row_bytes(n, 0), (m, n)
 
 
 def test_seed_chunks_fit_block_bytes_with_their_count_cells():
@@ -890,6 +926,7 @@ def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, repl
         (1000, 10, 768),  # three full blocks of 256 replicates by m cells
         (1000, 10, 10),  # one block, of which 10 rows hold replicates
         (100, 50_000, 100),  # counts near 500: an int object per kept count
+        (16, 500, 3000),  # counted by cuts, with the most scratch per respondent
     ],
 )
 def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replicates):
@@ -920,9 +957,10 @@ def _wilson_hilferty(df, z):
 LAW_Z = 4.753
 
 
-# True draws on the jump path, False on the setter path, and "cuts" on the
-# jump path in blocks of one replicate, each counted by cuts
-@pytest.mark.parametrize("path", [True, False, "cuts"])
+# True draws on the jump path and False on the setter path, each counted by
+# bincount; "cuts" draws on the jump path in blocks of many replicates and
+# "one-row cuts" in blocks of one, each counted by cuts
+@pytest.mark.parametrize("path", [True, False, "cuts", "one-row cuts"])
 def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
     """Under the paper's model a replicate's counts are Multinomial(n, lambda)
     with lambda = p pi + (1 - p) / m, and replicates are independent. At n = 6,
@@ -947,9 +985,15 @@ def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
 
     monkeypatch.setattr(simulation, "JUMP_MAX_N", JUMP_MAX_N if path else n - 1)
     monkeypatch.setattr(simulation, "_setter_uniforms" if path else "_jump_uniforms", refuse)
-    if path == "cuts":
-        monkeypatch.setattr(simulation, "BLOCK_BYTES", simulation.block_row_bytes(n, 3))
+    if path in (True, False):
+        monkeypatch.setattr(simulation, "CUTS_MAX_M", 2)
+        monkeypatch.setattr(simulation, "_count_by_cuts", refuse)
+    else:
         monkeypatch.setattr(simulation, "_count_rows", refuse)
+    if path == "one-row cuts":
+        monkeypatch.setattr(simulation, "BLOCK_BYTES", simulation.block_row_bytes(n, 3))
+    else:
+        assert simulation.block_rows(n, 3) > 1
     monkeypatch.setenv("RRKIT_THREADS", "1")
     summary = run_replicates(config, keep_replicates=True)
     seen = collections.Counter(r.counts for r in summary.records)
@@ -965,10 +1009,13 @@ def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
 # --- golden digests of the v1 stream --------------------------------------------
 
 # simulate --replicate-csv at one shape per side of the kernel: (n, R) =
-# (10, 600) on the jump path, counted by bincount; (151, 50) on the setter
-# path, by bincount; (6 000, 4) on the setter path in one-row blocks, by cuts;
-# each on both shipped surveys; and (6 000, 3) on a 17-value survey, one-row
-# blocks above CUTS_MAX_M, by bincount. Each case pins the SHA-256 of the CSV
+# (10, 600) on the jump path and (151, 50) on the setter path, in blocks of
+# many replicates, and (6 000, 4) on the setter path in one-row blocks, each
+# on both shipped surveys and so counted by cuts; and the same three shapes
+# ((6 000, 3) for the last) on a 17-value survey, above CUTS_MAX_M, counted
+# by bincount. The shipped surveys' (10, 600) and (151, 50) digests date from
+# when those blocks were counted by bincount too, so they pin the cuts
+# counter to the bincount's counts. Each case pins the SHA-256 of the CSV
 # and the float.hex of mean_mu_hat, var_mu_hat_empirical, mu_x,
 # var_mu_theoretical and variance_ratio. mu_x and var_mu_theoretical are sums
 # of Python floats (math.fsum and estimation._row_sum), with no BLAS dot, so
@@ -1004,6 +1051,16 @@ GOLDEN_STREAM = {
         "36b52506dd455f114be8bace9d20958918b69642f85c2dc65921dc9dae491508",
         "0x1.6e1edb45c4be4p-1", "0x1.645e2bb74f6f1p-8",
         "0x1.6666666666666p-1", "0x1.10315ed607978p-8", "0x1.4f2adaae968c1p+0",
+    ),
+    ("m17", 10, 600): (
+        "b2da4bbf1523307e75d1f3578bddda8eecf99fb12629a5bff2bc5b608ba7144f",
+        "0x1.59c28f5c28f5ep+3", "0x1.bec83bd3512a8p+4",
+        "0x1.5ec27b09ec27bp+3", "0x1.a70e11e684b97p+4", "0x1.0e5b9cb1748cbp+0",
+    ),
+    ("m17", 151, 50): (
+        "6a1d1bb910d00745b631c66586f69e1d10c576027a95ce31cc9a138ee1091065",
+        "0x1.64fcb8e860bfbp+3", "0x1.0ec0a75745e8cp+1",
+        "0x1.5ec27b09ec27bp+3", "0x1.c0452901d2252p+0", "0x1.353eb8b570226p+0",
     ),
     ("m17", 6_000, 3): (
         "c59dbf6f18df5efb3f76e384a0440695020c0f098594cb3817ef81825f155c6a",
