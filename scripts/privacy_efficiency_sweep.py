@@ -60,6 +60,10 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=500, help="sample size for the variance columns")
     parser.add_argument("--steps", type=int, default=20, help="p-grid resolution (1/steps)")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("--n must be at least 1")
+    if args.steps < 2:
+        parser.error("--steps must be at least 2: the grid is p = 1/steps, ..., 1 - 1/steps")
 
     survey = load_survey(args.survey)
     if survey.population is None:

@@ -11,10 +11,22 @@ import argparse
 
 from rrkit import (
     Device,
+    ValidationError,
     design,
     load_survey,
     simulation,
 )
+
+
+def sample_sizes(text):
+    """The sample sizes of ``--n``: comma-separated integers, each at least 1."""
+    try:
+        sizes = [int(part) for part in text.split(",")]
+        if min(sizes) >= 1:
+            return sizes
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
 
 
 def run_once(survey, device, n, replicates, seed):
@@ -36,7 +48,7 @@ def main(argv=None):
     )
     parser.add_argument("--p", type=float, default=None, help="device truth-probability override")
     parser.add_argument(
-        "--n", default="100,250,500,1000", help="comma-separated sample sizes"
+        "--n", type=sample_sizes, default="100,250,500,1000", help="comma-separated sample sizes"
     )
     parser.add_argument("--replicates", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=20240801)
@@ -48,7 +60,10 @@ def main(argv=None):
     if survey.population is None:
         parser.error("survey has no 'pi'; the study needs a population")
     if args.p is not None:
-        device = Device(p=args.p, m=survey.support.m)
+        try:
+            device = Device(p=args.p, m=survey.support.m)
+        except ValidationError as e:
+            parser.error(f"--p: {e}")
         source = f"--p {args.p}"
     elif survey.policy is not None:
         device, cert = design.design_device(survey.policy, survey.support)
@@ -64,8 +79,7 @@ def main(argv=None):
     header = f"{'n':>6}  {'mean(mu^)':>10}  {'bias':>9}  {'bias/se':>8}  {'emp var':>10}  {'theory':>10}  {'ratio':>6}"
     print(header)
     worst_ratio = 0.0
-    for n_text in args.n.split(","):
-        n = int(n_text)
+    for n in args.n:
         s = run_once(survey, device, n, args.replicates, args.seed)
         bias = s.mean_mu_hat - mu_x
         z = bias / s.mc_se_mean

@@ -60,7 +60,8 @@ truthful draw, and of the device uniform with a cut point
 (:func:`forced_cuts`) for a forced one, so each count is a difference of two
 numbers of flags (:func:`_count_by_cuts`): exactly the bincount's counts. A
 block of one replicate (from about n = 5 460, see :func:`block_rows`) counts
-its flags level by level with ``count_nonzero``; a block of several compares
+its flags level by level with ``count_nonzero``, which at m = 3 beats the
+broadcast's casting reduce (``CUTS_MAX_M``); a block of several compares
 all m - 1 levels of each family in one broadcast and sums the flags over the
 respondent axis in one reduce. Its cost grows as O(m n), so blocks over more
 values keep the index arrays and one bincount (:func:`_count_rows`). The
@@ -73,7 +74,8 @@ a bit of its estimate raises ``RuntimeError``.
 
 Worker threads: a run of n respondents per replicate is serial below
 ``POOL_MIN_N`` and uses one thread per CPU at or above it, where the array
-draws release the interpreter lock for long enough to pay for a pool.
+draws release the interpreter lock for long enough to pay for a pool; the
+CPUs counted are those the process may run on (:func:`thread_count`).
 ``RRKIT_THREADS`` overrides that choice, up to ``MAX_THREADS``. The pool
 hands out contiguous blocks of replicate indices, ``BLOCKS_PER_WORKER`` per
 worker, and each block is drawn through a generator of its own.
@@ -161,7 +163,12 @@ JUMP_MAX_N = 150
 # n = 150, 0.70-0.98 at n = 500 and 0.60-0.86 at n = 2 000, for m = 4, 8
 # and 16 (kernel_stages.py --replicates 2000, 11 or 21 passes), and
 # 1.13-1.19 at m = 24 (n = 10, 500 and 2 000). So 16 is the largest m at
-# which the cuts win at every n.
+# which the cuts win at every n. Blocks of one replicate keep their loop
+# over the levels: counted by the broadcast instead, whose reduce casts its
+# uint8 flags to a wider type where count_nonzero does not, the whole kernel
+# took 1.03-1.07 times as long at n = 6 000, m = 3, and 1.02-1.04 at
+# n = 50 000 (medians of three sets of 15-18 paired run_block passes; a copy
+# of the same code read 0.99-1.01), though 0.69 at n = 6 000, m = 16.
 CUTS_MAX_M = 16
 # Largest memory a run may plan for. Per worker, a block of replicates: its
 # uniforms (16 bytes per respondent) and counting scratch (25 through index
@@ -169,7 +176,9 @@ CUTS_MAX_M = 16
 # several, at most 31 at m = 16) peaked under tracemalloc, through index
 # arrays, at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
 # and by cuts at 53.9 at n = 500 and 2 000 (m = 16, 47 of them the block's
-# allocation) and 48.4 at n = 5 000, planned as 48; the rest is fixed,
+# allocation) and 48.4 at n = 5 000, planned as 48 (a whole run's peak at
+# m = 16 in blocks of one replicate, the replay of replicate 0 included, was
+# 34.4 at n = 50 000 and 33.3 at n = 200 000); the rest is fixed,
 # mostly numpy's ufunc buffers of up to 64 KiB (the cuts' reduce takes one),
 # which bring a block at n = 10 to 53, within its range's seed allowance. On
 # the jump path a block holds its uniforms and its limb sums (64 bytes per
@@ -220,12 +229,19 @@ def thread_count(replicates: int, n: int = 0) -> int:
     """Worker threads for ``replicates`` replicates of ``n`` respondents each.
 
     ``RRKIT_THREADS`` if set (1 to ``MAX_THREADS``); otherwise one below
-    ``POOL_MIN_N`` respondents and one per CPU at or above it. Never more
-    workers than replicates.
+    ``POOL_MIN_N`` respondents and, at or above it, one per CPU that the
+    process may run on: its affinity mask (taskset, a container's cpuset)
+    where the platform reports one, else every CPU. Never more workers than
+    replicates.
     """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
-        workers = (os.cpu_count() or 1) if n >= POOL_MIN_N else 1
+        if n < POOL_MIN_N:
+            workers = 1
+        elif hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     else:
         try:
             workers = int(raw)

@@ -92,3 +92,24 @@ def test_replication_study_refuses_fewer_than_two_replicates():
     assert done.returncode == 2
     assert "--replicates must be at least 2" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("replication_study.py", "--n", "10", "--p", "2"), "--p: device parameter p must lie in (0, 1)"),
+        (("replication_study.py", "--n", "0"), "argument --n: expected comma-separated integers >= 1"),
+        (("replication_study.py", "--n", "10,abc"), "argument --n: expected comma-separated integers >= 1"),
+        (("privacy_efficiency_sweep.py", "--n", "0"), "--n must be at least 1"),
+        (("privacy_efficiency_sweep.py", "--steps", "0"), "--steps must be at least 2"),
+        (("privacy_efficiency_sweep.py", "--steps", "1"), "--steps must be at least 2"),
+    ],
+)
+def test_scripts_refuse_bad_arguments_with_one_line(argv, message):
+    """Out-of-range or unparsable arguments end in argparse's usage and one
+    error line, exit 2, before any table is printed."""
+    done = _run(*argv)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not done.stdout

@@ -139,20 +139,46 @@ def test_thread_count_honors_env(monkeypatch):
         thread_count(10)
 
 
+def _cpus(monkeypatch, count, usable):
+    """``count`` CPUs on the machine, of which the process may run on
+    ``usable``; None for a platform with no affinity call."""
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: count)
+    if usable is None:
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+
+
 def test_default_is_serial_below_pool_min_n_and_a_thread_per_cpu_at_it(monkeypatch):
     monkeypatch.delenv("RRKIT_THREADS", raising=False)
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    _cpus(monkeypatch, 6, 6)
     assert thread_count(100, POOL_MIN_N - 1) == 1
     assert thread_count(100, 10) == 1
     assert thread_count(100) == 1
     assert thread_count(100, POOL_MIN_N) == 6
     assert thread_count(4, POOL_MIN_N) == 4  # never more workers than replicates
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
+    _cpus(monkeypatch, 6, None)
+    assert thread_count(100, POOL_MIN_N) == 6
+    _cpus(monkeypatch, None, None)
     assert thread_count(100, POOL_MIN_N) == 1
 
 
+def test_default_counts_only_the_cpus_the_process_may_run_on(monkeypatch):
+    """A process pinned to 2 of 64 CPUs starts 2 workers, and its memory
+    plan counts 2 workers' blocks and seed chunks."""
+    monkeypatch.delenv("RRKIT_THREADS", raising=False)
+    _cpus(monkeypatch, 64, 2)
+    assert thread_count(100, POOL_MIN_N) == 2
+    assert thread_count(100, 10) == 1
+    n = 20_000_000  # about 1 GB of block per worker: 2 fit the budget, 64 do not
+    simulation._check_memory(n, 3, 100, thread_count(100, n), False)
+    with pytest.raises(ValidationError) as e:
+        simulation._check_memory(n, 3, 100, 64, False)
+    assert e.value.code == "RESOURCE_LIMIT"
+
+
 def test_env_overrides_the_default_in_both_directions(monkeypatch):
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    _cpus(monkeypatch, 6, 6)
     monkeypatch.setenv("RRKIT_THREADS", "3")
     assert thread_count(100, 10) == 3
     monkeypatch.setenv("RRKIT_THREADS", "1")
@@ -229,7 +255,7 @@ def test_default_pool_at_pool_min_n_matches_serial(support3, pop3, monkeypatch):
     monkeypatch.setenv("RRKIT_THREADS", "1")
     serial = run_replicates(cfg, keep_replicates=True)
     monkeypatch.delenv("RRKIT_THREADS")
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2, 2)
     assert thread_count(cfg.replicates, cfg.n) == 2
     assert run_replicates(cfg, keep_replicates=True) == serial
 
@@ -855,9 +881,9 @@ def test_block_rows_fit_block_bytes_with_the_count_cells():
 
 def test_block_arenas_fit_the_planned_bytes_of_their_rows():
     """A block's uniforms and counting scratch, by cuts up to CUTS_MAX_M
-    (2(m - 1) + 1 bool planes in blocks of several replicates) and through
-    index arrays above it, fit the bytes per respondent that the plan gives
-    its rows."""
+    (2 bool planes in blocks of one replicate, 2(m - 1) + 1 in blocks of
+    several) and through index arrays above it, fit the bytes per respondent
+    that the plan gives its rows."""
     top = simulation.CUTS_MAX_M
     for m in (2, 3, top, top + 1, 1000):
         for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 5_000, _first_one_row_n(m), 50_000):
@@ -927,6 +953,7 @@ def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, repl
         (1000, 10, 10),  # one block, of which 10 rows hold replicates
         (100, 50_000, 100),  # counts near 500: an int object per kept count
         (16, 500, 3000),  # counted by cuts, with the most scratch per respondent
+        (16, 50_000, 20),  # counted by cuts in blocks of one replicate, level by level
     ],
 )
 def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replicates):
