@@ -47,7 +47,9 @@ import time
 
 import numpy as np
 
-from rrkit import Device, PopulationModel, ResponseSample, SupportSpec, estimation, simulation
+from rrkit import (
+    Device, PopulationModel, ResponseSample, SupportSpec, ValidationError, estimation, simulation,
+)
 
 STAGES = ("seeding", "uniforms", "counting", "estimate", "rest", "reduce")
 # the kernel's functions, by module and name, each timed as the stage it belongs to
@@ -218,9 +220,17 @@ def main(argv=None) -> None:
     parser.add_argument("--replicates", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.replicates < 2:
+        parser.error("--replicates must be at least 2: the reduce stage takes a sample variance")
+    try:
+        configs = [config_for(n, m, args.replicates) for n, m in itertools.product(args.n, args.m)]
+    except ValidationError as e:
+        parser.error(str(e))
     print(f"JUMP_MAX_N = {simulation.JUMP_MAX_N}, CUTS_MAX_M = {simulation.CUTS_MAX_M}")
-    for n, m in itertools.product(args.n, args.m):
-        report(config_for(n, m, args.replicates), args.repeats)
+    for config in configs:
+        report(config, args.repeats)
 
 
 if __name__ == "__main__":

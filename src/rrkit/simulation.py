@@ -43,15 +43,16 @@ block, which keeps a row per replicate. Rows per block are capped so that a
 block, its scratch and its count cells stay within ``BLOCK_BYTES`` (one row
 when a single replicate is larger), and rows per chunk so that its count
 cells do (:func:`chunk_rows`). Each range carves every block, with its
-limb sums and counting scratch, from one allocation
-(:func:`_block_arena`); the counting scratch of the jump path lies in the
-limb sums, dead once the uniforms are out. Counts are computed for the whole
-block on its two halves (n rows of the state-major block, or n columns of
-the setter path's), by cuts (below) or through the uniform-to-index helpers
-that :func:`sample_true_indices` and :func:`draw_responses` use; the mean
-estimate (:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do
-not depend on the rows beside it) for the whole chunk. Every count is the
-one those helpers give.
+limb sums or its cut planes, from one allocation (:func:`_block_arena`);
+on the jump path the cut planes lie in the limb sums, dead once the
+uniforms are out. Counts are computed for the whole block on its two halves
+(n rows of the state-major block, or n columns of the setter path's), by
+cuts (below) or through the uniform-to-index helpers that
+:func:`sample_true_indices` and :func:`draw_responses` use, which allocate
+their index arrays themselves; the mean estimate
+(:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do not
+depend on the rows beside it) for the whole chunk. Every count is the one
+those helpers give.
 
 Counting by cuts: every block over at most ``CUTS_MAX_M`` values, on either
 path, builds no index array. The estimators read only counts, and "response
@@ -65,8 +66,9 @@ broadcast's casting reduce (``CUTS_MAX_M``); a block of several compares
 all m - 1 levels of each family in one broadcast and sums the flags over the
 respondent axis in one reduce. Its cost grows as O(m n), so blocks over more
 values keep the index arrays and one bincount (:func:`_count_rows`). The
-tables both counters read are computed once per population or device value,
-and looked up once per range.
+tables both counters read are computed once per population or device value;
+the cut levels are looked up once per range, the search levels of
+:func:`inverse_cdf` once per block.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -127,7 +129,12 @@ POOL_MIN_N = 16_000
 MAX_THREADS = 256
 # Contiguous replicate blocks handed out per worker thread: more than one, so
 # that a worker slowed by another process on its CPU leaves its later blocks
-# to the others.
+# to the others. One range per worker was measured against it on 2 vCPUs:
+# in process, mc_large_n's command (n = 50 000, R = 200) read p90 16% higher
+# in one set of 40 rounds and within 4% in four others; under the
+# benchmark's own harness its op_s_tail read 57.6-59.1 ms against
+# 52.4-69.0 ms (5 pairs) and 57.9-60.1 against 49.0-59.1 (6 pairs), higher
+# in 10 of 11 pairs, with op_s_p50 unchanged. So the four stay.
 BLOCKS_PER_WORKER = 4
 # Replicates per block of the kernel: as many as keep a block's rows
 # (block_row_bytes: uniforms, temporaries and count cells) within
@@ -171,10 +178,12 @@ JUMP_MAX_N = 150
 # of the same code read 0.99-1.01), though 0.69 at n = 6 000, m = 16.
 CUTS_MAX_M = 16
 # Largest memory a run may plan for. Per worker, a block of replicates: its
-# uniforms (16 bytes per respondent) and counting scratch (25 through index
-# arrays; by cuts 2 in blocks of one replicate and 2(m - 1) + 1 in blocks of
-# several, at most 31 at m = 16) peaked under tracemalloc, through index
-# arrays, at 47.7 bytes per respondent at n = 500 and 42.4 at n = 50 000,
+# uniforms (16 bytes per respondent) and counting scratch (through index
+# arrays, up to 25 in the temporaries of inverse_cdf and
+# responses_from_uniforms; by cuts 2 in blocks of one replicate and
+# 2(m - 1) + 1 in blocks of several, at most 31 at m = 16) peaked under
+# tracemalloc, through index arrays, at 47.7 bytes per respondent at n = 500
+# (48.1 at m = 17) and 42.4 at n = 50 000,
 # and by cuts at 53.9 at n = 500 and 2 000 (m = 16, 47 of them the block's
 # allocation) and 48.4 at n = 5 000, planned as 48 (a whole run's peak at
 # m = 16 in blocks of one replicate, the replay of replicate 0 included, was
@@ -182,14 +191,17 @@ CUTS_MAX_M = 16
 # mostly numpy's ufunc buffers of up to 64 KiB (the cuts' reduce takes one),
 # which bring a block at n = 10 to 53, within its range's seed allowance. On
 # the jump path a block holds its uniforms and its limb sums (64 bytes per
-# respondent), which hold the counting scratch too: a block's peak under
+# respondent), which hold the cut planes too: a block's peak under
 # tracemalloc grew by 80.0 bytes per respondent over blocks of 64-1 024 rows
 # (m = 3, n = 70-200), planned as the 48 plus 32; one block of 41 rows at
 # n = 150, m = 16, fixed buffers included, peaked at 93.0 bytes per
-# respondent counted by cuts and 93.1 through index arrays. The run also
-# holds one state table of 17 rows of 8 doubles per respondent; a cold run's
-# peak (the table built inside the trace) stayed within 0.60 of the plan at
-# n = 1-150, m = 3 and 40, R = 1-3 000. Each seed chunk holds m cells per
+# respondent. Through index arrays the temporaries come on top of the limb
+# sums: one block of 40 rows at n = 150, m = 17 peaked at 115.4, within its
+# range's seed allowance (below), and a whole run of 3 000 replicates at
+# 0.41 of its plan. The run also holds one state table of 17 rows of 8
+# doubles per respondent; a cold run's peak (the table built inside the
+# trace) stayed within 0.60 of the plan at n = 1-150, m = 3 and 40,
+# R = 1-3 000. Each seed chunk holds m cells per
 # replicate: its counts, each block's bincount and the estimate's raw
 # proportions, with their temporaries, and, when records are kept, the counts as lists; held per
 # block, they peaked at 22-32 bytes per cell, with records or without
@@ -364,15 +376,7 @@ def _search_levels(population: PopulationModel) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(table[2**j - 1::2 ** (j + 1)]) for j in reversed(range(k)))
 
 
-def inverse_cdf(
-    population: PopulationModel,
-    u: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    flags: np.ndarray | None = None,
-    probe: np.ndarray | None = None,
-    levels: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
+def inverse_cdf(population: PopulationModel, u: np.ndarray) -> np.ndarray:
     """True-value indices for uniforms ``u`` in [0, 1), element by element.
 
     Index i takes the uniforms in [cdf[i-1], cdf[i]), and m-1 also takes a
@@ -384,23 +388,11 @@ def inverse_cdf(
     ``idx += step * (u >= table[idx + step - 1])`` for step = 2**(k-1) down
     to 1, one compare pass per step. It keeps idx / step, doubled before
     each step, so that each step reads one level of the table
-    (:func:`_search_levels`).
-
-    ``u`` is only read. ``out`` (int64), ``flags`` (bool) and ``probe``
-    (float64), of u's shape, are scratch a caller may pass to spare the
-    allocations; ``out`` is returned. A caller that searches block by block
-    passes the population's ``levels`` once looked up, as finding them
-    hashes its proportions.
+    (:func:`_search_levels`). ``u`` is only read.
     """
     u = np.asarray(u)
-    if levels is None:
-        levels = _search_levels(population)
-    if out is None:
-        out = np.empty(u.shape, dtype=np.int64)
-    if flags is None:
-        flags = np.empty(u.shape, dtype=bool)
-    if probe is None:
-        probe = np.empty(u.shape)
+    levels = _search_levels(population)
+    out, flags, probe = np.empty(u.shape, np.int64), np.empty(u.shape, bool), np.empty(u.shape)
     np.greater_equal(u, levels[0][0], out=flags)
     np.copyto(out, flags)
     for level in levels[1:]:
@@ -455,40 +447,22 @@ def forced_cuts(device: Device) -> tuple[float, ...]:
     return tuple(cuts)
 
 
-def responses_from_uniforms(
-    device: Device,
-    true_indices: np.ndarray,
-    u: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    flags: np.ndarray | None = None,
-    probe: np.ndarray | None = None,
-) -> np.ndarray:
+def responses_from_uniforms(device: Device, true_indices: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Randomize true-value indices through the device, one uniform each.
 
     ``u`` has the shape of ``true_indices``. A uniform below p reports the
     true index; otherwise its :func:`_forced_score` picks the forced index
-    among the m values.
-
-    ``true_indices`` and ``u`` are only read. ``out`` (int64), ``flags``
-    (bool) and ``probe`` (float64), of u's shape, are scratch a caller may
-    pass to spare the allocations; ``out`` is returned.
+    among the m values. ``true_indices`` and ``u`` are only read.
     """
-    if out is None:
-        out = np.empty(u.shape, dtype=np.int64)
-    if flags is None:
-        flags = np.empty(u.shape, dtype=bool)
-    if probe is None:
-        probe = np.empty(u.shape)
-    score = _forced_score(u, device.p, device.m, out=probe)
+    score = _forced_score(u, device.p, device.m, out=np.empty(u.shape))
     # Only draws u >= p keep their forced index, and those score from 0 up;
     # a truthful draw scores below 0, and near p = 1 below the int64 range,
     # so the clip keeps the cast defined without changing a kept index.
     np.clip(score, -1.0, device.m - 1, out=score)
-    np.copyto(out, score, casting="unsafe")
-    np.less(u, device.p, out=flags)
-    delta = np.subtract(true_indices, out, out=probe.view(np.int64))
-    delta *= flags
+    out = score.astype(np.int64)
+    truthful = np.less(u, device.p)
+    delta = np.subtract(true_indices, out, out=score.view(np.int64))
+    delta *= truthful
     out += delta
     return out
 
@@ -746,31 +720,28 @@ def _cut_planes(k: int, m: int) -> int:
 def _block_arena(rows: int, n: int, m: int, jump: bool, cuts: bool) -> np.ndarray:
     """The one float64 allocation from which :func:`_block_views` carves
     every block of up to ``rows`` replicates of n respondents over m values,
-    on the jump path or the setter path, counted by cuts or through index
-    arrays: the uniforms, then the limb sums, or else the counting scratch,
-    which by cuts is :func:`_cut_planes` bool planes."""
+    on the jump path or the setter path, counted by cuts or not: the
+    uniforms, then the limb sums, or else the :func:`_cut_planes` bool
+    planes of counting by cuts."""
     size = rows * n
     if jump:
         return np.empty(10 * size)
-    scratch = _cut_planes(rows, m) * size if cuts else 25 * size  # bytes
-    return np.empty(2 * size + -(-scratch // 8))
+    planes = _cut_planes(rows, m) * size if cuts else 0  # bytes
+    return np.empty(2 * size + -(-planes // 8))
 
 
 def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bool) -> tuple:
     """A block of k replicates carved from ``arena`` (:func:`_block_arena`):
     its uniforms, its limb sums, the truth and device halves of its uniforms
-    and its counting scratch.
+    and, counted by cuts, its :func:`_cut_planes` bool planes (else None).
 
     On the jump path the uniforms are state-major, (2n, k), with output j of
     every stream in row j, so each half is a block of n rows; the (8n, k)
     limb sums of :func:`_jump_uniforms` follow them. The setter path has no
     limb sums (None) and keeps a row per replicate, (k, 2n), whose halves
-    are its first and last n columns. The counting scratch follows the
-    uniforms: for :func:`_count_by_cuts`, its :func:`_cut_planes` bool
-    planes, stacked; for :func:`_count_rows`, the truth and response indices
-    (int64), the flags (bool) and the probe (float64). Every plane or array
-    has the shape of a half of the uniforms. On the jump path the scratch
-    lies in the limb sums, which are dead once the uniforms are out.
+    are its first and last n columns. The cut planes follow the uniforms,
+    stacked, each of the shape of a half; on the jump path they lie in the
+    limb sums, which are dead once the uniforms are out.
     """
     size = k * n
     if jump:
@@ -783,13 +754,10 @@ def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bo
         u = arena[:2 * size].reshape(k, 2 * n)
         sums = None
         halves = u[:, :n], u[:, n:]
-    work = arena[2 * size:]
-    if cuts:
-        planes = _cut_planes(k, m)
-        return u, sums, halves, work.view(bool)[:planes * size].reshape(planes, *shape)
-    truth, responses, probe = (work[i * size:(i + 1) * size].reshape(shape) for i in range(3))
-    flags = work[3 * size:].view(bool)[:size].reshape(shape)
-    return u, sums, halves, (truth.view(np.int64), responses.view(np.int64), flags, probe)
+    if not cuts:
+        return u, sums, halves, None
+    planes = _cut_planes(k, m)
+    return u, sums, halves, arena[2 * size:].view(bool)[:planes * size].reshape(planes, *shape)
 
 
 def run_block(
@@ -830,17 +798,18 @@ def run_block(
     x = config.support.values_array
     chunk_counts = np.empty((min(step, len(block)), m), dtype=np.int64)
     # One allocation per range for every block's uniforms, limb sums and
-    # counting scratch, overwritten by every block. Arrays this large, freed
+    # cut planes, overwritten by every block. Arrays this large, freed
     # and allocated again per replicate on the main thread (a serial run), can
     # go back to the operating system in between and page-fault afresh when
     # written: a serial n = 50 000 command with four fresh arrays per
-    # replicate took 84-332 minor faults, 7-11 with scratch per range.
+    # replicate took 84-332 minor faults, 7-11 with scratch per range. The
+    # index arrays of blocks over CUTS_MAX_M values are fresh per block: at
+    # n = 50 000, m = 24, 43 faults per replicate, yet paired run_block passes
+    # read 0.99 of the time with those arrays kept per range.
     arena = _block_arena(rows, n, m, jump, cuts)
-    # the tables the counter reads, looked up once per range
     if cuts:
-        levels = _cut_levels(config)
+        levels = _cut_levels(config)  # looked up once per range
     else:
-        levels = _search_levels(config.population)
         # row r's responses are offset by r * m: a row on the jump path, a
         # column on the setter path
         offsets = np.arange(0, rows * m, m)
@@ -858,16 +827,16 @@ def run_block(
         for lo in range(0, size, rows):
             k = min(rows, size - lo)
             if k != carved:
-                u, sums, halves, scratch = _block_views(arena, k, n, m, jump, cuts)
+                u, sums, halves, planes = _block_views(arena, k, n, m, jump, cuts)
                 carved = k
             if jump:
                 _jump_uniforms(limbs[lo:lo + k], table, u, sums)
             else:
                 _setter_uniforms(states[lo:lo + k], generator, u)
             if cuts:
-                _count_by_cuts(config, *halves, axis, scratch, chunk_counts[lo:lo + k], levels)
+                _count_by_cuts(config, *halves, axis, planes, chunk_counts[lo:lo + k], levels)
             else:
-                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], scratch, levels)
+                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k])
         filled = chunk_counts[:size]
         mu_hats[chunk:chunk + size] = estimation.mean_estimates(filled / n, config.device, x)
         if counts is not None:
@@ -877,25 +846,16 @@ def run_block(
 
 
 def _count_rows(
-    config: SimulationConfig,
-    truth_u: np.ndarray,
-    draws: np.ndarray,
-    offsets: np.ndarray,
-    scratch: tuple[np.ndarray, ...],
-    levels: tuple[np.ndarray, ...],
+    config: SimulationConfig, truth_u: np.ndarray, draws: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """Response counts, one row per replicate, from the replicates' truth
     uniforms ``truth_u`` and device uniforms ``draws``, both (n, k) with a
     column per replicate or (k, n) with a row; ``offsets`` holds r * m for
-    each replicate r, as a row or a column to match.
-
-    ``scratch`` holds the truth and response indices (int64), the compare
-    flags (bool) and a probe (float64), each of the uniforms' shape, all
-    overwritten; ``levels`` the population's :func:`_search_levels`.
-    """
-    truth, responses, flags, probe = scratch
-    inverse_cdf(config.population, truth_u, out=truth, flags=flags, probe=probe, levels=levels)
-    responses_from_uniforms(config.device, truth, draws, out=responses, flags=flags, probe=probe)
+    each replicate r, as a row or a column to match. The index arrays are
+    those of :func:`inverse_cdf` and :func:`responses_from_uniforms`, which
+    allocate their own."""
+    truth = inverse_cdf(config.population, truth_u)
+    responses = responses_from_uniforms(config.device, truth, draws)
     responses += offsets
     m = config.support.m
     return np.bincount(responses.ravel(), minlength=len(offsets) * m).reshape(-1, m)

@@ -210,6 +210,15 @@ def test_grid_point_cap_refuses_before_building(monkeypatch):
     assert grid_divisions(2, 1e-6) == 1_000_000  # 1e6 + 1 points stay under the cap
 
 
+@pytest.mark.parametrize("m, step", [(3, 1e-300), (2000, 1e-5)])
+def test_a_grid_over_the_cap_is_refused_in_a_bounded_message(m, step):
+    # the point counts have 600 and 4 353 digits
+    with pytest.raises(ValidationError) as e:
+        grid_divisions(m, step)
+    assert e.value.code == "BAD_GRID"
+    assert str(MAX_GRID_POINTS) in str(e.value) and len(str(e.value)) < 100
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, float("nan"), float("inf"), 5e-324, "x"])
 def test_unusable_grid_steps_are_bad_grid(step):
     with pytest.raises(ValidationError) as e:
@@ -333,7 +342,7 @@ def lattice_never_built(monkeypatch):
     def no_lattice(*args):
         raise AssertionError("a lattice or a search input was built")
 
-    for name in ("_count_vectors", "_count_blocks", "_lattice", "_search_input"):
+    for name in ("_count_vectors", "_count_blocks", "_search_input"):
         monkeypatch.setattr(oracle, name, no_lattice)
 
 
@@ -361,9 +370,10 @@ def test_mass_indices_off_the_values_are_refused_before_building(monkeypatch, in
 
 
 def test_each_search_input_is_built_once_and_kept_apart():
-    """The input of a search over a cached lattice, extras and filter
-    included, is built once per set of arguments: a -0.0 extra is not a 0.0
-    one, and another floor filters anew; with neither, it is the lattice."""
+    """The input of a search over a lattice that fits one block, extras and
+    filter included, is built once per set of arguments: a -0.0 extra is not
+    a 0.0 one, and another floor filters anew; with neither, it is the
+    lattice alone."""
     k, rows = 100, oracle._block_rows(3)
 
     def points_of(**kwargs):
@@ -373,7 +383,7 @@ def test_each_search_input_is_built_once_and_kept_apart():
         return points
 
     bare = points_of()
-    assert bare.base is oracle._lattice(k, 3, rows).base
+    assert bare.base is oracle._search_input(k, 3, rows, b"", (0, 3), None, None).base
     plus, minus = (points_of(extra_points=[[z, 0.25, 0.75]]) for z in (0.0, -0.0))
     assert len(plus) == len(minus) == len(bare) + 1
     assert not np.signbit(plus[-1, 0]) and np.signbit(minus[-1, 0])

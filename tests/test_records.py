@@ -297,6 +297,11 @@ def test_draw_tables_are_read_only_cached_per_value_and_built_once_per_run(monke
         assert [table.cache_info().misses for table in tables] == [1, 1, 1]
 
 
+def _bare_input():
+    """The cached input of a step-0.05 search with no extra points or filter."""
+    return oracle._search_input(20, 3, oracle._block_rows(3), b"", (0, 3), None, None)
+
+
 # every array that a cache shares or a record holds, as a thunk giving its arrays
 FROZEN = {
     "simulation.cdf": lambda: [simulation.cdf(POPULATION)],
@@ -309,12 +314,12 @@ FROZEN = {
     "privacy.beta_measure.mass_by_response": lambda: [
         beta_measure(Device(0.3, 3), POPULATION, (1,)).mass_by_response
     ],
-    "oracle._lattice": lambda: [oracle._lattice(20, 3, oracle._block_rows(3))],
+    "oracle._search_input.lattice": lambda: [_bare_input()],
     "oracle._search_input": lambda: list(
         oracle._search_blocks(20, 3, np.array([[0.1, 0.2, 0.7]]), (1,), 0.3)
     ),
     "privacy._population_columns": lambda: [
-        privacy._population_columns(Device(0.3, 3), oracle._lattice(20, 3, oracle._block_rows(3)).T)
+        privacy._population_columns(Device(0.3, 3), _bare_input().T)
     ],
     "oracle.simplex_grid_search.witness": lambda: [
         oracle.simplex_grid_search(lambda points: points[:, 1], 3, 0.25).witness

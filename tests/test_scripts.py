@@ -103,6 +103,14 @@ def test_replication_study_refuses_fewer_than_two_replicates():
         (("privacy_efficiency_sweep.py", "--n", "0"), "--n must be at least 1"),
         (("privacy_efficiency_sweep.py", "--steps", "0"), "--steps must be at least 2"),
         (("privacy_efficiency_sweep.py", "--steps", "1"), "--steps must be at least 2"),
+        (("kernel_stages.py", "--repeats", "0"), "--repeats must be at least 1"),
+        (("kernel_stages.py", "--replicates", "0"), "--replicates must be at least 2"),
+        (("kernel_stages.py", "--replicates", "1"), "--replicates must be at least 2"),
+        (("kernel_stages.py", "--n", "0"), "sample size must be an integer >= 1, got 0"),
+        (("kernel_stages.py", "--m", "1"), "support needs at least two values"),
+        (("verify_stages.py", "--repeats", "0"), "--repeats must be at least 1"),
+        (("verify_stages.py", "--grid-step", "0.3"), "--grid-step: step 0.3 must evenly divide 1"),
+        (("verify_stages.py", "--grid-step", "0"), "--grid-step: step 0.0 must evenly divide 1"),
     ],
 )
 def test_scripts_refuse_bad_arguments_with_one_line(argv, message):

@@ -880,10 +880,11 @@ def test_block_rows_fit_block_bytes_with_the_count_cells():
 
 
 def test_block_arenas_fit_the_planned_bytes_of_their_rows():
-    """A block's uniforms and counting scratch, by cuts up to CUTS_MAX_M
-    (2 bool planes in blocks of one replicate, 2(m - 1) + 1 in blocks of
-    several) and through index arrays above it, fit the bytes per respondent
-    that the plan gives its rows."""
+    """A block's arena, its uniforms with the limb sums on the jump path and
+    the cut planes up to CUTS_MAX_M (2 bool planes in blocks of one
+    replicate, 2(m - 1) + 1 in blocks of several), fits the bytes per
+    respondent that the plan gives its rows. Above CUTS_MAX_M the arena holds
+    no counting scratch: the index arrays are temporaries."""
     top = simulation.CUTS_MAX_M
     for m in (2, 3, top, top + 1, 1000):
         for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 5_000, _first_one_row_n(m), 50_000):
@@ -954,6 +955,7 @@ def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, repl
         (100, 50_000, 100),  # counts near 500: an int object per kept count
         (16, 500, 3000),  # counted by cuts, with the most scratch per respondent
         (16, 50_000, 20),  # counted by cuts in blocks of one replicate, level by level
+        (17, JUMP_MAX_N, 3000),  # index arrays on the jump path, beside its limb sums
     ],
 )
 def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replicates):
