@@ -15,6 +15,7 @@ import sys
 
 from rrkit import (
     Device,
+    ValidationError,
     design,
     estimation,
     load_survey,
@@ -65,7 +66,10 @@ def main(argv=None):
     if args.steps < 2:
         parser.error("--steps must be at least 2: the grid is p = 1/steps, ..., 1 - 1/steps")
 
-    survey = load_survey(args.survey)
+    try:
+        survey = load_survey(args.survey)
+    except (OSError, ValidationError) as e:
+        parser.error(f"--survey: {e}")
     if survey.population is None:
         print("survey has no 'pi'; the sweep needs a population", file=sys.stderr)
         return 2

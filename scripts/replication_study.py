@@ -29,7 +29,9 @@ def sample_sizes(text):
     raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
 
 
-def run_once(survey, device, n, replicates, seed):
+def checked_config(survey, device, n, replicates, seed):
+    """The run at sample size n, refused with ``ValidationError`` as
+    ``run_replicates`` would refuse it, before anything is allocated."""
     config = simulation.SimulationConfig(
         support=survey.support,
         population=survey.population,
@@ -38,7 +40,9 @@ def run_once(survey, device, n, replicates, seed):
         replicates=replicates,
         seed=seed,
     )
-    return simulation.run_replicates(config)
+    workers = simulation.thread_count(replicates, n)
+    simulation._check_memory(n, survey.support.m, replicates, workers, False)
+    return config
 
 
 def main(argv=None):
@@ -56,7 +60,10 @@ def main(argv=None):
     if args.replicates < 2:
         parser.error("--replicates must be at least 2: the study compares a sample variance")
 
-    survey = load_survey(args.survey)
+    try:
+        survey = load_survey(args.survey)
+    except (OSError, ValidationError) as e:
+        parser.error(f"--survey: {e}")
     if survey.population is None:
         parser.error("survey has no 'pi'; the study needs a population")
     if args.p is not None:
@@ -70,6 +77,10 @@ def main(argv=None):
         source = f"designed from the survey policy ({cert.mode.value}, p0={cert.p0:.4f})"
     else:
         parser.error("survey has no privacy policy; pass --p")
+    try:
+        configs = [checked_config(survey, device, n, args.replicates, args.seed) for n in args.n]
+    except ValidationError as e:
+        parser.error(str(e))
 
     mu_x = survey.population.mean(survey.support)
     print(f"survey: {args.survey}")
@@ -79,8 +90,8 @@ def main(argv=None):
     header = f"{'n':>6}  {'mean(mu^)':>10}  {'bias':>9}  {'bias/se':>8}  {'emp var':>10}  {'theory':>10}  {'ratio':>6}"
     print(header)
     worst_ratio = 0.0
-    for n in args.n:
-        s = run_once(survey, device, n, args.replicates, args.seed)
+    for n, config in zip(args.n, configs):
+        s = simulation.run_replicates(config)
         bias = s.mean_mu_hat - mu_x
         z = bias / s.mc_se_mean
         ratio = s.variance_ratio

@@ -39,17 +39,19 @@ each one contiguous run in which the carry chain and XSL-RR work in place.
 Above ``JUMP_MAX_N``, where the matmul grows past the cost of a generator,
 it re-derives PCG64's seeding (:func:`replicate_states`) and sets each
 replicate's state on one reused generator before drawing its row of the
-block, which keeps a row per replicate. Rows per block are capped so that a
-block, its scratch and its count cells stay within ``BLOCK_BYTES`` (one row
-when a single replicate is larger), and rows per chunk so that its count
-cells do (:func:`chunk_rows`). Each range carves every block, with its
-limb sums or its cut planes, from one allocation (:func:`_block_arena`);
-on the jump path the cut planes lie in the limb sums, dead once the
-uniforms are out. Counts are computed for the whole block on its two halves
-(n rows of the state-major block, or n columns of the setter path's), by
-cuts (below) or through the uniform-to-index helpers that
-:func:`sample_true_indices` and :func:`draw_responses` use, which allocate
-their index arrays themselves; the mean estimate
+block, which keeps a row per replicate. One function lays a block out
+(:func:`_block_layout`): it picks the stream path and the counter, and
+sizes the one allocation from which each range carves every block's
+uniforms and its limb sums or cut planes (:func:`_block_arena`); on the
+jump path the cut planes lie in the limb sums, dead once the uniforms are
+out. Rows per block are as many as keep the arena of a block of several
+and their count cells within ``BLOCK_BYTES`` (one row when a single
+replicate is larger, :func:`block_rows`), and rows per chunk so that its
+count cells do (:func:`chunk_rows`). Counts are computed for the whole
+block on its two halves (n rows of the state-major block, or n columns of
+the setter path's), by cuts (below) or through the uniform-to-index helpers
+that :func:`sample_true_indices` and :func:`draw_responses` use, which
+allocate their index arrays themselves; the mean estimate
 (:func:`~rrkit.estimation.mean_estimates`, whose bits for a row do not
 depend on the rows beside it) for the whole chunk. Every count is the one
 those helpers give.
@@ -60,15 +62,15 @@ index >= k" is a comparison of the truth uniform with ``cdf[k-1]`` for a
 truthful draw, and of the device uniform with a cut point
 (:func:`forced_cuts`) for a forced one, so each count is a difference of two
 numbers of flags (:func:`_count_by_cuts`): exactly the bincount's counts. A
-block of one replicate (from about n = 5 460, see :func:`block_rows`) counts
-its flags level by level with ``count_nonzero``, which at m = 3 beats the
-broadcast's casting reduce (``CUTS_MAX_M``); a block of several compares
-all m - 1 levels of each family in one broadcast and sums the flags over the
-respondent axis in one reduce. Its cost grows as O(m n), so blocks over more
-values keep the index arrays and one bincount (:func:`_count_rows`). The
-tables both counters read are computed once per population or device value;
-the cut levels are looked up once per range, the search levels of
-:func:`inverse_cdf` once per block.
+block of one replicate (from n = 12 477 at m = 3 and 5 562 at m = 16, see
+:func:`block_rows`) counts its flags level by level with ``count_nonzero``,
+which at m = 3 beats the broadcast's casting reduce (``CUTS_MAX_M``); a
+block of several compares all m - 1 levels of each family in one broadcast
+and sums the flags over the respondent axis in one reduce. Its cost grows
+as O(m n), so blocks over more values keep the index arrays and one
+bincount (:func:`_count_rows`). The tables both counters read are computed
+once per population or device value; the cut levels are looked up once per
+range, the search levels of :func:`inverse_cdf` once per block.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -83,14 +85,20 @@ hands out contiguous blocks of replicate indices, ``BLOCKS_PER_WORKER`` per
 worker, and each block is drawn through a generator of its own.
 
 Before anything is allocated, a run is refused with ``RESOURCE_LIMIT`` when
-its per-worker block, seed chunk and count cells, its jump table, plus its
-per-replicate results, would exceed ``MEMORY_BUDGET_BYTES``, the budget
-that :mod:`rrkit.model` sets for every command.
+its plan (:func:`planned_bytes`) would exceed ``MEMORY_BUDGET_BYTES``, the
+budget that :mod:`rrkit.model` sets for every command. Per worker, the plan
+holds the larger of its block and the replay of replicate 0, a fixed
+allowance for numpy's ufunc buffers, and its seed chunk with its count
+cells; a block is the arena of its layout plus, counted through a
+bincount, the index arrays of :func:`inverse_cdf` and
+:func:`responses_from_uniforms`. The run adds its jump table and every
+replicate's result.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -136,11 +144,16 @@ MAX_THREADS = 256
 # 52.4-69.0 ms (5 pairs) and 57.9-60.1 against 49.0-59.1 (6 pairs), higher
 # in 10 of 11 pairs, with op_s_p50 unchanged. So the four stay.
 BLOCKS_PER_WORKER = 4
-# Replicates per block of the kernel: as many as keep a block's rows
-# (block_row_bytes: uniforms, temporaries and count cells) within
-# BLOCK_BYTES, at least one, and at most SEED_CHUNK, the replicates seeded
-# and estimated per pass; a chunk's count cells are capped by BLOCK_BYTES
-# too (chunk_rows).
+# Replicates per block of the kernel: as many as keep the arena of a block
+# of several (_block_layout: their uniforms, and their limb sums or cut
+# planes) and their count cells within BLOCK_BYTES (block_row_bytes), at
+# least one, and at most SEED_CHUNK, the replicates seeded and estimated per
+# pass; a chunk's count cells are capped by BLOCK_BYTES too (chunk_rows).
+# The index arrays of counting through a bincount are planned but not
+# counted in the rows: at m = 17, blocks of the rows that would fit them too
+# (31 at n = 150, 24 at n = 500, against 40 and 59) took 1.03-1.10 and
+# 1.06-1.08 times as long (medians of two sets of 31 and 41 paired run_block
+# passes on 2 vCPUs; an A/A copy read 0.98-1.01).
 BLOCK_BYTES = 1 << 19
 SEED_CHUNK = 2048
 # Respondents per replicate up to which run_block computes each block's
@@ -177,48 +190,34 @@ JUMP_MAX_N = 150
 # n = 50 000 (medians of three sets of 15-18 paired run_block passes; a copy
 # of the same code read 0.99-1.01), though 0.69 at n = 6 000, m = 16.
 CUTS_MAX_M = 16
-# Largest memory a run may plan for. Per worker, a block of replicates: its
-# uniforms (16 bytes per respondent) and counting scratch (through index
-# arrays, up to 25 in the temporaries of inverse_cdf and
-# responses_from_uniforms; by cuts 2 in blocks of one replicate and
-# 2(m - 1) + 1 in blocks of several, at most 31 at m = 16) peaked under
-# tracemalloc, through index arrays, at 47.7 bytes per respondent at n = 500
-# (48.1 at m = 17) and 42.4 at n = 50 000,
-# and by cuts at 53.9 at n = 500 and 2 000 (m = 16, 47 of them the block's
-# allocation) and 48.4 at n = 5 000, planned as 48 (a whole run's peak at
-# m = 16 in blocks of one replicate, the replay of replicate 0 included, was
-# 34.4 at n = 50 000 and 33.3 at n = 200 000); the rest is fixed,
-# mostly numpy's ufunc buffers of up to 64 KiB (the cuts' reduce takes one),
-# which bring a block at n = 10 to 53, within its range's seed allowance. On
-# the jump path a block holds its uniforms and its limb sums (64 bytes per
-# respondent), which hold the cut planes too: a block's peak under
-# tracemalloc grew by 80.0 bytes per respondent over blocks of 64-1 024 rows
-# (m = 3, n = 70-200), planned as the 48 plus 32; one block of 41 rows at
-# n = 150, m = 16, fixed buffers included, peaked at 93.0 bytes per
-# respondent. Through index arrays the temporaries come on top of the limb
-# sums: one block of 40 rows at n = 150, m = 17 peaked at 115.4, within its
-# range's seed allowance (below), and a whole run of 3 000 replicates at
-# 0.41 of its plan. The run also holds one state table of 17 rows of 8
-# doubles per respondent; a cold run's peak (the table built inside the
-# trace) stayed within 0.60 of the plan at n = 1-150, m = 3 and 40,
-# R = 1-3 000. Each seed chunk holds m cells per
-# replicate: its counts, each block's bincount and the estimate's raw
-# proportions, with their temporaries, and, when records are kept, the counts as lists; held per
-# block, they peaked at 22-32 bytes per cell, with records or without
-# (m = 300-3 000, n = 10, 500 and 50 000), and summing each row alone
-# (estimation.mean_estimates) added 7-8 bytes per cell without records
-# (m = 300 and 3 000, n = 10 and 500); planned as 48.
-# Also per worker, the seed table of a chunk, which peaked at about 400 bytes
-# per replicate while its 128-bit integers are assembled, planned as 512
-# (the jump path builds no such integers; its seed words take 113 and their
-# limbs 136).
-# Each result keeps 16 bytes (its estimate and the variance pass), or, with
-# its record, about 240 at m = 3, planned as 512, plus its counts tuple: 8
-# bytes per count up to 256 (Python's shared small ints) and 40 above it,
-# where every count is an int object of its own, planned as 48.
-BYTES_PER_RESPONDENT = 48
-BYTES_PER_JUMP_RESPONDENT = 32
-BYTES_PER_JUMP_TABLE_RESPONDENT = 17 * 8 * 8
+# Largest memory a run may plan for (planned_bytes), per worker: the larger
+# of its block and the replay of replicate 0, which ends before the block's
+# arena is allocated; a fixed allowance; its seed chunk's count cells and
+# seed table. A block is its arena (_block_layout) and, counted through a
+# bincount, the index arrays that inverse_cdf and responses_from_uniforms
+# allocate: the truth indices, the score and the responses, 8 bytes each,
+# and the truthful flags, 1. The replay (simulate_survey) holds its device
+# uniforms beside those. The fixed allowance holds numpy's ufunc buffers,
+# np.getbufsize() = 8 192 elements for each of the two float64 operands of a
+# strided or broadcast compare (the cuts' planes, the index search), and
+# 8 KiB for the kernel's own fixed objects, its generator, levels and views:
+# one block of 1-4 rows (m = 2-64, n = 1-3 000) peaked under tracemalloc at
+# most 133 440 bytes above its arena, count cells, seeds and results.
+# Each seed chunk holds m cells per replicate: its counts, each block's
+# bincount and the estimate's raw proportions, with their temporaries, and,
+# when records are kept, the counts as lists; they peaked at 22-32 bytes per
+# cell under tracemalloc, and summing each row alone
+# (estimation.mean_estimates) added 7-8 (m = 300-3 000, n = 10, 500 and
+# 50 000); planned as 48. A chunk's seed table peaked at about 400 bytes per
+# replicate while its 128-bit integers are assembled, planned as 512 (the
+# jump path's seed words take 113 and their limbs 136). The run also holds
+# one jump table (_jump_table_shape). Each result keeps 16 bytes (its
+# estimate and the variance pass), or, with its record, about 240 at m = 3,
+# planned as 512, plus its counts tuple: 8 bytes per count up to 256
+# (Python's shared small ints) and 40 above it, where every count is an int
+# object of its own, planned as 48.
+BYTES_PER_INDEX_RESPONDENT = 8 + 8 + 8 + 1
+WORKER_FIXED_BYTES = 2 * 8_192 * 8 + 8_192
 BYTES_PER_BLOCK_COUNT = 48
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
@@ -270,10 +269,10 @@ def thread_count(replicates: int, n: int = 0) -> int:
 
 
 def block_row_bytes(n: int, m: int) -> int:
-    """Planned bytes of one replicate's row of a block: its n respondents'
-    uniforms and scratch, and its m count cells."""
-    per_respondent = BYTES_PER_RESPONDENT + (BYTES_PER_JUMP_RESPONDENT if n <= JUMP_MAX_N else 0)
-    return n * per_respondent + m * BYTES_PER_BLOCK_COUNT
+    """Bytes of one replicate's row of a block of several of n respondents
+    over m values: its half of the arena of a block of two
+    (:func:`_block_layout`) and its m count cells."""
+    return 8 * _block_layout(2, n, m)[3] // 2 + m * BYTES_PER_BLOCK_COUNT
 
 
 def block_rows(n: int, m: int) -> int:
@@ -300,21 +299,23 @@ def replicate_ranges(replicates: int, workers: int) -> list[range]:
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
     """Memory a run of n respondents over m values plans for: each worker's
-    block, seed chunk and count cells, the run's jump table, plus every
-    replicate's result."""
+    block or replay of replicate 0, fixed allowance, seed chunk and count
+    cells, the run's jump table, plus every replicate's result."""
     if keep_replicates:
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
         per_result = BYTES_PER_RESULT
-    # the uniforms and scratch take every row of a block; the m-cell arrays
-    # only the rows of replicates a chunk holds
-    per_worker = (
-        block_row_bytes(n, 0) * block_rows(n, m)
-        + min(chunk_rows(m), replicates) * m * BYTES_PER_BLOCK_COUNT
-        + SEED_CHUNK * BYTES_PER_SEED
-    )
+    rows = block_rows(n, m)
+    jump, cuts, _, words = _block_layout(rows, n, m)
+    block = 8 * words + (0 if cuts else rows * n * BYTES_PER_INDEX_RESPONDENT)
+    # replicate 0's replay, its device uniforms beside its index arrays, ends
+    # before the block's arena is allocated
+    replay = n * (8 + BYTES_PER_INDEX_RESPONDENT)
+    # the m-cell arrays take only the rows of replicates a chunk holds
+    cells = min(chunk_rows(m), replicates) * m * BYTES_PER_BLOCK_COUNT
+    per_worker = max(block, replay) + WORKER_FIXED_BYTES + cells + SEED_CHUNK * BYTES_PER_SEED
     # the jump path's state table is one for all workers
-    table = n * BYTES_PER_JUMP_TABLE_RESPONDENT if n <= JUMP_MAX_N else 0
+    table = 8 * math.prod(_jump_table_shape(n)) if jump else 0
     return workers * per_worker + table + replicates * per_result
 
 
@@ -643,11 +644,16 @@ def _jump_table(n: int) -> np.ndarray:
     # the constant; limbs 2L - p and 2L + 1 - p of a coefficient are its 32-bit
     # limb L once it is shifted up p 16-bit limbs
     rows = [(w, p) for w in (0, 1) for p in (4, 5, 6, 7, 0, 1, 2, 3)] + [(2, 0)]
-    table = np.empty((17, 4, 2 * n))
-    for row, (w, p) in zip(table, rows):
+    table = np.empty(_jump_table_shape(n))
+    for row, (w, p) in zip(table.reshape(17, 4, 2 * n), rows):
         row[...] = np.ascontiguousarray(limbs[w, :, 8 - p : 16 - p]).view("<u4").T
     del coeffs, raw, limbs  # freed before the frozen copy: the build peaks at two tables
-    return _frozen(table.reshape(17, 8 * n))
+    return _frozen(table)
+
+
+def _jump_table_shape(n: int) -> tuple[int, int]:
+    """The shape of :func:`_jump_table` at n respondents: 17 rows of 8n."""
+    return 17, 8 * n
 
 
 def _jump_limbs(words: np.ndarray) -> np.ndarray:
@@ -708,42 +714,51 @@ def _jump_uniforms(
     np.multiply(lo, 2.0**-53, out=out)
 
 
-def _cut_planes(k: int, m: int) -> int:
-    """The bool planes of scratch, each of the shape of a half of the
-    uniforms, that :func:`_count_by_cuts` takes for a block of k replicates
-    over m values: the truthful flags and one flag plane, level by level, for
-    one replicate; the truthful flags and two families of m - 1 planes, all
-    levels at once, for more."""
-    return 2 if k == 1 else 2 * m - 1
+def _block_layout(k: int, n: int, m: int, jump: bool | None = None, cuts: bool | None = None):
+    """How a block of k replicates of n respondents over m values lies in its
+    float64 arena, as ``(jump, cuts, planes, words)``.
+
+    ``jump`` is its stream path: the jump path up to ``JUMP_MAX_N``
+    respondents, the setter path above. ``cuts`` is its counter: by cuts
+    over at most ``CUTS_MAX_M`` values, through a bincount over more. Either
+    is forced when given. ``planes`` counts the bool planes of counting by
+    cuts, each of the shape of a half of the uniforms: the truthful flags and
+    one flag plane, level by level, for one replicate; the truthful flags and
+    two families of m - 1 planes, all levels at once, for more; none through
+    a bincount. ``words`` is the arena's size, k times a replicate's share:
+    2n words of uniforms, and the larger of 8n words of limb sums on the jump
+    path and its cut planes' bytes in whole words. The block's uniforms come
+    first; its limb sums and its cut planes both start after them, so on the
+    jump path the planes lie in the limb sums, dead once the uniforms are out.
+    """
+    jump = n <= JUMP_MAX_N if jump is None else jump
+    cuts = m <= CUTS_MAX_M if cuts is None else cuts
+    planes = (2 if k == 1 else 2 * m - 1) if cuts else 0
+    sums = 8 * n if jump else 0
+    return jump, cuts, planes, k * (2 * n + max(sums, -(-planes * n // 8)))
 
 
 def _block_arena(rows: int, n: int, m: int, jump: bool, cuts: bool) -> np.ndarray:
-    """The one float64 allocation from which :func:`_block_views` carves
-    every block of up to ``rows`` replicates of n respondents over m values,
-    on the jump path or the setter path, counted by cuts or not: the
-    uniforms, then the limb sums, or else the :func:`_cut_planes` bool
-    planes of counting by cuts."""
-    size = rows * n
-    if jump:
-        return np.empty(10 * size)
-    planes = _cut_planes(rows, m) * size if cuts else 0  # bytes
-    return np.empty(2 * size + -(-planes // 8))
+    """The one allocation from which :func:`_block_views` carves every block
+    of up to ``rows`` replicates of n respondents over m values, on the given
+    path and counter (:func:`_block_layout`)."""
+    return np.empty(_block_layout(rows, n, m, jump, cuts)[3])
 
 
 def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bool) -> tuple:
-    """A block of k replicates carved from ``arena`` (:func:`_block_arena`):
-    its uniforms, its limb sums, the truth and device halves of its uniforms
-    and, counted by cuts, its :func:`_cut_planes` bool planes (else None).
+    """A block of k replicates carved from ``arena`` (:func:`_block_arena`)
+    as :func:`_block_layout` lays it out: its uniforms, its limb sums, the
+    truth and device halves of its uniforms and, counted by cuts, its bool
+    planes (else None).
 
     On the jump path the uniforms are state-major, (2n, k), with output j of
     every stream in row j, so each half is a block of n rows; the (8n, k)
     limb sums of :func:`_jump_uniforms` follow them. The setter path has no
     limb sums (None) and keeps a row per replicate, (k, 2n), whose halves
     are its first and last n columns. The cut planes follow the uniforms,
-    stacked, each of the shape of a half; on the jump path they lie in the
-    limb sums, which are dead once the uniforms are out.
+    stacked, each of the shape of a half.
     """
-    size = k * n
+    size, planes = k * n, _block_layout(k, n, m, jump, cuts)[2]
     if jump:
         shape = (n, k)
         u = arena[:2 * size].reshape(2 * n, k)
@@ -754,10 +769,8 @@ def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bo
         u = arena[:2 * size].reshape(k, 2 * n)
         sums = None
         halves = u[:, :n], u[:, n:]
-    if not cuts:
-        return u, sums, halves, None
-    planes = _cut_planes(k, m)
-    return u, sums, halves, arena[2 * size:].view(bool)[:planes * size].reshape(planes, *shape)
+    flags = arena[2 * size:].view(bool)[:planes * size].reshape(planes, *shape) if cuts else None
+    return u, sums, halves, flags
 
 
 def run_block(
@@ -786,11 +799,10 @@ def run_block(
     its counts and every bit of its estimate, or ``RuntimeError`` is raised.
     """
     n, m = config.n, config.support.m
-    jump = n <= JUMP_MAX_N
-    axis = 0 if jump else 1  # the respondent axis of a block's halves
     rows = block_rows(n, m)
+    jump, cuts, _, _ = _block_layout(rows, n, m)
+    axis = 0 if jump else 1  # the respondent axis of a block's halves
     step = chunk_rows(m)
-    cuts = m <= CUTS_MAX_M
     # replayed, and the jump table built, before the arena is allocated, so
     # that their temporaries and the arena never coexist
     replayed = simulate_survey(config, 0) if block.start == 0 else None
@@ -898,7 +910,7 @@ def _count_by_cuts(
     truthful flag planes and the m - 1 forced ones, each family one
     broadcast compare, are joined by ``|=`` and summed over the respondent
     axis in one reduce, in the smallest unsigned integer type that holds n.
-    ``scratch`` holds the :func:`_cut_planes` bool planes, all overwritten;
+    ``scratch`` holds the :func:`_block_layout` bool planes, all overwritten;
     ``levels`` the array of :func:`_cut_levels`, which the kernel forms once
     per range.
     """

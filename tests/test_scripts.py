@@ -38,10 +38,10 @@ def test_scripts_run_at_their_smallest_arguments():
 
 def test_kernel_stages_runs_both_sides_of_both_forks():
     """Both counters run on both paths at every block shape: at n = 3 blocks
-    hold many replicates, at n = 6 000 one."""
-    done = _run("kernel_stages.py", "--n", "3,6000", "--m", "3", "--replicates", "3", "--repeats", "1")
+    hold many replicates, at n = 30 000 one."""
+    done = _run("kernel_stages.py", "--n", "3,30000", "--m", "3", "--replicates", "3", "--repeats", "1")
     assert done.returncode == 0, done.stderr
-    small, large = done.stdout.split("n = 6000")
+    small, large = done.stdout.split("n = 30000")
     assert "block rows 1\n" not in small and "block rows 1\n" in large
     for part in (small, large):
         for path, counter in itertools.product(("jump", "setter"), ("cuts", "bincount")):
@@ -66,7 +66,7 @@ def test_kernel_stages_refuses_sides_that_differ(monkeypatch):
                 row[:] = np.roll(row, 1)  # changes every row of counts not all equal
 
     monkeypatch.setattr(simulation, "_count_by_cuts", swapped)
-    for n in (10, 6_000):
+    for n in (10, 30_000):
         with pytest.raises(SystemExit, match="jump bincount and jump cuts differ"):
             script.report(script.config_for(n, 3, 3), repeats=1)
 
@@ -111,12 +111,30 @@ def test_replication_study_refuses_fewer_than_two_replicates():
         (("verify_stages.py", "--repeats", "0"), "--repeats must be at least 1"),
         (("verify_stages.py", "--grid-step", "0.3"), "--grid-step: step 0.3 must evenly divide 1"),
         (("verify_stages.py", "--grid-step", "0"), "--grid-step: step 0.0 must evenly divide 1"),
+        (("replication_study.py", "--n", "10", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+        (("replication_study.py", "--n", "10", "--replicates", "1000000000000"),
+         "n=10 respondents over m=3 values on 1 worker(s) and 1000000000000 replicates plan"),
+        (("replication_study.py", "--n", "10,200000000", "--replicates", "2"),
+         "n=200000000 respondents over m=3 values on"),
+    ]
+    + [
+        ((script, "--survey", "{tmp}/" + name), message)
+        for script in ("replication_study.py", "privacy_efficiency_sweep.py")
+        for name, message in (
+            ("missing.json", "--survey: [Errno 2] No such file or directory"),
+            ("not_json.json", "not_json.json: not valid JSON"),
+            ("malformed.json", "--survey: survey document is missing key 'stigmatizing'"),
+        )
     ],
 )
-def test_scripts_refuse_bad_arguments_with_one_line(argv, message):
-    """Out-of-range or unparsable arguments end in argparse's usage and one
+def test_scripts_refuse_bad_arguments_with_one_line(argv, message, tmp_path, monkeypatch):
+    """Out-of-range or unparsable arguments, a refused run and a survey file
+    that is missing, not JSON or not a survey end in argparse's usage and one
     error line, exit 2, before any table is printed."""
-    done = _run(*argv)
+    (tmp_path / "not_json.json").write_text("{", encoding="utf-8")
+    (tmp_path / "malformed.json").write_text('{"values": [1, 2]}', encoding="utf-8")
+    monkeypatch.delenv("RRKIT_THREADS", raising=False)  # one worker at n = 10
+    done = _run(*(arg.format(tmp=tmp_path) for arg in argv))
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr

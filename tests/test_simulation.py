@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrkit import (
@@ -266,8 +266,10 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
         support=support3, population=pop3, device=Device(p=0.3, m=3), n=n,
         replicates=4, seed=0,
     )
+    # the block's arena as run_block allocates it, counted by cuts
     planned = (
-        simulation.block_rows(n, 3) * n * simulation.BYTES_PER_RESPONDENT
+        simulation._block_arena(simulation.block_rows(n, 3), n, 3, False, True).nbytes
+        + simulation.WORKER_FIXED_BYTES
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + 4 * simulation.BYTES_PER_RESULT
@@ -869,8 +871,12 @@ def test_kernel_self_check_catches_a_seeding_fault(config3, monkeypatch):
 
 
 def test_block_rows_fit_block_bytes_with_the_count_cells():
-    rows = simulation.BLOCK_BYTES // simulation.block_row_bytes(10, 4)
-    assert simulation.block_rows(10, 4) == rows  # mc_small_n's rows
+    # the benchmark's shapes: mc_small_n (n = 10, m = 4) on the jump path in
+    # blocks of many, mc_large_n (n = 50 000, m = 3) in blocks of one, both
+    # in chunks of SEED_CHUNK
+    assert simulation.block_rows(10, 4) == 528
+    assert simulation.block_rows(50_000, 3) == 1
+    assert simulation.chunk_rows(3) == simulation.chunk_rows(4) == 2048
     for n, m in ((10, 1000), (10, 350_000), (JUMP_MAX_N, 3), (JUMP_MAX_N + 1, 3), (500, 3000)):
         rows = simulation.block_rows(n, m)
         assert rows == 1 or rows * simulation.block_row_bytes(n, m) <= simulation.BLOCK_BYTES
@@ -880,18 +886,20 @@ def test_block_rows_fit_block_bytes_with_the_count_cells():
 
 
 def test_block_arenas_fit_the_planned_bytes_of_their_rows():
-    """A block's arena, its uniforms with the limb sums on the jump path and
-    the cut planes up to CUTS_MAX_M (2 bool planes in blocks of one
-    replicate, 2(m - 1) + 1 in blocks of several), fits the bytes per
-    respondent that the plan gives its rows. Above CUTS_MAX_M the arena holds
-    no counting scratch: the index arrays are temporaries."""
+    """The arena that run_block allocates for a block, its uniforms with the
+    limb sums on the jump path and the cut planes up to CUTS_MAX_M (2 bool
+    planes in blocks of one replicate, 2(m - 1) + 1 in blocks of several),
+    fits with the block's count cells in BLOCK_BYTES, or, in a block of one
+    replicate, in the bytes of its row. Above CUTS_MAX_M the arena holds no
+    counting scratch: the index arrays are temporaries."""
     top = simulation.CUTS_MAX_M
     for m in (2, 3, top, top + 1, 1000):
         for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 5_000, _first_one_row_n(m), 50_000):
             rows = simulation.block_rows(n, m)
-            jump = n <= JUMP_MAX_N
-            arena = simulation._block_arena(rows, n, m, jump, m <= top)
-            assert arena.nbytes <= rows * simulation.block_row_bytes(n, 0), (m, n)
+            arena = simulation._block_arena(rows, n, m, n <= JUMP_MAX_N, m <= top)
+            cells = rows * m * simulation.BYTES_PER_BLOCK_COUNT
+            room = max(simulation.BLOCK_BYTES, simulation.block_row_bytes(n, m))
+            assert arena.nbytes + cells <= room, (m, n)
 
 
 def test_seed_chunks_fit_block_bytes_with_their_count_cells():
@@ -909,10 +917,12 @@ def test_memory_plan_at_m_350_000_holds_one_row_of_counts():
     assert simulation.block_rows(10, 350_000) == 1
     planned = simulation.planned_bytes(10, 350_000, 256, 1, False)
     assert planned == (
-        10 * (simulation.BYTES_PER_RESPONDENT + simulation.BYTES_PER_JUMP_RESPONDENT)
+        simulation._block_arena(1, 10, 350_000, True, False).nbytes
+        + 10 * simulation.BYTES_PER_INDEX_RESPONDENT
+        + simulation.WORKER_FIXED_BYTES
         + 350_000 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
-        + 10 * simulation.BYTES_PER_JUMP_TABLE_RESPONDENT
+        + simulation._jump_table(10).nbytes
         + 256 * simulation.BYTES_PER_RESULT
     )
     assert planned < 20 * 2**20
@@ -970,6 +980,47 @@ def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replic
     summary = _assert_plan_covers_traced_peak(cfg, monkeypatch)
     if n == 50_000:
         assert min(min(r.counts) for r in summary.records) > 256
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.one_of(st.integers(2, simulation.CUTS_MAX_M), st.integers(simulation.CUTS_MAX_M + 1, 64)),
+    n=st.one_of(st.integers(1, JUMP_MAX_N), st.integers(JUMP_MAX_N + 1, 3000)),
+    rows=st.integers(1, 4),
+)
+@example(m=17, n=JUMP_MAX_N, rows=40)  # index arrays on the jump path, beside its limb sums
+def test_one_block_peaks_within_its_plan(m, n, rows):
+    """A run of one block of ``rows`` replicates in one seed chunk, on either
+    path and with either counter, peaks under tracemalloc within its memory
+    plan: the larger of the replay of replicate 0 and the block (its arena
+    and, through a bincount, its index arrays), the fixed allowance for
+    numpy's ufunc buffers, and the chunk's count cells and seeds. The jump
+    table, built before the trace and kept by its cache, is left out of the
+    plan. The explicit case, a jump-path block of 40 rows over 17 values,
+    holds its index arrays beside its limb sums."""
+    config = SimulationConfig(
+        support=SupportSpec(values=tuple(float(k) for k in range(m)), stigma=(True,) * m),
+        population=PopulationModel(pi=(1.0 / m,) * m),
+        device=Device(p=0.3, m=m),
+        n=n,
+        replicates=rows,
+        seed=2,
+    )
+    with mock.patch.object(simulation, "BLOCK_BYTES", rows * simulation.block_row_bytes(n, m)), \
+            mock.patch.object(simulation, "SEED_CHUNK", rows), \
+            mock.patch.dict(os.environ, {"RRKIT_THREADS": "1"}):
+        assert simulation.block_rows(n, m) == simulation.chunk_rows(m) == rows
+        run_replicates(config)  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            run_replicates(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        planned = simulation.planned_bytes(n, m, rows, 1, False)
+    if n <= JUMP_MAX_N:
+        planned -= simulation._jump_table(n).nbytes
+    assert peak <= planned
 
 
 # --- law of the counts ----------------------------------------------------------
@@ -1039,10 +1090,11 @@ def test_simulated_counts_follow_the_multinomial_law(path, monkeypatch):
 
 # simulate --replicate-csv at one shape per side of the kernel: (n, R) =
 # (10, 600) on the jump path and (151, 50) on the setter path, in blocks of
-# many replicates, and (6 000, 4) on the setter path in one-row blocks, each
-# on both shipped surveys and so counted by cuts; and the same three shapes
-# ((6 000, 3) for the last) on a 17-value survey, above CUTS_MAX_M, counted
-# by bincount. The shipped surveys' (10, 600) and (151, 50) digests date from
+# many replicates, and (6 000, 4) on the setter path in blocks of a few (of
+# one when these digests were pinned; the stream does not depend on the
+# rows), each on both shipped surveys and so counted by cuts; and the same
+# three shapes ((6 000, 3) for the last) on a 17-value survey, above
+# CUTS_MAX_M, counted by bincount. The shipped surveys' (10, 600) and (151, 50) digests date from
 # when those blocks were counted by bincount too, so they pin the cuts
 # counter to the bincount's counts. Each case pins the SHA-256 of the CSV
 # and the float.hex of mean_mu_hat, var_mu_hat_empirical, mu_x,
