@@ -74,16 +74,22 @@ def main(argv=None):
         print("survey has no 'pi'; the sweep needs a population", file=sys.stderr)
         return 2
 
+    try:
+        rows = sweep_rows(survey, args.n, args.steps)
+        points = designed_points(survey)
+    except ValidationError as e:
+        parser.error(str(e))
+
     has_beta = bool(survey.support.nonstigmatizing_indices)
     beta_head = "    beta" if has_beta else ""
     print(f"survey: {args.survey}   m={survey.support.m}   n={args.n}")
     print(f"{'p':>6}  {'alpha':>7}  {'bound':>7}{beta_head}  {'Var(mu^)':>10}  {'sum Var(pi^)':>12}")
-    for p, alpha, bound, beta, var_mu, var_pi in sweep_rows(survey, args.n, args.steps):
+    for p, alpha, bound, beta, var_mu, var_pi in rows:
         beta_col = f"  {beta:6.4f}" if beta is not None else ""
         print(f"{p:6.2f}  {alpha:7.4f}  {bound:7.4f}{beta_col}  {var_mu:10.6f}  {var_pi:12.6f}")
 
     print("\ndesigned operating points (largest admissible p):")
-    for label, p0 in designed_points(survey):
+    for label, p0 in points:
         print(f"  p0 = {p0:.4f}   for {label}")
     return 0
 

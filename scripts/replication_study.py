@@ -8,6 +8,7 @@ errors of the population mean at every n.
 """
 
 import argparse
+import math
 
 from rrkit import (
     Device,
@@ -79,6 +80,7 @@ def main(argv=None):
         parser.error("survey has no privacy policy; pass --p")
     try:
         configs = [checked_config(survey, device, n, args.replicates, args.seed) for n in args.n]
+        summaries = [simulation.run_replicates(config) for config in configs]
     except ValidationError as e:
         parser.error(str(e))
 
@@ -90,10 +92,10 @@ def main(argv=None):
     header = f"{'n':>6}  {'mean(mu^)':>10}  {'bias':>9}  {'bias/se':>8}  {'emp var':>10}  {'theory':>10}  {'ratio':>6}"
     print(header)
     worst_ratio = 0.0
-    for n, config in zip(args.n, configs):
-        s = simulation.run_replicates(config)
+    for n, s in zip(args.n, summaries):
         bias = s.mean_mu_hat - mu_x
-        z = bias / s.mc_se_mean
+        # every estimate equal: no Monte Carlo spread to scale the bias by
+        z = bias / s.mc_se_mean if s.mc_se_mean else math.nan
         ratio = s.variance_ratio
         worst_ratio = max(worst_ratio, abs(ratio - 1.0))
         print(

@@ -44,10 +44,10 @@ block, which keeps a row per replicate. One function lays a block out
 sizes the one allocation from which each range carves every block's
 uniforms and its limb sums or cut planes (:func:`_block_arena`); on the
 jump path the cut planes lie in the limb sums, dead once the uniforms are
-out. Rows per block are as many as keep the arena of a block of several
-and their count cells within ``BLOCK_BYTES`` (one row when a single
-replicate is larger, :func:`block_rows`), and rows per chunk so that its
-count cells do (:func:`chunk_rows`). Counts are computed for the whole
+out. Rows per block are as many as keep their arena, k times one
+replicate's, and their count cells within ``BLOCK_BYTES`` (one row when a
+single replicate is larger, :func:`block_rows`), and rows per chunk so that
+its count cells do (:func:`chunk_rows`). Counts are computed for the whole
 block on its two halves (n rows of the state-major block, or n columns of
 the setter path's), by cuts (below) or through the uniform-to-index helpers
 that :func:`sample_true_indices` and :func:`draw_responses` use, which
@@ -61,16 +61,16 @@ path, builds no index array. The estimators read only counts, and "response
 index >= k" is a comparison of the truth uniform with ``cdf[k-1]`` for a
 truthful draw, and of the device uniform with a cut point
 (:func:`forced_cuts`) for a forced one, so each count is a difference of two
-numbers of flags (:func:`_count_by_cuts`): exactly the bincount's counts. A
-block of one replicate (from n = 12 477 at m = 3 and 5 562 at m = 16, see
-:func:`block_rows`) counts its flags level by level with ``count_nonzero``,
-which at m = 3 beats the broadcast's casting reduce (``CUTS_MAX_M``); a
-block of several compares all m - 1 levels of each family in one broadcast
-and sums the flags over the respondent axis in one reduce. Its cost grows
-as O(m n), so blocks over more values keep the index arrays and one
-bincount (:func:`_count_rows`). The tables both counters read are computed
-once per population or device value; the cut levels are looked up once per
-range, the search levels of :func:`inverse_cdf` once per block.
+numbers of flags (:func:`_count_by_cuts`): exactly the bincount's counts.
+Every block compares all m - 1 levels of each family in one broadcast, into
+2m - 1 bool planes per replicate; a block of one replicate (from n = 12 477
+at m = 3 and 5 562 at m = 16, see :func:`block_rows`) counts each plane
+with ``count_nonzero``, a block of several sums its flags over the
+respondent axis in one reduce. Its cost grows as O(m n), so blocks over
+more values keep the index arrays and one bincount (:func:`_count_rows`).
+The tables both counters read are computed once per population or device
+value; the cut levels are looked up once per range, the search levels of
+:func:`inverse_cdf` once per block.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -144,16 +144,16 @@ MAX_THREADS = 256
 # 52.4-69.0 ms (5 pairs) and 57.9-60.1 against 49.0-59.1 (6 pairs), higher
 # in 10 of 11 pairs, with op_s_p50 unchanged. So the four stay.
 BLOCKS_PER_WORKER = 4
-# Replicates per block of the kernel: as many as keep the arena of a block
-# of several (_block_layout: their uniforms, and their limb sums or cut
-# planes) and their count cells within BLOCK_BYTES (block_row_bytes), at
-# least one, and at most SEED_CHUNK, the replicates seeded and estimated per
-# pass; a chunk's count cells are capped by BLOCK_BYTES too (chunk_rows).
-# The index arrays of counting through a bincount are planned but not
-# counted in the rows: at m = 17, blocks of the rows that would fit them too
-# (31 at n = 150, 24 at n = 500, against 40 and 59) took 1.03-1.10 and
-# 1.06-1.08 times as long (medians of two sets of 31 and 41 paired run_block
-# passes on 2 vCPUs; an A/A copy read 0.98-1.01).
+# Replicates per block of the kernel: as many as keep their arena
+# (_block_layout: their uniforms, and their limb sums or cut planes, k times
+# one replicate's) and their count cells within BLOCK_BYTES
+# (block_row_bytes), at least one, and at most SEED_CHUNK, the replicates
+# seeded and estimated per pass; a chunk's count cells are capped by
+# BLOCK_BYTES too (chunk_rows). The index arrays of counting through a
+# bincount are planned but not counted in the rows: at m = 17, blocks of the
+# rows that would fit them too (31 at n = 150, 24 at n = 500, against 40 and
+# 59) took 1.03-1.10 and 1.06-1.08 times as long (medians of two sets of 31
+# and 41 paired run_block passes on 2 vCPUs; an A/A copy read 0.98-1.01).
 BLOCK_BYTES = 1 << 19
 SEED_CHUNK = 2048
 # Respondents per replicate up to which run_block computes each block's
@@ -172,23 +172,16 @@ JUMP_MAX_N = 150
 # Largest m at which a block is counted by comparisons against cut points
 # (_count_by_cuts) rather than through index arrays and a bincount
 # (_count_rows). The cuts take about 2m compare passes over n, the index
-# arrays a number that grows with log m. One row on 2 vCPUs, us per
-# replicate, cuts vs bincount: n = 5 500 m = 3 11.5 vs 40.8, m = 16 54.0 vs
-# 57.2, m = 24 80.7 vs 66.2; n = 50 000 m = 3 54 vs 291, m = 16 245 vs 396,
-# m = 24 363 vs 455, m = 32 479 vs 458 (the counting row of the setter
-# path's two counters in scripts/kernel_stages.py --n 5500,50000
-# --m 3,16,24,32 --replicates 20). Blocks of several rows compare all levels
-# in one broadcast; the medians of the paired passes of the whole kernel on
-# its own path, cuts over bincount, were 0.90-0.92 at n = 10, 0.83-0.99 at
-# n = 150, 0.70-0.98 at n = 500 and 0.60-0.86 at n = 2 000, for m = 4, 8
-# and 16 (kernel_stages.py --replicates 2000, 11 or 21 passes), and
-# 1.13-1.19 at m = 24 (n = 10, 500 and 2 000). So 16 is the largest m at
-# which the cuts win at every n. Blocks of one replicate keep their loop
-# over the levels: counted by the broadcast instead, whose reduce casts its
-# uint8 flags to a wider type where count_nonzero does not, the whole kernel
-# took 1.03-1.07 times as long at n = 6 000, m = 3, and 1.02-1.04 at
-# n = 50 000 (medians of three sets of 15-18 paired run_block passes; a copy
-# of the same code read 0.99-1.01), though 0.69 at n = 6 000, m = 16.
+# arrays a number that grows with log m. The medians of the paired passes of
+# the whole kernel on its own path, cuts over bincount, were 0.90-0.92 at
+# n = 10, 0.83-0.99 at n = 150, 0.70-0.98 at n = 500 and 0.60-0.86 at
+# n = 2 000, for m = 4, 8 and 16 (scripts/kernel_stages.py --replicates
+# 2000, 11 or 21 passes, 2 vCPUs), and 1.13-1.19 at m = 24 (n = 10, 500 and
+# 2 000). In blocks of one replicate the counting stage alone, us per
+# replicate on the setter path, cuts vs bincount, read 61 vs 465 at
+# n = 50 000, m = 3, 389 vs 679 at m = 16, 561 vs 735 at m = 24 and 778 vs
+# 739 at m = 32 (kernel_stages.py --n 5500,50000 --m 3,16,24,32
+# --replicates 20). So 16 is the largest m at which the cuts win at every n.
 CUTS_MAX_M = 16
 # Largest memory a run may plan for (planned_bytes), per worker: the larger
 # of its block and the replay of replicate 0, which ends before the block's
@@ -269,10 +262,10 @@ def thread_count(replicates: int, n: int = 0) -> int:
 
 
 def block_row_bytes(n: int, m: int) -> int:
-    """Bytes of one replicate's row of a block of several of n respondents
-    over m values: its half of the arena of a block of two
-    (:func:`_block_layout`) and its m count cells."""
-    return 8 * _block_layout(2, n, m)[3] // 2 + m * BYTES_PER_BLOCK_COUNT
+    """Bytes of one replicate's row of a block of n respondents over m
+    values: the arena of a block of one (:func:`_block_layout`) and its m
+    count cells."""
+    return 8 * _block_layout(1, n, m)[3] + m * BYTES_PER_BLOCK_COUNT
 
 
 def block_rows(n: int, m: int) -> int:
@@ -722,9 +715,8 @@ def _block_layout(k: int, n: int, m: int, jump: bool | None = None, cuts: bool |
     respondents, the setter path above. ``cuts`` is its counter: by cuts
     over at most ``CUTS_MAX_M`` values, through a bincount over more. Either
     is forced when given. ``planes`` counts the bool planes of counting by
-    cuts, each of the shape of a half of the uniforms: the truthful flags and
-    one flag plane, level by level, for one replicate; the truthful flags and
-    two families of m - 1 planes, all levels at once, for more; none through
+    cuts, each of the shape of a half of the uniforms, at any k: the truthful
+    flags and two families of m - 1 planes, all levels at once; none through
     a bincount. ``words`` is the arena's size, k times a replicate's share:
     2n words of uniforms, and the larger of 8n words of limb sums on the jump
     path and its cut planes' bytes in whole words. The block's uniforms come
@@ -733,7 +725,7 @@ def _block_layout(k: int, n: int, m: int, jump: bool | None = None, cuts: bool |
     """
     jump = n <= JUMP_MAX_N if jump is None else jump
     cuts = m <= CUTS_MAX_M if cuts is None else cuts
-    planes = (2 if k == 1 else 2 * m - 1) if cuts else 0
+    planes = 2 * m - 1 if cuts else 0
     sums = 8 * n if jump else 0
     return jump, cuts, planes, k * (2 * n + max(sums, -(-planes * n // 8)))
 
@@ -905,32 +897,18 @@ def _count_by_cuts(
     above k number the truthful draws past ``cdf[k-1]`` plus the device
     uniforms past t_k, and each count is the difference of two such numbers.
 
-    One replicate is counted level by level, with ``count_nonzero`` over two
-    flag planes. More are counted with every level at once: the m - 1
-    truthful flag planes and the m - 1 forced ones, each family one
-    broadcast compare, are joined by ``|=`` and summed over the respondent
-    axis in one reduce, in the smallest unsigned integer type that holds n.
+    Every level is counted at once: the m - 1 truthful flag planes and the
+    m - 1 forced ones, each family one broadcast compare, are joined by
+    ``|=``. A block of one replicate counts each joined plane with
+    ``count_nonzero``; a block of several sums them over the respondent axis
+    in one reduce, in the smallest unsigned integer type that holds n.
     ``scratch`` holds the :func:`_block_layout` bool planes, all overwritten;
     ``levels`` the array of :func:`_cut_levels`, which the kernel forms once
     per range.
     """
     n, m = config.n, config.support.m
-    truthful = scratch[0]
+    truthful, flags, forced = scratch[0], scratch[1:m], scratch[m:]
     np.less(draws, config.device.p, out=truthful)
-    if len(out) == 1:
-        flags, row = scratch[1], out[0]
-        above = n
-        for k, (level, cut) in enumerate(zip(*levels.reshape(2, -1).tolist())):
-            np.greater_equal(truth, level, out=flags)
-            flags &= truthful
-            at_least = np.count_nonzero(flags)
-            np.greater_equal(draws, cut, out=flags)
-            at_least += np.count_nonzero(flags)
-            row[k] = above - at_least
-            above = at_least
-        row[-1] = above
-        return
-    flags, forced = scratch[1:m], scratch[m:]
     np.greater_equal(truth, levels[0], out=flags)
     flags &= truthful
     np.greater_equal(draws, levels[1], out=forced)
@@ -938,7 +916,10 @@ def _count_by_cuts(
     # the responses at or above 0, 1, ..., m, a column per replicate
     at_least = np.empty((m + 1, len(out)), np.min_scalar_type(n))
     at_least[0], at_least[m] = n, 0
-    np.add.reduce(flags.view(np.uint8), axis=axis + 1, dtype=at_least.dtype, out=at_least[1:m])
+    if len(out) == 1:
+        at_least[1:m, 0] = list(map(np.count_nonzero, flags))
+    else:
+        np.add.reduce(flags.view(np.uint8), axis=axis + 1, dtype=at_least.dtype, out=at_least[1:m])
     out[...] = (at_least[:-1] - at_least[1:]).T
 
 

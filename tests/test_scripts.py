@@ -36,6 +36,15 @@ def test_scripts_run_at_their_smallest_arguments():
         assert done.stdout.strip(), argv
 
 
+def test_replication_study_prints_nan_bias_over_se_when_every_estimate_is_equal():
+    """At n = 1 and p near 1 both replicates report the same value, so the
+    Monte Carlo standard error is 0 and bias/se has no value."""
+    done = _run("replication_study.py", "--n", "1", "--replicates", "2", "--p", "0.999999", "--seed", "2")
+    assert done.returncode == 0, done.stderr
+    row = done.stdout.splitlines()[5].split()
+    assert row[0] == "1" and row[3] == "nan" and float(row[4]) == 0.0, done.stdout
+
+
 def test_kernel_stages_runs_both_sides_of_both_forks():
     """Both counters run on both paths at every block shape: at n = 3 blocks
     hold many replicates, at n = 30 000 one."""
@@ -125,14 +134,25 @@ def test_replication_study_refuses_fewer_than_two_replicates():
             ("not_json.json", "not_json.json: not valid JSON"),
             ("malformed.json", "--survey: survey document is missing key 'stigmatizing'"),
         )
+    ]
+    + [
+        ((script, "--survey", "{tmp}/huge_scale.json", *args), "var_mu_theoretical is inf")
+        for script, args in (
+            ("replication_study.py", ("--p", "0.5", "--n", "10", "--replicates", "2")),
+            ("privacy_efficiency_sweep.py", ()),
+        )
     ],
 )
 def test_scripts_refuse_bad_arguments_with_one_line(argv, message, tmp_path, monkeypatch):
-    """Out-of-range or unparsable arguments, a refused run and a survey file
-    that is missing, not JSON or not a survey end in argparse's usage and one
-    error line, exit 2, before any table is printed."""
+    """Out-of-range or unparsable arguments, a refused run, a survey file
+    that is missing, not JSON or not a survey, and a survey whose variance
+    the closed forms refuse end in argparse's usage and one error line,
+    exit 2, before any table is printed."""
     (tmp_path / "not_json.json").write_text("{", encoding="utf-8")
     (tmp_path / "malformed.json").write_text('{"values": [1, 2]}', encoding="utf-8")
+    (tmp_path / "huge_scale.json").write_text(
+        '{"values": [0, 1e308], "stigmatizing": [true, true], "pi": [0.5, 0.5]}', encoding="utf-8"
+    )
     monkeypatch.delenv("RRKIT_THREADS", raising=False)  # one worker at n = 10
     done = _run(*(arg.format(tmp=tmp_path) for arg in argv))
     assert done.returncode == 2

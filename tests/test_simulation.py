@@ -640,13 +640,14 @@ def _zeros_every_third(m):
     "case",
     ["survey_all_stig_m4", "survey_one_nonstig_m3"]
     + [pytest.param((m, p), id=f"m{m}-p{p!r}")
-       for m in (simulation.CUTS_MAX_M, simulation.CUTS_MAX_M + 1)
+       for m in (2, simulation.CUTS_MAX_M, simulation.CUTS_MAX_M + 1)
        for p in (1e-13, 0.35, 1 - 1e-13)],
 )
 def test_kernel_matches_stage_functions_at_one_row_n(case, threads, monkeypatch, request):
     """At the first n of one-row blocks, counting by cuts (m up to
-    CUTS_MAX_M) and by bincount (above it) both equal the stage functions,
-    on streams that hit every cut, CDF entry and p, and the double below each."""
+    CUTS_MAX_M, down to m = 2, whose broadcast compares one level) and by
+    bincount (above it) both equal the stage functions, on streams that hit
+    every cut, CDF entry and p, and the double below each."""
     if isinstance(case, str):
         survey = load_survey(request.getfixturevalue(case))
         device, _ = design_device(survey.policy, survey.support)
@@ -887,9 +888,9 @@ def test_block_rows_fit_block_bytes_with_the_count_cells():
 
 def test_block_arenas_fit_the_planned_bytes_of_their_rows():
     """The arena that run_block allocates for a block, its uniforms with the
-    limb sums on the jump path and the cut planes up to CUTS_MAX_M (2 bool
-    planes in blocks of one replicate, 2(m - 1) + 1 in blocks of several),
-    fits with the block's count cells in BLOCK_BYTES, or, in a block of one
+    limb sums on the jump path and the cut planes up to CUTS_MAX_M
+    (2(m - 1) + 1 bool planes per replicate, in blocks of every size), fits
+    with the block's count cells in BLOCK_BYTES, or, in a block of one
     replicate, in the bytes of its row. Above CUTS_MAX_M the arena holds no
     counting scratch: the index arrays are temporaries."""
     top = simulation.CUTS_MAX_M
@@ -900,6 +901,21 @@ def test_block_arenas_fit_the_planned_bytes_of_their_rows():
             cells = rows * m * simulation.BYTES_PER_BLOCK_COUNT
             room = max(simulation.BLOCK_BYTES, simulation.block_row_bytes(n, m))
             assert arena.nbytes + cells <= room, (m, n)
+
+
+def test_block_layout_is_rows_times_one_replicates_share():
+    """A block's arena, its cut planes included, is k times a block of one's,
+    on both paths and with either counter, so the planes of counting by cuts
+    do not depend on the block's rows."""
+    top = simulation.CUTS_MAX_M
+    for m in (2, 3, top, top + 1, 40):
+        for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 6_000):
+            for jump in (True, False):
+                one = simulation._block_layout(1, n, m, jump)
+                assert one[2] == (2 * m - 1 if m <= top else 0), (m, n, jump)
+                for k in range(1, 5):
+                    layout = simulation._block_layout(k, n, m, jump)
+                    assert layout[:3] == one[:3] and layout[3] == k * one[3], (k, m, n, jump)
 
 
 def test_seed_chunks_fit_block_bytes_with_their_count_cells():
@@ -964,7 +980,7 @@ def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, repl
         (1000, 10, 10),  # one block, of which 10 rows hold replicates
         (100, 50_000, 100),  # counts near 500: an int object per kept count
         (16, 500, 3000),  # counted by cuts, with the most scratch per respondent
-        (16, 50_000, 20),  # counted by cuts in blocks of one replicate, level by level
+        (16, 50_000, 20),  # counted by cuts in blocks of one replicate, all 31 planes
         (17, JUMP_MAX_N, 3000),  # index arrays on the jump path, beside its limb sums
     ],
 )
