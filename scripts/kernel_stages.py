@@ -21,6 +21,10 @@ prints the microseconds per replicate of each stage, the best of the K
 passes. The stages are the kernel's own functions, timed through wrappers set
 on their modules for the pass:
 
+- tables: ``_cut_levels``, the cdf and the cut points that counting by
+  cuts compares with, or ``_search_levels``, the levels of the binary search
+  that counting through a bincount reads, once per range (and once for the
+  replay of replicate 0);
 - seeding: ``replicate_words`` and the cast of its limbs (``_jump_limbs``)
   on the jump path, ``replicate_states`` on the setter path, once per seed
   chunk;
@@ -51,9 +55,11 @@ from rrkit import (
     Device, PopulationModel, ResponseSample, SupportSpec, ValidationError, estimation, simulation,
 )
 
-STAGES = ("seeding", "uniforms", "counting", "estimate", "rest", "reduce")
+STAGES = ("tables", "seeding", "uniforms", "counting", "estimate", "rest", "reduce")
 # the kernel's functions, by module and name, each timed as the stage it belongs to
 TIMED = {
+    (simulation, "_cut_levels"): "tables",
+    (simulation, "_search_levels"): "tables",
     (simulation, "replicate_words"): "seeding",
     (simulation, "_jump_limbs"): "seeding",
     (simulation, "replicate_states"): "seeding",
@@ -139,7 +145,7 @@ def timed_pass(config):
     start = time.perf_counter()
     mu_hats.mean(), mu_hats.var(ddof=1)
     seconds["reduce"] = time.perf_counter() - start
-    timed = sum(seconds[s] for s in ("seeding", "uniforms", "counting", "estimate"))
+    timed = sum(seconds[stage] for stage in set(TIMED.values()))
     seconds["rest"] = total - timed
     return seconds
 

@@ -103,7 +103,8 @@ def estimate_report(sample: ResponseSample, device: Device, support: SupportSpec
         _require_finite(value, "pi_hat_raw", device.p)
     for value in truncated:
         _require_finite(value, "pi_hat_truncated", device.p)
-    mu_hat = _require_finite(estimate_mean(sample, device, support), "mu_hat", device.p)
+    # every raw proportion is finite, so an overflow here is the support's
+    mu_hat = _require_finite_at_scale(estimate_mean(sample, device, support), "mu_hat", support)
     flags: tuple[str, ...] = ()
     if any(v < 0.0 or v > 1.0 for v in raw):
         flags = (RAW_OUT_OF_RANGE,)
@@ -155,13 +156,7 @@ def variance_mean_theoretical(
     except OverflowError:
         shift_squared = math.inf
     numerator = p * sigma2 + (1.0 - p) * spread + p * (1.0 - p) * shift_squared
-    if not math.isfinite(numerator):
-        scale = max(abs(x) for x in support.values)
-        raise ValidationError(
-            "NONFINITE_RESULT",
-            f"var_mu_theoretical is {numerator!r}, not a finite number: the support's "
-            f"scale (largest |x| = {scale!r}) is too large for its variance",
-        )
+    _require_finite_at_scale(numerator, "var_mu_theoretical", support)
     return _quotient(numerator, n * p * p, "var_mu_theoretical", p)
 
 
@@ -192,7 +187,9 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
     which is (1/(n p^2)) * sum_i w_i (x_i - xbar_w)^2 with xbar_w = sum_i x_i w_i.
     It is computed in that centred form, centring twice so the second pass
     removes the rounding of xbar_w; the raw moments would cancel to nothing
-    once the support sits far from 0. No bias correction is attempted.
+    once the support sits far from 0. No bias correction is attempted. The
+    numerator reads no p, so where it overflows the support's scale is
+    refused with ``NONFINITE_RESULT``.
     """
     _require_same_m(device.m, support.m)
     w = sample.proportions
@@ -200,12 +197,22 @@ def variance_mean_plugin(sample: ResponseSample, device: Device, support: Suppor
     d = [x - xbar for x in support.values]
     shift = _row_sum([e * v for e, v in zip(d, w)])
     d = [e - shift for e in d]
-    return _quotient(
-        _row_sum([e * e * v for e, v in zip(d, w)]),
-        sample.n * device.p * device.p,
-        "var_mu_plugin",
-        device.p,
-    )
+    numerator = _row_sum([e * e * v for e, v in zip(d, w)])
+    _require_finite_at_scale(numerator, "var_mu_plugin", support)
+    return _quotient(numerator, sample.n * device.p * device.p, "var_mu_plugin", device.p)
+
+
+def _require_finite_at_scale(value: float, what: str, support: SupportSpec) -> float:
+    """A quantity whose overflow does not come from p, refused unless it is
+    finite with ``NONFINITE_RESULT`` naming the support's scale."""
+    if not math.isfinite(value):
+        scale = max(abs(x) for x in support.values)
+        raise ValidationError(
+            "NONFINITE_RESULT",
+            f"{what} is {value!r}, not a finite number: the support's scale "
+            f"(largest |x| = {scale!r}) is too large for it",
+        )
+    return value
 
 
 def _quotient(numerator: float, denominator: float, what: str, p: float) -> float:

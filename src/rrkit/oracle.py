@@ -287,6 +287,10 @@ def _search_columns(
     return columns
 
 
+# Kept cached, with model._remembered's memo of what is computed from it: an
+# in-process verify --grid-step 0.01 took 1.14-2.15 ms with both, 1.69-2.80 ms
+# with the memo cleared and 1.94-3.23 ms with both cleared (medians on 2 vCPUs,
+# the higher figures on a busier host).
 @functools.lru_cache(maxsize=8)
 def _search_input(
     k: int,

@@ -68,9 +68,11 @@ at m = 3 and 5 562 at m = 16, see :func:`block_rows`) counts each plane
 with ``count_nonzero``, a block of several sums its flags over the
 respondent axis in one reduce. Its cost grows as O(m n), so blocks over
 more values keep the index arrays and one bincount (:func:`_count_rows`).
-The tables both counters read are computed once per population or device
-value; the cut levels are looked up once per range, the search levels of
-:func:`inverse_cdf` once per block.
+The tables both counters read are computed where they are read, and no
+run shares them: the cut levels, the cdf with the cut points that
+:func:`forced_cuts` walks to from their closed form, once per range; the
+search levels of :func:`inverse_cdf`, once per range too, and on each
+call of it outside the kernel.
 
 Once per run, replicate 0 is replayed through :func:`simulate_survey` and
 :func:`~rrkit.estimation.estimate_mean`; any difference in its counts or in
@@ -100,7 +102,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -350,24 +351,22 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
 # --- the draw rules: the truth by inverse CDF, the response by the card -----
 
 
-@functools.lru_cache(maxsize=16)
 def cdf(population: PopulationModel) -> np.ndarray:
-    """Cumulative proportions of a population; computed once per population
-    value, frozen."""
-    return _frozen(np.cumsum(population.pi_array))
+    """Cumulative proportions of a population: ``np.cumsum``'s sums, by the
+    ufunc it wraps, without the wrapper's cost on an m-entry table."""
+    return np.add.accumulate(population.pi_array)
 
 
-@functools.lru_cache(maxsize=16)
-def _search_levels(population: PopulationModel) -> tuple[np.ndarray, ...]:
+def _search_levels(population: PopulationModel) -> list[np.ndarray]:
     """``cdf[:-1]`` padded with +inf to 2**k - 1 entries, the fewest with
     2**k >= m, split into the k levels of a binary search over it: the
-    level of step s holds the entries s-1, 3s-1, 5s-1, ... Computed once per
-    population value, frozen."""
+    level of step s holds the entries s-1, 3s-1, 5s-1, ... Built on each
+    call: per call of :func:`inverse_cdf`, once per range of the kernel."""
     m = population.m
     k = (m - 1).bit_length()
     table = np.full(2**k - 1, np.inf)
     table[: m - 1] = cdf(population)[:-1]
-    return tuple(_frozen(table[2**j - 1::2 ** (j + 1)]) for j in reversed(range(k)))
+    return [table[2**j - 1::2 ** (j + 1)] for j in reversed(range(k))]
 
 
 def inverse_cdf(population: PopulationModel, u: np.ndarray) -> np.ndarray:
@@ -380,12 +379,16 @@ def inverse_cdf(population: PopulationModel, u: np.ndarray) -> np.ndarray:
     branchless binary search counts them over ``cdf[:-1]`` padded with +inf
     to 2**k - 1 entries, k = ceil(log2 m), which no uniform reaches:
     ``idx += step * (u >= table[idx + step - 1])`` for step = 2**(k-1) down
-    to 1, one compare pass per step. It keeps idx / step, doubled before
-    each step, so that each step reads one level of the table
-    (:func:`_search_levels`). ``u`` is only read.
+    to 1, one compare pass per step (:func:`_search`). ``u`` is only read.
     """
+    return _search(_search_levels(population), u)
+
+
+def _search(levels: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The indices of :func:`inverse_cdf` for uniforms ``u``, by its binary
+    search over ``levels`` (:func:`_search_levels`). It keeps idx / step,
+    doubled before each step, so that each step reads one level."""
     u = np.asarray(u)
-    levels = _search_levels(population)
     out, flags, probe = np.empty(u.shape, np.int64), np.empty(u.shape, bool), np.empty(u.shape)
     np.greater_equal(u, levels[0][0], out=flags)
     np.copyto(out, flags)
@@ -410,34 +413,25 @@ def _forced_score(u, p: float, m: int, out: np.ndarray | None = None):
     return score
 
 
-@functools.lru_cache(maxsize=16)
 def forced_cuts(device: Device) -> tuple[float, ...]:
-    """Cut points t_1 .. t_(m-1) of the forced-card score; computed once per
-    device value.
+    """Cut points t_1 .. t_(m-1) of the forced-card score.
 
     The forced index is at least k exactly when u >= t_k, the smallest double
-    whose :func:`_forced_score` reaches k. t_k is found by bisection over the
-    bit patterns of the doubles from p, which scores 0, to 1.0, which scores
-    m. A cut of 1.0 is one no uniform in [0, 1) reaches.
+    whose :func:`_forced_score` reaches k. t_k is found by walking from the
+    closed form p + (1 - p) k / m, capped at 1.0, one double at a time: up
+    while the score is below k, then down while the double below still
+    reaches k. p scores 0 and 1.0 scores m, so the walk stays in (p, 1.0]. A
+    cut of 1.0 is one no uniform in [0, 1) reaches.
     """
-
-    def bits(x: float) -> int:
-        return struct.unpack("<q", struct.pack("<d", x))[0]
-
-    def double(b: int) -> float:
-        return struct.unpack("<d", struct.pack("<q", b))[0]
-
     p, m = device.p, device.m
     cuts = []
     for k in range(1, m):
-        below, at = bits(p), bits(1.0)  # score(below) < k <= score(at)
-        while at - below > 1:
-            mid = (below + at) // 2
-            if _forced_score(double(mid), p, m) >= k:
-                at = mid
-            else:
-                below = mid
-        cuts.append(double(at))
+        u = min(p + (1.0 - p) * (k / m), 1.0)
+        while _forced_score(u, p, m) < k:
+            u = math.nextafter(u, 1.0)
+        while _forced_score(math.nextafter(u, 0.0), p, m) >= k:
+            u = math.nextafter(u, 0.0)
+        cuts.append(u)
     return tuple(cuts)
 
 
@@ -511,6 +505,9 @@ def _mix(x: int, y: int) -> int:
     return result ^ result >> 16
 
 
+# Kept cached: uncached it costs 14-27 us per seed chunk, against about 1 ms
+# for a chunk of 2 048 replicates at n = 10 (2 vCPUs), and a run's chunks
+# share one seed.
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` with every
@@ -602,6 +599,9 @@ def _setter_uniforms(
         generator.random(out=row)
 
 
+# Kept cached: building it takes 42-90 us at n = 10 and 320-450 us at
+# n = 150 (2 vCPUs), against about 1.5 ms for a whole simulate command at
+# n = 10, R = 2 000.
 @functools.lru_cache(maxsize=16)
 def _jump_table(n: int) -> np.ndarray:
     """The (17, 8n) float64 table that takes a replicate's seed limbs
@@ -707,37 +707,37 @@ def _jump_uniforms(
     np.multiply(lo, 2.0**-53, out=out)
 
 
-def _block_layout(k: int, n: int, m: int, jump: bool | None = None, cuts: bool | None = None):
+def _block_layout(k: int, n: int, m: int):
     """How a block of k replicates of n respondents over m values lies in its
     float64 arena, as ``(jump, cuts, planes, words)``.
 
     ``jump`` is its stream path: the jump path up to ``JUMP_MAX_N``
     respondents, the setter path above. ``cuts`` is its counter: by cuts
-    over at most ``CUTS_MAX_M`` values, through a bincount over more. Either
-    is forced when given. ``planes`` counts the bool planes of counting by
-    cuts, each of the shape of a half of the uniforms, at any k: the truthful
-    flags and two families of m - 1 planes, all levels at once; none through
-    a bincount. ``words`` is the arena's size, k times a replicate's share:
-    2n words of uniforms, and the larger of 8n words of limb sums on the jump
-    path and its cut planes' bytes in whole words. The block's uniforms come
-    first; its limb sums and its cut planes both start after them, so on the
-    jump path the planes lie in the limb sums, dead once the uniforms are out.
+    over at most ``CUTS_MAX_M`` values, through a bincount over more. Tests
+    and scripts/kernel_stages.py force a side by setting those limits.
+    ``planes`` counts the bool planes of counting by cuts, each of the shape
+    of a half of the uniforms, at any k: the truthful flags and two families
+    of m - 1 planes, all levels at once; none through a bincount. ``words``
+    is the arena's size, k times a replicate's share: 2n words of uniforms,
+    and the larger of 8n words of limb sums on the jump path and its cut
+    planes' bytes in whole words. The block's uniforms come first; its limb
+    sums and its cut planes both start after them, so on the jump path the
+    planes lie in the limb sums, dead once the uniforms are out.
     """
-    jump = n <= JUMP_MAX_N if jump is None else jump
-    cuts = m <= CUTS_MAX_M if cuts is None else cuts
+    jump, cuts = n <= JUMP_MAX_N, m <= CUTS_MAX_M
     planes = 2 * m - 1 if cuts else 0
     sums = 8 * n if jump else 0
     return jump, cuts, planes, k * (2 * n + max(sums, -(-planes * n // 8)))
 
 
-def _block_arena(rows: int, n: int, m: int, jump: bool, cuts: bool) -> np.ndarray:
+def _block_arena(rows: int, n: int, m: int) -> np.ndarray:
     """The one allocation from which :func:`_block_views` carves every block
-    of up to ``rows`` replicates of n respondents over m values, on the given
-    path and counter (:func:`_block_layout`)."""
-    return np.empty(_block_layout(rows, n, m, jump, cuts)[3])
+    of up to ``rows`` replicates of n respondents over m values
+    (:func:`_block_layout`)."""
+    return np.empty(_block_layout(rows, n, m)[3])
 
 
-def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bool) -> tuple:
+def _block_views(arena: np.ndarray, k: int, n: int, m: int) -> tuple:
     """A block of k replicates carved from ``arena`` (:func:`_block_arena`)
     as :func:`_block_layout` lays it out: its uniforms, its limb sums, the
     truth and device halves of its uniforms and, counted by cuts, its bool
@@ -750,7 +750,8 @@ def _block_views(arena: np.ndarray, k: int, n: int, m: int, jump: bool, cuts: bo
     are its first and last n columns. The cut planes follow the uniforms,
     stacked, each of the shape of a half.
     """
-    size, planes = k * n, _block_layout(k, n, m, jump, cuts)[2]
+    jump, cuts, planes, _ = _block_layout(k, n, m)
+    size = k * n
     if jump:
         shape = (n, k)
         u = arena[:2 * size].reshape(2 * n, k)
@@ -810,10 +811,11 @@ def run_block(
     # index arrays of blocks over CUTS_MAX_M values are fresh per block: at
     # n = 50 000, m = 24, 43 faults per replicate, yet paired run_block passes
     # read 0.99 of the time with those arrays kept per range.
-    arena = _block_arena(rows, n, m, jump, cuts)
+    arena = _block_arena(rows, n, m)
     if cuts:
-        levels = _cut_levels(config)  # looked up once per range
+        levels = _cut_levels(config)  # computed once per range
     else:
+        levels = _search_levels(config.population)  # built once per range
         # row r's responses are offset by r * m: a row on the jump path, a
         # column on the setter path
         offsets = np.arange(0, rows * m, m)
@@ -831,7 +833,7 @@ def run_block(
         for lo in range(0, size, rows):
             k = min(rows, size - lo)
             if k != carved:
-                u, sums, halves, planes = _block_views(arena, k, n, m, jump, cuts)
+                u, sums, halves, planes = _block_views(arena, k, n, m)
                 carved = k
             if jump:
                 _jump_uniforms(limbs[lo:lo + k], table, u, sums)
@@ -840,7 +842,7 @@ def run_block(
             if cuts:
                 _count_by_cuts(config, *halves, axis, planes, chunk_counts[lo:lo + k], levels)
             else:
-                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k])
+                chunk_counts[lo:lo + k] = _count_rows(config, *halves, offsets[:k], levels)
         filled = chunk_counts[:size]
         mu_hats[chunk:chunk + size] = estimation.mean_estimates(filled / n, config.device, x)
         if counts is not None:
@@ -850,15 +852,20 @@ def run_block(
 
 
 def _count_rows(
-    config: SimulationConfig, truth_u: np.ndarray, draws: np.ndarray, offsets: np.ndarray
+    config: SimulationConfig,
+    truth_u: np.ndarray,
+    draws: np.ndarray,
+    offsets: np.ndarray,
+    levels: list[np.ndarray],
 ) -> np.ndarray:
     """Response counts, one row per replicate, from the replicates' truth
     uniforms ``truth_u`` and device uniforms ``draws``, both (n, k) with a
     column per replicate or (k, n) with a row; ``offsets`` holds r * m for
-    each replicate r, as a row or a column to match. The index arrays are
-    those of :func:`inverse_cdf` and :func:`responses_from_uniforms`, which
-    allocate their own."""
-    truth = inverse_cdf(config.population, truth_u)
+    each replicate r, as a row or a column to match; ``levels`` the search
+    levels of :func:`inverse_cdf` (:func:`_search_levels`), which the kernel
+    builds once per range. The index arrays are those of :func:`inverse_cdf`
+    and :func:`responses_from_uniforms`, which allocate their own."""
+    truth = _search(levels, truth_u)
     responses = responses_from_uniforms(config.device, truth, draws)
     responses += offsets
     m = config.support.m
@@ -869,7 +876,8 @@ def _cut_levels(config: SimulationConfig) -> np.ndarray:
     """The (2, m - 1, 1, 1) float64 array of ``cdf[k-1]`` and of t_k,
     k = 1..m-1, that :func:`_count_by_cuts` compares truth and device
     uniforms with, one level per (1, 1) entry, so that a family of levels
-    broadcasts against a half of the uniforms in either layout."""
+    broadcasts against a half of the uniforms in either layout. Computed on
+    each call, once per range of the kernel."""
     cuts = forced_cuts(config.device)
     return np.array([cdf(config.population)[:-1], cuts]).reshape(2, len(cuts), 1, 1)
 
@@ -903,8 +911,8 @@ def _count_by_cuts(
     ``count_nonzero``; a block of several sums them over the respondent axis
     in one reduce, in the smallest unsigned integer type that holds n.
     ``scratch`` holds the :func:`_block_layout` bool planes, all overwritten;
-    ``levels`` the array of :func:`_cut_levels`, which the kernel forms once
-    per range.
+    ``levels`` the array of :func:`_cut_levels`, which the kernel computes
+    once per range.
     """
     n, m = config.n, config.support.m
     truthful, flags, forced = scratch[0], scratch[1:m], scratch[m:]

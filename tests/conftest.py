@@ -1,9 +1,10 @@
 import pathlib
+import struct
 
 import numpy as np
 import pytest
 
-from rrkit import Device, PopulationModel, SupportSpec, oracle
+from rrkit import Device, PopulationModel, SupportSpec, oracle, simulation
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SURVEY_DIR = REPO_ROOT / "surveys"
@@ -48,6 +49,31 @@ def simplex_grid_points(m, step):
     return np.concatenate(list(blocks), axis=1).T.copy()
 
 
+def forced_cuts_by_bisection(p, m):
+    """The cut points t_1 .. t_(m-1) of ``simulation.forced_cuts``, each the
+    smallest double whose forced-card score reaches k, found by bisection over
+    the bit patterns of the doubles from p, which scores 0, to 1.0, which
+    scores m: the reference the walk from the closed form must equal."""
+
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def double(b):
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    cuts = []
+    for k in range(1, m):
+        below, at = bits(p), bits(1.0)  # score(below) < k <= score(at)
+        while at - below > 1:
+            mid = (below + at) // 2
+            if simulation._forced_score(double(mid), p, m) >= k:
+                at = mid
+            else:
+                below = mid
+        cuts.append(double(at))
+    return tuple(cuts)
+
+
 def pytest_configure(config):
     config.stash[ACCEPTANCE_KEY] = []
 
@@ -71,6 +97,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_side(monkeypatch):
+    """Make the block kernel take a side of its forks at n respondents over m
+    values, as scripts/kernel_stages.py does: the jump path when ``jump``
+    (``JUMP_MAX_N`` set to n, else n - 1) and counting by cuts when ``cuts``
+    (``CUTS_MAX_M`` set to m, else m - 1), until the test ends."""
+
+    def force(n, m, jump, cuts):
+        monkeypatch.setattr(simulation, "JUMP_MAX_N", n if jump else n - 1)
+        monkeypatch.setattr(simulation, "CUTS_MAX_M", m if cuts else m - 1)
+
+    return force
 
 
 @pytest.fixture

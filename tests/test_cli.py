@@ -639,6 +639,35 @@ def test_estimate_where_every_raw_estimate_rounds_to_zero_is_refused(capsys, sur
     assert stderr_code(err) == "NONFINITE_RESULT" and "pi_hat_truncated" in err
 
 
+@pytest.mark.parametrize(
+    "values, counts, what",
+    [([1e308, 1.5e308], [0, 5], "mu_hat"), ([0, 1e200], [2, 3], "var_mu_plugin")],
+    ids=["mean", "square"],
+)
+def test_estimate_on_a_support_too_wide_names_its_scale(capsys, tmp_path, values, counts, what):
+    # at p = 0.5 every raw proportion is finite: the mean's sum overflows, or
+    # the plug-in variance's squares do, and neither reads p
+    survey = write_json(
+        tmp_path / "wide.json", {"values": values, "stigmatizing": [True, True], "pi": [0.5, 0.5]}
+    )
+    path = write_json(tmp_path / "c.json", counts)
+    code, out, err = run(capsys, "estimate", "--survey", survey, "--counts", path, "--p", "0.5")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "NONFINITE_RESULT" and doc["message"].startswith(f"{what} is inf")
+    assert "scale" in doc["message"] and "p is too close" not in doc["message"]
+
+
+def test_estimate_at_a_p_near_0_names_p(capsys, survey_m2, tmp_path):
+    # the raw proportions and the mean are finite; n * p * p underflows to 0
+    counts = write_json(tmp_path / "c.json", [4, 6])
+    code, out, err = run(capsys, "estimate", "--survey", survey_m2, "--counts", counts, "--p", "1e-300")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "NONFINITE_RESULT" and doc["message"].startswith("var_mu_plugin is inf")
+    assert "p is too close to 0" in doc["message"] and "scale" not in doc["message"]
+
+
 # --- privacy ------------------------------------------------------------------
 
 

@@ -10,12 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrkit import Device, PopulationModel, ValidationError
 from rrkit.oracle import response_distribution_oracle
 from rrkit.simulation import CUTS_MAX_M, draw_responses, forced_cuts, responses_from_uniforms
+
+from conftest import forced_cuts_by_bisection
 
 
 class StubRng:
@@ -218,3 +220,17 @@ def test_forced_cuts_are_the_first_uniforms_of_each_forced_index(p, m):
     k = np.arange(1, m)
     assert (responses_from_uniforms(d, truth, cuts) >= k).all()
     assert (responses_from_uniforms(d, truth, np.nextafter(cuts, 0.0)) < k).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(probabilities, st.floats(0.0, 2.0**-1022, exclude_min=True, allow_subnormal=True)),
+    m=st.integers(2, 64),
+)
+@example(p=5e-324, m=64)
+@example(p=1.0 - 2.0**-53, m=64)
+def test_forced_cuts_equal_the_bisection_over_bit_patterns(p, m):
+    """The walk from the closed form lands on the double that bisecting the
+    bit patterns from p to 1.0 finds, for every level, subnormal p too."""
+    got = forced_cuts(Device(p=p, m=m))
+    assert [c.hex() for c in got] == [c.hex() for c in forced_cuts_by_bisection(p, m)]

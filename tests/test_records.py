@@ -268,33 +268,27 @@ def test_a_different_field_gives_unequal_records(first, second):
     assert first != second and not first == second
 
 
-def test_draw_tables_are_read_only_cached_per_value_and_built_once_per_run(monkeypatch):
-    """The simulation's tables hang on no record: an equal record, built
-    apart, finds the same read-only table, and a run builds each table once."""
-    tables = (simulation.cdf, simulation._search_levels, simulation.forced_cuts)
-    for table in tables:
-        table.cache_clear()
-    device, twin = Device(0.25, 3), Device(0.25, 3)
-    cuts = simulation.forced_cuts(device)
-    assert simulation.forced_cuts(twin) is cuts and vars(device) == {"p": 0.25, "m": 3}
+def test_a_run_leaves_its_records_as_they_were_and_computes_the_cuts_once_per_range(monkeypatch):
+    """The simulation's tables hang on no record: a run leaves the device's
+    and the population's fields as they were, and a run of one range
+    computes the cut points once."""
+    calls = []
+    original = simulation.forced_cuts
 
-    population, twin = PopulationModel((0.5, 0.25, 0.25)), PopulationModel((0.5, 0.25, 0.25))
-    cdf, levels = simulation.cdf(population), simulation._search_levels(population)
-    assert simulation.cdf(twin) is cdf and simulation._search_levels(twin) is levels
-    assert vars(population) == {"pi": (0.5, 0.25, 0.25)}
-    for array in (cdf, *levels):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    def counted(device):
+        calls.append(device)
+        return original(device)
 
+    monkeypatch.setattr(simulation, "forced_cuts", counted)
     # the jump path, the setter path and one-row blocks, each counted by cuts
-    # (the replay of replicate 0 searches the levels)
     monkeypatch.setenv("RRKIT_THREADS", "1")
     for n, replicates in ((10, 300), (151, 30), (6_000, 3)):
-        for table in tables:
-            table.cache_clear()
-        config = SimulationConfig(SUPPORT, POPULATION, Device(0.4, 3), n, replicates, 5)
-        simulation.run_replicates(config)
-        assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+        device, population = Device(0.4, 3), PopulationModel((0.5, 0.25, 0.25))
+        calls.clear()
+        simulation.run_replicates(SimulationConfig(SUPPORT, population, device, n, replicates, 5))
+        assert len(calls) == 1
+        assert vars(device) == {"p": 0.4, "m": 3}
+        assert vars(population) == {"pi": (0.5, 0.25, 0.25)}
 
 
 def _bare_input():
@@ -304,8 +298,6 @@ def _bare_input():
 
 # every array that a cache shares or a record holds, as a thunk giving its arrays
 FROZEN = {
-    "simulation.cdf": lambda: [simulation.cdf(POPULATION)],
-    "simulation._search_levels": lambda: list(simulation._search_levels(PopulationModel((0.2,) * 5))),
     "simulation._hash_constants": lambda: [simulation._hash_constants(7, 3, 4)],
     "simulation._STATE_CONSTANTS": lambda: [simulation._STATE_CONSTANTS],
     "simulation._seed_pool": lambda: list(simulation._seed_pool(5)),

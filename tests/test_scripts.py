@@ -57,6 +57,7 @@ def test_kernel_stages_runs_both_sides_of_both_forks():
             assert f"{path} path, {counter}" in part
         assert "both sides of each fork give the same estimates and counts bit for bit" in part
         assert "jump/setter: " in part and "cuts/bincount: " in part
+        assert "\n  tables " in part  # the per-range tables, apart from the rest
 
 
 def test_kernel_stages_refuses_sides_that_differ(monkeypatch):

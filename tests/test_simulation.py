@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rrkit import (
@@ -268,7 +268,7 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
     )
     # the block's arena as run_block allocates it, counted by cuts
     planned = (
-        simulation._block_arena(simulation.block_rows(n, 3), n, 3, False, True).nbytes
+        simulation._block_arena(simulation.block_rows(n, 3), n, 3).nbytes
         + simulation.WORKER_FIXED_BYTES
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
@@ -410,14 +410,14 @@ def jump_cases(draw):
     return seed, start, k, lead, n, k + draw(st.integers(0, 3))
 
 
-@settings(max_examples=80, deadline=None)
+# kernel_side only sets two module constants, afresh for every example
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=jump_cases())
-def test_jump_uniforms_match_generator_random(case):
+def test_jump_uniforms_match_generator_random(case, kernel_side):
     seed, start, k, lead, n, rows = case
     words = replicate_words(seed, start - lead, start + k)[:, lead:]
-    out, sums, _, _ = simulation._block_views(
-        simulation._block_arena(rows, n, 3, True, False), k, n, 3, True, False
-    )
+    kernel_side(n, 3, jump=True, cuts=False)
+    out, sums, _, _ = simulation._block_views(simulation._block_arena(rows, n, 3), k, n, 3)
     simulation._jump_uniforms(simulation._jump_limbs(words), simulation._jump_table(n), out, sums)
     for r in range(k):
         assert out[:, r].tobytes() == replicate_stream(seed, start + r).random(2 * n).tobytes()
@@ -682,7 +682,8 @@ def test_each_counter_counts_its_side_of_cuts_max_m(monkeypatch):
                 _assert_records_match_stage_functions(summary, config)
 
 
-@settings(max_examples=150, deadline=None)
+# kernel_side only sets two module constants, afresh for every example
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     m=st.integers(2, simulation.CUTS_MAX_M),
     p=st.one_of(
@@ -696,7 +697,9 @@ def test_each_counter_counts_its_side_of_cuts_max_m(monkeypatch):
     jump=st.booleans(),
     n=st.sampled_from([100, 255, 256, 300]),
 )
-def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed, replicates, jump, n):
+def test_cut_counts_equal_the_bincount_of_stage_indices(
+    m, p, zeros, seed, replicates, jump, n, kernel_side
+):
     """_count_by_cuts gives the bincount of the stage functions' responses of
     every replicate of a block, of one replicate or several, in the jump
     path's state-major layout or the setter path's row per replicate, on
@@ -715,8 +718,9 @@ def test_cut_counts_equal_the_bincount_of_stage_indices(m, p, zeros, seed, repli
         truth = simulation.inverse_cdf(config.population, row[:n])
         responses = responses_from_uniforms(config.device, truth, row[n:])
         expected.append(np.bincount(responses, minlength=m).tolist())
-    arena = simulation._block_arena(replicates, n, m, jump, True)
-    u, _, halves, scratch = simulation._block_views(arena, replicates, n, m, jump, True)
+    kernel_side(n, m, jump=jump, cuts=True)
+    arena = simulation._block_arena(replicates, n, m)
+    u, _, halves, scratch = simulation._block_views(arena, replicates, n, m)
     u[...] = rows.T if jump else rows
     got = np.empty((replicates, m), dtype=np.int64)
     levels = simulation._cut_levels(config)
@@ -897,13 +901,13 @@ def test_block_arenas_fit_the_planned_bytes_of_their_rows():
     for m in (2, 3, top, top + 1, 1000):
         for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 5_000, _first_one_row_n(m), 50_000):
             rows = simulation.block_rows(n, m)
-            arena = simulation._block_arena(rows, n, m, n <= JUMP_MAX_N, m <= top)
+            arena = simulation._block_arena(rows, n, m)
             cells = rows * m * simulation.BYTES_PER_BLOCK_COUNT
             room = max(simulation.BLOCK_BYTES, simulation.block_row_bytes(n, m))
             assert arena.nbytes + cells <= room, (m, n)
 
 
-def test_block_layout_is_rows_times_one_replicates_share():
+def test_block_layout_is_rows_times_one_replicates_share(kernel_side):
     """A block's arena, its cut planes included, is k times a block of one's,
     on both paths and with either counter, so the planes of counting by cuts
     do not depend on the block's rows."""
@@ -911,10 +915,11 @@ def test_block_layout_is_rows_times_one_replicates_share():
     for m in (2, 3, top, top + 1, 40):
         for n in (1, 10, JUMP_MAX_N, JUMP_MAX_N + 1, 500, 6_000):
             for jump in (True, False):
-                one = simulation._block_layout(1, n, m, jump)
+                kernel_side(n, m, jump=jump, cuts=m <= top)
+                one = simulation._block_layout(1, n, m)
                 assert one[2] == (2 * m - 1 if m <= top else 0), (m, n, jump)
                 for k in range(1, 5):
-                    layout = simulation._block_layout(k, n, m, jump)
+                    layout = simulation._block_layout(k, n, m)
                     assert layout[:3] == one[:3] and layout[3] == k * one[3], (k, m, n, jump)
 
 
@@ -933,7 +938,7 @@ def test_memory_plan_at_m_350_000_holds_one_row_of_counts():
     assert simulation.block_rows(10, 350_000) == 1
     planned = simulation.planned_bytes(10, 350_000, 256, 1, False)
     assert planned == (
-        simulation._block_arena(1, 10, 350_000, True, False).nbytes
+        simulation._block_arena(1, 10, 350_000).nbytes
         + 10 * simulation.BYTES_PER_INDEX_RESPONDENT
         + simulation.WORKER_FIXED_BYTES
         + 350_000 * simulation.BYTES_PER_BLOCK_COUNT
