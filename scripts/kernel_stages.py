@@ -11,7 +11,9 @@ through a bincount. For each n and m given, the script runs ``run_block``
 over R replicates (uniform population, p = 0.3, seed 31) on each side of
 each fork: both stream paths, by setting ``JUMP_MAX_N`` to n or n - 1 for the
 pass, each with both counters, by setting ``CUTS_MAX_M`` to m or m - 1. The
-side the kernel takes with its own limits is marked with ``*``.
+side the kernel takes with its own limits is marked with ``*``. A shape
+whose serial run, with its counts kept, is over the memory budget is
+refused, as ``run_replicates`` would refuse it, before anything runs.
 
 Before timing, the script checks that every side gives the same estimates and
 counts bit for bit, and that every estimate equals
@@ -25,9 +27,10 @@ on their modules for the pass:
   cuts compares with, or ``_search_levels``, the levels of the binary search
   that counting through a bincount reads, once per range (and once for the
   replay of replicate 0);
-- seeding: ``replicate_words`` and the cast of its limbs (``_jump_limbs``)
-  on the jump path, ``replicate_states`` on the setter path, once per seed
-  chunk;
+- seeding: ``replicate_words`` (numpy's SeedSequence pool of the seed, and
+  the spawn word's mixing re-derived over the chunk) and the cast of its
+  limbs (``_jump_limbs``) on the jump path, ``replicate_states``, which
+  calls ``replicate_words``, on the setter path, once per seed chunk;
 - uniforms: ``_jump_uniforms`` or ``_setter_uniforms``, once per block;
 - counting: ``_count_rows`` or ``_count_by_cuts``, once per block;
 - estimate: ``estimation.mean_estimates``, once per seed chunk (and once for
@@ -111,16 +114,24 @@ def label(side):
 
 @contextlib.contextmanager
 def timed_stages(seconds):
-    """Add each call's seconds to its stage in ``seconds``."""
+    """Add each call's seconds to its stage in ``seconds``, once: a timed
+    function called inside another, as ``replicate_states`` calls
+    ``replicate_words``, counts in the outer call's stage alone."""
     clock = time.perf_counter
+    running = False
 
     def wrap(inner, stage):
         def timed(*args):
+            nonlocal running
+            if running:
+                return inner(*args)
+            running = True
             start = clock()
             try:
                 return inner(*args)
             finally:
                 seconds[stage] += clock() - start
+                running = False
 
         return timed
 
@@ -232,6 +243,9 @@ def main(argv=None) -> None:
         parser.error("--replicates must be at least 2: the reduce stage takes a sample variance")
     try:
         configs = [config_for(n, m, args.replicates) for n, m in itertools.product(args.n, args.m)]
+        # refused as run_replicates would refuse a serial run that keeps its counts
+        for config in configs:
+            simulation._check_memory(config.n, config.support.m, args.replicates, 1, True)
     except ValidationError as e:
         parser.error(str(e))
     print(f"JUMP_MAX_N = {simulation.JUMP_MAX_N}, CUTS_MAX_M = {simulation.CUTS_MAX_M}")

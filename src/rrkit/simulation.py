@@ -21,7 +21,8 @@ many worker threads ran.
 The block kernel: :func:`run_block` takes a range of replicates in seed
 chunks of up to ``SEED_CHUNK``, and does once per chunk all that does not
 grow with n: it seeds the chunk's streams in one vectorised pass
-(:func:`replicate_words` re-derives SeedSequence's mixing), estimates the
+(:func:`replicate_words` takes the seed's pool from numpy's SeedSequence
+and re-derives only the mixing of the spawn word), estimates the
 chunk's count rows in one call and keeps their tuples. In between, block by
 block, it draws each replicate's 2n uniforms into a block and counts them
 into the replicate's row of the chunk. Up to ``JUMP_MAX_N`` respondents it
@@ -93,8 +94,9 @@ holds the larger of its block and the replay of replicate 0, a fixed
 allowance for numpy's ufunc buffers, and its seed chunk with its count
 cells; a block is the arena of its layout plus, counted through a
 bincount, the index arrays of :func:`inverse_cdf` and
-:func:`responses_from_uniforms`. The run adds its jump table and every
-replicate's result.
+:func:`responses_from_uniforms`, and its range's search levels. The run
+adds its jump table, the replay's per-value objects (its counts and the
+floats of its check) and every replicate's result.
 """
 
 from __future__ import annotations
@@ -210,16 +212,26 @@ CUTS_MAX_M = 16
 # planned as 512, plus its counts tuple: 8 bytes per count up to 256
 # (Python's shared small ints) and 40 above it, where every count is an int
 # object of its own, planned as 48.
+# Two terms grow with m alone. Counted through a bincount, each worker holds
+# the search levels of inverse_cdf (_search_levels) for its range: fewer
+# than 2m float64s, planned as 16 bytes per value. The run holds, in the
+# range of replicate 0, the replay's counts tuple and, at its check,
+# estimation.estimate_mean's tuples of Python floats; they peaked 32-44 bytes
+# per value above the same run without the replay (40-52 with records kept;
+# m = 20 000 - 1 000 000, n = 10 - 2 000 000), planned as 64.
 BYTES_PER_INDEX_RESPONDENT = 8 + 8 + 8 + 1
 WORKER_FIXED_BYTES = 2 * 8_192 * 8 + 8_192
 BYTES_PER_BLOCK_COUNT = 48
+BYTES_PER_SEARCH_VALUE = 16
+BYTES_PER_REPLAY_VALUE = 64
 BYTES_PER_SEED = 512
 BYTES_PER_RESULT = 16
 BYTES_PER_KEPT_RESULT = 512
 BYTES_PER_KEPT_COUNT = 48
 
-# numpy's SeedSequence: a pool of four uint32 words, hashed and mixed with
-# these constants (numpy/random/bit_generator.pyx), and PCG64's 128-bit LCG
+# numpy's SeedSequence: a pool of four uint32 words, into which the spawn
+# word is hashed and mixed, and from which the state is generated, with these
+# constants (numpy/random/bit_generator.pyx), and PCG64's 128-bit LCG
 # multiplier (O'Neill, HMC-CS-2014-0905), from which run_block seeds streams.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -293,8 +305,9 @@ def replicate_ranges(replicates: int, workers: int) -> list[range]:
 
 def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> int:
     """Memory a run of n respondents over m values plans for: each worker's
-    block or replay of replicate 0, fixed allowance, seed chunk and count
-    cells, the run's jump table, plus every replicate's result."""
+    block or replay of replicate 0, search levels, fixed allowance, seed
+    chunk and count cells, the run's jump table and the replay's per-value
+    objects, plus every replicate's result."""
     if keep_replicates:
         per_result = BYTES_PER_KEPT_RESULT + m * BYTES_PER_KEPT_COUNT
     else:
@@ -305,12 +318,15 @@ def planned_bytes(n: int, m: int, replicates: int, workers: int, keep_replicates
     # replicate 0's replay, its device uniforms beside its index arrays, ends
     # before the block's arena is allocated
     replay = n * (8 + BYTES_PER_INDEX_RESPONDENT)
+    levels = 0 if cuts else m * BYTES_PER_SEARCH_VALUE
     # the m-cell arrays take only the rows of replicates a chunk holds
     cells = min(chunk_rows(m), replicates) * m * BYTES_PER_BLOCK_COUNT
-    per_worker = max(block, replay) + WORKER_FIXED_BYTES + cells + SEED_CHUNK * BYTES_PER_SEED
+    per_worker = (
+        max(block, replay) + levels + WORKER_FIXED_BYTES + cells + SEED_CHUNK * BYTES_PER_SEED
+    )
     # the jump path's state table is one for all workers
     table = 8 * math.prod(_jump_table_shape(n)) if jump else 0
-    return workers * per_worker + table + replicates * per_result
+    return workers * per_worker + table + m * BYTES_PER_REPLAY_VALUE + replicates * per_result
 
 
 def _check_memory(n: int, m: int, replicates: int, workers: int, keep_replicates: bool) -> None:
@@ -485,63 +501,18 @@ def simulate_survey(config: SimulationConfig, replicate: int) -> ResponseSample:
     return ResponseSample(counts=tuple(counts.tolist()))
 
 
-def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
-    """The next ``count + 1`` values of a SeedSequence hash constant, as a
-    frozen uint32 column."""
-    out = [const]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return _frozen(np.array(out, dtype=np.uint32)[:, None])
+def _hash_constants(init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """Values ``skip`` to ``skip + count`` of a SeedSequence hash constant,
+    which starts at ``init`` and is multiplied by ``mult`` at each hash, as
+    a uint32 column."""
+    return np.array(
+        [init * pow(mult, skip + j, 1 << 32) & _MASK32 for j in range(count + 1)], dtype=np.uint32
+    )[:, None]
 
 
 # generate_state(4, uint64) hashes pool words 0, 1, 2, 3, 0, 1, 2, 3 in turn
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+_STATE_CONSTANTS = _frozen(_hash_constants(_INIT_B, _MULT_B, 0, 8))
 _STATE_WORDS = np.arange(8) % _POOL_SIZE
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's ``mix`` of two uint32 words."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-# Kept cached: uncached it costs 14-27 us per seed chunk, against about 1 ms
-# for a chunk of 2 048 replicates at n = 10 (2 vCPUs), and a run's chunks
-# share one seed.
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` with every
-    word but the spawn word ``i`` mixed in, each word multiplied by the mix's
-    left multiplier, and the five hash constants that mixing ``i`` uses.
-
-    The seed's uint32 words, least significant first, are padded with zeros
-    to the pool size (a spawn key asks for that) and hashed into the pool;
-    every pool word is mixed into every other; words past the pool size are
-    then mixed into each pool word. None of this depends on ``i``.
-    """
-    words = [seed & _MASK32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _MASK32)
-    words += [0] * (_POOL_SIZE - len(words))
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    scaled = np.array([_MIX_MULT_L * word & _MASK32 for word in pool], dtype=np.uint32)
-    return _frozen(scaled[:, None]), _hash_constants(const, _MULT_A, _POOL_SIZE)
 
 
 def replicate_words(seed: int, start: int, stop: int) -> np.ndarray:
@@ -549,13 +520,20 @@ def replicate_words(seed: int, start: int, stop: int) -> np.ndarray:
     ``stop - 1``, as a (8, stop - start) uint32 array: words (s1, s0, i1, i0),
     each split into its low and high 32 bits, one column per replicate.
 
-    The spawn word i is mixed into each pool word, and the state generated,
-    as uint32 array arithmetic over the whole range at once. Both paths of
+    ``SeedSequence(entropy=seed, spawn_key=(i,))`` hashes and mixes the
+    seed's words into its pool of four words just as ``SeedSequence(seed)``
+    does, whose ``pool`` numpy gives, and then mixes in the spawn word i.
+    That last mix, and the state generated, are re-derived here as uint32
+    array arithmetic over the whole range at once. Both paths of
     :func:`run_block` seed from here. Spawn indices must fit one uint32 word.
     """
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replicates {start} to {stop} do not fit one uint32 spawn word")
-    scaled_pool, consts = _seed_pool(seed)
+    scaled_pool = np.random.SeedSequence(seed).pool[:, None] * np.uint32(_MIX_MULT_L)
+    # the hashes before the spawn word's: 4 of the pool words, 12 of the
+    # cross-mix and 4 for each of the seed's 32-bit words past the pool
+    hashes = 16 + 4 * max(0, -(-seed.bit_length() // 32) - _POOL_SIZE)
+    consts = _hash_constants(_INIT_A, _MULT_A, hashes, _POOL_SIZE)
     hashed = (np.arange(start, stop, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
     hashed ^= hashed >> 16
     # mix(pool word, hashed), wrapping mod 2**32 in uint32 arithmetic

@@ -298,9 +298,7 @@ def _bare_input():
 
 # every array that a cache shares or a record holds, as a thunk giving its arrays
 FROZEN = {
-    "simulation._hash_constants": lambda: [simulation._hash_constants(7, 3, 4)],
     "simulation._STATE_CONSTANTS": lambda: [simulation._STATE_CONSTANTS],
-    "simulation._seed_pool": lambda: list(simulation._seed_pool(5)),
     "simulation._jump_table": lambda: [simulation._jump_table(3)],
     "privacy.alpha_measure.gaps": lambda: [alpha_measure(Device(0.3, 3), POPULATION).gaps],
     "privacy.beta_measure.mass_by_response": lambda: [

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def _run(script, *argv):
         [sys.executable, str(ROOT / "scripts" / script), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _kernel_stages():
+    """scripts/kernel_stages.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location("kernel_stages", ROOT / "scripts" / "kernel_stages.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_scripts_run_at_their_smallest_arguments():
@@ -64,9 +73,7 @@ def test_kernel_stages_refuses_sides_that_differ(monkeypatch):
     """Counts that one side alone gets wrong past replicate 0 still agree with
     estimate_mean and pass the kernel's own check; the comparison of the
     sides must catch them, in blocks of many replicates and of one."""
-    spec = importlib.util.spec_from_file_location("kernel_stages", ROOT / "scripts" / "kernel_stages.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _kernel_stages()
     inner, replicates = simulation._count_by_cuts, itertools.count()
 
     def swapped(config, truth, draws, axis, scratch, out, levels):
@@ -79,6 +86,28 @@ def test_kernel_stages_refuses_sides_that_differ(monkeypatch):
     for n in (10, 30_000):
         with pytest.raises(SystemExit, match="jump bincount and jump cuts differ"):
             script.report(script.config_for(n, 3, 3), repeats=1)
+
+
+def test_kernel_stages_times_nested_seeding_once(monkeypatch):
+    """On the setter path replicate_states calls replicate_words, and both
+    are timed as seeding: a call must count once, and the rest of run_block,
+    its total less the timed stages, must not go negative."""
+    script = _kernel_stages()
+    inner, slept = simulation.replicate_words, []
+
+    def slow(seed, start, stop):
+        if not slept:
+            slept.append(True)
+            time.sleep(0.05)
+        return inner(seed, start, stop)
+
+    monkeypatch.setattr(simulation, "replicate_words", slow)
+    config = script.config_for(500, 3, 10)
+    with script.forced(config, (False, True)):
+        seconds = script.timed_pass(config)
+    assert slept
+    assert 0.05 <= seconds["seeding"] < 0.1
+    assert seconds["rest"] >= 0
 
 
 def test_verify_stages_splits_both_grid_checks_cached_and_streamed():
@@ -118,6 +147,8 @@ def test_replication_study_refuses_fewer_than_two_replicates():
         (("kernel_stages.py", "--replicates", "1"), "--replicates must be at least 2"),
         (("kernel_stages.py", "--n", "0"), "sample size must be an integer >= 1, got 0"),
         (("kernel_stages.py", "--m", "1"), "support needs at least two values"),
+        (("kernel_stages.py", "--replicates", "1000000000000"),
+         "n=10 respondents over m=4 values on 1 worker(s) and 1000000000000 replicates plan"),
         (("verify_stages.py", "--repeats", "0"), "--repeats must be at least 1"),
         (("verify_stages.py", "--grid-step", "0.3"), "--grid-step: step 0.3 must evenly divide 1"),
         (("verify_stages.py", "--grid-step", "0"), "--grid-step: step 0.0 must evenly divide 1"),

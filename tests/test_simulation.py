@@ -272,6 +272,7 @@ def test_memory_budget_counts_workers_and_kept_results(support3, pop3, monkeypat
         + simulation.WORKER_FIXED_BYTES
         + 4 * 3 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
+        + 3 * simulation.BYTES_PER_REPLAY_VALUE
         + 4 * simulation.BYTES_PER_RESULT
     )
     monkeypatch.setenv("RRKIT_THREADS", "1")
@@ -374,7 +375,11 @@ def test_stream_consumption_order_is_pinned(support3, pop3):
 # --- block kernel -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**130 + 7])
+# 2**128 - 1 fills the pool's four words exactly, 2**128 is the first seed
+# with a word past the pool, 2**200 + 3 has seven words
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 - 1, 2**128, 2**130 + 7, 2**200 + 3]
+)
 def test_vectorised_seeding_matches_numpy(seed):
     for i in (0, 1, 2**31, 2**32 - 1):
         state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
@@ -940,13 +945,15 @@ def test_memory_plan_at_m_350_000_holds_one_row_of_counts():
     assert planned == (
         simulation._block_arena(1, 10, 350_000).nbytes
         + 10 * simulation.BYTES_PER_INDEX_RESPONDENT
+        + 350_000 * simulation.BYTES_PER_SEARCH_VALUE
         + simulation.WORKER_FIXED_BYTES
         + 350_000 * simulation.BYTES_PER_BLOCK_COUNT
         + simulation.SEED_CHUNK * simulation.BYTES_PER_SEED
         + simulation._jump_table(10).nbytes
+        + 350_000 * simulation.BYTES_PER_REPLAY_VALUE
         + 256 * simulation.BYTES_PER_RESULT
     )
-    assert planned < 20 * 2**20
+    assert planned < 64 * 2**20
     simulation._check_memory(10, 350_000, 256, 1, False)
 
 
@@ -987,6 +994,8 @@ def test_memory_plan_covers_the_traced_peak(support3, pop3, monkeypatch, n, repl
         (16, 500, 3000),  # counted by cuts, with the most scratch per respondent
         (16, 50_000, 20),  # counted by cuts in blocks of one replicate, all 31 planes
         (17, JUMP_MAX_N, 3000),  # index arrays on the jump path, beside its limb sums
+        (350_000, 10, 2),  # the replay's tuples of m floats and the search levels
+        (70_000, 3000, 1),  # the same on the setter path
     ],
 )
 def test_memory_plan_covers_the_traced_peak_at_large_m(monkeypatch, m, n, replicates):
